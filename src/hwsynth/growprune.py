@@ -1,11 +1,11 @@
-"""Mask-mutation algorithms: weight growth/pruning and structured
-row/column growth/pruning, plus the coordinated multi-gate wrappers and
-the ratio-halving schedule.
+"""Mask-mutation algorithms: weight growth/pruning, structured unit
+growth/pruning coordinated across the four gates of a cell, and the
+ratio-halving schedule.
 
 Selection counts use ceil(ratio * n) with ties broken by lower index, so
 every decision is deterministic and checkable against a full-sort oracle.
 Grown weights are initialized to lr * gradient (sign-carrying), for both
-single-weight and row/column growth.
+single-weight and unit growth.
 """
 
 from __future__ import annotations
@@ -32,14 +32,12 @@ class GrowPruneConfig:
     p_w: float = 0.7              # initial weight pruning ratio
     p_r: float = 0.2              # row pruning ratio
     p_c: float = 0.2              # column pruning ratio
-    g_r: float = 0.0              # row growth ratio (derived from LHP gap)
-    g_c: float = 0.0
     accuracy_threshold: float = math.inf   # perplexity upper bound
     halving_floor: float = 0.01   # below this, switch to single-row/column mode
     retrain_patience: int = 2     # retrain epochs per prune iteration
 
     def __post_init__(self):
-        for name in ("g_w", "p_w", "p_r", "p_c", "g_r", "g_c"):
+        for name in ("g_w", "p_w", "p_r", "p_c"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ContractViolation(f"ratio {name}={v} outside [0, 1]")
@@ -121,104 +119,15 @@ def weight_prune(layer: MaskedLinear, p_w: float) -> int:
     return k
 
 
-def neuron_sweep(layers: list[MaskedLinear]) -> list[tuple[str, str, int]]:
-    """Report (layer, axis, index) of rows/columns whose mask is all-zero."""
-    dead = []
-    for layer in layers:
-        for r in np.flatnonzero(~layer.mask.any(axis=1)):
-            dead.append((layer.name, "row", int(r)))
-        for c in np.flatnonzero(~layer.mask.any(axis=0)):
-            dead.append((layer.name, "col", int(c)))
-    return dead
-
-
-def rc_prune(layer: MaskedLinear, p_r: float, p_c: float) -> tuple[int, int]:
-    """Prune the least important active rows and columns by |W| sums.
-
-    Row importance is sum(|W|) over the row, column importance over the
-    column, both before any pruning in this call. Counts are
-    ceil(ratio * active_count); refusing requests that would zero the whole
-    layer.
-    """
-    if not 0.0 <= p_r <= 1.0 or not 0.0 <= p_c <= 1.0:
-        raise ContractViolation("row/column pruning ratios must be in [0, 1]")
-    active = ActiveSets.of(layer)
-    k_r = min(_ceil_count(p_r, active.set_r.size), active.set_r.size)
-    k_c = min(_ceil_count(p_c, active.set_c.size), active.set_c.size)
-    return rc_prune_counts(layer, k_r, k_c)
-
-
-def rc_prune_counts(layer: MaskedLinear, k_r: int, k_c: int) -> tuple[int, int]:
-    active = ActiveSets.of(layer)
-    if k_r >= active.set_r.size and k_r > 0:
-        raise DegenerateLayerError(f"{layer.name}: pruning all {active.set_r.size} rows")
-    if k_c >= active.set_c.size and k_c > 0:
-        raise DegenerateLayerError(f"{layer.name}: pruning all {active.set_c.size} cols")
-    eff = np.abs(layer.effective())
-    row_scores = eff[active.set_r, :].sum(axis=1)
-    col_scores = eff[:, active.set_c].sum(axis=0)
-    rows = active.set_r[_bottom_k_stable(row_scores, k_r)]
-    cols = active.set_c[_bottom_k_stable(col_scores, k_c)]
-    layer.mask[rows, :] = 0.0
-    layer.w[rows, :] = 0.0
-    layer.b[rows] = 0.0
-    layer.mask[:, cols] = 0.0
-    layer.w[:, cols] = 0.0
-    return len(rows), len(cols)
-
-
-def rc_grow(layer: MaskedLinear, grad: np.ndarray, active: ActiveSets,
-            g_r: float, g_c: float, lr: float) -> tuple[int, int]:
-    """Activate the dormant rows/columns with the largest |gradient| sums.
-
-    Gradient entries in the fully active region are ignored. Grown rows are
-    activated across the existing active columns (and vice versa), with
-    weights lr * grad; requested growth beyond the available dormant
-    rows/columns grows all that remain.
-    """
-    if not 0.0 <= g_r <= 1.0 or not 0.0 <= g_c <= 1.0:
-        raise ContractViolation("row/column growth ratios must be in [0, 1]")
-    m, n = layer.w.shape
-    k_r = _ceil_count(g_r, m)
-    k_c = _ceil_count(g_c, n)
-    return rc_grow_counts(layer, grad, active, k_r, k_c, lr)
-
-
-def rc_grow_counts(layer: MaskedLinear, grad: np.ndarray, active: ActiveSets,
-                   k_r: int, k_c: int, lr: float) -> tuple[int, int]:
-    grad = np.asarray(grad)
-    if grad.shape != layer.w.shape:
-        raise ContractViolation(
-            f"{layer.name}: gradient shape {grad.shape} != {layer.w.shape}")
-    m, n = layer.w.shape
-    dormant_r = np.setdiff1d(np.arange(m), active.set_r)
-    dormant_c = np.setdiff1d(np.arange(n), active.set_c)
-    k_r = min(k_r, dormant_r.size)
-    k_c = min(k_c, dormant_c.size)
-    agrad = np.abs(grad)
-    rows = dormant_r[_top_k_stable(agrad[dormant_r][:, active.set_c].sum(axis=1), k_r)] \
-        if active.set_c.size else dormant_r[:k_r]
-    cols = dormant_c[_top_k_stable(agrad[active.set_r][:, dormant_c].sum(axis=0), k_c)] \
-        if active.set_r.size else dormant_c[:k_c]
-    for r in rows:
-        layer.mask[r, active.set_c] = 1.0
-        layer.w[r, active.set_c] = lr * grad[r, active.set_c]
-    for c in cols:
-        layer.mask[active.set_r, c] = 1.0
-        layer.w[active.set_r, c] = lr * grad[active.set_r, c]
-    return len(rows), len(cols)
-
-
 # --- coordinated multi-gate structured operations ---------------------------
 
 def _unit_arrays(cell: HLSTMCellParams):
     """Active flags per structural index class, read off the gate masks."""
     s_active = np.zeros(cell.d_s, dtype=bool)
-    h_active = np.zeros(cell.d_h, dtype=bool) if cell.hidden_depth else None
+    h_active = np.zeros(cell.d_h, dtype=bool)
     for gate in GATES:
         s_active |= cell.o_layers[gate].mask.any(axis=1)
-        if cell.hidden_depth:
-            h_active |= cell.h_layers[gate].mask.any(axis=1)
+        h_active |= cell.h_layers[gate].mask.any(axis=1)
     return s_active, h_active
 
 
@@ -236,7 +145,7 @@ def unit_importance(cell: HLSTMCellParams, head: MaskedLinear | None = None,
         return np.abs(np.asarray(grads[id(layer)]))
 
     s_imp = np.zeros(cell.d_s)
-    h_imp = np.zeros(cell.d_h) if cell.hidden_depth else None
+    h_imp = np.zeros(cell.d_h)
     for gate in GATES:
         o_layer = cell.o_layers[gate]
         o_cols = o_layer.active_cols()
@@ -246,18 +155,17 @@ def unit_importance(cell: HLSTMCellParams, head: MaskedLinear | None = None,
             s_imp += om.sum(axis=1)
         else:
             s_imp += om[:, o_cols].sum(axis=1) if o_cols.size else 0.0
-        if cell.hidden_depth:
-            h_layer = cell.h_layers[gate]
-            hm = mat(h_layer)
-            h_rows = h_layer.active_rows()
-            h_cols = h_layer.active_cols()
-            if grads is None:
-                h_imp += hm.sum(axis=1) + om.sum(axis=0)[:cell.d_h]
-                s_imp += hm[:, cell.d_x:].sum(axis=0)
-            else:
-                h_imp += (hm[:, h_cols].sum(axis=1) if h_cols.size else 0.0)
-                h_imp += (om[o_rows, :].sum(axis=0) if o_rows.size else 0.0)
-                s_imp += (hm[h_rows, cell.d_x:].sum(axis=0) if h_rows.size else 0.0)
+        h_layer = cell.h_layers[gate]
+        hm = mat(h_layer)
+        h_rows = h_layer.active_rows()
+        h_cols = h_layer.active_cols()
+        if grads is None:
+            h_imp += hm.sum(axis=1) + om.sum(axis=0)[:cell.d_h]
+            s_imp += hm[:, cell.d_x:].sum(axis=0)
+        else:
+            h_imp += (hm[:, h_cols].sum(axis=1) if h_cols.size else 0.0)
+            h_imp += (om[o_rows, :].sum(axis=0) if o_rows.size else 0.0)
+            s_imp += (hm[h_rows, cell.d_x:].sum(axis=0) if h_rows.size else 0.0)
     if head is not None:
         hd = mat(head)
         if grads is None:
@@ -274,18 +182,14 @@ def _apply_unit_prune(cell: HLSTMCellParams, head: MaskedLinear | None,
         o_layer.mask[s_idx, :] = 0.0
         o_layer.w[s_idx, :] = 0.0
         o_layer.b[s_idx] = 0.0
-        if cell.hidden_depth:
-            h_layer = cell.h_layers[gate]
-            h_layer.mask[:, cell.d_x + s_idx] = 0.0
-            h_layer.w[:, cell.d_x + s_idx] = 0.0
-            h_layer.mask[h_idx, :] = 0.0
-            h_layer.w[h_idx, :] = 0.0
-            h_layer.b[h_idx] = 0.0
-            o_layer.mask[:, h_idx] = 0.0
-            o_layer.w[:, h_idx] = 0.0
-        else:
-            o_layer.mask[:, cell.d_x + s_idx] = 0.0
-            o_layer.w[:, cell.d_x + s_idx] = 0.0
+        h_layer = cell.h_layers[gate]
+        h_layer.mask[:, cell.d_x + s_idx] = 0.0
+        h_layer.w[:, cell.d_x + s_idx] = 0.0
+        h_layer.mask[h_idx, :] = 0.0
+        h_layer.w[h_idx, :] = 0.0
+        h_layer.b[h_idx] = 0.0
+        o_layer.mask[:, h_idx] = 0.0
+        o_layer.w[:, h_idx] = 0.0
     if head is not None:
         head.mask[:, s_idx] = 0.0
         head.w[:, s_idx] = 0.0
@@ -300,8 +204,7 @@ def coordinated_rc_prune(cell: HLSTMCellParams, head: MaskedLinear | None,
     """
     s_active, h_active = _unit_arrays(cell)
     k_s = min(_ceil_count(p_r, int(s_active.sum())), int(s_active.sum()))
-    k_h = min(_ceil_count(p_c, int(h_active.sum())), int(h_active.sum())) \
-        if cell.hidden_depth else 0
+    k_h = min(_ceil_count(p_c, int(h_active.sum())), int(h_active.sum()))
     return coordinated_rc_prune_counts(cell, head, k_s, k_h)
 
 
@@ -309,19 +212,16 @@ def coordinated_rc_prune_counts(cell: HLSTMCellParams, head: MaskedLinear | None
                                 k_s: int, k_h: int) -> tuple[int, int]:
     s_active, h_active = _unit_arrays(cell)
     n_s = int(s_active.sum())
-    n_h = int(h_active.sum()) if cell.hidden_depth else 0
+    n_h = int(h_active.sum())
     if k_s >= n_s and k_s > 0:
         raise DegenerateLayerError(f"pruning all {n_s} hidden-state units")
-    if cell.hidden_depth and k_h >= n_h and k_h > 0:
+    if k_h >= n_h and k_h > 0:
         raise DegenerateLayerError(f"pruning all {n_h} gate hidden units")
     s_imp, h_imp = unit_importance(cell, head)
     s_cand = np.flatnonzero(s_active)
     s_idx = s_cand[_bottom_k_stable(s_imp[s_cand], k_s)]
-    if cell.hidden_depth:
-        h_cand = np.flatnonzero(h_active)
-        h_idx = h_cand[_bottom_k_stable(h_imp[h_cand], k_h)]
-    else:
-        h_idx = np.empty(0, dtype=np.int64)
+    h_cand = np.flatnonzero(h_active)
+    h_idx = h_cand[_bottom_k_stable(h_imp[h_cand], k_h)]
     _apply_unit_prune(cell, head, s_idx, h_idx)
     return cell.active_dims()
 
@@ -338,11 +238,8 @@ def coordinated_rc_grow_counts(cell: HLSTMCellParams, head: MaskedLinear | None,
     s_imp, h_imp = unit_importance(cell, head, grads=grads)
     s_dormant = np.flatnonzero(~s_active)
     s_idx = s_dormant[_top_k_stable(s_imp[s_dormant], min(k_s, s_dormant.size))]
-    if cell.hidden_depth:
-        h_dormant = np.flatnonzero(~h_active)
-        h_idx = h_dormant[_top_k_stable(h_imp[h_dormant], min(k_h, h_dormant.size))]
-    else:
-        h_idx = np.empty(0, dtype=np.int64)
+    h_dormant = np.flatnonzero(~h_active)
+    h_idx = h_dormant[_top_k_stable(h_imp[h_dormant], min(k_h, h_dormant.size))]
 
     def activate(layer, rows=None, cols=None):
         g = np.asarray(grads[id(layer)])
@@ -357,13 +254,8 @@ def coordinated_rc_grow_counts(cell: HLSTMCellParams, head: MaskedLinear | None,
                 layer.w[act.set_r, c] = lr * g[act.set_r, c]
 
     for gate in GATES:
-        o_layer = cell.o_layers[gate]
-        if cell.hidden_depth:
-            h_layer = cell.h_layers[gate]
-            activate(h_layer, rows=h_idx, cols=cell.d_x + s_idx)
-            activate(o_layer, rows=s_idx, cols=h_idx)
-        else:
-            activate(o_layer, rows=s_idx, cols=cell.d_x + s_idx)
+        activate(cell.h_layers[gate], rows=h_idx, cols=cell.d_x + s_idx)
+        activate(cell.o_layers[gate], rows=s_idx, cols=h_idx)
     if head is not None:
         activate(head, cols=s_idx)
     return cell.active_dims()

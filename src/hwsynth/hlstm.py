@@ -1,14 +1,13 @@
 """H-LSTM cell, sequence unrolling with BPTT, and the perplexity metric.
 
 The cell has four control gates (forget, input, output, update); each gate
-is a small feed-forward net: an optional masked hidden layer followed by a
+is a small feed-forward net: one masked ReLU hidden layer followed by a
 masked output layer. Gate equations per step, with z = [x_t, h_{t-1}]:
 
-    f,i,o = sigmoid(O_gate(act(H_gate(z))))     g = tanh(O_g(act(H_g(z))))
+    f,i,o = sigmoid(O_gate(relu(H_gate(z))))    g = tanh(O_g(relu(H_g(z))))
     c_t   = f * c_{t-1} + i * g                 h_t = o * tanh(c_t)
 
-With hidden_depth=0 the hidden layer disappears and the cell degenerates to
-a plain LSTM gate form (one affine map per gate).
+The language model is one such cell between an embedding and a softmax head.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .numkit import (
     activation_backward,
     activation_forward,
 )
+from .corpus import batch_windows
 
 GATES = ("f", "i", "o", "g")
 
@@ -47,45 +47,29 @@ class HLSTMCellParams:
     """Parameters of one H-LSTM cell.
 
     All four gates share identical (d_x, d_s, d_h); coordinated structured
-    pruning keeps them equal. hidden_depth=0 drops the H layers and wires
-    the output layers directly to [x, h].
+    pruning keeps them equal.
     """
 
     d_x: int
     d_s: int
     d_h: int
-    hidden_depth: int = 1
-    hidden_act: ActivationKind = ActivationKind.RELU
     h_layers: dict[str, MaskedLinear] = field(default_factory=dict)
     o_layers: dict[str, MaskedLinear] = field(default_factory=dict)
 
     @classmethod
     def create(cls, d_x: int, d_s: int, d_h: int, rng: np.random.Generator,
-               hidden_depth: int = 1, hidden_act: ActivationKind = ActivationKind.RELU,
                name: str = "cell") -> "HLSTMCellParams":
-        if hidden_depth not in (0, 1):
-            raise ContractViolation("hidden_depth must be 0 or 1")
-        cell = cls(d_x=d_x, d_s=d_s, d_h=d_h, hidden_depth=hidden_depth,
-                   hidden_act=hidden_act)
-        z_dim = d_x + d_s
+        cell = cls(d_x=d_x, d_s=d_s, d_h=d_h)
         for gate in GATES:
-            if hidden_depth == 1:
-                cell.h_layers[gate] = MaskedLinear.dense(
-                    d_h, z_dim, rng, name=f"{name}.H{gate}")
-                cell.o_layers[gate] = MaskedLinear.dense(
-                    d_s, d_h, rng, name=f"{name}.O{gate}")
-            else:
-                cell.o_layers[gate] = MaskedLinear.dense(
-                    d_s, z_dim, rng, name=f"{name}.O{gate}")
+            cell.h_layers[gate] = MaskedLinear.dense(
+                d_h, d_x + d_s, rng, name=f"{name}.H{gate}")
+            cell.o_layers[gate] = MaskedLinear.dense(
+                d_s, d_h, rng, name=f"{name}.O{gate}")
         return cell
 
     def layers(self) -> list[MaskedLinear]:
-        out = []
-        for gate in GATES:
-            if self.hidden_depth == 1:
-                out.append(self.h_layers[gate])
-            out.append(self.o_layers[gate])
-        return out
+        return [layer for gate in GATES
+                for layer in (self.h_layers[gate], self.o_layers[gate])]
 
     def active_dims(self) -> tuple[int, int]:
         """(active d_s units, active d_h units) read off the gate masks."""
@@ -93,10 +77,7 @@ class HLSTMCellParams:
         h_active = np.zeros(self.d_h, dtype=bool)
         for gate in GATES:
             s_active |= self.o_layers[gate].mask.any(axis=1)
-            if self.hidden_depth == 1:
-                h_active |= self.h_layers[gate].mask.any(axis=1)
-        if self.hidden_depth == 0:
-            return int(s_active.sum()), 0
+            h_active |= self.h_layers[gate].mask.any(axis=1)
         return int(s_active.sum()), int(h_active.sum())
 
 
@@ -105,7 +86,6 @@ class StepCache:
     """Intermediates of one cell step, consumed exactly once by backward."""
 
     z: np.ndarray
-    h_pre: dict
     h_act: dict
     drop_mask: dict
     gate_in: dict          # input seen by the output layer of each gate
@@ -128,25 +108,19 @@ def cell_forward(params: HLSTMCellParams, x_t: np.ndarray, prev: HLSTMState,
     if x_t.shape[-1] != params.d_x:
         raise ContractViolation(f"x width {x_t.shape[-1]} != d_x {params.d_x}")
     z = np.concatenate([x_t, prev.h], axis=-1)
-    cache = StepCache(z=z, h_pre={}, h_act={}, drop_mask={}, gate_in={},
+    cache = StepCache(z=z, h_act={}, drop_mask={}, gate_in={},
                       gate_out={}, c_prev=prev.c, c=None, tanh_c=None)
     gates = {}
     for gate in GATES:
-        if params.hidden_depth == 1:
-            pre = params.h_layers[gate].forward(z)
-            act = activation_forward(params.hidden_act, pre)
-            cache.h_pre[gate] = pre
-            cache.h_act[gate] = act  # pre-dropout activation, for backward
-            if train and dropout_h > 0.0:
-                if rng is None:
-                    raise ContractViolation("dropout during training needs an rng")
-                keep = (rng.random(act.shape) >= dropout_h) / (1.0 - dropout_h)
-                cache.drop_mask[gate] = keep
-                gate_in = act * keep
-            else:
-                gate_in = act
-        else:
-            gate_in = z
+        act = activation_forward(ActivationKind.RELU, params.h_layers[gate].forward(z))
+        cache.h_act[gate] = act  # pre-dropout activation, for backward
+        gate_in = act
+        if train and dropout_h > 0.0:
+            if rng is None:
+                raise ContractViolation("dropout during training needs an rng")
+            keep = (rng.random(act.shape) >= dropout_h) / (1.0 - dropout_h)
+            cache.drop_mask[gate] = keep
+            gate_in = act * keep
         cache.gate_in[gate] = gate_in
         pre_out = params.o_layers[gate].forward(gate_in)
         kind = ActivationKind.TANH if gate == "g" else ActivationKind.SIGMOID
@@ -182,13 +156,10 @@ def cell_backward(params: HLSTMCellParams, cache: StepCache, d_h_t: np.ndarray,
         kind = ActivationKind.TANH if gate == "g" else ActivationKind.SIGMOID
         d_pre_out = activation_backward(kind, g[gate], d_gate[gate])
         d_in = params.o_layers[gate].backward(cache.gate_in[gate], d_pre_out)
-        if params.hidden_depth == 1:
-            if gate in cache.drop_mask:
-                d_in = d_in * cache.drop_mask[gate]
-            d_pre = activation_backward(params.hidden_act, cache.h_act[gate], d_in)
-            d_z += params.h_layers[gate].backward(cache.z, d_pre)
-        else:
-            d_z += d_in
+        if gate in cache.drop_mask:
+            d_in = d_in * cache.drop_mask[gate]
+        d_pre = activation_backward(ActivationKind.RELU, cache.h_act[gate], d_in)
+        d_z += params.h_layers[gate].backward(cache.z, d_pre)
     d_x = d_z[..., :params.d_x]
     d_h_prev = d_z[..., params.d_x:]
     return d_x, HLSTMState(h=d_h_prev, c=d_c_prev)
@@ -196,7 +167,7 @@ def cell_backward(params: HLSTMCellParams, cache: StepCache, d_h_t: np.ndarray,
 
 @dataclass
 class LMModel:
-    """Character-level language model: embedding -> H-LSTM stack -> head."""
+    """Character-level language model: embedding -> H-LSTM cell -> head."""
 
     embedding: np.ndarray          # (V, d_x)
     cells: list[HLSTMCellParams]
@@ -234,14 +205,11 @@ class LMModel:
 
     @classmethod
     def create(cls, vocab_size: int, d_x: int, d_s: int, d_h: int,
-               rng: np.random.Generator, depth: int = 1, hidden_depth: int = 1,
-               dropout_h: float = 0.0) -> "LMModel":
+               rng: np.random.Generator, dropout_h: float = 0.0) -> "LMModel":
         if vocab_size < 2:
             raise ContractViolation("vocabulary must have at least 2 symbols")
         emb = rng.uniform(-0.1, 0.1, size=(vocab_size, d_x))
-        cells = [HLSTMCellParams.create(d_x if i == 0 else d_s, d_s, d_h, rng,
-                                        hidden_depth=hidden_depth, name=f"cell{i}")
-                 for i in range(depth)]
+        cells = [HLSTMCellParams.create(d_x, d_s, d_h, rng, name="cell0")]
         head = MaskedLinear.dense(vocab_size, d_s, rng, name="head")
         return cls(embedding=emb, cells=cells, head=head, dropout_h=dropout_h)
 
@@ -288,6 +256,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _softmax_nll(logits: np.ndarray, targets: np.ndarray):
+    """(probs, index of each target's probability in (batch, step) order,
+    summed NLL of the targets)."""
+    probs = softmax(logits)
+    idx = (*np.indices(targets.shape).reshape(targets.ndim, -1), targets.reshape(-1))
+    return probs, idx, float(-np.log(probs[idx]).sum())
+
+
 def bptt(model: LMModel, logits: np.ndarray, caches, tokens: np.ndarray,
          targets: np.ndarray, grad_scale: float = 1.0) -> float:
     """Cross-entropy over all steps; accumulates every parameter gradient.
@@ -301,20 +277,9 @@ def bptt(model: LMModel, logits: np.ndarray, caches, tokens: np.ndarray,
     if targets.shape != tokens.shape:
         raise ContractViolation("targets must match tokens shape")
     T = tokens.shape[-1]
-    probs = softmax(logits)
-    if batched:
-        B = tokens.shape[0]
-        rows = np.repeat(np.arange(B), T)
-        cols = np.tile(np.arange(T), B)
-        picked = probs[rows, cols, targets.reshape(-1)]
-    else:
-        picked = probs[np.arange(T), targets]
-    total_nll = float(-np.log(picked).sum())
+    probs, idx, total_nll = _softmax_nll(logits, targets)
     d_logits = probs.copy()
-    if batched:
-        d_logits[rows, cols, targets.reshape(-1)] -= 1.0
-    else:
-        d_logits[np.arange(T), targets] -= 1.0
+    d_logits[idx] -= 1.0
     d_logits *= grad_scale
 
     n_cells = len(model.cells)
@@ -345,20 +310,13 @@ def perplexity(mean_nll: float) -> float:
 def evaluate(model: LMModel, tokens: np.ndarray, seq_len: int = 64,
              batch: int = 1) -> float:
     """Mean per-token NLL of a token stream, stateful across windows."""
-    tokens = np.asarray(tokens)
-    from .corpus import batch_windows  # local import to avoid a cycle
     total_nll = 0.0
     count = 0
     states = None
-    for xs, ys in batch_windows(tokens, batch, seq_len):
+    for xs, ys in batch_windows(np.asarray(tokens), batch, seq_len):
         logits, _, states = unroll_forward(model, xs, init=states, train=False)
-        probs = softmax(logits)
-        B, T = xs.shape
-        rows = np.repeat(np.arange(B), T)
-        cols = np.tile(np.arange(T), B)
-        picked = probs[rows, cols, ys.reshape(-1)]
-        total_nll += float(-np.log(picked).sum())
-        count += B * T
+        total_nll += _softmax_nll(logits, ys)[2]
+        count += xs.size
     if count == 0:
         raise ContractViolation("token stream too short to evaluate")
     return total_nll / count

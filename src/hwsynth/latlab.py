@@ -1,5 +1,6 @@
 """Latency lab: matmul latency measurement over a dimension grid,
-hysteresis analysis, and synthetic curves for deterministic testing.
+hysteresis analysis, and virtual-clock synthetic curves for deterministic
+testing.
 
 A latency hysteresis point (LHP) is a dimension whose central latency is a
 prefix minimum of the measured curve: no smaller grid dimension is faster.
@@ -69,7 +70,7 @@ class HysteresisMap:
     profile: LatencyProfile
     lhp_set: list[int]
     bins: list[HysteresisBin]
-    redundancy: float
+    redundancy: float   # architecture-space redundancy: 1 - #LHPs / #grid points
 
 
 class NearestLHP(NamedTuple):
@@ -139,16 +140,16 @@ class SyntheticCurveSpec:
 
 
 class SyntheticBackend(MatmulBackend):
-    """Backend driven by a closed-form curve.
+    """Virtual-clock backend driven by a closed-form curve.
 
-    In virtual-clock mode (default) no time passes: measure_point reads the
-    closed-form latency directly, giving exact noise-controlled profiles.
-    With virtual=False the task busy-waits the specified duration.
+    No time passes: measure_point reads the closed-form latency directly,
+    giving exact noise-controlled profiles.
     """
 
-    def __init__(self, spec: SyntheticCurveSpec, virtual: bool = True):
+    virtual = True
+
+    def __init__(self, spec: SyntheticCurveSpec):
         self.spec = spec
-        self.virtual = virtual
         self.name = f"synthetic(period={spec.period})"
         self._noise_rng = make_rng(spec.seed)
 
@@ -158,15 +159,6 @@ class SyntheticBackend(MatmulBackend):
             return np.full(runs, base)
         noise = self._noise_rng.uniform(0.0, self.spec.noise_ns, size=runs)
         return base + noise
-
-    def make_task(self, dim: int, batch: int):
-        duration = self.spec.latency_ns(dim)
-
-        def task():
-            end = time.perf_counter_ns() + duration
-            while time.perf_counter_ns() < end:
-                pass
-        return task
 
 
 def make_backend(spec: str, seed: int = 0) -> MatmulBackend:
@@ -280,11 +272,6 @@ def detect_lhps(profile: LatencyProfile) -> HysteresisMap:
     redundancy_val = 1.0 - len(lhps) / len(profile.grid)
     return HysteresisMap(profile=profile, lhp_set=lhps, bins=bins,
                          redundancy=redundancy_val)
-
-
-def redundancy(hmap: HysteresisMap) -> float:
-    """Architecture-space redundancy: 1 - #LHPs / #grid points."""
-    return hmap.redundancy
 
 
 def nearest_lhp(hmap: HysteresisMap, d: int) -> NearestLHP:

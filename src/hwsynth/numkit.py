@@ -1,11 +1,10 @@
 """Dense numeric kernels and masked affine layers.
 
 Everything downstream (the H-LSTM cell, the grow/prune algorithms, the
-synthesis flow) is built on the primitives here: a deterministic matmul,
-masked linear layers whose gradients are accumulated for *all* entries
-(dormant connections included, so growth can rank them later), elementwise
-activations with analytic derivatives, order-statistic thresholds, and a
-mask-respecting SGD step.
+synthesis flow) is built on the primitives here: masked linear layers whose
+gradients are accumulated for *all* entries (dormant connections included,
+so growth can rank them later), elementwise activations with analytic
+derivatives, and a mask-respecting SGD step.
 """
 
 from __future__ import annotations
@@ -30,21 +29,6 @@ class NumericAbort(RuntimeError):
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded RNG; identical seed gives an identical draw sequence."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense product C[i,j] = sum_k A[i,k] B[k,j], fixed summation order.
-
-    Delegates to numpy's BLAS path, which is bit-deterministic across runs
-    for identical inputs and a fixed thread configuration.
-    """
-    a = np.asarray(a, dtype=FLOAT)
-    b = np.asarray(b, dtype=FLOAT)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ContractViolation(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
 
 
 class ActivationKind(Enum):
@@ -176,28 +160,6 @@ class MaskedLinear:
 
     def active_cols(self) -> np.ndarray:
         return np.flatnonzero(self.mask.any(axis=0))
-
-
-def percentile_threshold(values, q: float, direction: str = "smallest") -> float:
-    """k-th order statistic with k = ceil(q*n), from the stated direction.
-
-    q=0 returns a sentinel that selects no elements downstream (-inf for
-    "smallest" selections of the form x <= thr, +inf for "largest" with
-    x >= thr).
-    """
-    vals = np.asarray(list(values), dtype=FLOAT)
-    if vals.size == 0:
-        raise ContractViolation("percentile_threshold on empty list")
-    if not 0.0 <= q <= 1.0:
-        raise ContractViolation(f"quantile {q} outside [0, 1]")
-    if direction not in ("smallest", "largest"):
-        raise ContractViolation(f"direction {direction!r}")
-    n = vals.size
-    k = min(max(int(math.ceil(q * n)), 1), n)
-    if q == 0.0:
-        return -math.inf if direction == "smallest" else math.inf
-    ordered = np.sort(vals)
-    return float(ordered[k - 1] if direction == "smallest" else ordered[n - k])
 
 
 def sgd_step(layer: MaskedLinear, lr: float, weight_decay: float = 0.0) -> None:

@@ -67,7 +67,6 @@ class FlowConfig:
     d_x: int = 32
     d_s: int = 128
     d_h: int = 128
-    depth: int = 1
     seed_sparsity: float = 0.5
     growprune: GrowPruneConfig = field(default_factory=GrowPruneConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
@@ -92,6 +91,11 @@ class FlowConfig:
         for name in ("baseline_epochs", "wg_epochs", "growth_epochs", "rcg_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        if len(self.profile_grid) != 3:
+            raise ConfigError(f"profile_grid {self.profile_grid} must be (lo, hi, step)")
+        lo, hi, step = self.profile_grid
+        if lo < 1 or step < 1 or hi < lo:
+            raise ConfigError(f"profile_grid {self.profile_grid}: need 1 <= lo <= hi, step >= 1")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "FlowConfig":
@@ -117,12 +121,6 @@ class FlowConfig:
 @dataclass
 class FlowState:
     phase: str = "wg"
-    epoch: int = 0
-    best_metric: float = math.inf
-    history: list = field(default_factory=list)
-    d_s: int = 0
-    d_h: int = 0
-    active_params: int = 0
 
     def advance(self, phase: str) -> None:
         if PHASES.index(phase) < PHASES.index(self.phase):
@@ -216,7 +214,7 @@ def make_seed(cfg: FlowConfig, vocab_size: int, rng: np.random.Generator) -> LMM
     """Partially connected seed model: each masked layer keeps exactly
     ceil((1 - seed_sparsity) * size) randomly chosen active entries."""
     model = LMModel.create(vocab_size, cfg.d_x, cfg.d_s, cfg.d_h, rng,
-                           depth=cfg.depth, dropout_h=cfg.optimizer.dropout_h)
+                           dropout_h=cfg.optimizer.dropout_h)
     for layer in model.masked_layers():
         n = layer.w.size
         keep = int(math.ceil((1.0 - cfg.seed_sparsity) * n))
@@ -229,6 +227,41 @@ def make_seed(cfg: FlowConfig, vocab_size: int, rng: np.random.Generator) -> LMM
 
 
 # --- training loop -------------------------------------------------------------
+
+def _window_pass(model: LMModel, ids: np.ndarray, batch: int, seq_len: int,
+                 rng: np.random.Generator | None = None, step=None,
+                 collect: bool = False) -> tuple[float, dict | None]:
+    """Stateful forward + BPTT over every window of `ids`.
+
+    With `step`, a training pass: dropout is on and step() applies each
+    window's gradients. Without, a bridging pass: no dropout, and the
+    gradients are cleared after each window. Returns the mean NLL and, with
+    `collect`, the window-averaged full gradient (dormant entries included)
+    of every masked layer, keyed by id(layer).
+    """
+    layers = model.masked_layers()
+    sums = {id(l): np.zeros_like(l.w) for l in layers} if collect else None
+    total_nll = 0.0
+    count = windows = 0
+    states = None
+    for xs, ys in batch_windows(ids, batch, seq_len):
+        logits, caches, states = unroll_forward(model, xs, init=states,
+                                                train=step is not None, rng=rng)
+        total_nll += bptt(model, logits, caches, xs, ys, grad_scale=1.0 / xs.size)
+        count += xs.size
+        windows += 1
+        if collect:
+            for layer in layers:
+                sums[id(layer)] += layer.grad_w
+        if step is None:
+            model.zero_grads()
+        else:
+            step()
+    if count == 0:
+        raise ContractViolation("training stream shorter than one window")
+    grads = {key: acc / windows for key, acc in sums.items()} if collect else None
+    return total_nll / count, grads
+
 
 class Trainer:
     """SGD with validation-plateau learning-rate decay, shared across phases."""
@@ -247,36 +280,18 @@ class Trainer:
         grad_sink, when given, receives the epoch-averaged full gradient
         (dormant entries included) per masked layer, keyed by id(layer).
         """
-        total_nll = 0.0
-        count = 0
-        batches = 0
-        states = None
-        sums = {id(l): np.zeros_like(l.w) for l in model.masked_layers()} \
-            if grad_sink is not None else None
-        for xs, ys in batch_windows(train_ids, batch, seq_len):
-            logits, caches, states = unroll_forward(model, xs, init=states,
-                                                    train=True, rng=rng)
-            n_tok = xs.size
-            nll = bptt(model, logits, caches, xs, ys, grad_scale=1.0 / n_tok)
-            total_nll += nll
-            count += n_tok
-            batches += 1
-            if sums is not None:
-                for layer in model.masked_layers():
-                    sums[id(layer)] += layer.grad_w
+        def step():
             for layer in model.masked_layers():
                 sgd_step(layer, self.lr, self.cfg.weight_decay)
             sgd_update(model.embedding, model.embedding_grad, self.lr,
                        self.cfg.weight_decay)
             model.embedding_grad[...] = 0.0
-            # detach state between windows
-            states = [type(s)(h=s.h.copy(), c=s.c.copy()) for s in states]
-        if count == 0:
-            raise ContractViolation("training stream shorter than one window")
+
+        mean_nll, grads = _window_pass(model, train_ids, batch, seq_len, rng, step,
+                                       collect=grad_sink is not None)
         if grad_sink is not None:
-            for key, acc in sums.items():
-                grad_sink[key] = acc / max(batches, 1)
-        return total_nll / count
+            grad_sink.update(grads)
+        return mean_nll
 
     def note_valid(self, valid_nll: float) -> None:
         if valid_nll < self.best_valid - 1e-6:
@@ -292,17 +307,7 @@ class Trainer:
 def collect_bridging_gradients(model: LMModel, train_ids: np.ndarray,
                                batch: int, seq_len: int) -> dict:
     """Epoch-averaged loss gradients (no parameter updates), keyed by id(layer)."""
-    sums = {id(l): np.zeros_like(l.w) for l in model.masked_layers()}
-    batches = 0
-    states = None
-    for xs, ys in batch_windows(train_ids, batch, seq_len):
-        logits, caches, states = unroll_forward(model, xs, init=states, train=False)
-        bptt(model, logits, caches, xs, ys, grad_scale=1.0 / xs.size)
-        for layer in model.masked_layers():
-            sums[id(layer)] += layer.grad_w
-        model.zero_grads()
-        batches += 1
-    return {k: v / max(batches, 1) for k, v in sums.items()}
+    return _window_pass(model, train_ids, batch, seq_len, collect=True)[1]
 
 
 # --- latency of the full model ---------------------------------------------------
@@ -354,8 +359,8 @@ def checkpoint_save(model: LMModel, meta: dict, path: str | Path) -> None:
         "d_x": model.d_x,
         "d_s": model.cells[0].d_s,
         "d_h": model.cells[0].d_h,
-        "depth": len(model.cells),
-        "hidden_depth": model.cells[0].hidden_depth,
+        "depth": 1,
+        "hidden_depth": 1,
         "vocab_size": model.vocab_size,
         "dropout_h": model.dropout_h,
     })
@@ -374,11 +379,12 @@ def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
     if meta.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {meta.get('version')} != supported {CHECKPOINT_VERSION}")
-    rng = make_rng(0)
+    if meta.get("depth") != 1 or meta.get("hidden_depth") != 1:
+        raise CheckpointError(
+            f"checkpoint has depth {meta.get('depth')}, hidden_depth "
+            f"{meta.get('hidden_depth')}; only 1 and 1 are supported")
     model = LMModel.create(meta["vocab_size"], meta["d_x"], meta["d_s"],
-                           meta["d_h"], rng, depth=meta["depth"],
-                           hidden_depth=meta["hidden_depth"],
-                           dropout_h=meta["dropout_h"])
+                           meta["d_h"], make_rng(0), dropout_h=meta["dropout_h"])
     model.embedding[...] = data["embedding"]
     for i, layer in enumerate(model.masked_layers()):
         layer.mask[...] = data[f"mask_{i}"]
@@ -393,6 +399,13 @@ def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
 
 class SynthesisFlow:
     def __init__(self, cfg: FlowConfig, out_dir: str | Path | None = None):
+        # Checked here, not in FlowConfig, because the CLI sets cpu_mode and
+        # profile_path after the config is built.
+        if not cfg.cpu_mode and not cfg.profile_path:
+            lo, hi, step = cfg.profile_grid
+            if range(lo, hi + 1, step)[-1] < cfg.d_s:
+                raise ConfigError(f"profile_grid {cfg.profile_grid} stops below d_s "
+                                  f"{cfg.d_s}; rcg could not look up the pruned dim")
         self.cfg = cfg
         self.out_dir = Path(out_dir) if out_dir is not None else None
         if self.out_dir is not None:
@@ -400,7 +413,7 @@ class SynthesisFlow:
         path = bundled_corpus_path() if cfg.corpus_path == "bundled" else cfg.corpus_path
         self.corpus: Corpus = load_corpus(path, cfg.train_frac, cfg.valid_frac)
         self.rng = make_rng(cfg.seed)
-        self.state = FlowState(d_s=cfg.d_s, d_h=cfg.d_h)
+        self.state = FlowState()
         self.report = FlowReport()
         self.gp = cfg.growprune
         self.model: LMModel | None = None
@@ -436,15 +449,28 @@ class SynthesisFlow:
         growprune.export_masks(self.model.masked_layers(),
                                self.out_dir / "masks", tag)
 
-    def _train(self, epochs: int, grad_sink: dict | None = None) -> float:
-        ppl = math.nan
-        for _ in range(epochs):
-            self.trainer.epoch(self.model, self.corpus.train, self.cfg.batch,
-                               self.cfg.seq_len, self.rng, grad_sink=grad_sink)
-            valid_nll = evaluate(self.model, self.corpus.valid,
+    def _fit(self, label: str, model: LMModel, trainer: Trainer,
+             rng: np.random.Generator, epochs: int, growth_epochs: int = 0) -> float:
+        """Train `epochs` epochs, each followed by a validation pass that
+        feeds the lr schedule; weight growth runs between the epoch and the
+        validation pass of the first `growth_epochs` epochs. Returns the
+        last validation perplexity; with no epochs, that of the model as is."""
+        if epochs == 0:
+            return self._valid_ppl(model)
+        for ep in range(epochs):
+            sink: dict | None = {} if ep < growth_epochs else None
+            trainer.epoch(model, self.corpus.train, self.cfg.batch,
+                          self.cfg.seq_len, rng, grad_sink=sink)
+            if sink is not None:
+                for layer in model.masked_layers():
+                    growprune.weight_grow(layer, sink[id(layer)], self.gp.g_w,
+                                          trainer.lr)
+            valid_nll = evaluate(model, self.corpus.valid,
                                  seq_len=self.cfg.seq_len, batch=4)
-            self.trainer.note_valid(valid_nll)
+            trainer.note_valid(valid_nll)
             ppl = perplexity(valid_nll)
+            self.log(f"[{label}] epoch {ep + 1}/{epochs} valid ppl {ppl:.3f} "
+                     f"active {param_count(model).active}")
         return ppl
 
     # - steps -
@@ -455,17 +481,9 @@ class SynthesisFlow:
         rng = make_rng(self.cfg.seed + 1)
         baseline = LMModel.create(self.corpus.vocab_size, self.cfg.d_x,
                                   self.cfg.d_s, self.cfg.d_h, rng,
-                                  depth=self.cfg.depth,
                                   dropout_h=self.cfg.optimizer.dropout_h)
-        trainer = Trainer(self.cfg.optimizer)
-        ppl = math.inf
-        for _ in range(self.cfg.baseline_epochs):
-            trainer.epoch(baseline, self.corpus.train, self.cfg.batch,
-                          self.cfg.seq_len, rng)
-            nll = evaluate(baseline, self.corpus.valid,
-                           seq_len=self.cfg.seq_len, batch=4)
-            trainer.note_valid(nll)
-            ppl = perplexity(nll)
+        ppl = self._fit("baseline", baseline, Trainer(self.cfg.optimizer), rng,
+                        self.cfg.baseline_epochs)
         self.report.rows.append(self._row("baseline", baseline, ppl))
         if math.isinf(self.gp.accuracy_threshold):
             self.gp = replace(self.gp, accuracy_threshold=ppl)
@@ -476,21 +494,8 @@ class SynthesisFlow:
         self.state.advance("wg")
         self.model = make_seed(self.cfg, self.corpus.vocab_size, self.rng)
         self.trainer = Trainer(self.cfg.optimizer)
-        ppl = math.nan
-        for ep in range(self.cfg.wg_epochs):
-            sink: dict | None = {} if ep < self.cfg.growth_epochs else None
-            self.trainer.epoch(self.model, self.corpus.train, self.cfg.batch,
-                               self.cfg.seq_len, self.rng, grad_sink=sink)
-            if sink is not None:
-                for layer in self.model.masked_layers():
-                    growprune.weight_grow(layer, sink[id(layer)], self.gp.g_w,
-                                          self.trainer.lr)
-            valid_nll = evaluate(self.model, self.corpus.valid,
-                                 seq_len=self.cfg.seq_len, batch=4)
-            self.trainer.note_valid(valid_nll)
-            ppl = perplexity(valid_nll)
-            self.log(f"[wg] epoch {ep + 1}/{self.cfg.wg_epochs} "
-                     f"valid ppl {ppl:.3f} active {param_count(self.model).active}")
+        ppl = self._fit("wg", self.model, self.trainer, self.rng, self.cfg.wg_epochs,
+                        self.cfg.growth_epochs)
         self.report.rows.append(self._row("wg", self.model, ppl))
         self._save_phase_artifacts("wg")
 
@@ -509,7 +514,8 @@ class SynthesisFlow:
                 break
             if not pruned:
                 break
-            ppl = self._train(gp.retrain_patience)
+            ppl = self._fit(label, self.model, self.trainer, self.rng,
+                            gp.retrain_patience)
             gp, decision = halve(gp, ppl, single_mode)
             if decision is HalveDecision.CONTINUE:
                 last_ppl = ppl
@@ -577,8 +583,7 @@ class SynthesisFlow:
             self.log(f"[rcg] grew tied dim {tied} -> {target_dim}")
         else:
             self.log(f"[rcg] dim {tied} already at an LHP; no growth")
-        ppl = self._train(self.cfg.rcg_epochs) if self.cfg.rcg_epochs \
-            else self._valid_ppl(self.model)
+        ppl = self._fit("rcg", self.model, self.trainer, self.rng, self.cfg.rcg_epochs)
         self.report.rows.append(self._row("rcg", self.model, ppl))
         self._save_phase_artifacts("rcg")
 

@@ -14,13 +14,11 @@ import pytest
 from hwsynth import latlab
 from hwsynth.growprune import (
     GrowPruneConfig,
+    coordinated_rc_grow_counts,
     coordinated_rc_prune_counts,
-    rc_grow,
-    rc_prune,
     weight_grow,
     weight_prune,
 )
-from hwsynth.growprune import ActiveSets
 from hwsynth.hlstm import GATES, HLSTMCellParams, LMModel, bptt, softmax, unroll_forward
 from hwsynth.numkit import MaskedLinear, make_rng
 from hwsynth.synthflow import (
@@ -33,10 +31,15 @@ from hwsynth.synthflow import (
 from oracles import (
     fd_dense_gradients,
     fd_layer_gradients,
+    active_units,
+    grown_masks,
     max_rel_err,
     prefix_min_lhps,
+    pruned_masks,
     select_bottom_k,
     select_top_k,
+    unit_grow_oracle,
+    unit_prune_oracle,
 )
 
 
@@ -123,49 +126,52 @@ def test_criterion_2_selection_oracles():
         expected = select_bottom_k(scores, active, k)
         assert np.flatnonzero((before - layer.mask).ravel()).tolist() == expected
 
+    def sparse_cell(d_s, d_h):
+        cell = HLSTMCellParams.create(2, d_s, d_h, rng)
+        head = MaskedLinear.dense(4, d_s, rng, name="head")
+        for layer in cell.layers() + [head]:
+            layer.mask = (rng.random(layer.mask.shape) < rng.uniform(0.3, 1.0)).astype(float)
+            layer.apply_mask()
+        return cell, head
+
+    def masks_of(cell, head):
+        return {l.name: l.mask for l in cell.layers() + [head]}
+
     done = 0
-    while done < 1000:  # rc_prune
-        m, n = int(rng.integers(2, 11)), int(rng.integers(2, 11))
-        layer = layer_of(m, n, 0.8)
-        act = ActiveSets.of(layer)
-        if act.set_r.size < 2 or act.set_c.size < 2:
+    while done < 1000:  # coordinated unit pruning, both unit kinds, sparse cells
+        cell, head = sparse_cell(int(rng.integers(2, 8)), int(rng.integers(2, 8)))
+        s_act, h_act = active_units(cell)
+        # prune some units first, so the candidates are a strict subset
+        coordinated_rc_prune_counts(cell, head, int(rng.integers(0, max(len(s_act) - 1, 1))),
+                                    int(rng.integers(0, max(len(h_act) - 1, 1))))
+        s_act, h_act = active_units(cell)
+        if len(s_act) < 2 or len(h_act) < 2:
             continue
         done += 1
-        p_r, p_c = float(rng.uniform(0, 0.45)), float(rng.uniform(0, 0.45))
-        eff = np.abs(layer.effective())
-        exp_rows = select_bottom_k({int(i): eff[i, :].sum() for i in act.set_r},
-                                   act.set_r.tolist(),
-                                   math.ceil(p_r * act.set_r.size))
-        exp_cols = select_bottom_k({int(j): eff[:, j].sum() for j in act.set_c},
-                                   act.set_c.tolist(),
-                                   math.ceil(p_c * act.set_c.size))
-        rc_prune(layer, p_r, p_c)
-        for i in exp_rows:
-            assert not layer.mask[i, :].any()
-        for j in exp_cols:
-            assert not layer.mask[:, j].any()
+        k_s = int(rng.integers(1, len(s_act)))
+        k_h = int(rng.integers(1, len(h_act)))
+        expected = pruned_masks(cell, head, *unit_prune_oracle(cell, head, k_s, k_h))
+        coordinated_rc_prune_counts(cell, head, k_s, k_h)
+        got = masks_of(cell, head)
+        assert all(np.array_equal(got[n], expected[n]) for n in expected)
 
-    for _ in range(1000):  # rc_grow
-        m, n = int(rng.integers(2, 11)), int(rng.integers(2, 11))
-        layer = layer_of(m, n, 0.5)
-        act = ActiveSets.of(layer)
-        grad = rng.standard_normal((m, n))
-        g_r, g_c = float(rng.random()), float(rng.random())
-        dormant_r = sorted(set(range(m)) - set(act.set_r.tolist()))
-        dormant_c = sorted(set(range(n)) - set(act.set_c.tolist()))
-        k_r = min(math.ceil(g_r * m), len(dormant_r))
-        k_c = min(math.ceil(g_c * n), len(dormant_c))
-        agrad = np.abs(grad)
-        exp_rows = select_top_k({i: agrad[i, act.set_c].sum() for i in dormant_r},
-                                dormant_r, k_r) if act.set_c.size else dormant_r[:k_r]
-        before = layer.mask.copy()
-        nr, nc = rc_grow(layer, grad, act, g_r, g_c, lr=0.1)
-        assert (nr, nc) == (k_r, k_c)
-        diff = layer.mask - before
-        for i in exp_rows:
-            assert np.array_equal(np.flatnonzero(diff[i, :]), act.set_c)
+    for _ in range(1000):  # coordinated unit growth into the pruned units
+        cell, head = sparse_cell(int(rng.integers(2, 7)), int(rng.integers(2, 6)))
+        s_act, h_act = active_units(cell)
+        coordinated_rc_prune_counts(cell, head, int(rng.integers(0, max(len(s_act), 1))),
+                                    int(rng.integers(0, max(len(h_act), 1))))
+        grads = {id(l): rng.standard_normal(l.w.shape) for l in cell.layers() + [head]}
+        k_s, k_h = int(rng.integers(0, cell.d_s + 1)), int(rng.integers(0, cell.d_h + 1))
+        s_idx, h_idx = unit_grow_oracle(cell, head, grads, k_s, k_h)
+        expected = grown_masks(cell, head, s_idx, h_idx)
+        before = {n: m.copy() for n, m in masks_of(cell, head).items()}
+        coordinated_rc_grow_counts(cell, head, grads, k_s, k_h, lr=0.1)
+        for layer in cell.layers() + [head]:
+            assert np.array_equal(layer.mask, expected[layer.name])
+            new = (layer.mask - before[layer.name]) == 1.0
+            assert np.array_equal(layer.w[new], 0.1 * grads[id(layer)][new])
 
-    for _ in range(1000):  # coordinated unit pruning
+    for _ in range(1000):  # coordinated d_s pruning, dense cells
         d_x, d_s, d_h = 2, int(rng.integers(3, 7)), int(rng.integers(2, 6))
         cell = HLSTMCellParams.create(d_x, d_s, d_h, rng)
         head = MaskedLinear.dense(4, d_s, rng, name="head")

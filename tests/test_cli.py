@@ -72,6 +72,18 @@ class TestExitCodes:
         assert main(["synthesize", "--config", str(bad),
                      "--out", str(workdir / "o")]) == 2
 
+    @pytest.mark.parametrize("override", [{"depth": 2}, {"profile_grid": [1, 8, 1]}])
+    def test_bad_flow_config_fails_before_training(self, workdir, flow_config,
+                                                   override, capsys):
+        data = json.loads(open(flow_config, encoding="utf-8").read())
+        data.update(override)
+        bad = workdir / "bad_flow.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        out = workdir / "bad_flow_out"
+        assert main(["synthesize", "--config", str(bad), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

@@ -15,16 +15,21 @@ from hwsynth.growprune import (
     export_masks,
     halve_on_violation,
     halve_weight_ratio,
-    neuron_sweep,
-    rc_grow,
-    rc_prune,
     unit_importance,
     weight_grow,
     weight_prune,
 )
 from hwsynth.hlstm import GATES, HLSTMCellParams
 from hwsynth.numkit import ContractViolation, MaskedLinear, make_rng
-from oracles import select_bottom_k, select_top_k
+from oracles import (
+    active_units,
+    grown_masks,
+    pruned_masks,
+    select_bottom_k,
+    select_top_k,
+    unit_grow_oracle,
+    unit_prune_oracle,
+)
 
 
 def random_layer(rng, m, n, density=0.5):
@@ -136,147 +141,6 @@ class TestWeightPrune:
         assert np.array_equal(layer.mask, before)
 
 
-class TestNeuronSweep:
-    def test_reports_dead_rows_and_cols(self):
-        layer = MaskedLinear(w=np.zeros((2, 3)),
-                             mask=np.array([[1.0, 0.0, 0.0],
-                                            [0.0, 0.0, 0.0]]),
-                             b=np.zeros(2), name="L")
-        dead = neuron_sweep([layer])
-        assert ("L", "row", 1) in dead
-        assert ("L", "col", 1) in dead and ("L", "col", 2) in dead
-        assert ("L", "row", 0) not in dead
-
-
-class TestRcPrune:
-    def test_least_important_row(self):
-        layer = MaskedLinear(w=np.array([[0.1, 0.1], [5.0, 5.0], [1.0, 1.0]]),
-                             mask=np.ones((3, 2)), b=np.ones(3))
-        r, c = rc_prune(layer, p_r=1 / 3, p_c=0.0)
-        assert (r, c) == (1, 0)
-        assert np.array_equal(layer.mask[0], [0.0, 0.0])
-        assert layer.b[0] == 0.0  # bias of a pruned row is zeroed
-
-    def test_refuses_pruning_all_rows(self):
-        rng = make_rng(3)
-        layer = random_layer(rng, 3, 3, density=1.0)
-        with pytest.raises(DegenerateLayerError):
-            rc_prune(layer, p_r=1.0, p_c=0.0)
-
-    def test_refuses_pruning_all_cols(self):
-        rng = make_rng(4)
-        layer = random_layer(rng, 3, 3, density=1.0)
-        with pytest.raises(DegenerateLayerError):
-            rc_prune(layer, p_r=0.0, p_c=1.0)
-
-    def test_importance_over_active_sets_only(self):
-        # col 2 is already dormant; active-row stats must skip nothing here
-        # but the count base is the number of *active* columns.
-        layer = MaskedLinear(
-            w=np.array([[1.0, 2.0, 0.0], [3.0, 0.5, 0.0]]),
-            mask=np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]]),
-            b=np.zeros(2))
-        r, c = rc_prune(layer, p_r=0.0, p_c=0.5)  # ceil(0.5*2 active) = 1
-        assert (r, c) == (0, 1)
-        # |W| col sums over active rows: col0=4.0, col1=2.5 -> col 1 goes
-        assert np.array_equal(layer.mask[:, 1], [0.0, 0.0])
-        assert np.array_equal(layer.mask[:, 0], [1.0, 1.0])
-
-    def test_matches_sort_oracle(self):
-        rng = make_rng(300)
-        trials = 0
-        while trials < 500:
-            m = int(rng.integers(2, 9))
-            n = int(rng.integers(2, 9))
-            layer = random_layer(rng, m, n, density=0.8)
-            layer.apply_mask()
-            act = ActiveSets.of(layer)
-            if act.set_r.size < 2 or act.set_c.size < 2:
-                continue
-            trials += 1
-            p_r = float(rng.uniform(0, 0.45))
-            p_c = float(rng.uniform(0, 0.45))
-            eff = np.abs(layer.effective())
-            row_scores = {int(i): eff[i, :].sum() for i in act.set_r}
-            col_scores = {int(j): eff[:, j].sum() for j in act.set_c}
-            k_r = math.ceil(p_r * act.set_r.size)
-            k_c = math.ceil(p_c * act.set_c.size)
-            exp_rows = select_bottom_k(row_scores, act.set_r.tolist(), k_r)
-            exp_cols = select_bottom_k(col_scores, act.set_c.tolist(), k_c)
-            before = layer.mask.copy()
-            rc_prune(layer, p_r, p_c)
-            gone_rows = [int(i) for i in act.set_r
-                         if not layer.mask[i, :].any() and before[i, :].any()]
-            for i in exp_rows:
-                assert not layer.mask[i, :].any()
-            assert len(gone_rows) >= k_r
-            for j in exp_cols:
-                assert not layer.mask[:, j].any()
-
-
-class TestRcGrow:
-    def test_grows_highest_gradient_row(self):
-        layer = MaskedLinear(
-            w=np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
-            mask=np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
-            b=np.zeros(3))
-        active = ActiveSets.of(layer)
-        grad = np.array([[0.0, 0.0], [0.2, 0.1], [4.0, 3.0]])
-        r, c = rc_grow(layer, grad, active, g_r=1 / 3, g_c=0.0, lr=0.5)
-        assert (r, c) == (1, 0)
-        assert np.array_equal(layer.mask[2], [1.0, 1.0])
-        assert np.array_equal(layer.mask[1], [0.0, 0.0])
-        assert np.allclose(layer.w[2], [2.0, 1.5])  # lr * grad
-
-    def test_never_touches_fully_active_region(self):
-        rng = make_rng(5)
-        for _ in range(200):
-            m = int(rng.integers(2, 9))
-            n = int(rng.integers(2, 9))
-            layer = random_layer(rng, m, n, density=0.6)
-            layer.apply_mask()
-            active = ActiveSets.of(layer)
-            region = np.ix_(active.set_r, active.set_c)
-            w_before = layer.w[region].copy()
-            m_before = layer.mask[region].copy()
-            grad = rng.standard_normal((m, n))
-            rc_grow(layer, grad, active, g_r=float(rng.random()),
-                    g_c=float(rng.random()), lr=0.3)
-            assert np.array_equal(layer.w[region], w_before)
-            assert np.array_equal(layer.mask[region], m_before)
-
-    def test_matches_sort_oracle(self):
-        rng = make_rng(400)
-        for trial in range(500):
-            m = int(rng.integers(2, 9))
-            n = int(rng.integers(2, 9))
-            layer = random_layer(rng, m, n, density=0.5)
-            layer.apply_mask()
-            active = ActiveSets.of(layer)
-            grad = rng.standard_normal((m, n))
-            g_r = float(rng.random())
-            g_c = float(rng.random())
-            dormant_r = sorted(set(range(m)) - set(active.set_r.tolist()))
-            dormant_c = sorted(set(range(n)) - set(active.set_c.tolist()))
-            k_r = min(math.ceil(g_r * m), len(dormant_r))
-            k_c = min(math.ceil(g_c * n), len(dormant_c))
-            agrad = np.abs(grad)
-            row_scores = {i: agrad[i, active.set_c].sum() for i in dormant_r}
-            col_scores = {j: agrad[active.set_r, j].sum() for j in dormant_c}
-            exp_rows = select_top_k(row_scores, dormant_r, k_r) \
-                if active.set_c.size else dormant_r[:k_r]
-            exp_cols = select_top_k(col_scores, dormant_c, k_c) \
-                if active.set_r.size else dormant_c[:k_c]
-            before = layer.mask.copy()
-            nr, nc = rc_grow(layer, grad, active, g_r, g_c, lr=0.1)
-            assert (nr, nc) == (k_r, k_c), f"trial {trial}"
-            diff = layer.mask - before
-            for i in exp_rows:
-                assert np.array_equal(np.flatnonzero(diff[i, :]), active.set_c)
-            for j in exp_cols:
-                assert np.all(diff[active.set_r, j] >= 1.0) or active.set_r.size == 0
-
-
 def make_cell(seed, d_x=3, d_s=5, d_h=4, density=0.8):
     rng = make_rng(seed)
     cell = HLSTMCellParams.create(d_x, d_s, d_h, rng)
@@ -285,6 +149,10 @@ def make_cell(seed, d_x=3, d_s=5, d_h=4, density=0.8):
         layer.apply_mask()
     head = MaskedLinear.dense(7, d_s, rng, name="head")
     return cell, head, rng
+
+
+def layer_masks(cell, head):
+    return {layer.name: layer.mask.copy() for layer in cell.layers() + [head]}
 
 
 class TestCoordinatedPrune:
@@ -331,6 +199,60 @@ class TestCoordinatedPrune:
         cell, head, _ = make_cell(9, density=1.0)
         with pytest.raises(DegenerateLayerError):
             coordinated_rc_prune_counts(cell, head, k_s=cell.d_s, k_h=0)
+        with pytest.raises(DegenerateLayerError):
+            coordinated_rc_prune_counts(cell, head, k_s=0, k_h=cell.d_h)
+        # the count is checked against the active units, not the allocation
+        coordinated_rc_prune_counts(cell, head, k_s=1, k_h=1)
+        with pytest.raises(DegenerateLayerError):
+            coordinated_rc_prune_counts(cell, head, k_s=0, k_h=cell.d_h - 1)
+
+    def test_least_important_unit(self):
+        cell, head, _ = make_cell(14, d_s=3, d_h=4, density=1.0)
+        for layer in cell.layers() + [head]:
+            layer.w[...] = 1.0
+        for gate in GATES:  # every row and column unit 0 owns is light
+            cell.o_layers[gate].w[0, :] = 0.1
+            cell.h_layers[gate].w[:, cell.d_x] = 0.1
+        head.w[:, 0] = 0.1
+        assert coordinated_rc_prune(cell, head, p_r=1 / 3, p_c=0.0) == (2, 4)
+        for gate in GATES:
+            assert not cell.o_layers[gate].mask[0, :].any()
+            assert cell.o_layers[gate].b[0] == 0.0  # bias of a pruned unit is zeroed
+            assert cell.o_layers[gate].mask[1:, :].all()
+
+    def test_count_base_is_active_units(self):
+        # ratios count against the units still active, not the allocation
+        cell, head, _ = make_cell(15, d_s=5, d_h=4, density=1.0)
+        coordinated_rc_prune_counts(cell, head, k_s=1, k_h=1)
+        # ceil(0.5 * 4 active) = 2 and ceil(0.5 * 3 active) = 2
+        assert coordinated_rc_prune(cell, head, p_r=0.5, p_c=0.5) == (2, 1)
+
+    def test_matches_sort_oracle(self):
+        rng = make_rng(300)
+        trials = 0
+        while trials < 500:
+            cell, head, _ = make_cell(int(rng.integers(1 << 30)),
+                                      d_s=int(rng.integers(2, 8)),
+                                      d_h=int(rng.integers(2, 8)),
+                                      density=float(rng.uniform(0.3, 1.0)))
+            s_act, h_act = active_units(cell)
+            # prune some units first, so the candidates are a strict subset
+            coordinated_rc_prune_counts(cell, head, int(rng.integers(0, max(len(s_act) - 1, 1))),
+                                        int(rng.integers(0, max(len(h_act) - 1, 1))))
+            s_act, h_act = active_units(cell)
+            if len(s_act) < 2 or len(h_act) < 2:
+                continue
+            trials += 1
+            p_r, p_c = float(rng.uniform(0, 0.45)), float(rng.uniform(0, 0.45))
+            k_s, k_h = math.ceil(p_r * len(s_act)), math.ceil(p_c * len(h_act))
+            s_idx, h_idx = unit_prune_oracle(cell, head, k_s, k_h)
+            expected = pruned_masks(cell, head, s_idx, h_idx)
+            dims = coordinated_rc_prune(cell, head, p_r, p_c)
+            assert layer_masks(cell, head).keys() == expected.keys()
+            for name, mask in layer_masks(cell, head).items():
+                assert np.array_equal(mask, expected[name]), f"trial {trials} {name}"
+            assert dims == tuple(len(a) for a in active_units(cell))
+            assert dims[0] <= len(s_act) - k_s and dims[1] <= len(h_act) - k_h
 
     def test_active_dims_drop_by_exact_counts(self):
         for seed in range(5):
@@ -359,18 +281,65 @@ class TestCoordinatedGrow:
             assert np.array_equal(cell.o_layers[gate].active_rows(), ref)
 
     def test_grow_never_touches_active_region(self):
-        cell, head, rng = make_cell(12, d_s=6, d_h=5, density=1.0)
-        coordinated_rc_prune_counts(cell, head, k_s=3, k_h=2)
-        snaps = []
-        for layer in cell.layers() + [head]:
-            act = ActiveSets.of(layer)
-            region = np.ix_(act.set_r, act.set_c)
-            snaps.append((layer, region, layer.w[region].copy()))
-        grads = {id(layer): rng.standard_normal(layer.w.shape)
+        for seed in range(200):
+            cell, head, rng = make_cell(1000 + seed, d_s=6, d_h=5,
+                                        density=float(make_rng(seed).uniform(0.5, 1.0)))
+            s_act, h_act = active_units(cell)
+            coordinated_rc_prune_counts(cell, head, k_s=int(rng.integers(0, len(s_act))),
+                                        k_h=int(rng.integers(0, len(h_act))))
+            snaps = []
+            for layer in cell.layers() + [head]:
+                act = ActiveSets.of(layer)
+                region = np.ix_(act.set_r, act.set_c)
+                snaps.append((layer, region, layer.w[region].copy(),
+                              layer.mask[region].copy()))
+            grads = {id(layer): rng.standard_normal(layer.w.shape)
+                     for layer in cell.layers() + [head]}
+            coordinated_rc_grow_counts(cell, head, grads, k_s=int(rng.integers(0, 7)),
+                                       k_h=int(rng.integers(0, 6)), lr=0.2)
+            for layer, region, w_before, m_before in snaps:
+                assert np.array_equal(layer.w[region], w_before), f"seed {seed}"
+                assert np.array_equal(layer.mask[region], m_before), f"seed {seed}"
+
+    def test_grows_highest_gradient_unit(self):
+        cell, head, _ = make_cell(16, d_s=4, d_h=3, density=1.0)
+        coordinated_rc_prune_counts(cell, head, k_s=2, k_h=0)
+        dead = [u for u in range(4) if u not in active_units(cell)[0]]
+        grads = {id(layer): np.full(layer.w.shape, 0.01)
                  for layer in cell.layers() + [head]}
-        coordinated_rc_grow_counts(cell, head, grads, k_s=2, k_h=2, lr=0.2)
-        for layer, region, w_before in snaps:
-            assert np.array_equal(layer.w[region], w_before)
+        for gate in GATES:  # the second dead unit carries the larger gradient
+            grads[id(cell.o_layers[gate])][dead[1], :] = 2.0
+        assert coordinated_rc_grow_counts(cell, head, grads, k_s=1, k_h=0,
+                                          lr=0.5) == (3, 3)
+        for gate in GATES:
+            o_layer = cell.o_layers[gate]
+            assert o_layer.mask[dead[1], :].all()
+            assert not o_layer.mask[dead[0], :].any()
+            assert np.array_equal(o_layer.w[dead[1], :], np.full(3, 1.0))  # lr * grad
+
+    def test_matches_sort_oracle(self):
+        rng = make_rng(400)
+        for trial in range(500):
+            cell, head, _ = make_cell(int(rng.integers(1 << 30)),
+                                      d_s=int(rng.integers(2, 8)),
+                                      d_h=int(rng.integers(2, 8)),
+                                      density=float(rng.uniform(0.3, 1.0)))
+            s_act, h_act = active_units(cell)
+            coordinated_rc_prune_counts(cell, head, int(rng.integers(0, max(len(s_act), 1))),
+                                        int(rng.integers(0, max(len(h_act), 1))))
+            grads = {id(layer): rng.standard_normal(layer.w.shape)
+                     for layer in cell.layers() + [head]}
+            k_s = int(rng.integers(0, cell.d_s + 1))
+            k_h = int(rng.integers(0, cell.d_h + 1))
+            s_idx, h_idx = unit_grow_oracle(cell, head, grads, k_s, k_h)
+            expected = grown_masks(cell, head, s_idx, h_idx)
+            before = layer_masks(cell, head)
+            coordinated_rc_grow_counts(cell, head, grads, k_s, k_h, lr=0.1)
+            for layer in cell.layers() + [head]:
+                assert np.array_equal(layer.mask, expected[layer.name]), \
+                    f"trial {trial} {layer.name}"
+                new = (layer.mask - before[layer.name]) == 1.0
+                assert np.array_equal(layer.w[new], 0.1 * grads[id(layer)][new])
 
     def test_new_weights_are_lr_times_gradient(self):
         cell, head, rng = make_cell(13, d_s=6, d_h=5, density=1.0)

@@ -15,7 +15,7 @@ from hwsynth.hlstm import (
     softmax,
     unroll_forward,
 )
-from hwsynth.numkit import ActivationKind, ContractViolation, make_rng
+from hwsynth.numkit import ContractViolation, make_rng
 from oracles import fd_dense_gradients, fd_layer_gradients, max_rel_err
 
 
@@ -110,25 +110,6 @@ class TestCellForward:
             assert np.all(np.abs(state.h) < 1.0)
             for gate in ("f", "i", "o"):
                 assert np.all((cache.gate_out[gate] > 0) & (cache.gate_out[gate] < 1))
-
-    def test_hidden_depth_zero_matches_plain_lstm(self):
-        rng = make_rng(4)
-        cell = HLSTMCellParams.create(2, 3, 0, rng, hidden_depth=0)
-        x = rng.standard_normal(2)
-        h0 = rng.standard_normal(3) * 0.5
-        c0 = rng.standard_normal(3) * 0.5
-        state, _ = cell_forward(cell, x, HLSTMState(h=h0, c=c0))
-        # hand-written plain LSTM step on identical weights
-        z = np.concatenate([x, h0])
-        def sig(v):
-            return 1.0 / (1.0 + np.exp(-v))
-        f = sig(cell.o_layers["f"].w @ z + cell.o_layers["f"].b)
-        i = sig(cell.o_layers["i"].w @ z + cell.o_layers["i"].b)
-        o = sig(cell.o_layers["o"].w @ z + cell.o_layers["o"].b)
-        g = np.tanh(cell.o_layers["g"].w @ z + cell.o_layers["g"].b)
-        c = f * c0 + i * g
-        assert np.allclose(state.c, c, rtol=1e-12)
-        assert np.allclose(state.h, o * np.tanh(c), rtol=1e-12)
 
     def test_pruned_input_column_invariance(self):
         rng = make_rng(5)

@@ -20,7 +20,6 @@ from hwsynth.latlab import (
     measure_point,
     nearest_lhp,
     profile_svg,
-    redundancy,
     save_hysteresis_report,
     save_profile,
     spearman,
@@ -152,13 +151,13 @@ class TestDetectLhps:
         profile = profile_from([1, 2, 3], [30.0, 20.0, 10.0])
         hmap = detect_lhps(profile)
         assert hmap.lhp_set == [1, 2, 3]
-        assert redundancy(hmap) == 0.0
+        assert hmap.redundancy == 0.0
 
     def test_monotone_increasing_single_lhp(self):
         profile = profile_from([1, 2, 3, 4], [10.0, 20.0, 30.0, 40.0])
         hmap = detect_lhps(profile)
         assert hmap.lhp_set == [1]
-        assert redundancy(hmap) == 0.75
+        assert hmap.redundancy == 0.75
 
     def test_ties_pick_smallest_dimension(self):
         profile = profile_from([1, 2, 3], [10.0, 10.0, 10.0])
@@ -203,7 +202,7 @@ class TestDetectLhps:
         profile = profile_from(grid, [spec.latency_ns(d) for d in grid])
         hmap = detect_lhps(profile)
         assert len(hmap.lhp_set) == 11
-        assert redundancy(hmap) > 0.9
+        assert hmap.redundancy > 0.9
 
 
 class TestNearestLhp:

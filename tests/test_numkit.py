@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hwsynth.numkit import (
     ActivationKind,
@@ -13,38 +11,9 @@ from hwsynth.numkit import (
     activation_backward,
     activation_forward,
     make_rng,
-    matmul,
-    percentile_threshold,
     sgd_step,
 )
-from oracles import fd_layer_gradients, kth_order_stat, max_rel_err
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[3.0, 1.0], [2.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_zero(self):
-        assert np.array_equal(matmul(np.zeros((2, 2)), np.ones((2, 2))),
-                              np.zeros((2, 2)))
-
-    def test_hand_expansion(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        assert np.array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-    def test_dimension_mismatch_names_shapes(self):
-        with pytest.raises(ContractViolation, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_bit_deterministic(self):
-        rng = make_rng(7)
-        a = rng.standard_normal((40, 60))
-        b = rng.standard_normal((60, 30))
-        c1 = matmul(a, b)
-        c2 = matmul(a.copy(), b.copy())
-        assert c1.tobytes() == c2.tobytes()
+from oracles import fd_layer_gradients, max_rel_err
 
 
 class TestActivations:
@@ -155,44 +124,6 @@ class TestMaskedAffine:
         for x, dy in zip(xs, dys):
             layer.backward(x, dy)
         assert np.allclose(layer.grad_w, batched)
-
-
-class TestPercentileThreshold:
-    def test_half_smallest(self):
-        assert percentile_threshold([1, 2, 3, 4], 0.5, "smallest") == 2
-
-    def test_q_zero_selects_nothing(self):
-        thr = percentile_threshold([1, 2, 3], 0.0, "smallest")
-        assert not any(v <= thr for v in [1, 2, 3])
-        thr = percentile_threshold([1, 2, 3], 0.0, "largest")
-        assert not any(v >= thr for v in [1, 2, 3])
-
-    def test_q_one_largest_selects_all(self):
-        thr = percentile_threshold([5, 1, 3], 1.0, "largest")
-        assert thr == 1
-        assert all(v >= thr for v in [5, 1, 3])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractViolation):
-            percentile_threshold([], 0.5)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=100),
-           st.floats(0.0, 1.0),
-           st.sampled_from(["smallest", "largest"]))
-    def test_matches_sort_oracle(self, values, q, direction):
-        assert percentile_threshold(values, q, direction) == \
-            kth_order_stat(values, q, direction)
-
-    def test_sort_oracle_bulk(self):
-        rng = make_rng(42)
-        for _ in range(1000):
-            n = int(rng.integers(1, 101))
-            values = rng.uniform(-10, 10, size=n).tolist()
-            q = float(rng.random())
-            direction = "smallest" if rng.random() < 0.5 else "largest"
-            assert percentile_threshold(values, q, direction) == \
-                kth_order_stat(values, q, direction)
 
 
 class TestSgdStep:

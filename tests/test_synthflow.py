@@ -98,6 +98,30 @@ class TestFlowConfig:
         with pytest.raises(ConfigError):
             FlowConfig.from_json("/nonexistent/cfg.json")
 
+    def test_from_json_depth_rejected(self, tmp_path):
+        # the model is one cell, so depth is not a config key
+        path = tmp_path / "cfg.json"
+        path.write_text('{"depth": 2}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="depth"):
+            FlowConfig.from_json(path)
+
+    @pytest.mark.parametrize("grid", [(0, 12, 1), (1, 12, 0), (5, 4, 1), (1, 12)])
+    def test_malformed_profile_grid_rejected(self, grid):
+        with pytest.raises(ConfigError, match="profile_grid"):
+            FlowConfig(d_s=12, d_h=12, profile_grid=grid)
+
+    def test_profile_grid_must_reach_d_s_when_sweeping(self, tiny_corpus):
+        # (1, 12, 2) stops at 11 < d_s: refused before the corpus is even read
+        with pytest.raises(ConfigError, match="profile_grid"):
+            SynthesisFlow(tiny_config("/nonexistent/corpus.txt", profile_grid=(1, 12, 2)))
+        with pytest.raises(ConfigError, match="profile_grid"):
+            SynthesisFlow(tiny_config(tiny_corpus, profile_grid=(1, 8, 1)))
+        # no sweep, no requirement: cpu_mode and a loaded profile skip it
+        SynthesisFlow(tiny_config(tiny_corpus, profile_grid=(1, 8, 1), cpu_mode=True))
+        SynthesisFlow(tiny_config(tiny_corpus, profile_grid=(1, 8, 1),
+                                  profile_path="profile.csv"))
+        SynthesisFlow(tiny_config(tiny_corpus, profile_grid=(2, 12, 2)))
+
 
 class TestFlowState:
     def test_forward_only(self):
@@ -194,6 +218,22 @@ class TestCheckpoint:
         with open(bad, "wb") as fh:
             np.savez(fh, **data)
         with pytest.raises(CheckpointError, match="99"):
+            checkpoint_load(bad)
+
+    @pytest.mark.parametrize("key,value", [("hidden_depth", 0), ("depth", 2)])
+    def test_other_cell_shapes_refused(self, tmp_path, key, value):
+        path = tmp_path / "ck.npz"
+        checkpoint_save(self.model(), {}, path)
+        data = dict(np.load(path))
+        meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+        assert meta[key] == 1
+        meta[key] = value
+        data["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                          dtype=np.uint8)
+        bad = tmp_path / "bad.npz"
+        with open(bad, "wb") as fh:
+            np.savez(fh, **data)
+        with pytest.raises(CheckpointError, match=key):
             checkpoint_load(bad)
 
     def test_corrupt_file(self, tmp_path):
@@ -335,6 +375,16 @@ class TestCpuMode:
         # weight pruning may incidentally empty individual rows
         assert rows["wp"].total_params == rows["wg"].total_params
         assert rows["wp"].d_s <= cfg.d_s
+
+
+class TestZeroEpochs:
+    def test_every_phase_evaluates_once(self, tiny_corpus):
+        cfg = tiny_config(tiny_corpus, baseline_epochs=0, wg_epochs=0, rcg_epochs=0)
+        report = run_flow(cfg, log=lambda *a, **k: None)
+        assert report.complete
+        assert [r.step for r in report.rows] == ["baseline", "wg", "rcp", "rcg", "wp"]
+        for row in report.rows:
+            assert math.isfinite(row.valid_ppl), row.step
 
 
 class TestDeterminism:
