@@ -199,8 +199,6 @@ class TestCoordinatedPrune:
         cell, head, _ = make_cell(9, density=1.0)
         with pytest.raises(DegenerateLayerError):
             coordinated_rc_prune_counts(cell, head, k_s=cell.d_s, k_h=0)
-        with pytest.raises(DegenerateLayerError):
-            coordinated_rc_prune_counts(cell, head, k_s=0, k_h=cell.d_h)
         # the count is checked against the active units, not the allocation
         coordinated_rc_prune_counts(cell, head, k_s=1, k_h=1)
         with pytest.raises(DegenerateLayerError):
@@ -281,25 +279,18 @@ class TestCoordinatedGrow:
             assert np.array_equal(cell.o_layers[gate].active_rows(), ref)
 
     def test_grow_never_touches_active_region(self):
-        for seed in range(200):
-            cell, head, rng = make_cell(1000 + seed, d_s=6, d_h=5,
-                                        density=float(make_rng(seed).uniform(0.5, 1.0)))
-            s_act, h_act = active_units(cell)
-            coordinated_rc_prune_counts(cell, head, k_s=int(rng.integers(0, len(s_act))),
-                                        k_h=int(rng.integers(0, len(h_act))))
-            snaps = []
-            for layer in cell.layers() + [head]:
-                act = ActiveSets.of(layer)
-                region = np.ix_(act.set_r, act.set_c)
-                snaps.append((layer, region, layer.w[region].copy(),
-                              layer.mask[region].copy()))
-            grads = {id(layer): rng.standard_normal(layer.w.shape)
-                     for layer in cell.layers() + [head]}
-            coordinated_rc_grow_counts(cell, head, grads, k_s=int(rng.integers(0, 7)),
-                                       k_h=int(rng.integers(0, 6)), lr=0.2)
-            for layer, region, w_before, m_before in snaps:
-                assert np.array_equal(layer.w[region], w_before), f"seed {seed}"
-                assert np.array_equal(layer.mask[region], m_before), f"seed {seed}"
+        cell, head, rng = make_cell(12, d_s=6, d_h=5, density=1.0)
+        coordinated_rc_prune_counts(cell, head, k_s=3, k_h=2)
+        snaps = []
+        for layer in cell.layers() + [head]:
+            act = ActiveSets.of(layer)
+            region = np.ix_(act.set_r, act.set_c)
+            snaps.append((layer, region, layer.w[region].copy()))
+        grads = {id(layer): rng.standard_normal(layer.w.shape)
+                 for layer in cell.layers() + [head]}
+        coordinated_rc_grow_counts(cell, head, grads, k_s=2, k_h=2, lr=0.2)
+        for layer, region, w_before in snaps:
+            assert np.array_equal(layer.w[region], w_before)
 
     def test_grows_highest_gradient_unit(self):
         cell, head, _ = make_cell(16, d_s=4, d_h=3, density=1.0)
@@ -351,6 +342,45 @@ class TestCoordinatedGrow:
         for layer in cell.layers() + [head]:
             new = (layer.mask - before[id(layer)]) == 1.0
             assert np.allclose(layer.w[new], 0.25 * grads[id(layer)][new])
+
+
+class TestRcPrune:
+    """Row/column pruning refusals, run on the coordinated unit op."""
+
+    def test_refuses_pruning_all_rows(self):
+        cell, head, _ = make_cell(3, density=1.0)
+        with pytest.raises(DegenerateLayerError):
+            coordinated_rc_prune(cell, head, p_r=1.0, p_c=0.0)
+
+    def test_refuses_pruning_all_cols(self):
+        cell, head, _ = make_cell(4, density=1.0)
+        with pytest.raises(DegenerateLayerError):
+            coordinated_rc_prune(cell, head, p_r=0.0, p_c=1.0)
+
+
+class TestRcGrow:
+    """Row/column growth invariants, run on the coordinated unit op."""
+
+    def test_never_touches_fully_active_region(self):
+        for seed in range(200):
+            cell, head, rng = make_cell(1000 + seed, d_s=6, d_h=5,
+                                        density=float(make_rng(seed).uniform(0.5, 1.0)))
+            s_act, h_act = active_units(cell)
+            coordinated_rc_prune_counts(cell, head, k_s=int(rng.integers(0, len(s_act))),
+                                        k_h=int(rng.integers(0, len(h_act))))
+            snaps = []
+            for layer in cell.layers() + [head]:
+                act = ActiveSets.of(layer)
+                region = np.ix_(act.set_r, act.set_c)
+                snaps.append((layer, region, layer.w[region].copy(),
+                              layer.mask[region].copy()))
+            grads = {id(layer): rng.standard_normal(layer.w.shape)
+                     for layer in cell.layers() + [head]}
+            coordinated_rc_grow_counts(cell, head, grads, k_s=int(rng.integers(0, 7)),
+                                       k_h=int(rng.integers(0, 6)), lr=0.2)
+            for layer, region, w_before, m_before in snaps:
+                assert np.array_equal(layer.w[region], w_before), f"seed {seed}"
+                assert np.array_equal(layer.mask[region], m_before), f"seed {seed}"
 
 
 class TestHalvingSchedule:
