@@ -45,18 +45,6 @@ class GrowPruneConfig:
             raise ContractViolation("accuracy threshold must be positive")
 
 
-@dataclass
-class ActiveSets:
-    """Indices of rows/columns of a layer that still carry any connection."""
-
-    set_r: np.ndarray
-    set_c: np.ndarray
-
-    @classmethod
-    def of(cls, layer: MaskedLinear) -> "ActiveSets":
-        return cls(set_r=layer.active_rows(), set_c=layer.active_cols())
-
-
 def _ceil_count(ratio: float, n: int) -> int:
     return int(math.ceil(ratio * n))
 
@@ -121,16 +109,6 @@ def weight_prune(layer: MaskedLinear, p_w: float) -> int:
 
 # --- coordinated multi-gate structured operations ---------------------------
 
-def _unit_arrays(cell: HLSTMCellParams):
-    """Active flags per structural index class, read off the gate masks."""
-    s_active = np.zeros(cell.d_s, dtype=bool)
-    h_active = np.zeros(cell.d_h, dtype=bool)
-    for gate in GATES:
-        s_active |= cell.o_layers[gate].mask.any(axis=1)
-        h_active |= cell.h_layers[gate].mask.any(axis=1)
-    return s_active, h_active
-
-
 def unit_importance(cell: HLSTMCellParams, head: MaskedLinear | None = None,
                     grads: dict[int, np.ndarray] | None = None):
     """Summed row/column importances per d_s and d_h structural unit.
@@ -141,7 +119,7 @@ def unit_importance(cell: HLSTMCellParams, head: MaskedLinear | None = None,
     """
     def mat(layer):
         if grads is None:
-            return np.abs(layer.effective())
+            return np.abs(layer.w)
         return np.abs(np.asarray(grads[id(layer)]))
 
     s_imp = np.zeros(cell.d_s)
@@ -177,22 +155,18 @@ def unit_importance(cell: HLSTMCellParams, head: MaskedLinear | None = None,
 
 def _apply_unit_prune(cell: HLSTMCellParams, head: MaskedLinear | None,
                       s_idx: np.ndarray, h_idx: np.ndarray) -> None:
-    for gate in GATES:
-        o_layer = cell.o_layers[gate]
-        o_layer.mask[s_idx, :] = 0.0
-        o_layer.w[s_idx, :] = 0.0
-        o_layer.b[s_idx] = 0.0
-        h_layer = cell.h_layers[gate]
-        h_layer.mask[:, cell.d_x + s_idx] = 0.0
-        h_layer.w[:, cell.d_x + s_idx] = 0.0
-        h_layer.mask[h_idx, :] = 0.0
-        h_layer.w[h_idx, :] = 0.0
-        h_layer.b[h_idx] = 0.0
-        o_layer.mask[:, h_idx] = 0.0
-        o_layer.w[:, h_idx] = 0.0
+    """Cut the units out of every gate at once: a d_s unit is row s of each
+    O layer and column d_x+s of each H layer (and column s of the head), a
+    d_h unit is row h of each H layer and column h of each O layer."""
+    H, O = cell.H, cell.O
+    O.mask[:, s_idx, :] = O.w[:, s_idx, :] = 0.0
+    O.b[:, s_idx] = 0.0
+    O.mask[:, :, h_idx] = O.w[:, :, h_idx] = 0.0
+    H.mask[:, :, cell.d_x + s_idx] = H.w[:, :, cell.d_x + s_idx] = 0.0
+    H.mask[:, h_idx, :] = H.w[:, h_idx, :] = 0.0
+    H.b[:, h_idx] = 0.0
     if head is not None:
-        head.mask[:, s_idx] = 0.0
-        head.w[:, s_idx] = 0.0
+        head.mask[:, s_idx] = head.w[:, s_idx] = 0.0
 
 
 def coordinated_rc_prune(cell: HLSTMCellParams, head: MaskedLinear | None,
@@ -202,7 +176,7 @@ def coordinated_rc_prune(cell: HLSTMCellParams, head: MaskedLinear | None,
 
     Returns the new active (d_s, d_h).
     """
-    s_active, h_active = _unit_arrays(cell)
+    s_active, h_active = cell.active_units()
     k_s = min(_ceil_count(p_r, int(s_active.sum())), int(s_active.sum()))
     k_h = min(_ceil_count(p_c, int(h_active.sum())), int(h_active.sum()))
     return coordinated_rc_prune_counts(cell, head, k_s, k_h)
@@ -210,7 +184,7 @@ def coordinated_rc_prune(cell: HLSTMCellParams, head: MaskedLinear | None,
 
 def coordinated_rc_prune_counts(cell: HLSTMCellParams, head: MaskedLinear | None,
                                 k_s: int, k_h: int) -> tuple[int, int]:
-    s_active, h_active = _unit_arrays(cell)
+    s_active, h_active = cell.active_units()
     n_s = int(s_active.sum())
     n_h = int(h_active.sum())
     if k_s >= n_s and k_s > 0:
@@ -234,24 +208,19 @@ def coordinated_rc_grow_counts(cell: HLSTMCellParams, head: MaskedLinear | None,
     Growth touches only the cross-connections into currently active units
     (never the previously fully active region); new weights are lr * G.
     """
-    s_active, h_active = _unit_arrays(cell)
+    s_active, h_active = cell.active_units()
     s_imp, h_imp = unit_importance(cell, head, grads=grads)
     s_dormant = np.flatnonzero(~s_active)
     s_idx = s_dormant[_top_k_stable(s_imp[s_dormant], min(k_s, s_dormant.size))]
     h_dormant = np.flatnonzero(~h_active)
     h_idx = h_dormant[_top_k_stable(h_imp[h_dormant], min(k_h, h_dormant.size))]
 
-    def activate(layer, rows=None, cols=None):
+    def activate(layer, rows=(), cols=()):
         g = np.asarray(grads[id(layer)])
-        act = ActiveSets.of(layer)
-        if rows is not None and act.set_c.size:
-            for r in rows:
-                layer.mask[r, act.set_c] = 1.0
-                layer.w[r, act.set_c] = lr * g[r, act.set_c]
-        if cols is not None and act.set_r.size:
-            for c in cols:
-                layer.mask[act.set_r, c] = 1.0
-                layer.w[act.set_r, c] = lr * g[act.set_r, c]
+        live_r, live_c = layer.active_rows(), layer.active_cols()
+        for idx in (np.ix_(rows, live_c), np.ix_(live_r, cols)):
+            layer.mask[idx] = 1.0
+            layer.w[idx] = lr * g[idx]
 
     for gate in GATES:
         activate(cell.h_layers[gate], rows=h_idx, cols=cell.d_x + s_idx)

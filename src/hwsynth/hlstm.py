@@ -7,6 +7,11 @@ masked output layer. Gate equations per step, with z = [x_t, h_{t-1}]:
     f,i,o = sigmoid(O_gate(relu(H_gate(z))))    g = tanh(O_g(relu(H_g(z))))
     c_t   = f * c_{t-1} + i * g                 h_t = o * tanh(c_t)
 
+The gates' layers live in two stacked blocks, H (4, d_h, d_x+d_s) and O
+(4, d_s, d_h), so a step is one batched matmul per layer kind; each gate's
+H and O layer (what grow/prune and SGD work on) is a MaskedLinear view of
+its slice. The kernels read w as W*Msk: w[mask == 0] == 0 always holds.
+
 The language model is one such cell between an embedding and a softmax head.
 """
 
@@ -19,6 +24,7 @@ import numpy as np
 
 from .numkit import (
     FLOAT,
+    ARRAYS,
     ActivationKind,
     ContractViolation,
     MaskedLinear,
@@ -43,96 +49,127 @@ class HLSTMState:
 
 
 @dataclass
+class GateBlock:
+    """One layer kind (H or O) of the four gates, stacked on axis 0 in GATES
+    order: w, mask and grad_w are (4, out, in), b and grad_b (4, out)."""
+
+    w: np.ndarray
+    mask: np.ndarray
+    b: np.ndarray
+    grad_w: np.ndarray
+    grad_b: np.ndarray
+
+    @classmethod
+    def zeros(cls, out_dim: int, in_dim: int) -> "GateBlock":
+        shape = (len(GATES), out_dim, in_dim)
+        return cls(w=np.zeros(shape), mask=np.ones(shape), b=np.zeros(shape[:2]),
+                   grad_w=np.zeros(shape), grad_b=np.zeros(shape[:2]))
+
+
 class HLSTMCellParams:
     """Parameters of one H-LSTM cell.
 
     All four gates share identical (d_x, d_s, d_h); coordinated structured
-    pruning keeps them equal.
+    pruning keeps them equal. The parameters live in two stacked blocks,
+    H (4, d_h, d_x+d_s) and O (4, d_s, d_h); h_layers[g] and o_layers[g]
+    are MaskedLinear views of gate g's slice of each.
     """
 
-    d_x: int
-    d_s: int
-    d_h: int
-    h_layers: dict[str, MaskedLinear] = field(default_factory=dict)
-    o_layers: dict[str, MaskedLinear] = field(default_factory=dict)
+    def __init__(self, d_x: int, d_s: int, d_h: int, name: str = "cell"):
+        self.d_x, self.d_s, self.d_h, self.name = d_x, d_s, d_h, name
+        self.H = GateBlock.zeros(d_h, d_x + d_s)
+        self.O = GateBlock.zeros(d_s, d_h)
+        self.h_layers = {g: MaskedLinear.view(self.H, k, f"{name}.H{g}")
+                         for k, g in enumerate(GATES)}
+        self.o_layers = {g: MaskedLinear.view(self.O, k, f"{name}.O{g}")
+                         for k, g in enumerate(GATES)}
 
     @classmethod
     def create(cls, d_x: int, d_s: int, d_h: int, rng: np.random.Generator,
                name: str = "cell") -> "HLSTMCellParams":
-        cell = cls(d_x=d_x, d_s=d_s, d_h=d_h)
-        for gate in GATES:
-            cell.h_layers[gate] = MaskedLinear.dense(
-                d_h, d_x + d_s, rng, name=f"{name}.H{gate}")
-            cell.o_layers[gate] = MaskedLinear.dense(
-                d_s, d_h, rng, name=f"{name}.O{gate}")
+        cell = cls(d_x=d_x, d_s=d_s, d_h=d_h, name=name)
+        for layer in cell.layers():
+            bound = 1.0 / math.sqrt(max(layer.in_dim, 1))
+            layer.w[...] = rng.uniform(-bound, bound, size=layer.w.shape)
         return cell
+
+    def __deepcopy__(self, memo) -> "HLSTMCellParams":
+        # a view copied on its own would detach from its block
+        dup = HLSTMCellParams(self.d_x, self.d_s, self.d_h, self.name)
+        for old, new in zip(self.layers(), dup.layers()):
+            for attr in ARRAYS:
+                getattr(new, attr)[...] = getattr(old, attr)
+            new.name = old.name
+            memo[id(old)] = new
+        return dup
 
     def layers(self) -> list[MaskedLinear]:
         return [layer for gate in GATES
                 for layer in (self.h_layers[gate], self.o_layers[gate])]
 
+    def active_units(self) -> tuple[np.ndarray, np.ndarray]:
+        """Active flags of the d_s and d_h units: a unit is active while any
+        gate's O row (d_s) or H row (d_h) of it carries a connection."""
+        return self.O.mask.any(axis=(0, 2)), self.H.mask.any(axis=(0, 2))
+
     def active_dims(self) -> tuple[int, int]:
         """(active d_s units, active d_h units) read off the gate masks."""
-        s_active = np.zeros(self.d_s, dtype=bool)
-        h_active = np.zeros(self.d_h, dtype=bool)
-        for gate in GATES:
-            s_active |= self.o_layers[gate].mask.any(axis=1)
-            h_active |= self.h_layers[gate].mask.any(axis=1)
+        s_active, h_active = self.active_units()
         return int(s_active.sum()), int(h_active.sum())
 
 
 @dataclass
 class StepCache:
-    """Intermediates of one cell step, consumed exactly once by backward."""
+    """Intermediates of one cell step, consumed exactly once by backward.
+    Gate arrays are (4, B, width) in GATES order; a vector step is held as
+    B = 1, and only h keeps the caller's shape."""
 
     z: np.ndarray
-    h_act: dict
-    drop_mask: dict
-    gate_in: dict          # input seen by the output layer of each gate
-    gate_out: dict
+    h_act: np.ndarray         # relu output of the H layers, before dropout
+    keep: np.ndarray | None   # dropout scale
+    gate_in: np.ndarray       # input of the O layers
+    gate_out: np.ndarray
     c_prev: np.ndarray
-    c: np.ndarray
     tanh_c: np.ndarray
+    h: np.ndarray
     consumed: bool = False
-
-
-def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericAbort(f"non-finite value in {what}")
 
 
 def cell_forward(params: HLSTMCellParams, x_t: np.ndarray, prev: HLSTMState,
                  train: bool = False, rng: np.random.Generator | None = None,
                  dropout_h: float = 0.0) -> tuple[HLSTMState, StepCache]:
+    """One step for all four gates at once: one batched matmul per layer
+    kind, which rounds exactly like four per-gate products (one GEMM over
+    the concatenated 4*d_h rows does not). The kernels read w as W*Msk,
+    relying on w[mask == 0] == 0."""
     x_t = np.asarray(x_t, dtype=FLOAT)
     if x_t.shape[-1] != params.d_x:
         raise ContractViolation(f"x width {x_t.shape[-1]} != d_x {params.d_x}")
-    z = np.concatenate([x_t, prev.h], axis=-1)
-    cache = StepCache(z=z, h_act={}, drop_mask={}, gate_in={},
-                      gate_out={}, c_prev=prev.c, c=None, tanh_c=None)
-    gates = {}
-    for gate in GATES:
-        act = activation_forward(ActivationKind.RELU, params.h_layers[gate].forward(z))
-        cache.h_act[gate] = act  # pre-dropout activation, for backward
-        gate_in = act
-        if train and dropout_h > 0.0:
-            if rng is None:
-                raise ContractViolation("dropout during training needs an rng")
-            keep = (rng.random(act.shape) >= dropout_h) / (1.0 - dropout_h)
-            cache.drop_mask[gate] = keep
-            gate_in = act * keep
-        cache.gate_in[gate] = gate_in
-        pre_out = params.o_layers[gate].forward(gate_in)
-        kind = ActivationKind.TANH if gate == "g" else ActivationKind.SIGMOID
-        gates[gate] = activation_forward(kind, pre_out)
-        cache.gate_out[gate] = gates[gate]
-    c = gates["f"] * prev.c + gates["i"] * gates["g"]
-    _check_finite(c, "cell state")
+    H, O = params.H, params.O
+    z = np.concatenate([np.atleast_2d(x_t), np.atleast_2d(prev.h)], axis=-1)
+    c_prev = np.atleast_2d(prev.c)
+    act = activation_forward(ActivationKind.RELU,
+                             np.matmul(z, H.w.transpose(0, 2, 1)) + H.b[:, None])
+    gate_in, keep = act, None
+    if train and dropout_h > 0.0:
+        if rng is None:
+            raise ContractViolation("dropout during training needs an rng")
+        keep = (rng.random(act.shape) >= dropout_h) / (1.0 - dropout_h)
+        gate_in = act * keep
+    pre_out = np.matmul(gate_in, O.w.transpose(0, 2, 1)) + O.b[:, None]
+    gates = np.empty_like(pre_out)
+    gates[:3] = activation_forward(ActivationKind.SIGMOID, pre_out[:3])
+    gates[3] = activation_forward(ActivationKind.TANH, pre_out[3])
+    f, i, o, g = gates
+    c = f * c_prev + i * g
+    if not np.all(np.isfinite(c)):
+        raise NumericAbort("non-finite value in cell state")
     tanh_c = np.tanh(c)
-    h = gates["o"] * tanh_c
-    cache.c = c
-    cache.tanh_c = tanh_c
-    return HLSTMState(h=h, c=c), cache
+    h = o * tanh_c
+    state = HLSTMState(h=h.reshape(np.shape(prev.c)), c=c.reshape(np.shape(prev.c)))
+    return state, StepCache(z=z, h_act=act, keep=keep, gate_in=gate_in,
+                            gate_out=gates, c_prev=c_prev, tanh_c=tanh_c,
+                            h=state.h)
 
 
 def cell_backward(params: HLSTMCellParams, cache: StepCache, d_h_t: np.ndarray,
@@ -141,28 +178,29 @@ def cell_backward(params: HLSTMCellParams, cache: StepCache, d_h_t: np.ndarray,
     if cache.consumed:
         raise ContractViolation("StepCache already consumed by a backward pass")
     cache.consumed = True
-    g = cache.gate_out
-    d_o = d_h_t * cache.tanh_c
-    d_c = d_c_t + d_h_t * g["o"] * (1.0 - cache.tanh_c ** 2)
-    d_gate = {
-        "f": d_c * cache.c_prev,
-        "i": d_c * g["g"],
-        "g": d_c * g["i"],
-        "o": d_o,
-    }
-    d_c_prev = d_c * g["f"]
+    H, O = params.H, params.O
+    d_h_t = np.reshape(d_h_t, cache.tanh_c.shape)
+    f, i, o, g = cache.gate_out
+    d_c = np.reshape(d_c_t, cache.tanh_c.shape) + d_h_t * o * (1.0 - cache.tanh_c ** 2)
+    d_pre_out = np.stack([d_c * cache.c_prev, d_c * g, d_h_t * cache.tanh_c, d_c * i])
+    d_pre_out[:3] = activation_backward(ActivationKind.SIGMOID, cache.gate_out[:3],
+                                        d_pre_out[:3])
+    d_pre_out[3] = activation_backward(ActivationKind.TANH, g, d_pre_out[3])
+    O.grad_w += np.matmul(d_pre_out.transpose(0, 2, 1), cache.gate_in)
+    O.grad_b += d_pre_out.sum(axis=1)
+    d_in = np.matmul(d_pre_out, O.w)
+    if cache.keep is not None:
+        d_in = d_in * cache.keep
+    d_pre = activation_backward(ActivationKind.RELU, cache.h_act, d_in)
+    H.grad_w += np.matmul(d_pre.transpose(0, 2, 1), cache.z)
+    H.grad_b += d_pre.sum(axis=1)
+    # summed gate by gate in GATES order; one GEMM over all 4*d_h would round differently
     d_z = np.zeros_like(cache.z)
-    for gate in GATES:
-        kind = ActivationKind.TANH if gate == "g" else ActivationKind.SIGMOID
-        d_pre_out = activation_backward(kind, g[gate], d_gate[gate])
-        d_in = params.o_layers[gate].backward(cache.gate_in[gate], d_pre_out)
-        if gate in cache.drop_mask:
-            d_in = d_in * cache.drop_mask[gate]
-        d_pre = activation_backward(ActivationKind.RELU, cache.h_act[gate], d_in)
-        d_z += params.h_layers[gate].backward(cache.z, d_pre)
-    d_x = d_z[..., :params.d_x]
-    d_h_prev = d_z[..., params.d_x:]
-    return d_x, HLSTMState(h=d_h_prev, c=d_c_prev)
+    for part in np.matmul(d_pre, H.w):
+        d_z += part
+    d_z = d_z.reshape(cache.h.shape[:-1] + d_z.shape[-1:])
+    return d_z[..., :params.d_x], HLSTMState(h=d_z[..., params.d_x:],
+                                             c=(d_c * f).reshape(cache.h.shape))
 
 
 @dataclass
@@ -223,29 +261,24 @@ def unroll_forward(model: LMModel, tokens: np.ndarray,
     states allow stateful continuation across minibatches.
     """
     tokens = np.asarray(tokens)
-    batched = tokens.ndim == 2
     if np.any(tokens < 0) or np.any(tokens >= model.vocab_size):
         raise ContractViolation("token id out of vocabulary range")
     T = tokens.shape[-1]
-    batch = tokens.shape[0] if batched else None
+    batch = tokens.shape[0] if tokens.ndim == 2 else None
     if init is None:
         init = [HLSTMState.zeros(cell.d_s, batch) for cell in model.cells]
     states = list(init)
-    logits_shape = (batch, T, model.vocab_size) if batched else (T, model.vocab_size)
-    logits = np.zeros(logits_shape, dtype=FLOAT)
+    logits = np.zeros(tokens.shape + (model.vocab_size,), dtype=FLOAT)
     caches: list[list[StepCache]] = []
     for t in range(T):
-        x = model.embedding[tokens[:, t] if batched else tokens[t]]
+        x = model.embedding[tokens[..., t]]
         step_caches = []
         for li, cell in enumerate(model.cells):
             states[li], cache = cell_forward(cell, x, states[li], train=train,
                                              rng=rng, dropout_h=model.dropout_h)
             step_caches.append(cache)
             x = states[li].h
-        if batched:
-            logits[:, t, :] = model.head.forward(x)
-        else:
-            logits[t, :] = model.head.forward(x)
+        logits[..., t, :] = model.head.forward(x)
         caches.append(step_caches)
     return logits, caches, states
 
@@ -273,7 +306,6 @@ def bptt(model: LMModel, logits: np.ndarray, caches, tokens: np.ndarray,
     """
     tokens = np.asarray(tokens)
     targets = np.asarray(targets)
-    batched = tokens.ndim == 2
     if targets.shape != tokens.shape:
         raise ContractViolation("targets must match tokens shape")
     T = tokens.shape[-1]
@@ -283,21 +315,18 @@ def bptt(model: LMModel, logits: np.ndarray, caches, tokens: np.ndarray,
     d_logits *= grad_scale
 
     n_cells = len(model.cells)
-    d_states = [HLSTMState(h=np.zeros_like(caches[0][li].c),
-                           c=np.zeros_like(caches[0][li].c))
+    d_states = [HLSTMState(h=np.zeros_like(caches[0][li].h),
+                           c=np.zeros_like(caches[0][li].h))
                 for li in range(n_cells)]
     for t in range(T - 1, -1, -1):
-        dy = d_logits[:, t, :] if batched else d_logits[t, :]
-        top_h = caches[t][-1].gate_out["o"] * caches[t][-1].tanh_c
-        d_h = model.head.backward(top_h, dy)
+        d_h = model.head.backward(caches[t][-1].h, d_logits[..., t, :])
         for li in range(n_cells - 1, -1, -1):
             d_h_total = d_h + d_states[li].h
             d_x, d_prev = cell_backward(model.cells[li], caches[t][li],
                                         d_h_total, d_states[li].c)
             d_states[li] = d_prev
             d_h = d_x
-        tok = tokens[:, t] if batched else tokens[t]
-        np.add.at(model.embedding_grad, tok, d_h)
+        np.add.at(model.embedding_grad, tokens[..., t], d_h)
     return total_nll
 
 

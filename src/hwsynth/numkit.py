@@ -10,7 +10,6 @@ derivatives, and a mask-respecting SGD step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -40,13 +39,10 @@ class ActivationKind(Enum):
 def activation_forward(kind: ActivationKind, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=FLOAT)
     if kind is ActivationKind.SIGMOID:
-        # numerically stable split on sign
-        out = np.empty_like(v)
-        pos = v >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-        ev = np.exp(v[~pos])
-        out[~pos] = ev / (1.0 + ev)
-        return out
+        # exp(-|v|) never overflows: 1/(1+e) for v >= 0, e/(1+e) below
+        e = np.exp(-np.abs(v))
+        d = 1.0 + e
+        return np.divide(1.0, d, out=e / d, where=v >= 0)
     if kind is ActivationKind.TANH:
         return np.tanh(v)
     if kind is ActivationKind.RELU:
@@ -65,45 +61,61 @@ def activation_backward(kind: ActivationKind, out: np.ndarray, d_out: np.ndarray
     raise ContractViolation(f"unknown activation {kind!r}")
 
 
-@dataclass
+ARRAYS = ("w", "mask", "b", "grad_w", "grad_b")
+
+
 class MaskedLinear:
     """Affine layer y = (W*Msk) x + b with full-gradient accumulation.
 
     The mask gates the forward value and the SGD update, *not* the gradient:
     grad_w is accumulated for every entry so dormant connections keep a
     usable gradient signal for the growth algorithms.
+
+    Every mask change zeroes the weights it masks, so w[mask == 0] == 0 and
+    the forward reads w as W*Msk. The arrays may be views into a stacked
+    block (see `view`), so they are written in place, never rebound.
     """
 
-    w: np.ndarray
-    mask: np.ndarray
-    b: np.ndarray
-    name: str = "layer"
-    grad_w: np.ndarray = field(init=False)
-    grad_b: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=FLOAT)
-        self.mask = np.asarray(self.mask, dtype=FLOAT)
-        self.b = np.asarray(self.b, dtype=FLOAT)
-        if self.w.ndim != 2 or self.w.shape != self.mask.shape:
+    def __init__(self, w: np.ndarray, mask: np.ndarray, b: np.ndarray,
+                 name: str = "layer"):
+        self.name = name
+        w = np.asarray(w, dtype=FLOAT)
+        mask = np.asarray(mask, dtype=FLOAT)
+        b = np.asarray(b, dtype=FLOAT)
+        if w.ndim != 2 or w.shape != mask.shape:
             raise ContractViolation(
-                f"{self.name}: W{self.w.shape} and Msk{self.mask.shape} must be equal 2-D shapes")
-        if self.b.shape != (self.w.shape[0],):
-            raise ContractViolation(f"{self.name}: bias shape {self.b.shape} != ({self.w.shape[0]},)")
-        if not np.all((self.mask == 0.0) | (self.mask == 1.0)):
-            raise ContractViolation(f"{self.name}: mask entries must be 0 or 1")
-        self.grad_w = np.zeros_like(self.w)
-        self.grad_b = np.zeros_like(self.b)
+                f"{name}: W{w.shape} and Msk{mask.shape} must be equal 2-D shapes")
+        if b.shape != (w.shape[0],):
+            raise ContractViolation(f"{name}: bias shape {b.shape} != ({w.shape[0]},)")
+        if not np.all((mask == 0.0) | (mask == 1.0)):
+            raise ContractViolation(f"{name}: mask entries must be 0 or 1")
+        self.w, self.mask, self.b = w, mask, b
+        self.grad_w = np.zeros_like(w)
+        self.grad_b = np.zeros_like(b)
         self.apply_mask()
 
     @classmethod
-    def dense(cls, out_dim: int, in_dim: int, rng: np.random.Generator | None = None,
+    def view(cls, block, k: int, name: str) -> "MaskedLinear":
+        """Layer k of a stacked block: each array is `block.<array>[k]`, so
+        writes through the layer land in the block and vice versa."""
+        layer = cls.__new__(cls)
+        layer.name = name
+        for attr in ARRAYS:
+            setattr(layer, attr, getattr(block, attr)[k])
+        return layer
+
+    def __setattr__(self, attr, value):
+        # `layer.w -= ...` rebinds the same array, which is allowed
+        if attr in ARRAYS and attr in self.__dict__ and value is not self.__dict__[attr]:
+            raise ContractViolation(
+                f"{self.name}: write {attr} in place ({attr}[...] = ...), not by rebinding")
+        object.__setattr__(self, attr, value)
+
+    @classmethod
+    def dense(cls, out_dim: int, in_dim: int, rng: np.random.Generator,
               name: str = "layer") -> "MaskedLinear":
-        if rng is None:
-            w = np.zeros((out_dim, in_dim), dtype=FLOAT)
-        else:
-            bound = 1.0 / math.sqrt(max(in_dim, 1))
-            w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+        bound = 1.0 / math.sqrt(max(in_dim, 1))
+        w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
         return cls(w=w, mask=np.ones((out_dim, in_dim)), b=np.zeros(out_dim), name=name)
 
     @property
@@ -113,9 +125,6 @@ class MaskedLinear:
     @property
     def in_dim(self) -> int:
         return self.w.shape[1]
-
-    def effective(self) -> np.ndarray:
-        return self.w * self.mask
 
     def apply_mask(self) -> None:
         self.w *= self.mask
@@ -133,7 +142,7 @@ class MaskedLinear:
         if x.shape[-1] != self.in_dim:
             raise ContractViolation(
                 f"{self.name}: input width {x.shape[-1]} != expected {self.in_dim}")
-        return x @ self.effective().T + self.b
+        return x @ self.w.T + self.b
 
     def backward(self, x: np.ndarray, d_y: np.ndarray) -> np.ndarray:
         """Accumulate grad_w (unmasked) and grad_b; return dL/dx.
@@ -153,7 +162,7 @@ class MaskedLinear:
         else:
             self.grad_w += d_y.T @ x
             self.grad_b += d_y.sum(axis=0)
-        return d_y @ self.effective()
+        return d_y @ self.w
 
     def active_rows(self) -> np.ndarray:
         return np.flatnonzero(self.mask.any(axis=1))

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -221,7 +222,7 @@ def make_seed(cfg: FlowConfig, vocab_size: int, rng: np.random.Generator) -> LMM
         chosen = rng.choice(n, size=keep, replace=False)
         mask = np.zeros(n)
         mask[chosen] = 1.0
-        layer.mask = mask.reshape(layer.w.shape)
+        layer.mask[...] = mask.reshape(layer.w.shape)
         layer.apply_mask()
     return model
 
@@ -366,8 +367,19 @@ def checkpoint_save(model: LMModel, meta: dict, path: str | Path) -> None:
     })
     arrays["meta_json"] = np.frombuffer(
         json.dumps(meta_full).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    _write_atomic(Path(path), lambda fh: np.savez(fh, **arrays))
+
+
+def _write_atomic(path: Path, write) -> None:
+    """write(fh) to a temp file beside `path`, then rename it over `path`:
+    readers see the old file or the new one, never a partial one."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
@@ -422,10 +434,6 @@ class SynthesisFlow:
 
     # - helpers -
 
-    def _valid_ppl(self, model: LMModel) -> float:
-        return perplexity(evaluate(model, self.corpus.valid,
-                                   seq_len=self.cfg.seq_len, batch=4))
-
     def _row(self, step: str, model: LMModel, ppl: float) -> ReportRow:
         counts = param_count(model)
         d_s, d_h = model.cells[0].active_dims()
@@ -456,7 +464,8 @@ class SynthesisFlow:
         validation pass of the first `growth_epochs` epochs. Returns the
         last validation perplexity; with no epochs, that of the model as is."""
         if epochs == 0:
-            return self._valid_ppl(model)
+            return perplexity(evaluate(model, self.corpus.valid,
+                                       seq_len=self.cfg.seq_len, batch=4))
         for ep in range(epochs):
             sink: dict | None = {} if ep < growth_epochs else None
             trainer.epoch(model, self.corpus.train, self.cfg.batch,
@@ -504,7 +513,7 @@ class SynthesisFlow:
         restore; returns the final (passing) validation perplexity."""
         gp = self.gp
         single_mode = False
-        last_ppl = self._valid_ppl(self.model)
+        last_ppl = self.report.rows[-1].valid_ppl   # the previous phase's score
         for _ in range(self.cfg.max_prune_iters):
             snap = self._snapshot()
             try:
@@ -600,8 +609,6 @@ class SynthesisFlow:
             return growprune.halve_weight_ratio(gp, ppl)
 
         ppl = self._prune_loop("wp", prune_once, halve)
-        for layer in self.model.masked_layers():
-            layer.apply_mask()
         self.report.rows.append(self._row("wp", self.model, ppl))
         self._save_phase_artifacts("wp")
         self.state.advance("done")
@@ -617,10 +624,10 @@ class SynthesisFlow:
             self.report.complete = True
         finally:
             if self.out_dir is not None:
-                (self.out_dir / "report.csv").write_text(
-                    self.report.to_csv(), encoding="utf-8")
-                (self.out_dir / "report.json").write_text(
-                    self.report.to_json(), encoding="utf-8")
+                for name, text in (("report.csv", self.report.to_csv()),
+                                   ("report.json", self.report.to_json())):
+                    _write_atomic(self.out_dir / name,
+                                  lambda fh: fh.write(text.encode("utf-8")))
         return self.report
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles shared by the test modules.
 
 These deliberately avoid the library's selection/backward code paths: all
-ranking is done by full sorts over explicit score lists, and all gradients
-by central finite differences through the public forward functions.
+ranking is done by full sorts over explicit score lists, gradients by
+central finite differences through the public forward functions, and the
+H-LSTM step by eight separate per-gate layer products.
 """
 
 import numpy as np
@@ -159,3 +160,70 @@ def grown_masks(cell, head, s_idx, h_idx):
         out[o.name] = grow(o.mask, s_idx, h_idx)
     out[head.name] = grow(head.mask, [], s_idx)
     return out
+
+
+# --- per-gate reference H-LSTM step ---------------------------------------------
+#
+# One cell step as eight separate layer products (an H and an O layer per
+# gate, through W*Msk) with the sign-split sigmoid. The stacked kernels in
+# hlstm run the same float ops in the same order, so on batched input they
+# must match this bit for bit.
+
+def _sigmoid_split(v):
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c, rng=None, dropout=0.0):
+    """Forward then backward of one step, for a vector or a batch.
+
+    With dropout > 0 each gate's keep mask is drawn from rng, gate by gate
+    in f, i, o, g order. Returns a dict: h, c, gate_out (per gate), d_x,
+    d_h_prev, d_c_prev and grads {layer name: (grad_w, grad_b)}.
+    """
+    z = np.concatenate([x, h_prev], axis=-1)
+    batched = z.ndim == 2
+    hid, keep, gin, out = {}, {}, {}, {}
+    for g in "fiog":
+        hl, ol = cell.h_layers[g], cell.o_layers[g]
+        hid[g] = np.maximum(z @ (hl.w * hl.mask).T + hl.b, 0.0)
+        gin[g] = hid[g]
+        if dropout > 0.0:
+            keep[g] = (rng.random(hid[g].shape) >= dropout) / (1.0 - dropout)
+            gin[g] = hid[g] * keep[g]
+        pre = gin[g] @ (ol.w * ol.mask).T + ol.b
+        out[g] = np.tanh(pre) if g == "g" else _sigmoid_split(pre)
+    c = out["f"] * c_prev + out["i"] * out["g"]
+    tanh_c = np.tanh(c)
+    h = out["o"] * tanh_c
+
+    d_cc = d_c + d_h * out["o"] * (1.0 - tanh_c ** 2)
+    d_gate = {"f": d_cc * c_prev, "i": d_cc * out["g"], "o": d_h * tanh_c,
+              "g": d_cc * out["i"]}
+    grads = {}
+    d_z = np.zeros_like(z)
+    for g in "fiog":
+        hl, ol = cell.h_layers[g], cell.o_layers[g]
+        y = out[g]
+        if g == "g":
+            d_pre_out = d_gate[g] * (1.0 - y * y)
+        else:
+            d_pre_out = d_gate[g] * y * (1.0 - y)
+        d_in = d_pre_out @ (ol.w * ol.mask)
+        if g in keep:
+            d_in = d_in * keep[g]
+        d_pre = d_in * (hid[g] > 0.0)
+        for layer, d_y, inp in ((ol, d_pre_out, gin[g]), (hl, d_pre, z)):
+            if batched:
+                grads[layer.name] = (d_y.T @ inp, d_y.sum(axis=0))
+            else:
+                grads[layer.name] = (np.outer(d_y, inp), d_y.copy())
+        d_z += d_pre @ (hl.w * hl.mask)
+    d_x_width = x.shape[-1]
+    return {"h": h, "c": c, "gate_out": out, "d_x": d_z[..., :d_x_width],
+            "d_h_prev": d_z[..., d_x_width:], "d_c_prev": d_cc * out["f"],
+            "grads": grads}

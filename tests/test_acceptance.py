@@ -49,7 +49,7 @@ def _fd_model(seed):
     rng = make_rng(seed)
     model = LMModel.create(6, 3, 4, 5, rng)
     for layer in model.masked_layers():
-        layer.mask = (rng.random(layer.mask.shape) < 0.6).astype(float)
+        layer.mask[...] = rng.random(layer.mask.shape) < 0.6
         # nonzero biases keep relu pre-activations off the kink at exactly 0,
         # where one-sided finite differences are undefined
         layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
@@ -130,7 +130,7 @@ def test_criterion_2_selection_oracles():
         cell = HLSTMCellParams.create(2, d_s, d_h, rng)
         head = MaskedLinear.dense(4, d_s, rng, name="head")
         for layer in cell.layers() + [head]:
-            layer.mask = (rng.random(layer.mask.shape) < rng.uniform(0.3, 1.0)).astype(float)
+            layer.mask[...] = rng.random(layer.mask.shape) < rng.uniform(0.3, 1.0)
             layer.apply_mask()
         return cell, head
 
@@ -179,9 +179,9 @@ def test_criterion_2_selection_oracles():
         # independent importance: |W| sums over each unit's rows and columns
         imp = np.zeros(d_s)
         for gate in GATES:
-            imp += np.abs(cell.o_layers[gate].effective()).sum(axis=1)
-            imp += np.abs(cell.h_layers[gate].effective())[:, d_x:].sum(axis=0)
-        imp += np.abs(head.effective()).sum(axis=0)
+            imp += np.abs(cell.o_layers[gate].w * cell.o_layers[gate].mask).sum(axis=1)
+            imp += np.abs(cell.h_layers[gate].w * cell.h_layers[gate].mask)[:, d_x:].sum(axis=0)
+        imp += np.abs(head.w * head.mask).sum(axis=0)
         expected = select_bottom_k(imp, list(range(d_s)), k_s)
         coordinated_rc_prune_counts(cell, head, k_s=k_s, k_h=0)
         s_active = np.zeros(d_s, dtype=bool)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hwsynth.growprune import (
-    ActiveSets,
     DegenerateLayerError,
     GrowPruneConfig,
     HalveDecision,
@@ -145,7 +144,7 @@ def make_cell(seed, d_x=3, d_s=5, d_h=4, density=0.8):
     rng = make_rng(seed)
     cell = HLSTMCellParams.create(d_x, d_s, d_h, rng)
     for layer in cell.layers():
-        layer.mask = (rng.random(layer.mask.shape) < density).astype(float)
+        layer.mask[...] = rng.random(layer.mask.shape) < density
         layer.apply_mask()
     head = MaskedLinear.dense(7, d_s, rng, name="head")
     return cell, head, rng
@@ -187,11 +186,11 @@ class TestCoordinatedPrune:
         exp_s = np.zeros(4)
         exp_h = np.zeros(3)
         for gate in GATES:
-            o = np.abs(cell.o_layers[gate].effective())
-            h = np.abs(cell.h_layers[gate].effective())
+            o = np.abs(cell.o_layers[gate].w * cell.o_layers[gate].mask)
+            h = np.abs(cell.h_layers[gate].w * cell.h_layers[gate].mask)
             exp_s += o.sum(axis=1) + h[:, d_x:].sum(axis=0)
             exp_h += h.sum(axis=1) + o.sum(axis=0)
-        exp_s += np.abs(head.effective()).sum(axis=0)
+        exp_s += np.abs(head.w * head.mask).sum(axis=0)
         assert np.allclose(s_imp, exp_s)
         assert np.allclose(h_imp, exp_h)
 
@@ -283,8 +282,7 @@ class TestCoordinatedGrow:
         coordinated_rc_prune_counts(cell, head, k_s=3, k_h=2)
         snaps = []
         for layer in cell.layers() + [head]:
-            act = ActiveSets.of(layer)
-            region = np.ix_(act.set_r, act.set_c)
+            region = np.ix_(layer.active_rows(), layer.active_cols())
             snaps.append((layer, region, layer.w[region].copy()))
         grads = {id(layer): rng.standard_normal(layer.w.shape)
                  for layer in cell.layers() + [head]}
@@ -370,8 +368,7 @@ class TestRcGrow:
                                         k_h=int(rng.integers(0, len(h_act))))
             snaps = []
             for layer in cell.layers() + [head]:
-                act = ActiveSets.of(layer)
-                region = np.ix_(act.set_r, act.set_c)
+                region = np.ix_(layer.active_rows(), layer.active_cols())
                 snaps.append((layer, region, layer.w[region].copy(),
                               layer.mask[region].copy()))
             grads = {id(layer): rng.standard_normal(layer.w.shape)

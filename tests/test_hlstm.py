@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hwsynth.growprune import coordinated_rc_prune_counts
 from hwsynth.hlstm import (
     GATES,
     HLSTMCellParams,
@@ -16,7 +17,12 @@ from hwsynth.hlstm import (
     unroll_forward,
 )
 from hwsynth.numkit import ContractViolation, make_rng
-from oracles import fd_dense_gradients, fd_layer_gradients, max_rel_err
+from oracles import (
+    fd_dense_gradients,
+    fd_layer_gradients,
+    max_rel_err,
+    per_gate_cell_step,
+)
 
 
 def zeroed_cell(d_x=2, d_s=3, d_h=2):
@@ -34,7 +40,7 @@ def random_model(seed, vocab, d_x, d_s, d_h, density=0.7, T=4, batch=None):
     rng = make_rng(seed)
     model = LMModel.create(vocab, d_x, d_s, d_h, rng)
     for layer in model.masked_layers():
-        layer.mask = (rng.random(layer.mask.shape) < density).astype(float)
+        layer.mask[...] = rng.random(layer.mask.shape) < density
         layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
         layer.apply_mask()
     shape = (T,) if batch is None else (batch, T)
@@ -108,8 +114,8 @@ class TestCellForward:
         for _ in range(20):
             state, cache = cell_forward(cell, rng.uniform(-3, 3, size=3), state)
             assert np.all(np.abs(state.h) < 1.0)
-            for gate in ("f", "i", "o"):
-                assert np.all((cache.gate_out[gate] > 0) & (cache.gate_out[gate] < 1))
+            sig = cache.gate_out[:3]    # f, i, o
+            assert np.all((sig > 0) & (sig < 1))
 
     def test_pruned_input_column_invariance(self):
         rng = make_rng(5)
@@ -166,7 +172,7 @@ class TestCellBackward:
         rng = make_rng(9)
         cell = HLSTMCellParams.create(3, 4, 5, rng)
         for layer in cell.layers():
-            layer.mask = (rng.random(layer.mask.shape) < 0.7).astype(float)
+            layer.mask[...] = rng.random(layer.mask.shape) < 0.7
             layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
             layer.apply_mask()
         x = rng.standard_normal(3)
@@ -184,6 +190,62 @@ class TestCellBackward:
         for layer in cell.layers():
             fd = fd_layer_gradients(layer, loss)
             assert max_rel_err(layer.grad_w, fd) < 1e-5, layer.name
+
+
+def pruned_cell(seed, d_x=16, d_s=40, d_h=36):
+    """Sparse cell with nonzero biases and some whole units pruned."""
+    rng = make_rng(seed)
+    cell = HLSTMCellParams.create(d_x, d_s, d_h, rng)
+    for layer in cell.layers():
+        layer.mask[...] = rng.random(layer.mask.shape) < 0.7
+        layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
+        layer.apply_mask()
+    coordinated_rc_prune_counts(cell, None, 5, 4)
+    return cell, rng
+
+
+class TestStackedKernelsMatchPerGate:
+    """cell_forward/cell_backward against the per-gate reference step."""
+
+    def step_inputs(self, rng, cell, batch):
+        lead = () if batch is None else (batch,)
+        return [rng.standard_normal(lead + (n,)) * 0.7
+                for n in (cell.d_x, cell.d_s, cell.d_s, cell.d_s, cell.d_s)]
+
+    def run_both(self, batch, dropout, seed):
+        """(key, library array, reference array) for every compared output."""
+        cell, rng = pruned_cell(seed)
+        assert cell.active_dims() == (35, 32)
+        x, h_prev, c_prev, d_h, d_c = self.step_inputs(rng, cell, batch)
+        state, cache = cell_forward(cell, x, HLSTMState(h=h_prev, c=c_prev),
+                                    train=dropout > 0, rng=make_rng(seed + 1),
+                                    dropout_h=dropout)
+        d_x, d_prev = cell_backward(cell, cache, d_h, d_c)
+        ref = per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c,
+                                 rng=make_rng(seed + 1), dropout=dropout)
+        out = [("h", state.h, ref["h"]), ("c", state.c, ref["c"]),
+               ("d_x", d_x, ref["d_x"]), ("d_h_prev", d_prev.h, ref["d_h_prev"]),
+               ("d_c_prev", d_prev.c, ref["d_c_prev"])]
+        for k, g in enumerate(GATES):
+            want = ref["gate_out"][g]
+            out.append((f"gate {g}", cache.gate_out[k].reshape(want.shape), want))
+        for layer in cell.layers():
+            grad_w, grad_b = ref["grads"][layer.name]
+            out.append((f"{layer.name}.grad_w", layer.grad_w, grad_w))
+            out.append((f"{layer.name}.grad_b", layer.grad_b, grad_b))
+        return out
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("batch", [4, 16, 32])
+    def test_batched_bitwise(self, batch, dropout):
+        for key, got, want in self.run_both(batch, dropout, seed=20 + batch):
+            assert got.shape == want.shape and np.array_equal(got, want), key
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_unbatched_within_1e12(self, dropout):
+        for key, got, want in self.run_both(None, dropout, seed=30):
+            assert got.shape == want.shape, key
+            assert np.max(np.abs(got - want)) <= 1e-12, key
 
 
 class TestUnrollAndBptt:
@@ -238,7 +300,7 @@ class TestUnrollAndBptt:
         probs = softmax(logits[0])
         expected = probs.copy()
         expected[targets[0]] -= 1.0
-        top_h = caches[0][0].gate_out["o"] * caches[0][0].tanh_c
+        top_h = caches[0][0].gate_out[GATES.index("o")] * caches[0][0].tanh_c
         assert np.allclose(model.head.grad_w, np.outer(expected, top_h))
 
     def test_whole_model_fd(self):

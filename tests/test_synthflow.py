@@ -1,13 +1,15 @@
+import copy
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from hwsynth import latlab
-from hwsynth.growprune import GrowPruneConfig
-from hwsynth.hlstm import LMModel, unroll_forward
-from hwsynth.numkit import ContractViolation, make_rng
+from hwsynth import latlab, synthflow
+from hwsynth.growprune import GrowPruneConfig, weight_grow, weight_prune
+from hwsynth.hlstm import GATES, LMModel, unroll_forward
+from hwsynth.numkit import ARRAYS, ContractViolation, make_rng
 from hwsynth.synthflow import (
     CheckpointError,
     ConfigError,
@@ -16,6 +18,7 @@ from hwsynth.synthflow import (
     LatencyConfig,
     OptimizerConfig,
     SynthesisFlow,
+    Trainer,
     checkpoint_load,
     checkpoint_save,
     make_seed,
@@ -161,6 +164,72 @@ class TestMakeSeed:
             assert np.array_equal(l1.w, l2.w)
 
 
+def assert_views_own_blocks(model, others=()):
+    """Every gate layer's arrays are views of its gate's slice of its own
+    cell's blocks, and share no memory with any cell of `others`."""
+    for cell in model.cells:
+        for block, layers in ((cell.H, cell.h_layers), (cell.O, cell.o_layers)):
+            for k, gate in enumerate(GATES):
+                for attr in ARRAYS:
+                    view, own = getattr(layers[gate], attr), getattr(block, attr)[k]
+                    assert view.shape == own.shape and np.shares_memory(view, own)
+                    for other in others:
+                        for ocell in other.cells:
+                            assert not np.shares_memory(view, getattr(ocell.H, attr))
+                            assert not np.shares_memory(view, getattr(ocell.O, attr))
+
+
+class TestGateViews:
+    def test_create_and_make_seed(self, tiny_corpus):
+        assert_views_own_blocks(LMModel.create(9, 4, 6, 5, make_rng(0)))
+        assert_views_own_blocks(make_seed(tiny_config(tiny_corpus), 9, make_rng(0)))
+
+    def test_deepcopy_rebuilds_views_over_copied_blocks(self, tiny_corpus):
+        model = make_seed(tiny_config(tiny_corpus), 9, make_rng(0))
+        dup = copy.deepcopy(model)
+        assert_views_own_blocks(dup, others=[model])
+        assert [l.name for l in dup.masked_layers()] == \
+            [l.name for l in model.masked_layers()]
+        dup.cells[0].h_layers["o"].w[...] = 0.0
+        assert not dup.cells[0].H.w[GATES.index("o")].any()
+        assert model.cells[0].H.w[GATES.index("o")].any()
+
+    def test_checkpoint_load(self, tiny_corpus, tmp_path):
+        model = make_seed(tiny_config(tiny_corpus), 9, make_rng(0))
+        checkpoint_save(model, {}, tmp_path / "ck.npz")
+        loaded, _ = checkpoint_load(tmp_path / "ck.npz")
+        assert_views_own_blocks(loaded, others=[model])
+
+    def test_flow_restore(self, tiny_corpus):
+        flow = SynthesisFlow(tiny_config(tiny_corpus))
+        flow.model = make_seed(flow.cfg, flow.corpus.vocab_size, make_rng(0))
+        flow.trainer = Trainer(flow.cfg.optimizer)
+        before = flow.model
+        snap = flow._snapshot()
+        flow._restore(snap)
+        assert_views_own_blocks(flow.model, others=[before, snap[0]])
+
+    def test_rebinding_refused(self):
+        layer = LMModel.create(9, 4, 6, 5, make_rng(0)).cells[0].o_layers["f"]
+        for attr in ARRAYS:
+            with pytest.raises(ContractViolation, match=attr):
+                setattr(layer, attr, getattr(layer, attr).copy())
+        layer.w *= 1.0          # in place through the same array: allowed
+
+    def test_grow_and_prune_through_a_view_reach_the_kernels(self, tiny_corpus):
+        model = make_seed(tiny_config(tiny_corpus), 9, make_rng(0))
+        tokens = make_rng(1).integers(0, 9, size=(2, 6))
+        cell = model.cells[0]
+        base, _, _ = unroll_forward(model, tokens)
+        assert weight_prune(cell.h_layers["i"], 0.5) > 0
+        pruned, _, _ = unroll_forward(model, tokens)
+        assert not np.array_equal(pruned, base)
+        grad = make_rng(2).standard_normal(cell.o_layers["g"].w.shape)
+        assert weight_grow(cell.o_layers["g"], grad, 0.2, lr=1.0) > 0
+        grown, _, _ = unroll_forward(model, tokens)
+        assert not np.array_equal(grown, pruned)
+
+
 class TestParamCount:
     def test_dense_model_hand_count(self):
         V, d_x, d_s, d_h = 9, 4, 6, 6
@@ -188,7 +257,7 @@ class TestCheckpoint:
     def model(self):
         model = LMModel.create(6, 3, 4, 4, make_rng(2))
         for layer in model.masked_layers():
-            layer.mask = (make_rng(3).random(layer.mask.shape) < 0.6).astype(float)
+            layer.mask[...] = make_rng(3).random(layer.mask.shape) < 0.6
             layer.apply_mask()
         return model
 
@@ -205,6 +274,21 @@ class TestCheckpoint:
         for l1, l2 in zip(model.masked_layers(), loaded.masked_layers()):
             assert np.array_equal(l1.mask, l2.mask)
             assert l1.name == l2.name
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.npz"
+        checkpoint_save(self.model(), {"phase": "wg"}, path)
+        before = path.read_bytes()
+
+        def fail_part_way(fh, **arrays):
+            fh.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", fail_part_way)
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint_save(self.model(), {"phase": "rcp"}, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ck.npz"]
 
     def test_version_refusal(self, tmp_path):
         path = tmp_path / "ck.npz"
@@ -385,6 +469,28 @@ class TestZeroEpochs:
         assert [r.step for r in report.rows] == ["baseline", "wg", "rcp", "rcg", "wp"]
         for row in report.rows:
             assert math.isfinite(row.valid_ppl), row.step
+
+
+class TestValidationPasses:
+    def test_one_validation_pass_per_epoch(self, tiny_corpus, monkeypatch):
+        # the prune phases start from the score the previous phase reported
+        events = []
+        evaluate, epoch = synthflow.evaluate, Trainer.epoch
+
+        def counting_evaluate(*args, **kwargs):
+            events.append("eval")
+            return evaluate(*args, **kwargs)
+
+        def counting_epoch(self, *args, **kwargs):
+            events.append("epoch")
+            return epoch(self, *args, **kwargs)
+
+        monkeypatch.setattr(synthflow, "evaluate", counting_evaluate)
+        monkeypatch.setattr(Trainer, "epoch", counting_epoch)
+        report = run_flow(tiny_config(tiny_corpus), log=lambda *a, **k: None)
+        assert report.complete
+        assert events.count("eval") == events.count("epoch")
+        assert events[::2] == ["epoch"] * (len(events) // 2)
 
 
 class TestDeterminism:
