@@ -29,16 +29,6 @@ class Corpus:
     def vocab_size(self) -> int:
         return len(self.chars)
 
-    def encode(self, text: str) -> np.ndarray:
-        lut = {ch: i for i, ch in enumerate(self.chars)}
-        try:
-            return np.array([lut[ch] for ch in text], dtype=np.int64)
-        except KeyError as exc:
-            raise ContractViolation(f"character {exc} not in vocabulary") from exc
-
-    def decode(self, ids) -> str:
-        return "".join(self.chars[i] for i in ids)
-
 
 def load_corpus(path: str | Path, train_frac: float = 0.8,
                 valid_frac: float = 0.1) -> Corpus:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .hlstm import GATES, HLSTMCellParams
-from .numkit import ContractViolation, MaskedLinear
+from .numkit import ContractViolation, MaskedLinear, write_atomic
 
 
 class DegenerateLayerError(ValueError):
@@ -109,9 +109,10 @@ def weight_prune(layer: MaskedLinear, p_w: float) -> int:
 
 # --- coordinated multi-gate structured operations ---------------------------
 
-def unit_importance(cell: HLSTMCellParams, head: MaskedLinear | None = None,
+def unit_importance(cell: HLSTMCellParams, head: MaskedLinear,
                     grads: dict[int, np.ndarray] | None = None):
-    """Summed row/column importances per d_s and d_h structural unit.
+    """Summed row/column importances per d_s and d_h structural unit; a d_s
+    unit's column of the head counts too.
 
     With grads=None importance is sum(|W|) (pruning); otherwise it is
     sum(|G|) restricted to the active complement (growth). grads maps
@@ -144,20 +145,19 @@ def unit_importance(cell: HLSTMCellParams, head: MaskedLinear | None = None,
             h_imp += (hm[:, h_cols].sum(axis=1) if h_cols.size else 0.0)
             h_imp += (om[o_rows, :].sum(axis=0) if o_rows.size else 0.0)
             s_imp += (hm[h_rows, cell.d_x:].sum(axis=0) if h_rows.size else 0.0)
-    if head is not None:
-        hd = mat(head)
-        if grads is None:
-            s_imp += hd.sum(axis=0)
-        else:
-            s_imp += hd[head.active_rows(), :].sum(axis=0)
+    hd = mat(head)
+    if grads is None:
+        s_imp += hd.sum(axis=0)
+    else:
+        s_imp += hd[head.active_rows(), :].sum(axis=0)
     return s_imp, h_imp
 
 
-def _apply_unit_prune(cell: HLSTMCellParams, head: MaskedLinear | None,
+def _apply_unit_prune(cell: HLSTMCellParams, head: MaskedLinear,
                       s_idx: np.ndarray, h_idx: np.ndarray) -> None:
     """Cut the units out of every gate at once: a d_s unit is row s of each
-    O layer and column d_x+s of each H layer (and column s of the head), a
-    d_h unit is row h of each H layer and column h of each O layer."""
+    O layer, column d_x+s of each H layer and column s of the head; a d_h
+    unit is row h of each H layer and column h of each O layer."""
     H, O = cell.H, cell.O
     O.mask[:, s_idx, :] = O.w[:, s_idx, :] = 0.0
     O.b[:, s_idx] = 0.0
@@ -165,11 +165,10 @@ def _apply_unit_prune(cell: HLSTMCellParams, head: MaskedLinear | None,
     H.mask[:, :, cell.d_x + s_idx] = H.w[:, :, cell.d_x + s_idx] = 0.0
     H.mask[:, h_idx, :] = H.w[:, h_idx, :] = 0.0
     H.b[:, h_idx] = 0.0
-    if head is not None:
-        head.mask[:, s_idx] = head.w[:, s_idx] = 0.0
+    head.mask[:, s_idx] = head.w[:, s_idx] = 0.0
 
 
-def coordinated_rc_prune(cell: HLSTMCellParams, head: MaskedLinear | None,
+def coordinated_rc_prune(cell: HLSTMCellParams, head: MaskedLinear,
                          p_r: float, p_c: float) -> tuple[int, int]:
     """Prune d_s units (ratio p_r) and d_h units (ratio p_c) across all
     gates at once, keeping the four gates dimensionally identical.
@@ -182,7 +181,7 @@ def coordinated_rc_prune(cell: HLSTMCellParams, head: MaskedLinear | None,
     return coordinated_rc_prune_counts(cell, head, k_s, k_h)
 
 
-def coordinated_rc_prune_counts(cell: HLSTMCellParams, head: MaskedLinear | None,
+def coordinated_rc_prune_counts(cell: HLSTMCellParams, head: MaskedLinear,
                                 k_s: int, k_h: int) -> tuple[int, int]:
     s_active, h_active = cell.active_units()
     n_s = int(s_active.sum())
@@ -200,7 +199,7 @@ def coordinated_rc_prune_counts(cell: HLSTMCellParams, head: MaskedLinear | None
     return cell.active_dims()
 
 
-def coordinated_rc_grow_counts(cell: HLSTMCellParams, head: MaskedLinear | None,
+def coordinated_rc_grow_counts(cell: HLSTMCellParams, head: MaskedLinear,
                                grads: dict[int, np.ndarray], k_s: int, k_h: int,
                                lr: float) -> tuple[int, int]:
     """Reactivate the dormant d_s/d_h units with the largest |G| sums.
@@ -225,8 +224,7 @@ def coordinated_rc_grow_counts(cell: HLSTMCellParams, head: MaskedLinear | None,
     for gate in GATES:
         activate(cell.h_layers[gate], rows=h_idx, cols=cell.d_x + s_idx)
         activate(cell.o_layers[gate], rows=s_idx, cols=h_idx)
-    if head is not None:
-        activate(head, cols=s_idx)
+    activate(head, cols=s_idx)
     return cell.active_dims()
 
 
@@ -272,7 +270,8 @@ def halve_weight_ratio(cfg: GrowPruneConfig, achieved_metric: float
 
 def export_masks(layers: list[MaskedLinear], out_dir: str | Path,
                  tag: str) -> Path:
-    """Write one portable bitmap (P1) per layer plus a JSON manifest."""
+    """Write one portable bitmap (P1) per layer plus a JSON manifest, each
+    file atomically."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -280,10 +279,11 @@ def export_masks(layers: list[MaskedLinear], out_dir: str | Path,
         fname = f"{tag}_{i:02d}_{layer.name.replace('.', '_')}.pbm"
         m, n = layer.mask.shape
         rows = "\n".join(" ".join(str(int(v)) for v in row) for row in layer.mask)
-        (out_dir / fname).write_text(f"P1\n{n} {m}\n{rows}\n", encoding="utf-8")
+        pbm = f"P1\n{n} {m}\n{rows}\n".encode("utf-8")
+        write_atomic(out_dir / fname, lambda fh: fh.write(pbm))
         entries.append({"layer": layer.name, "file": fname,
                         "shape": [m, n], "active": layer.active_count()})
     manifest = out_dir / f"{tag}_manifest.json"
-    manifest.write_text(json.dumps({"tag": tag, "layers": entries}, indent=2),
-                        encoding="utf-8")
+    text = json.dumps({"tag": tag, "layers": entries}, indent=2).encode("utf-8")
+    write_atomic(manifest, lambda fh: fh.write(text))
     return manifest

@@ -12,7 +12,9 @@ The gates' layers live in two stacked blocks, H (4, d_h, d_x+d_s) and O
 H and O layer (what grow/prune and SGD work on) is a MaskedLinear view of
 its slice. The kernels read w as W*Msk: w[mask == 0] == 0 always holds.
 
-The language model is one such cell between an embedding and a softmax head.
+The language model is one such cell (`LMModel.cell`) between an embedding
+and a softmax head. Every input is a batch: tokens are (B, T), a step's x
+and state are (B, width); other shapes raise ContractViolation.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ class HLSTMState:
     c: np.ndarray
 
     @classmethod
-    def zeros(cls, d_s: int, batch: int | None = None) -> "HLSTMState":
-        shape = (d_s,) if batch is None else (batch, d_s)
-        return cls(h=np.zeros(shape, dtype=FLOAT), c=np.zeros(shape, dtype=FLOAT))
+    def zeros(cls, d_s: int, batch: int) -> "HLSTMState":
+        return cls(h=np.zeros((batch, d_s), dtype=FLOAT),
+                   c=np.zeros((batch, d_s), dtype=FLOAT))
 
 
 @dataclass
@@ -121,8 +123,7 @@ class HLSTMCellParams:
 @dataclass
 class StepCache:
     """Intermediates of one cell step, consumed exactly once by backward.
-    Gate arrays are (4, B, width) in GATES order; a vector step is held as
-    B = 1, and only h keeps the caller's shape."""
+    Gate arrays are (4, B, width) in GATES order; the others (B, width)."""
 
     z: np.ndarray
     h_act: np.ndarray         # relu output of the H layers, before dropout
@@ -143,11 +144,11 @@ def cell_forward(params: HLSTMCellParams, x_t: np.ndarray, prev: HLSTMState,
     the concatenated 4*d_h rows does not). The kernels read w as W*Msk,
     relying on w[mask == 0] == 0."""
     x_t = np.asarray(x_t, dtype=FLOAT)
-    if x_t.shape[-1] != params.d_x:
-        raise ContractViolation(f"x width {x_t.shape[-1]} != d_x {params.d_x}")
+    if x_t.ndim != 2 or x_t.shape[1] != params.d_x:
+        raise ContractViolation(f"x shape {x_t.shape} is not (B, d_x={params.d_x})")
     H, O = params.H, params.O
-    z = np.concatenate([np.atleast_2d(x_t), np.atleast_2d(prev.h)], axis=-1)
-    c_prev = np.atleast_2d(prev.c)
+    z = np.concatenate([x_t, prev.h], axis=1)
+    c_prev = prev.c
     act = activation_forward(ActivationKind.RELU,
                              np.matmul(z, H.w.transpose(0, 2, 1)) + H.b[:, None])
     gate_in, keep = act, None
@@ -166,10 +167,9 @@ def cell_forward(params: HLSTMCellParams, x_t: np.ndarray, prev: HLSTMState,
         raise NumericAbort("non-finite value in cell state")
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    state = HLSTMState(h=h.reshape(np.shape(prev.c)), c=c.reshape(np.shape(prev.c)))
-    return state, StepCache(z=z, h_act=act, keep=keep, gate_in=gate_in,
-                            gate_out=gates, c_prev=c_prev, tanh_c=tanh_c,
-                            h=state.h)
+    return HLSTMState(h=h, c=c), StepCache(z=z, h_act=act, keep=keep, gate_in=gate_in,
+                                           gate_out=gates, c_prev=c_prev,
+                                           tanh_c=tanh_c, h=h)
 
 
 def cell_backward(params: HLSTMCellParams, cache: StepCache, d_h_t: np.ndarray,
@@ -179,9 +179,8 @@ def cell_backward(params: HLSTMCellParams, cache: StepCache, d_h_t: np.ndarray,
         raise ContractViolation("StepCache already consumed by a backward pass")
     cache.consumed = True
     H, O = params.H, params.O
-    d_h_t = np.reshape(d_h_t, cache.tanh_c.shape)
     f, i, o, g = cache.gate_out
-    d_c = np.reshape(d_c_t, cache.tanh_c.shape) + d_h_t * o * (1.0 - cache.tanh_c ** 2)
+    d_c = d_c_t + d_h_t * o * (1.0 - cache.tanh_c ** 2)
     d_pre_out = np.stack([d_c * cache.c_prev, d_c * g, d_h_t * cache.tanh_c, d_c * i])
     d_pre_out[:3] = activation_backward(ActivationKind.SIGMOID, cache.gate_out[:3],
                                         d_pre_out[:3])
@@ -198,9 +197,7 @@ def cell_backward(params: HLSTMCellParams, cache: StepCache, d_h_t: np.ndarray,
     d_z = np.zeros_like(cache.z)
     for part in np.matmul(d_pre, H.w):
         d_z += part
-    d_z = d_z.reshape(cache.h.shape[:-1] + d_z.shape[-1:])
-    return d_z[..., :params.d_x], HLSTMState(h=d_z[..., params.d_x:],
-                                             c=(d_c * f).reshape(cache.h.shape))
+    return d_z[:, :params.d_x], HLSTMState(h=d_z[:, params.d_x:], c=d_c * f)
 
 
 @dataclass
@@ -208,7 +205,7 @@ class LMModel:
     """Character-level language model: embedding -> H-LSTM cell -> head."""
 
     embedding: np.ndarray          # (V, d_x)
-    cells: list[HLSTMCellParams]
+    cell: HLSTMCellParams
     head: MaskedLinear             # (V, d_s)
     dropout_h: float = 0.0
     embedding_grad: np.ndarray = field(init=False)
@@ -226,15 +223,12 @@ class LMModel:
         return self.embedding.shape[1]
 
     @property
-    def d_s(self) -> int:
-        return self.cells[0].d_s
+    def cells(self) -> list[HLSTMCellParams]:
+        # read-only alias kept for the benchmark script, which reads cells[0]
+        return [self.cell]
 
     def masked_layers(self) -> list[MaskedLinear]:
-        out = []
-        for cell in self.cells:
-            out.extend(cell.layers())
-        out.append(self.head)
-        return out
+        return self.cell.layers() + [self.head]
 
     def zero_grads(self) -> None:
         self.embedding_grad[...] = 0.0
@@ -247,40 +241,35 @@ class LMModel:
         if vocab_size < 2:
             raise ContractViolation("vocabulary must have at least 2 symbols")
         emb = rng.uniform(-0.1, 0.1, size=(vocab_size, d_x))
-        cells = [HLSTMCellParams.create(d_x, d_s, d_h, rng, name="cell0")]
+        cell = HLSTMCellParams.create(d_x, d_s, d_h, rng, name="cell0")
         head = MaskedLinear.dense(vocab_size, d_s, rng, name="head")
-        return cls(embedding=emb, cells=cells, head=head, dropout_h=dropout_h)
+        return cls(embedding=emb, cell=cell, head=head, dropout_h=dropout_h)
 
 
 def unroll_forward(model: LMModel, tokens: np.ndarray,
-                   init: list[HLSTMState] | None = None, train: bool = False,
+                   init: HLSTMState | None = None, train: bool = False,
                    rng: np.random.Generator | None = None):
-    """Run T steps; returns (logits, caches, final states).
+    """Run T steps; returns (logits, caches, final state).
 
-    tokens has shape (T,) or (B, T); logits (T, V) or (B, T, V). Final
-    states allow stateful continuation across minibatches.
+    tokens has shape (B, T) and logits (B, T, V); caches holds one
+    StepCache per step. The final state allows stateful continuation
+    across minibatches.
     """
     tokens = np.asarray(tokens)
+    if tokens.ndim != 2:
+        raise ContractViolation(f"tokens shape {tokens.shape} is not (B, T)")
     if np.any(tokens < 0) or np.any(tokens >= model.vocab_size):
         raise ContractViolation("token id out of vocabulary range")
-    T = tokens.shape[-1]
-    batch = tokens.shape[0] if tokens.ndim == 2 else None
-    if init is None:
-        init = [HLSTMState.zeros(cell.d_s, batch) for cell in model.cells]
-    states = list(init)
+    batch, T = tokens.shape
+    state = HLSTMState.zeros(model.cell.d_s, batch) if init is None else init
     logits = np.zeros(tokens.shape + (model.vocab_size,), dtype=FLOAT)
-    caches: list[list[StepCache]] = []
+    caches: list[StepCache] = []
     for t in range(T):
-        x = model.embedding[tokens[..., t]]
-        step_caches = []
-        for li, cell in enumerate(model.cells):
-            states[li], cache = cell_forward(cell, x, states[li], train=train,
-                                             rng=rng, dropout_h=model.dropout_h)
-            step_caches.append(cache)
-            x = states[li].h
-        logits[..., t, :] = model.head.forward(x)
-        caches.append(step_caches)
-    return logits, caches, states
+        state, cache = cell_forward(model.cell, model.embedding[tokens[:, t]], state,
+                                    train=train, rng=rng, dropout_h=model.dropout_h)
+        logits[:, t, :] = model.head.forward(state.h)
+        caches.append(cache)
+    return logits, caches, state
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -308,25 +297,16 @@ def bptt(model: LMModel, logits: np.ndarray, caches, tokens: np.ndarray,
     targets = np.asarray(targets)
     if targets.shape != tokens.shape:
         raise ContractViolation("targets must match tokens shape")
-    T = tokens.shape[-1]
     probs, idx, total_nll = _softmax_nll(logits, targets)
     d_logits = probs.copy()
     d_logits[idx] -= 1.0
     d_logits *= grad_scale
 
-    n_cells = len(model.cells)
-    d_states = [HLSTMState(h=np.zeros_like(caches[0][li].h),
-                           c=np.zeros_like(caches[0][li].h))
-                for li in range(n_cells)]
-    for t in range(T - 1, -1, -1):
-        d_h = model.head.backward(caches[t][-1].h, d_logits[..., t, :])
-        for li in range(n_cells - 1, -1, -1):
-            d_h_total = d_h + d_states[li].h
-            d_x, d_prev = cell_backward(model.cells[li], caches[t][li],
-                                        d_h_total, d_states[li].c)
-            d_states[li] = d_prev
-            d_h = d_x
-        np.add.at(model.embedding_grad, tokens[..., t], d_h)
+    d_next = HLSTMState(h=np.zeros_like(caches[0].h), c=np.zeros_like(caches[0].h))
+    for t in range(tokens.shape[1] - 1, -1, -1):
+        d_h = model.head.backward(caches[t].h, d_logits[:, t, :])
+        d_x, d_next = cell_backward(model.cell, caches[t], d_h + d_next.h, d_next.c)
+        np.add.at(model.embedding_grad, tokens[:, t], d_x)
     return total_nll
 
 
@@ -341,9 +321,9 @@ def evaluate(model: LMModel, tokens: np.ndarray, seq_len: int = 64,
     """Mean per-token NLL of a token stream, stateful across windows."""
     total_nll = 0.0
     count = 0
-    states = None
+    state = None
     for xs, ys in batch_windows(np.asarray(tokens), batch, seq_len):
-        logits, _, states = unroll_forward(model, xs, init=states, train=False)
+        logits, _, state = unroll_forward(model, xs, init=state, train=False)
         total_nll += _softmax_nll(logits, ys)[2]
         count += xs.size
     if count == 0:

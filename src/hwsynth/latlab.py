@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,8 +47,6 @@ class LatencyProfile:
     batch: int
     grid: list[int]
     samples: list[SampleStats]
-    timestamp: str = ""
-    partial: bool = False
 
     def __post_init__(self):
         if any(b >= a for a, b in zip(self.grid[1:], self.grid)):
@@ -83,7 +81,6 @@ class NearestLHP(NamedTuple):
 class MatmulBackend:
     """Executes one square-weight x dense-input multiply for timing."""
 
-    name = "abstract"
     virtual = False
 
     def make_task(self, dim: int, batch: int):
@@ -92,8 +89,6 @@ class MatmulBackend:
 
 class NativeBackend(MatmulBackend):
     """Times real numpy matmuls (dim x dim weight, batch x dim input)."""
-
-    name = "native"
 
     def __init__(self, seed: int = 0):
         self._rng = make_rng(seed)
@@ -150,7 +145,6 @@ class SyntheticBackend(MatmulBackend):
 
     def __init__(self, spec: SyntheticCurveSpec):
         self.spec = spec
-        self.name = f"synthetic(period={spec.period})"
         self._noise_rng = make_rng(spec.seed)
 
     def virtual_times(self, dim: int, runs: int) -> np.ndarray:
@@ -217,30 +211,15 @@ class SweepConfig:
 
 def sweep(backend: MatmulBackend, grid: list[int], batch: int,
           cfg: SweepConfig | None = None) -> LatencyProfile:
-    """One measure_point per grid entry, strictly sequential.
-
-    On a measurement failure the profile built so far is attached to the
-    raised error (partial-profile salvage).
-    """
+    """One measure_point per grid entry, strictly sequential; a failed
+    point raises MeasurementError naming its dim."""
     cfg = cfg or SweepConfig()
     if not grid:
         raise ContractViolation("grid must be non-empty")
-    samples: list[SampleStats] = []
-    for i, dim in enumerate(grid):
-        try:
-            samples.append(measure_point(backend, dim, batch,
-                                         cfg.warmup_runs, cfg.measured_runs))
-        except MeasurementError as exc:
-            exc.partial_profile = LatencyProfile(
-                hardware_id=cfg.hardware_id, batch=batch, grid=list(grid[:i]),
-                samples=samples, timestamp=_now(), partial=True)
-            raise
+    samples = [measure_point(backend, dim, batch, cfg.warmup_runs, cfg.measured_runs)
+               for dim in grid]
     return LatencyProfile(hardware_id=cfg.hardware_id, batch=batch,
-                          grid=list(grid), samples=samples, timestamp=_now())
-
-
-def _now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S")
+                          grid=list(grid), samples=samples)
 
 
 # --- hysteresis analysis -------------------------------------------------------
@@ -319,7 +298,7 @@ def save_profile(profile: LatencyProfile, path: str | Path) -> None:
                              repr(s.median_ns), repr(s.p95_ns), s.runs])
 
 
-def load_profile(path: str | Path, hardware_id: str = "") -> LatencyProfile:
+def load_profile(path: str | Path) -> LatencyProfile:
     grid: list[int] = []
     samples: list[SampleStats] = []
     batch = 0
@@ -347,8 +326,7 @@ def load_profile(path: str | Path, hardware_id: str = "") -> LatencyProfile:
                 grid.append(dim)
             except (ValueError, IndexError) as exc:
                 raise ProfileParseError(f"{path}:{lineno}: {exc}") from exc
-    return LatencyProfile(hardware_id=hardware_id, batch=batch, grid=grid,
-                          samples=samples)
+    return LatencyProfile(hardware_id="", batch=batch, grid=grid, samples=samples)
 
 
 def save_hysteresis_report(hmap: HysteresisMap, path: str | Path) -> None:
@@ -365,9 +343,9 @@ def save_hysteresis_report(hmap: HysteresisMap, path: str | Path) -> None:
     Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
-def profile_svg(profile: LatencyProfile, hmap: HysteresisMap | None = None,
-                width: int = 720, height: int = 360) -> str:
+def profile_svg(profile: LatencyProfile, hmap: HysteresisMap | None = None) -> str:
     """Self-contained SVG line chart: dimension vs. median latency, LHPs marked."""
+    width, height = 720, 360
     med = profile.medians()
     dims = np.array(profile.grid, dtype=float)
     pad = 48

@@ -4,13 +4,16 @@ Everything downstream (the H-LSTM cell, the grow/prune algorithms, the
 synthesis flow) is built on the primitives here: masked linear layers whose
 gradients are accumulated for *all* entries (dormant connections included,
 so growth can rank them later), elementwise activations with analytic
-derivatives, and a mask-respecting SGD step.
+derivatives, a mask-respecting SGD step, and the atomic file write every
+artifact goes through. Layer gradients take batches only: (B, width).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -137,7 +140,7 @@ class MaskedLinear:
         self.grad_b[...] = 0.0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """y = (W*Msk) x + b. Accepts a vector (in,) or a batch (B, in)."""
+        """y = (W*Msk) x + b for a batch (B, in); a vector (in,) also works."""
         x = np.asarray(x, dtype=FLOAT)
         if x.shape[-1] != self.in_dim:
             raise ContractViolation(
@@ -145,23 +148,20 @@ class MaskedLinear:
         return x @ self.w.T + self.b
 
     def backward(self, x: np.ndarray, d_y: np.ndarray) -> np.ndarray:
-        """Accumulate grad_w (unmasked) and grad_b; return dL/dx.
+        """Accumulate grad_w (unmasked) and grad_b over a batch x (B, in),
+        d_y (B, out); return dL/dx (B, in).
 
         grad_w is intentionally *not* masked: dormant-connection gradients
         must survive for growth ranking.
         """
         x = np.asarray(x, dtype=FLOAT)
         d_y = np.asarray(d_y, dtype=FLOAT)
-        if d_y.shape[-1] != self.out_dim or x.shape[-1] != self.in_dim:
+        if x.ndim != 2 or x.shape[1] != self.in_dim or d_y.shape != (len(x), self.out_dim):
             raise ContractViolation(
                 f"{self.name}: backward shapes x{x.shape}, dy{d_y.shape} vs "
-                f"W{self.w.shape}")
-        if x.ndim == 1:
-            self.grad_w += np.outer(d_y, x)
-            self.grad_b += d_y
-        else:
-            self.grad_w += d_y.T @ x
-            self.grad_b += d_y.sum(axis=0)
+                f"W{self.w.shape}; both must be batches")
+        self.grad_w += d_y.T @ x
+        self.grad_b += d_y.sum(axis=0)
         return d_y @ self.w
 
     def active_rows(self) -> np.ndarray:
@@ -191,3 +191,15 @@ def sgd_update(value: np.ndarray, grad: np.ndarray, lr: float, weight_decay: flo
     if not np.all(np.isfinite(grad)):
         raise NumericAbort("non-finite gradient in dense parameter")
     value -= lr * (grad + weight_decay * value)
+
+
+def write_atomic(path: Path, write) -> None:
+    """write(fh) to a temp file beside `path`, then rename it over `path`:
+    readers see the old file or the new one, never a partial one."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

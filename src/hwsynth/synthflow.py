@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,7 +25,7 @@ from . import growprune, latlab
 from .corpus import Corpus, batch_windows, bundled_corpus_path, load_corpus
 from .growprune import GrowPruneConfig, HalveDecision
 from .hlstm import LMModel, bptt, evaluate, perplexity, unroll_forward
-from .numkit import ContractViolation, MaskedLinear, make_rng, sgd_step, sgd_update
+from .numkit import ContractViolation, make_rng, sgd_step, sgd_update, write_atomic
 
 CONFIG_VERSION = 1
 CHECKPOINT_VERSION = 1
@@ -174,41 +173,14 @@ class FlowReport:
         }, indent=2) + "\n"
 
 
-@dataclass
-class ParamCount:
-    recurrent_total: int
-    recurrent_active: int
-    head_total: int
-    head_active: int
-    embedding: int
-
-    @property
-    def total(self) -> int:
-        return self.recurrent_total + self.head_total + self.embedding
-
-    @property
-    def active(self) -> int:
-        return self.recurrent_active + self.head_active + self.embedding
-
-
-def _layer_counts(layer: MaskedLinear) -> tuple[int, int]:
-    live_rows = int(layer.mask.any(axis=1).sum())
-    total = layer.w.size + layer.b.size
-    active = layer.active_count() + live_rows
+def param_count(model: LMModel) -> tuple[int, int]:
+    """(total, active) parameters: the embedding, then every masked layer's
+    weights and biases; a bias is active while its row has a connection."""
+    total = active = model.embedding.size
+    for layer in model.masked_layers():
+        total += layer.w.size + layer.b.size
+        active += layer.active_count() + int(layer.mask.any(axis=1).sum())
     return total, active
-
-
-def param_count(model: LMModel) -> ParamCount:
-    rec_total = rec_active = 0
-    for cell in model.cells:
-        for layer in cell.layers():
-            t, a = _layer_counts(layer)
-            rec_total += t
-            rec_active += a
-    head_total, head_active = _layer_counts(model.head)
-    return ParamCount(recurrent_total=rec_total, recurrent_active=rec_active,
-                      head_total=head_total, head_active=head_active,
-                      embedding=model.embedding.size)
 
 
 def make_seed(cfg: FlowConfig, vocab_size: int, rng: np.random.Generator) -> LMModel:
@@ -305,12 +277,6 @@ class Trainer:
                 self.stale = 0
 
 
-def collect_bridging_gradients(model: LMModel, train_ids: np.ndarray,
-                               batch: int, seq_len: int) -> dict:
-    """Epoch-averaged loss gradients (no parameter updates), keyed by id(layer)."""
-    return _window_pass(model, train_ids, batch, seq_len, collect=True)[1]
-
-
 # --- latency of the full model ---------------------------------------------------
 
 def measure_model_latency(model: LMModel, lat: LatencyConfig) -> latlab.SampleStats:
@@ -322,10 +288,9 @@ def measure_model_latency(model: LMModel, lat: LatencyConfig) -> latlab.SampleSt
     """
     if lat.mode == "virtual":
         total = 0.0
-        for cell in model.cells:
-            for layer in cell.layers():
-                dim = max(int(layer.mask.any(axis=1).sum()), 1)
-                total += lat.curve.latency_ns(dim)
+        for layer in model.cell.layers():
+            dim = max(int(layer.mask.any(axis=1).sum()), 1)
+            total += lat.curve.latency_ns(dim)
         total += lat.curve.latency_ns(max(model.head.out_dim, 1))
         total *= lat.measure_seq
         return latlab.SampleStats(mean_ns=total, median_ns=total,
@@ -345,12 +310,13 @@ def measure_model_latency(model: LMModel, lat: LatencyConfig) -> latlab.SampleSt
 # --- checkpointing ----------------------------------------------------------------
 
 def checkpoint_save(model: LMModel, meta: dict, path: str | Path) -> None:
-    """Lossless npz snapshot: all matrices, masks, dims, and metadata."""
+    """Lossless npz snapshot: all matrices, masks (as uint8), dims, and
+    metadata."""
     arrays = {"embedding": model.embedding}
     layer_names = []
     for i, layer in enumerate(model.masked_layers()):
         arrays[f"w_{i}"] = layer.w
-        arrays[f"mask_{i}"] = layer.mask
+        arrays[f"mask_{i}"] = layer.mask.astype(np.uint8)
         arrays[f"b_{i}"] = layer.b
         layer_names.append(layer.name)
     meta_full = dict(meta)
@@ -358,8 +324,8 @@ def checkpoint_save(model: LMModel, meta: dict, path: str | Path) -> None:
         "version": CHECKPOINT_VERSION,
         "layer_names": layer_names,
         "d_x": model.d_x,
-        "d_s": model.cells[0].d_s,
-        "d_h": model.cells[0].d_h,
+        "d_s": model.cell.d_s,
+        "d_h": model.cell.d_h,
         "depth": 1,
         "hidden_depth": 1,
         "vocab_size": model.vocab_size,
@@ -367,19 +333,7 @@ def checkpoint_save(model: LMModel, meta: dict, path: str | Path) -> None:
     })
     arrays["meta_json"] = np.frombuffer(
         json.dumps(meta_full).encode("utf-8"), dtype=np.uint8)
-    _write_atomic(Path(path), lambda fh: np.savez(fh, **arrays))
-
-
-def _write_atomic(path: Path, write) -> None:
-    """write(fh) to a temp file beside `path`, then rename it over `path`:
-    readers see the old file or the new one, never a partial one."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(Path(path), lambda fh: np.savez(fh, **arrays))
 
 
 def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
@@ -399,7 +353,10 @@ def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
                            meta["d_h"], make_rng(0), dropout_h=meta["dropout_h"])
     model.embedding[...] = data["embedding"]
     for i, layer in enumerate(model.masked_layers()):
-        layer.mask[...] = data[f"mask_{i}"]
+        mask = data[f"mask_{i}"]
+        if not np.all((mask == 0) | (mask == 1)):
+            raise CheckpointError(f"checkpoint {path}: mask_{i} has entries other than 0 and 1")
+        layer.mask[...] = mask
         layer.w[...] = data[f"w_{i}"]
         layer.b[...] = data[f"b_{i}"]
         layer.name = meta["layer_names"][i]
@@ -412,12 +369,18 @@ def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
 class SynthesisFlow:
     def __init__(self, cfg: FlowConfig, out_dir: str | Path | None = None):
         # Checked here, not in FlowConfig, because the CLI sets cpu_mode and
-        # profile_path after the config is built.
-        if not cfg.cpu_mode and not cfg.profile_path:
-            lo, hi, step = cfg.profile_grid
-            if range(lo, hi + 1, step)[-1] < cfg.d_s:
-                raise ConfigError(f"profile_grid {cfg.profile_grid} stops below d_s "
-                                  f"{cfg.d_s}; rcg could not look up the pruned dim")
+        # profile_path after the config is built. A loaded profile is kept for rcg.
+        self.profile: latlab.LatencyProfile | None = None
+        if not cfg.cpu_mode:
+            if cfg.profile_path:
+                self.profile = latlab.load_profile(cfg.profile_path)
+                source, top = f"profile {cfg.profile_path}", max(self.profile.grid, default=0)
+            else:
+                lo, hi, step = cfg.profile_grid
+                source, top = f"profile_grid {cfg.profile_grid}", range(lo, hi + 1, step)[-1]
+            if top < cfg.d_s:
+                raise ConfigError(f"{source} stops below d_s {cfg.d_s}; rcg could not "
+                                  f"look up the pruned dim")
         self.cfg = cfg
         self.out_dir = Path(out_dir) if out_dir is not None else None
         if self.out_dir is not None:
@@ -435,11 +398,11 @@ class SynthesisFlow:
     # - helpers -
 
     def _row(self, step: str, model: LMModel, ppl: float) -> ReportRow:
-        counts = param_count(model)
-        d_s, d_h = model.cells[0].active_dims()
+        total, active = param_count(model)
+        d_s, d_h = model.cell.active_dims()
         lat = measure_model_latency(model, self.cfg.latency)
         return ReportRow(step=step, d_s=d_s, d_h=d_h, d_x=model.d_x,
-                         total_params=counts.total, active_params=counts.active,
+                         total_params=total, active_params=active,
                          valid_ppl=ppl, latency_median_ns=lat.median_ns,
                          latency_mean_ns=lat.mean_ns, latency_p95_ns=lat.p95_ns)
 
@@ -447,7 +410,8 @@ class SynthesisFlow:
         return (copy.deepcopy(self.model), self.trainer.lr)
 
     def _restore(self, snap) -> None:
-        self.model, self.trainer.lr = copy.deepcopy(snap[0]), snap[1]
+        # each prune iteration takes a fresh snapshot, so this one is not reused
+        self.model, self.trainer.lr = snap
 
     def _save_phase_artifacts(self, tag: str) -> None:
         if self.out_dir is None:
@@ -479,7 +443,7 @@ class SynthesisFlow:
             trainer.note_valid(valid_nll)
             ppl = perplexity(valid_nll)
             self.log(f"[{label}] epoch {ep + 1}/{epochs} valid ppl {ppl:.3f} "
-                     f"active {param_count(model).active}")
+                     f"active {param_count(model)[1]}")
         return ppl
 
     # - steps -
@@ -543,7 +507,7 @@ class SynthesisFlow:
         self.state.advance("rcp")
 
         def prune_once(gp, single_mode):
-            cell = self.model.cells[0]
+            cell = self.model.cell
             before = cell.active_dims()
             if single_mode:
                 after = growprune.coordinated_rc_prune_counts(
@@ -561,9 +525,8 @@ class SynthesisFlow:
         self._save_phase_artifacts("rcp")
 
     def _hysteresis_map(self) -> latlab.HysteresisMap:
-        if self.cfg.profile_path:
-            profile = latlab.load_profile(self.cfg.profile_path)
-        else:
+        profile = self.profile
+        if profile is None:
             lo, hi, step = self.cfg.profile_grid
             grid = list(range(lo, hi + 1, step))
             if self.cfg.latency.mode == "virtual":
@@ -577,15 +540,16 @@ class SynthesisFlow:
     def step_rc_grow(self) -> None:
         self.state.advance("rcg")
         hmap = self._hysteresis_map()
-        cell = self.model.cells[0]
+        cell = self.model.cell
         cur_s, cur_h = cell.active_dims()
         tied = max(cur_s, cur_h)
         target = latlab.nearest_lhp(hmap, tied)
         self.report.lhp_target = target.dim
         if target.found and target.dim > tied:
             target_dim = min(target.dim, self.cfg.d_s)
-            grads = collect_bridging_gradients(self.model, self.corpus.train,
-                                               self.cfg.batch, self.cfg.seq_len)
+            # bridging gradients: epoch-averaged, no parameter updates
+            grads = _window_pass(self.model, self.corpus.train, self.cfg.batch,
+                                 self.cfg.seq_len, collect=True)[1]
             growprune.coordinated_rc_grow_counts(
                 cell, self.model.head, grads,
                 target_dim - cur_s, target_dim - cur_h, self.trainer.lr)
@@ -626,8 +590,8 @@ class SynthesisFlow:
             if self.out_dir is not None:
                 for name, text in (("report.csv", self.report.to_csv()),
                                    ("report.json", self.report.to_json())):
-                    _write_atomic(self.out_dir / name,
-                                  lambda fh: fh.write(text.encode("utf-8")))
+                    write_atomic(self.out_dir / name,
+                                 lambda fh: fh.write(text.encode("utf-8")))
         return self.report
 
 

@@ -179,14 +179,13 @@ def _sigmoid_split(v):
 
 
 def per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c, rng=None, dropout=0.0):
-    """Forward then backward of one step, for a vector or a batch.
+    """Forward then backward of one step of a (B, width) batch.
 
     With dropout > 0 each gate's keep mask is drawn from rng, gate by gate
     in f, i, o, g order. Returns a dict: h, c, gate_out (per gate), d_x,
     d_h_prev, d_c_prev and grads {layer name: (grad_w, grad_b)}.
     """
-    z = np.concatenate([x, h_prev], axis=-1)
-    batched = z.ndim == 2
+    z = np.concatenate([x, h_prev], axis=1)
     hid, keep, gin, out = {}, {}, {}, {}
     for g in "fiog":
         hl, ol = cell.h_layers[g], cell.o_layers[g]
@@ -218,12 +217,9 @@ def per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c, rng=None, dropout=0.0)
             d_in = d_in * keep[g]
         d_pre = d_in * (hid[g] > 0.0)
         for layer, d_y, inp in ((ol, d_pre_out, gin[g]), (hl, d_pre, z)):
-            if batched:
-                grads[layer.name] = (d_y.T @ inp, d_y.sum(axis=0))
-            else:
-                grads[layer.name] = (np.outer(d_y, inp), d_y.copy())
+            grads[layer.name] = (d_y.T @ inp, d_y.sum(axis=0))
         d_z += d_pre @ (hl.w * hl.mask)
-    d_x_width = x.shape[-1]
-    return {"h": h, "c": c, "gate_out": out, "d_x": d_z[..., :d_x_width],
-            "d_h_prev": d_z[..., d_x_width:], "d_c_prev": d_cc * out["f"],
+    d_x_width = x.shape[1]
+    return {"h": h, "c": c, "gate_out": out, "d_x": d_z[:, :d_x_width],
+            "d_h_prev": d_z[:, d_x_width:], "d_c_prev": d_cc * out["f"],
             "grads": grads}

@@ -54,15 +54,15 @@ def _fd_model(seed):
         # where one-sided finite differences are undefined
         layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
         layer.apply_mask()
-    tokens = rng.integers(0, 6, size=4)
-    targets = rng.integers(0, 6, size=4)
+    tokens = rng.integers(0, 6, size=(1, 4))
+    targets = rng.integers(0, 6, size=(1, 4))
     return model, tokens, targets
 
 
 def _total_nll(model, tokens, targets):
     logits, _, _ = unroll_forward(model, tokens)
-    probs = softmax(logits)
-    picked = probs[np.arange(len(tokens)), targets]
+    probs = softmax(logits[0])
+    picked = probs[np.arange(tokens.shape[1]), targets[0]]
     return float(-np.log(picked).sum())
 
 

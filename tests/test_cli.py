@@ -84,6 +84,18 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_short_profile_fails_before_training(self, workdir, flow_config, capsys):
+        # the flow's d_s is 12; this profile stops at 8
+        short = workdir / "short.csv"
+        short.write_text("dim,batch,mean_ns,median_ns,p95_ns,runs\n"
+                         + "".join(f"{d},16,1.0,1.0,1.0,5\n" for d in range(1, 9)),
+                         encoding="utf-8")
+        out = workdir / "short_profile_out"
+        assert main(["synthesize", "--config", flow_config, "--profile", str(short),
+                     "--out", str(out)]) == 2
+        assert "short.csv" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

@@ -23,15 +23,12 @@ class TestBundledCorpus:
         assert len(corpus.train) == int(n * 0.8)
         assert len(corpus.valid) == int(n * 0.1)
 
-    def test_encode_decode_round_trip(self):
-        corpus = load_corpus(bundled_corpus_path())
-        text = corpus.decode(corpus.train[:200])
-        assert np.array_equal(corpus.encode(text), corpus.train[:200])
-
-    def test_unknown_character_rejected(self):
-        corpus = load_corpus(bundled_corpus_path())
-        with pytest.raises(ContractViolation):
-            corpus.encode("\x07")
+    def test_ids_map_back_to_text(self):
+        path = bundled_corpus_path()
+        corpus = load_corpus(path)
+        ids = np.concatenate([corpus.train, corpus.valid, corpus.test])
+        assert "".join(corpus.chars[i] for i in ids) == path.read_text(encoding="utf-8")
+        assert corpus.chars == sorted(set(corpus.chars))
 
 
 class TestLoadErrors:

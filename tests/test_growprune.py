@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -436,3 +437,28 @@ class TestExportMasks:
         assert pbm.splitlines()[0] == "P1"
         assert pbm.splitlines()[1] == "3 2"
         assert pbm.splitlines()[2] == "1 0 1"
+
+    def test_failed_export_keeps_previous_files(self, tmp_path, monkeypatch):
+        layers = [MaskedLinear(w=np.ones((2, 3)), mask=np.ones((2, 3)), b=np.zeros(2),
+                               name=f"cell0.H{g}") for g in "fio"]
+        export_masks(layers, tmp_path, tag="rcg")
+        export_masks(layers, tmp_path, tag="wp")
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        for layer in layers:
+            layer.mask[0, :] = layer.w[0, :] = 0.0
+        replaced, real_replace = [], os.replace
+
+        def fail_on_second(src, dst):
+            if replaced:
+                raise OSError("disk full")
+            replaced.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_second)
+        with pytest.raises(OSError, match="disk full"):
+            export_masks(layers, tmp_path, tag="wp")
+        after = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        assert sorted(after) == sorted(before)        # no temp file left behind
+        assert replaced == ["wp_00_cell0_Hf.pbm"]
+        for name, data in after.items():
+            assert (data != before[name]) == (name in replaced), name

@@ -16,7 +16,7 @@ from hwsynth.hlstm import (
     softmax,
     unroll_forward,
 )
-from hwsynth.numkit import ContractViolation, make_rng
+from hwsynth.numkit import ContractViolation, MaskedLinear, make_rng
 from oracles import (
     fd_dense_gradients,
     fd_layer_gradients,
@@ -34,7 +34,7 @@ def zeroed_cell(d_x=2, d_s=3, d_h=2):
     return cell
 
 
-def random_model(seed, vocab, d_x, d_s, d_h, density=0.7, T=4, batch=None):
+def random_model(seed, vocab, d_x, d_s, d_h, density=0.7, T=4, batch=1):
     """Sparse random model with nonzero biases (keeps relu pre-activations
     away from the kink at exactly zero, where fd oracles are undefined)."""
     rng = make_rng(seed)
@@ -43,31 +43,26 @@ def random_model(seed, vocab, d_x, d_s, d_h, density=0.7, T=4, batch=None):
         layer.mask[...] = rng.random(layer.mask.shape) < density
         layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
         layer.apply_mask()
-    shape = (T,) if batch is None else (batch, T)
-    tokens = rng.integers(0, vocab, size=shape)
-    targets = rng.integers(0, vocab, size=shape)
+    tokens = rng.integers(0, vocab, size=(batch, T))
+    targets = rng.integers(0, vocab, size=(batch, T))
     return model, tokens, targets
 
 
 def total_nll(model, tokens, targets):
     logits, _, _ = unroll_forward(model, tokens)
     probs = softmax(logits)
-    tokens = np.asarray(tokens)
-    if tokens.ndim == 2:
-        B, T = tokens.shape
-        rows = np.repeat(np.arange(B), T)
-        cols = np.tile(np.arange(T), B)
-        picked = probs[rows, cols, np.asarray(targets).reshape(-1)]
-    else:
-        picked = probs[np.arange(len(tokens)), targets]
-    return float(-np.log(picked).sum())
+    B, T = tokens.shape
+    rows = np.repeat(np.arange(B), T)
+    cols = np.tile(np.arange(T), B)
+    return float(-np.log(probs[rows, cols, targets.reshape(-1)]).sum())
 
 
 class TestCellForward:
     def test_all_zero_weights(self):
         cell = zeroed_cell()
-        c_prev = np.array([0.2, -0.4, 1.0])
-        state, _ = cell_forward(cell, np.ones(2), HLSTMState(h=np.zeros(3), c=c_prev))
+        c_prev = np.array([[0.2, -0.4, 1.0]])
+        state, _ = cell_forward(cell, np.ones((1, 2)),
+                                HLSTMState(h=np.zeros((1, 3)), c=c_prev))
         assert np.allclose(state.c, 0.5 * c_prev)
         assert np.allclose(state.h, 0.5 * np.tanh(0.5 * c_prev))
 
@@ -82,8 +77,8 @@ class TestCellForward:
             cell.o_layers[gate].w[...] = [[wo]]
             cell.o_layers[gate].b[...] = bo
         x, h0, c0 = 0.4, -0.3, 0.6
-        state, _ = cell_forward(cell, np.array([x]),
-                                HLSTMState(h=np.array([h0]), c=np.array([c0])))
+        state, _ = cell_forward(cell, np.array([[x]]),
+                                HLSTMState(h=np.array([[h0]]), c=np.array([[c0]])))
         # independent hand evaluation of the six-equation chain
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
@@ -95,24 +90,24 @@ class TestCellForward:
         g = math.tanh(acts["g"])
         c = f * c0 + i * g
         h = o * math.tanh(c)
-        assert state.c[0] == pytest.approx(c, rel=1e-12)
-        assert state.h[0] == pytest.approx(h, rel=1e-12)
+        assert state.c[0, 0] == pytest.approx(c, rel=1e-12)
+        assert state.h[0, 0] == pytest.approx(h, rel=1e-12)
 
     def test_zero_cell_state_and_zero_g_weights(self):
         rng = make_rng(2)
         cell = HLSTMCellParams.create(2, 3, 2, rng)
         cell.o_layers["g"].w[...] = 0.0
         cell.o_layers["g"].b[...] = 0.0
-        state, _ = cell_forward(cell, rng.standard_normal(2), HLSTMState.zeros(3))
-        assert np.array_equal(state.c, np.zeros(3))
-        assert np.array_equal(state.h, np.zeros(3))
+        state, _ = cell_forward(cell, rng.standard_normal((1, 2)), HLSTMState.zeros(3, 1))
+        assert np.array_equal(state.c, np.zeros((1, 3)))
+        assert np.array_equal(state.h, np.zeros((1, 3)))
 
     def test_gate_bounds(self):
         rng = make_rng(3)
         cell = HLSTMCellParams.create(3, 4, 5, rng)
-        state = HLSTMState.zeros(4)
+        state = HLSTMState.zeros(4, 1)
         for _ in range(20):
-            state, cache = cell_forward(cell, rng.uniform(-3, 3, size=3), state)
+            state, cache = cell_forward(cell, rng.uniform(-3, 3, size=(1, 3)), state)
             assert np.all(np.abs(state.h) < 1.0)
             sig = cache.gate_out[:3]    # f, i, o
             assert np.all((sig > 0) & (sig < 1))
@@ -124,11 +119,11 @@ class TestCellForward:
         for gate in GATES:
             cell.h_layers[gate].mask[:, j] = 0.0
             cell.h_layers[gate].apply_mask()
-        x = rng.standard_normal(4)
-        prev = HLSTMState(h=rng.standard_normal(3), c=rng.standard_normal(3))
+        x = rng.standard_normal((1, 4))
+        prev = HLSTMState(h=rng.standard_normal((1, 3)), c=rng.standard_normal((1, 3)))
         s1, _ = cell_forward(cell, x, prev)
         x2 = x.copy()
-        x2[j] = 99.0
+        x2[0, j] = 99.0
         s2, _ = cell_forward(cell, x2, prev)
         assert np.array_equal(s1.h, s2.h)
         assert np.array_equal(s1.c, s2.c)
@@ -140,33 +135,39 @@ class TestCellForward:
         l2, _, _ = unroll_forward(model, tokens, train=False)
         assert l1.tobytes() == l2.tobytes()
 
+    def test_vector_step_rejected(self):
+        cell = zeroed_cell()
+        with pytest.raises(ContractViolation):
+            cell_forward(cell, np.ones(2), HLSTMState.zeros(3, 1))
+
 
 class TestCellBackward:
     def test_zero_upstream(self):
         rng = make_rng(7)
         cell = HLSTMCellParams.create(2, 3, 2, rng)
-        _, cache = cell_forward(cell, rng.standard_normal(2), HLSTMState.zeros(3))
-        d_x, d_prev = cell_backward(cell, cache, np.zeros(3), np.zeros(3))
-        assert np.array_equal(d_x, np.zeros(2))
-        assert np.array_equal(d_prev.h, np.zeros(3))
+        _, cache = cell_forward(cell, rng.standard_normal((1, 2)), HLSTMState.zeros(3, 1))
+        d_x, d_prev = cell_backward(cell, cache, np.zeros((1, 3)), np.zeros((1, 3)))
+        assert np.array_equal(d_x, np.zeros((1, 2)))
+        assert np.array_equal(d_prev.h, np.zeros((1, 3)))
         for layer in cell.layers():
             assert np.array_equal(layer.grad_w, np.zeros_like(layer.grad_w))
 
     def test_zero_weight_cell_c_prev_gradient(self):
         cell = zeroed_cell(d_x=2, d_s=3, d_h=2)
-        c_prev = np.array([0.1, 0.2, 0.3])
-        _, cache = cell_forward(cell, np.ones(2), HLSTMState(h=np.zeros(3), c=c_prev))
-        d_c = np.array([1.0, -2.0, 0.5])
-        _, d_prev = cell_backward(cell, cache, np.zeros(3), d_c)
+        c_prev = np.array([[0.1, 0.2, 0.3]])
+        _, cache = cell_forward(cell, np.ones((1, 2)),
+                                HLSTMState(h=np.zeros((1, 3)), c=c_prev))
+        d_c = np.array([[1.0, -2.0, 0.5]])
+        _, d_prev = cell_backward(cell, cache, np.zeros((1, 3)), d_c)
         assert np.allclose(d_prev.c, 0.5 * d_c)  # c_t = 0.5 * c_prev
 
     def test_cache_reuse_rejected(self):
         rng = make_rng(8)
         cell = HLSTMCellParams.create(2, 2, 2, rng)
-        _, cache = cell_forward(cell, rng.standard_normal(2), HLSTMState.zeros(2))
-        cell_backward(cell, cache, np.zeros(2), np.zeros(2))
+        _, cache = cell_forward(cell, rng.standard_normal((1, 2)), HLSTMState.zeros(2, 1))
+        cell_backward(cell, cache, np.zeros((1, 2)), np.zeros((1, 2)))
         with pytest.raises(ContractViolation):
-            cell_backward(cell, cache, np.zeros(2), np.zeros(2))
+            cell_backward(cell, cache, np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_parameter_gradients_match_fd(self):
         rng = make_rng(9)
@@ -175,15 +176,15 @@ class TestCellBackward:
             layer.mask[...] = rng.random(layer.mask.shape) < 0.7
             layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
             layer.apply_mask()
-        x = rng.standard_normal(3)
-        prev = HLSTMState(h=rng.standard_normal(4) * 0.5,
-                          c=rng.standard_normal(4) * 0.5)
-        r_h = rng.standard_normal(4)
-        r_c = rng.standard_normal(4)
+        x = rng.standard_normal((1, 3))
+        prev = HLSTMState(h=rng.standard_normal((1, 4)) * 0.5,
+                          c=rng.standard_normal((1, 4)) * 0.5)
+        r_h = rng.standard_normal((1, 4))
+        r_c = rng.standard_normal((1, 4))
 
         def loss():
             state, _ = cell_forward(cell, x, prev)
-            return float(r_h @ state.h + r_c @ state.c)
+            return float((r_h * state.h).sum() + (r_c * state.c).sum())
 
         _, cache = cell_forward(cell, x, prev)
         cell_backward(cell, cache, r_h, r_c)
@@ -200,7 +201,8 @@ def pruned_cell(seed, d_x=16, d_s=40, d_h=36):
         layer.mask[...] = rng.random(layer.mask.shape) < 0.7
         layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
         layer.apply_mask()
-    coordinated_rc_prune_counts(cell, None, 5, 4)
+    head = MaskedLinear.dense(9, d_s, rng, name="head")
+    coordinated_rc_prune_counts(cell, head, 5, 4)
     return cell, rng
 
 
@@ -208,8 +210,7 @@ class TestStackedKernelsMatchPerGate:
     """cell_forward/cell_backward against the per-gate reference step."""
 
     def step_inputs(self, rng, cell, batch):
-        lead = () if batch is None else (batch,)
-        return [rng.standard_normal(lead + (n,)) * 0.7
+        return [rng.standard_normal((batch, n)) * 0.7
                 for n in (cell.d_x, cell.d_s, cell.d_s, cell.d_s, cell.d_s)]
 
     def run_both(self, batch, dropout, seed):
@@ -228,7 +229,7 @@ class TestStackedKernelsMatchPerGate:
                ("d_c_prev", d_prev.c, ref["d_c_prev"])]
         for k, g in enumerate(GATES):
             want = ref["gate_out"][g]
-            out.append((f"gate {g}", cache.gate_out[k].reshape(want.shape), want))
+            out.append((f"gate {g}", cache.gate_out[k], want))
         for layer in cell.layers():
             grad_w, grad_b = ref["grads"][layer.name]
             out.append((f"{layer.name}.grad_w", layer.grad_w, grad_w))
@@ -236,25 +237,19 @@ class TestStackedKernelsMatchPerGate:
         return out
 
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
-    @pytest.mark.parametrize("batch", [4, 16, 32])
+    @pytest.mark.parametrize("batch", [1, 4, 16, 32])
     def test_batched_bitwise(self, batch, dropout):
         for key, got, want in self.run_both(batch, dropout, seed=20 + batch):
             assert got.shape == want.shape and np.array_equal(got, want), key
-
-    @pytest.mark.parametrize("dropout", [0.0, 0.3])
-    def test_unbatched_within_1e12(self, dropout):
-        for key, got, want in self.run_both(None, dropout, seed=30):
-            assert got.shape == want.shape, key
-            assert np.max(np.abs(got - want)) <= 1e-12, key
 
 
 class TestUnrollAndBptt:
     def test_T1_reduces_to_cell_plus_head(self):
         model, tokens, _ = random_model(10, vocab=5, d_x=2, d_s=3, d_h=3, T=1)
         logits, _, _ = unroll_forward(model, tokens)
-        x = model.embedding[tokens[0]]
-        state, _ = cell_forward(model.cells[0], x, HLSTMState.zeros(3))
-        assert np.allclose(logits[0], model.head.forward(state.h))
+        x = model.embedding[tokens[:, 0]]
+        state, _ = cell_forward(model.cell, x, HLSTMState.zeros(3, 1))
+        assert np.allclose(logits[:, 0], model.head.forward(state.h))
 
     def test_all_zero_model_uniform_softmax(self):
         rng = make_rng(11)
@@ -263,22 +258,31 @@ class TestUnrollAndBptt:
         for layer in model.masked_layers():
             layer.w[...] = 0.0
             layer.b[...] = 0.0
-        logits, _, _ = unroll_forward(model, np.array([0, 1, 0]))
+        logits, _, _ = unroll_forward(model, np.array([[0, 1, 0]]))
         assert np.array_equal(logits, np.zeros_like(logits))
         assert np.allclose(softmax(logits), 0.5)
 
     def test_T3_compositional_oracle(self):
         model, tokens, _ = random_model(12, vocab=6, d_x=2, d_s=3, d_h=3, T=3)
         logits, _, _ = unroll_forward(model, tokens)
-        state = HLSTMState.zeros(3)
+        state = HLSTMState.zeros(3, 1)
         for t in range(3):
-            state, _ = cell_forward(model.cells[0], model.embedding[tokens[t]], state)
-            assert np.allclose(logits[t], model.head.forward(state.h))
+            state, _ = cell_forward(model.cell, model.embedding[tokens[:, t]], state)
+            assert np.allclose(logits[:, t], model.head.forward(state.h))
 
     def test_token_out_of_range(self):
         model, _, _ = random_model(13, vocab=4, d_x=2, d_s=2, d_h=2)
         with pytest.raises(ContractViolation):
-            unroll_forward(model, np.array([0, 4]))
+            unroll_forward(model, np.array([[0, 4]]))
+
+    def test_unbatched_tokens_rejected(self):
+        model, tokens, _ = random_model(13, vocab=4, d_x=2, d_s=2, d_h=2)
+        with pytest.raises(ContractViolation):
+            unroll_forward(model, tokens[0])
+
+    def test_cells_alias_is_the_cell(self):
+        model, _, _ = random_model(13, vocab=4, d_x=2, d_s=2, d_h=2)
+        assert model.cells == [model.cell] and model.cells[0] is model.cell
 
     def test_uniform_logits_nll_is_log_v(self):
         rng = make_rng(14)
@@ -287,8 +291,8 @@ class TestUnrollAndBptt:
         for layer in model.masked_layers():
             layer.w[...] = 0.0
             layer.b[...] = 0.0
-        tokens = rng.integers(0, 7, size=5)
-        targets = rng.integers(0, 7, size=5)
+        tokens = rng.integers(0, 7, size=(1, 5))
+        targets = rng.integers(0, 7, size=(1, 5))
         logits, caches, _ = unroll_forward(model, tokens)
         loss = bptt(model, logits, caches, tokens, targets)
         assert loss == pytest.approx(5 * math.log(7), rel=1e-12)
@@ -297,10 +301,10 @@ class TestUnrollAndBptt:
         model, tokens, targets = random_model(15, vocab=4, d_x=2, d_s=2, d_h=2, T=1)
         logits, caches, _ = unroll_forward(model, tokens)
         bptt(model, logits, caches, tokens, targets)
-        probs = softmax(logits[0])
+        probs = softmax(logits[0, 0])
         expected = probs.copy()
-        expected[targets[0]] -= 1.0
-        top_h = caches[0][0].gate_out[GATES.index("o")] * caches[0][0].tanh_c
+        expected[targets[0, 0]] -= 1.0
+        top_h = caches[0].gate_out[GATES.index("o")][0] * caches[0].tanh_c[0]
         assert np.allclose(model.head.grad_w, np.outer(expected, top_h))
 
     def test_whole_model_fd(self):
@@ -320,7 +324,7 @@ class TestUnrollAndBptt:
                                               T=3, batch=2)
         logits, caches, _ = unroll_forward(model, tokens)
         loss_b = bptt(model, logits, caches, tokens, targets)
-        loss_s = sum(total_nll(model, tokens[b], targets[b]) for b in range(2))
+        loss_s = sum(total_nll(model, tokens[b:b + 1], targets[b:b + 1]) for b in range(2))
         assert loss_b == pytest.approx(loss_s, rel=1e-12)
 
 

@@ -121,25 +121,25 @@ class TestSweep:
                         cfg=SweepConfig(measured_runs=5))
         assert len(profile.samples) == 29
         assert profile.grid == grid
-        assert not profile.partial
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ContractViolation):
             sweep(SyntheticBackend(SyntheticCurveSpec()), [], 16)
 
-    def test_partial_profile_attached_on_failure(self):
+    def test_failure_stops_the_sweep_at_its_dim(self):
+        measured = []
+
         class FailsAt(SyntheticBackend):
             def virtual_times(self, dim, runs):
                 if dim >= 32:
                     raise MeasurementError(dim, "thermal")
+                measured.append(dim)
                 return super().virtual_times(dim, runs)
         backend = FailsAt(SyntheticCurveSpec())
-        with pytest.raises(MeasurementError) as exc_info:
+        with pytest.raises(MeasurementError, match="dim 32") as exc_info:
             sweep(backend, [8, 16, 32, 64], 16, SweepConfig(measured_runs=5))
-        partial = exc_info.value.partial_profile
-        assert partial.partial
-        assert partial.grid == [8, 16]
-        assert len(partial.samples) == 2
+        assert exc_info.value.dim == 32
+        assert measured == [8, 16]
 
     def test_non_ascending_grid_rejected(self):
         with pytest.raises(ContractViolation):
@@ -326,7 +326,8 @@ class TestPersistence:
 
 class TestBackendFactory:
     def test_native(self):
-        assert make_backend("native").name == "native"
+        backend = make_backend("native")
+        assert type(backend) is NativeBackend and not backend.virtual
 
     def test_synthetic_from_file(self, tmp_path):
         path = tmp_path / "c.json"

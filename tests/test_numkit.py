@@ -84,8 +84,8 @@ class TestMaskedAffine:
     def test_zero_upstream_gradient(self):
         layer, rng = small_layer(2)
         before = layer.grad_w.copy()
-        dx = layer.backward(rng.standard_normal(2), np.zeros(3))
-        assert np.array_equal(dx, np.zeros(2))
+        dx = layer.backward(rng.standard_normal((1, 2)), np.zeros((1, 3)))
+        assert np.array_equal(dx, np.zeros((1, 2)))
         assert np.array_equal(layer.grad_w, before)
 
     def test_dense_transpose_rule(self):
@@ -93,14 +93,14 @@ class TestMaskedAffine:
         layer = MaskedLinear(w=rng.standard_normal((3, 2)),
                              mask=np.ones((3, 2)), b=np.zeros(3))
         dy = rng.standard_normal(3)
-        dx = layer.backward(rng.standard_normal(2), dy)
-        assert np.allclose(dx, layer.w.T @ dy)
+        dx = layer.backward(rng.standard_normal((1, 2)), dy[None])
+        assert np.allclose(dx[0], layer.w.T @ dy)
 
     def test_gradients_match_fd_including_dormant(self):
         layer, rng = small_layer(4)
         x = rng.standard_normal(2)
         r = rng.standard_normal(3)  # random linear functional as scalar loss
-        layer.backward(x, r)
+        layer.backward(x[None], r[None])
         fd = fd_layer_gradients(layer, lambda: float(r @ layer.forward(x)))
         assert max_rel_err(layer.grad_w, fd, floor=1e-6) < 1e-6
 
@@ -110,7 +110,7 @@ class TestMaskedAffine:
             layer, rng = small_layer(100 + seed, out_dim=4, in_dim=5, density=0.5)
             x = rng.standard_normal(5)
             r = rng.standard_normal(4)
-            layer.backward(x, r)
+            layer.backward(x[None], r[None])
             fd = fd_layer_gradients(layer, lambda: float(r @ layer.forward(x)))
             assert max_rel_err(layer.grad_w, fd, floor=1e-6) < 1e-5
 
@@ -122,14 +122,21 @@ class TestMaskedAffine:
         batched = layer.grad_w.copy()
         layer.zero_grads()
         for x, dy in zip(xs, dys):
-            layer.backward(x, dy)
+            layer.backward(x[None], dy[None])
         assert np.allclose(layer.grad_w, batched)
+
+    def test_backward_refuses_vectors(self):
+        layer, rng = small_layer(10)
+        with pytest.raises(ContractViolation):
+            layer.backward(rng.standard_normal(2), rng.standard_normal(3))
+        with pytest.raises(ContractViolation):
+            layer.backward(rng.standard_normal((1, 2)), rng.standard_normal(3))
 
 
 class TestSgdStep:
     def test_lr_zero_no_change(self):
         layer, rng = small_layer(6)
-        layer.backward(rng.standard_normal(2), rng.standard_normal(3))
+        layer.backward(rng.standard_normal((1, 2)), rng.standard_normal((1, 3)))
         before = layer.w.copy()
         sgd_step(layer, lr=0.0)
         assert np.array_equal(layer.w, before)
@@ -150,7 +157,7 @@ class TestSgdStep:
 
     def test_clears_gradients(self):
         layer, rng = small_layer(7)
-        layer.backward(rng.standard_normal(2), rng.standard_normal(3))
+        layer.backward(rng.standard_normal((1, 2)), rng.standard_normal((1, 3)))
         sgd_step(layer, lr=0.01)
         assert np.array_equal(layer.grad_w, np.zeros_like(layer.grad_w))
         assert np.array_equal(layer.grad_b, np.zeros_like(layer.grad_b))
@@ -158,7 +165,7 @@ class TestSgdStep:
     def test_mask_consistency_after_step(self):
         for seed in range(5):
             layer, rng = small_layer(seed, 6, 5, density=0.4)
-            layer.backward(rng.standard_normal(5), rng.standard_normal(6))
+            layer.backward(rng.standard_normal((1, 5)), rng.standard_normal((1, 6)))
             sgd_step(layer, lr=0.3, weight_decay=0.01)
             assert np.all(layer.w[layer.mask == 0.0] == 0.0)
 

@@ -37,6 +37,17 @@ def tiny_corpus(tmp_path_factory):
     return str(path)
 
 
+def write_profile(path, top):
+    """A profile CSV of a period-4 synthetic curve over dims 1..top (no rows for 0)."""
+    curve = latlab.SyntheticCurveSpec(period=4)
+    grid = list(range(1, top + 1))
+    latlab.save_profile(latlab.LatencyProfile(
+        hardware_id="t", batch=16, grid=grid,
+        samples=[latlab.SampleStats(m, m, m, 5) for m in map(curve.latency_ns, grid)]),
+        path)
+    return str(path)
+
+
 def tiny_config(tiny_corpus, **overrides):
     base = dict(
         corpus_path=tiny_corpus,
@@ -113,7 +124,7 @@ class TestFlowConfig:
         with pytest.raises(ConfigError, match="profile_grid"):
             FlowConfig(d_s=12, d_h=12, profile_grid=grid)
 
-    def test_profile_grid_must_reach_d_s_when_sweeping(self, tiny_corpus):
+    def test_profile_grid_must_reach_d_s_when_sweeping(self, tiny_corpus, tmp_path):
         # (1, 12, 2) stops at 11 < d_s: refused before the corpus is even read
         with pytest.raises(ConfigError, match="profile_grid"):
             SynthesisFlow(tiny_config("/nonexistent/corpus.txt", profile_grid=(1, 12, 2)))
@@ -122,8 +133,24 @@ class TestFlowConfig:
         # no sweep, no requirement: cpu_mode and a loaded profile skip it
         SynthesisFlow(tiny_config(tiny_corpus, profile_grid=(1, 8, 1), cpu_mode=True))
         SynthesisFlow(tiny_config(tiny_corpus, profile_grid=(1, 8, 1),
-                                  profile_path="profile.csv"))
+                                  profile_path=write_profile(tmp_path / "p.csv", 12)))
         SynthesisFlow(tiny_config(tiny_corpus, profile_grid=(2, 12, 2)))
+
+    @pytest.mark.parametrize("top", [0, 11])
+    def test_loaded_profile_must_reach_d_s(self, tiny_corpus, tmp_path, top):
+        # no rows, or a largest dim below d_s = 12: refused before any training
+        path = write_profile(tmp_path / "short.csv", top)
+        with pytest.raises(ConfigError, match="short.csv"):
+            SynthesisFlow(tiny_config(tiny_corpus, profile_path=path))
+        SynthesisFlow(tiny_config(tiny_corpus, profile_path=path, cpu_mode=True))
+
+    def test_rcg_reuses_the_loaded_profile(self, tiny_corpus, tmp_path):
+        path = write_profile(tmp_path / "p.csv", 12)
+        flow = SynthesisFlow(tiny_config(tiny_corpus, profile_path=path))
+        flow.log = lambda *a, **k: None
+        os.remove(path)         # read once, up front; rcg must not read it again
+        report = flow.run()
+        assert report.complete and report.lhp_target is not None
 
 
 class TestFlowState:
@@ -167,16 +194,15 @@ class TestMakeSeed:
 def assert_views_own_blocks(model, others=()):
     """Every gate layer's arrays are views of its gate's slice of its own
     cell's blocks, and share no memory with any cell of `others`."""
-    for cell in model.cells:
-        for block, layers in ((cell.H, cell.h_layers), (cell.O, cell.o_layers)):
-            for k, gate in enumerate(GATES):
-                for attr in ARRAYS:
-                    view, own = getattr(layers[gate], attr), getattr(block, attr)[k]
-                    assert view.shape == own.shape and np.shares_memory(view, own)
-                    for other in others:
-                        for ocell in other.cells:
-                            assert not np.shares_memory(view, getattr(ocell.H, attr))
-                            assert not np.shares_memory(view, getattr(ocell.O, attr))
+    cell = model.cell
+    for block, layers in ((cell.H, cell.h_layers), (cell.O, cell.o_layers)):
+        for k, gate in enumerate(GATES):
+            for attr in ARRAYS:
+                view, own = getattr(layers[gate], attr), getattr(block, attr)[k]
+                assert view.shape == own.shape and np.shares_memory(view, own)
+                for other in others:
+                    assert not np.shares_memory(view, getattr(other.cell.H, attr))
+                    assert not np.shares_memory(view, getattr(other.cell.O, attr))
 
 
 class TestGateViews:
@@ -190,9 +216,9 @@ class TestGateViews:
         assert_views_own_blocks(dup, others=[model])
         assert [l.name for l in dup.masked_layers()] == \
             [l.name for l in model.masked_layers()]
-        dup.cells[0].h_layers["o"].w[...] = 0.0
-        assert not dup.cells[0].H.w[GATES.index("o")].any()
-        assert model.cells[0].H.w[GATES.index("o")].any()
+        dup.cell.h_layers["o"].w[...] = 0.0
+        assert not dup.cell.H.w[GATES.index("o")].any()
+        assert model.cell.H.w[GATES.index("o")].any()
 
     def test_checkpoint_load(self, tiny_corpus, tmp_path):
         model = make_seed(tiny_config(tiny_corpus), 9, make_rng(0))
@@ -207,10 +233,12 @@ class TestGateViews:
         before = flow.model
         snap = flow._snapshot()
         flow._restore(snap)
-        assert_views_own_blocks(flow.model, others=[before, snap[0]])
+        # the restored model is the snapshot's own copy, detached from `before`
+        assert flow.model is snap[0]
+        assert_views_own_blocks(flow.model, others=[before])
 
     def test_rebinding_refused(self):
-        layer = LMModel.create(9, 4, 6, 5, make_rng(0)).cells[0].o_layers["f"]
+        layer = LMModel.create(9, 4, 6, 5, make_rng(0)).cell.o_layers["f"]
         for attr in ARRAYS:
             with pytest.raises(ContractViolation, match=attr):
                 setattr(layer, attr, getattr(layer, attr).copy())
@@ -219,7 +247,7 @@ class TestGateViews:
     def test_grow_and_prune_through_a_view_reach_the_kernels(self, tiny_corpus):
         model = make_seed(tiny_config(tiny_corpus), 9, make_rng(0))
         tokens = make_rng(1).integers(0, 9, size=(2, 6))
-        cell = model.cells[0]
+        cell = model.cell
         base, _, _ = unroll_forward(model, tokens)
         assert weight_prune(cell.h_layers["i"], 0.5) > 0
         pruned, _, _ = unroll_forward(model, tokens)
@@ -234,23 +262,18 @@ class TestParamCount:
     def test_dense_model_hand_count(self):
         V, d_x, d_s, d_h = 9, 4, 6, 6
         model = LMModel.create(V, d_x, d_s, d_h, make_rng(0))
-        counts = param_count(model)
+        total, active = param_count(model)
         per_gate = d_h * (d_x + d_s) + d_h + d_s * d_h + d_s
-        assert counts.recurrent_total == 4 * per_gate
-        assert counts.recurrent_active == counts.recurrent_total
-        assert counts.head_total == V * d_s + V
-        assert counts.embedding == V * d_x
-        assert counts.total == counts.active
+        assert total == 4 * per_gate + (V * d_s + V) + V * d_x
+        assert active == total
 
     def test_active_drops_with_mask(self):
         model = LMModel.create(5, 2, 3, 3, make_rng(1))
-        before = param_count(model).active
+        total, before = param_count(model)
         model.head.mask[...] = 0.0
         model.head.apply_mask()
-        after = param_count(model)
-        # head contributes no active weights and no live-row biases
-        assert after.head_active == 0
-        assert after.active == before - (5 * 3 + 5)
+        # the head keeps its weights and biases in the total, but none is active
+        assert param_count(model) == (total, before - (5 * 3 + 5))
 
 
 class TestCheckpoint:
@@ -267,7 +290,7 @@ class TestCheckpoint:
         checkpoint_save(model, {"phase": "rcp"}, path)
         loaded, meta = checkpoint_load(path)
         assert meta["phase"] == "rcp"
-        tokens = make_rng(4).integers(0, 6, size=8)
+        tokens = make_rng(4).integers(0, 6, size=(1, 8))
         a, _, _ = unroll_forward(model, tokens)
         b, _, _ = unroll_forward(loaded, tokens)
         assert a.tobytes() == b.tobytes()
@@ -289,6 +312,40 @@ class TestCheckpoint:
             checkpoint_save(self.model(), {"phase": "rcp"}, path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["ck.npz"]
+
+    def test_masks_stored_as_uint8(self, tmp_path):
+        path = tmp_path / "ck.npz"
+        checkpoint_save(self.model(), {}, path)
+        data = np.load(path)
+        assert {data[f"mask_{i}"].dtype for i in range(9)} == {np.dtype(np.uint8)}
+
+    def resave(self, tmp_path, edit):
+        """Save a checkpoint, let `edit` change its arrays, write them back
+        through np.savez, and return the new path."""
+        path = tmp_path / "ck.npz"
+        checkpoint_save(self.model(), {}, path)
+        data = dict(np.load(path))
+        edit(data)
+        out = tmp_path / "edited.npz"
+        with open(out, "wb") as fh:
+            np.savez(fh, **data)
+        return out
+
+    def test_bad_mask_value_refused(self, tmp_path):
+        def edit(data):
+            data["mask_3"][0, 0] = 2
+        with pytest.raises(CheckpointError, match="mask_3"):
+            checkpoint_load(self.resave(tmp_path, edit))
+
+    def test_float64_masks_still_load(self, tmp_path):
+        def edit(data):
+            for i in range(9):
+                data[f"mask_{i}"] = data[f"mask_{i}"].astype(np.float64)
+        model = self.model()
+        loaded, _ = checkpoint_load(self.resave(tmp_path, edit))
+        for l1, l2 in zip(model.masked_layers(), loaded.masked_layers()):
+            for attr in ("w", "mask", "b"):
+                assert getattr(l1, attr).tobytes() == getattr(l2, attr).tobytes()
 
     def test_version_refusal(self, tmp_path):
         path = tmp_path / "ck.npz"
@@ -344,7 +401,7 @@ class TestVirtualLatency:
         lat = LatencyConfig(curve=latlab.SyntheticCurveSpec(period=4))
         before = measure_model_latency(model, lat).median_ns
         for gate in "fiog":
-            layer = model.cells[0].o_layers[gate]
+            layer = model.cell.o_layers[gate]
             layer.mask[8:, :] = 0.0
             layer.apply_mask()
         after = measure_model_latency(model, lat).median_ns
@@ -504,10 +561,13 @@ class TestDeterminism:
 
 
 class TestPartialReport:
-    def test_failure_still_writes_partial_report(self, tiny_corpus, tmp_path):
-        cfg = tiny_config(tiny_corpus, profile_path="/nonexistent/profile.csv")
-        with pytest.raises(Exception):
-            run_flow(cfg, tmp_path, log=lambda *a, **k: None)
+    def test_failure_still_writes_partial_report(self, tiny_corpus, tmp_path,
+                                                 monkeypatch):
+        def fail(_profile):
+            raise RuntimeError("LHP analysis failed")
+        monkeypatch.setattr(latlab, "detect_lhps", fail)
+        with pytest.raises(RuntimeError, match="LHP"):
+            run_flow(tiny_config(tiny_corpus), tmp_path, log=lambda *a, **k: None)
         data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert data["complete"] is False
         steps = [r["step"] for r in data["rows"]]
