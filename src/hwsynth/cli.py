@@ -2,7 +2,8 @@
 
 Commands: profile (latency sweep), analyze (hysteresis report + plot),
 synthesize (run the four-step flow), eval (perplexity of a checkpoint),
-report (print a flow's report table), bench (model forward latency).
+report (print a flow's report table), bench (forward latency of the
+checkpoint's compacted model, whose d_s/d_h it prints).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 """
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from . import latlab, synthflow
 from .corpus import bundled_corpus_path, load_corpus
-from .hlstm import evaluate, perplexity
+from .hlstm import compact, evaluate, perplexity
 from .numkit import ContractViolation
 
 
@@ -107,8 +108,10 @@ def cmd_bench(args) -> int:
         mode="virtual" if args.virtual else "real",
         measure_batch=args.batch, runs=args.reps)
     stats = synthflow.measure_model_latency(model, lat_cfg)
+    timed = compact(model).cell   # the shape real mode times
     print(f"median_ns={stats.median_ns!r} p95_ns={stats.p95_ns!r} "
-          f"mean_ns={stats.mean_ns!r} runs={stats.runs}")
+          f"mean_ns={stats.mean_ns!r} runs={stats.runs} "
+          f"compact_d_s={timed.d_s} compact_d_h={timed.d_h}")
     return 0
 
 

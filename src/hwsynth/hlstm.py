@@ -15,6 +15,13 @@ its slice. The kernels read w as W*Msk: w[mask == 0] == 0 always holds.
 The language model is one such cell (`LMModel.cell`) between an embedding
 and a softmax head. Every input is a batch: tokens are (B, T), a step's x
 and state are (B, width); other shapes raise ContractViolation.
+
+Training passes (`unroll_forward(train=True)`, then `bptt`) run at full
+shape, so dormant entries get gradients for growth. Forward-only passes
+(`unroll_forward(train=False)`, `evaluate`) run on `compact(model)`, a
+smaller dense copy holding only the units something reads, so pruned
+units cost no time. Real-mode latency (`synthflow.measure_model_latency`,
+`hwsynth bench`) times that compacted model.
 """
 
 from __future__ import annotations
@@ -246,30 +253,85 @@ class LMModel:
         return cls(embedding=emb, cell=cell, head=head, dropout_h=dropout_h)
 
 
-def unroll_forward(model: LMModel, tokens: np.ndarray,
-                   init: HLSTMState | None = None, train: bool = False,
-                   rng: np.random.Generator | None = None):
-    """Run T steps; returns (logits, caches, final state).
+def compact(model: LMModel) -> LMModel:
+    """The model's read units as a smaller dense model with the same logits
+    (up to BLAS summation order); the model itself when nothing is unread.
 
-    tokens has shape (B, T) and logits (B, T, V); caches holds one
-    StepCache per step. The final state allows stateful continuation
-    across minibatches.
-    """
+    A d_s unit is read while a head column or an H column d_x+s of it is
+    live, a d_h unit while an O column of it is. An unread unit only adds
+    zero terms; a unit wp emptied may still be read (its bias flows on), so
+    liveness is not `active_units()`. The embedding and d_x stay."""
+    return _compacted(model)[0]
+
+
+def _compacted(model: LMModel) -> tuple[LMModel, np.ndarray | None]:
+    """compact(model) and the d_s units it keeps (None: all of them)."""
+    cell, head, d_x = model.cell, model.head, model.d_x
+    read_s = head.mask.any(axis=0) | cell.H.mask[:, :, d_x:].any(axis=(0, 1))
+    read_h = cell.O.mask.any(axis=(0, 1))
+    if read_s.all() and read_h.all():
+        return model, None
+    s, h = np.flatnonzero(read_s), np.flatnonzero(read_h)
+    cols = np.concatenate([np.arange(d_x), d_x + s])
+    small = HLSTMCellParams(d_x, s.size, h.size, cell.name)
+    for attr in ("w", "mask"):
+        getattr(small.H, attr)[...] = getattr(cell.H, attr).take(h, axis=1).take(cols, axis=2)
+        getattr(small.O, attr)[...] = getattr(cell.O, attr).take(s, axis=1).take(h, axis=2)
+    small.H.b[...] = cell.H.b[:, h]
+    small.O.b[...] = cell.O.b[:, s]
+    small_head = MaskedLinear(head.w[:, s], head.mask[:, s], head.b.copy(), head.name)
+    return LMModel(model.embedding.copy(), small, small_head, model.dropout_h), s
+
+
+def _unroll(model: LMModel, tokens: np.ndarray, state: HLSTMState | None,
+            rng: np.random.Generator | None = None, record: bool = False):
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ContractViolation(f"tokens shape {tokens.shape} is not (B, T)")
     if np.any(tokens < 0) or np.any(tokens >= model.vocab_size):
         raise ContractViolation("token id out of vocabulary range")
     batch, T = tokens.shape
-    state = HLSTMState.zeros(model.cell.d_s, batch) if init is None else init
+    if state is None:
+        state = HLSTMState.zeros(model.cell.d_s, batch)
     logits = np.zeros(tokens.shape + (model.vocab_size,), dtype=FLOAT)
     caches: list[StepCache] = []
     for t in range(T):
         state, cache = cell_forward(model.cell, model.embedding[tokens[:, t]], state,
-                                    train=train, rng=rng, dropout_h=model.dropout_h)
+                                    train=rng is not None, rng=rng,
+                                    dropout_h=model.dropout_h)
         logits[:, t, :] = model.head.forward(state.h)
-        caches.append(cache)
+        if record:
+            caches.append(cache)
     return logits, caches, state
+
+
+def unroll_forward(model: LMModel, tokens: np.ndarray,
+                   init: HLSTMState | None = None, train: bool = False,
+                   rng: np.random.Generator | None = None):
+    """Run T steps; returns (logits, caches, final state).
+
+    tokens has shape (B, T) and logits (B, T, V). The final state allows
+    stateful continuation across minibatches.
+
+    train=True records one StepCache per step for `bptt`, at full shape;
+    dropout is on iff an rng is given. train=False is the forward-only
+    pass: it runs on compact(model), returns no caches (an empty list) and
+    takes no rng; init and the final state are full-shape, and the units
+    compact dropped come back with zero state.
+    """
+    if train:
+        return _unroll(model, tokens, init, rng, record=True)
+    if rng is not None:
+        raise ContractViolation("a forward-only pass takes no rng; dropout is for training")
+    small, kept = _compacted(model)
+    if kept is None:
+        return _unroll(model, tokens, init)
+    if init is not None:
+        init = HLSTMState(h=init.h[:, kept], c=init.c[:, kept])
+    logits, _, small_state = _unroll(small, tokens, init)
+    state = HLSTMState.zeros(model.cell.d_s, len(logits))
+    state.h[:, kept], state.c[:, kept] = small_state.h, small_state.c
+    return logits, [], state
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -297,6 +359,8 @@ def bptt(model: LMModel, logits: np.ndarray, caches, tokens: np.ndarray,
     targets = np.asarray(targets)
     if targets.shape != tokens.shape:
         raise ContractViolation("targets must match tokens shape")
+    if len(caches) != tokens.shape[1]:
+        raise ContractViolation("bptt needs the caches of a train=True unroll_forward")
     probs, idx, total_nll = _softmax_nll(logits, targets)
     d_logits = probs.copy()
     d_logits[idx] -= 1.0
@@ -318,12 +382,14 @@ def perplexity(mean_nll: float) -> float:
 
 def evaluate(model: LMModel, tokens: np.ndarray, seq_len: int = 64,
              batch: int = 1) -> float:
-    """Mean per-token NLL of a token stream, stateful across windows."""
+    """Mean per-token NLL of a token stream, stateful across windows; the
+    windows run forward-only on compact(model), compacted once."""
+    small = _compacted(model)[0]
     total_nll = 0.0
     count = 0
     state = None
     for xs, ys in batch_windows(np.asarray(tokens), batch, seq_len):
-        logits, _, state = unroll_forward(model, xs, init=state, train=False)
+        logits, _, state = _unroll(small, xs, state)
         total_nll += _softmax_nll(logits, ys)[2]
         count += xs.size
     if count == 0:

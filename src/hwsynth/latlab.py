@@ -286,7 +286,9 @@ def spearman(x, y) -> float:
 
 # --- persistence and report emission -------------------------------------------
 
-CSV_HEADER = ["dim", "batch", "mean_ns", "median_ns", "p95_ns", "runs"]
+# Profiles written before the hardware_id column load with hardware_id "".
+CSV_HEADER = ["dim", "batch", "mean_ns", "median_ns", "p95_ns", "runs", "hardware_id"]
+_REQUIRED = CSV_HEADER[:-1]
 
 
 def save_profile(profile: LatencyProfile, path: str | Path) -> None:
@@ -295,21 +297,23 @@ def save_profile(profile: LatencyProfile, path: str | Path) -> None:
         writer.writerow(CSV_HEADER)
         for dim, s in zip(profile.grid, profile.samples):
             writer.writerow([dim, profile.batch, repr(s.mean_ns),
-                             repr(s.median_ns), repr(s.p95_ns), s.runs])
+                             repr(s.median_ns), repr(s.p95_ns), s.runs,
+                             profile.hardware_id])
 
 
 def load_profile(path: str | Path) -> LatencyProfile:
     grid: list[int] = []
     samples: list[SampleStats] = []
     batch = 0
+    hardware_id = ""
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ProfileParseError(f"{path}: empty profile") from None
-        if header != CSV_HEADER:
-            missing = set(CSV_HEADER) - set(header)
+        if header not in (CSV_HEADER, _REQUIRED):
+            missing = set(_REQUIRED) - set(header)
             raise ProfileParseError(
                 f"{path}:1: bad header, missing column(s) {sorted(missing)}"
                 if missing else f"{path}:1: bad header {header}")
@@ -324,9 +328,12 @@ def load_profile(path: str | Path) -> LatencyProfile:
                                            p95_ns=float(row[4]),
                                            runs=int(row[5])))
                 grid.append(dim)
+                if len(row) > 6:
+                    hardware_id = row[6]
             except (ValueError, IndexError) as exc:
                 raise ProfileParseError(f"{path}:{lineno}: {exc}") from exc
-    return LatencyProfile(hardware_id="", batch=batch, grid=grid, samples=samples)
+    return LatencyProfile(hardware_id=hardware_id, batch=batch, grid=grid,
+                          samples=samples)
 
 
 def save_hysteresis_report(hmap: HysteresisMap, path: str | Path) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 from . import growprune, latlab
 from .corpus import Corpus, batch_windows, bundled_corpus_path, load_corpus
 from .growprune import GrowPruneConfig, HalveDecision
-from .hlstm import LMModel, bptt, evaluate, perplexity, unroll_forward
+from .hlstm import LMModel, bptt, compact, evaluate, perplexity, unroll_forward
 from .numkit import ContractViolation, make_rng, sgd_step, sgd_update, write_atomic
 
 CONFIG_VERSION = 1
@@ -206,11 +206,12 @@ def _window_pass(model: LMModel, ids: np.ndarray, batch: int, seq_len: int,
                  collect: bool = False) -> tuple[float, dict | None]:
     """Stateful forward + BPTT over every window of `ids`.
 
-    With `step`, a training pass: dropout is on and step() applies each
-    window's gradients. Without, a bridging pass: no dropout, and the
-    gradients are cleared after each window. Returns the mean NLL and, with
-    `collect`, the window-averaged full gradient (dormant entries included)
-    of every masked layer, keyed by id(layer).
+    With `step`, a training pass: dropout is on (from `rng`) and step()
+    applies each window's gradients. Without, a bridging pass: no rng, so
+    no dropout, and the gradients are cleared after each window. Both run
+    at full shape, so dormant entries get gradients. Returns the mean NLL
+    and, with `collect`, the window-averaged full gradient (dormant entries
+    included) of every masked layer, keyed by id(layer).
     """
     layers = model.masked_layers()
     sums = {id(l): np.zeros_like(l.w) for l in layers} if collect else None
@@ -219,7 +220,7 @@ def _window_pass(model: LMModel, ids: np.ndarray, batch: int, seq_len: int,
     states = None
     for xs, ys in batch_windows(ids, batch, seq_len):
         logits, caches, states = unroll_forward(model, xs, init=states,
-                                                train=step is not None, rng=rng)
+                                                train=True, rng=rng)
         total_nll += bptt(model, logits, caches, xs, ys, grad_scale=1.0 / xs.size)
         count += xs.size
         windows += 1
@@ -284,7 +285,7 @@ def measure_model_latency(model: LMModel, lat: LatencyConfig) -> latlab.SampleSt
 
     Virtual mode: deterministic closed-form sum over the per-layer active
     output dimensions, scaled by sequence length. Real mode: wall-clock
-    timing of actual forwards.
+    timing of forwards of compact(model), the shape a deployment runs.
     """
     if lat.mode == "virtual":
         total = 0.0
@@ -295,6 +296,7 @@ def measure_model_latency(model: LMModel, lat: LatencyConfig) -> latlab.SampleSt
         total *= lat.measure_seq
         return latlab.SampleStats(mean_ns=total, median_ns=total,
                                   p95_ns=total, runs=lat.runs)
+    model = compact(model)
     rng = make_rng(12345)
     tokens = rng.integers(0, model.vocab_size,
                           size=(lat.measure_batch, lat.measure_seq))
@@ -407,11 +409,13 @@ class SynthesisFlow:
                          latency_mean_ns=lat.mean_ns, latency_p95_ns=lat.p95_ns)
 
     def _snapshot(self):
-        return (copy.deepcopy(self.model), self.trainer.lr)
+        t = self.trainer
+        return (copy.deepcopy(self.model), t.lr, t.best_valid, t.stale)
 
     def _restore(self, snap) -> None:
         # each prune iteration takes a fresh snapshot, so this one is not reused
-        self.model, self.trainer.lr = snap
+        t = self.trainer
+        self.model, t.lr, t.best_valid, t.stale = snap
 
     def _save_phase_artifacts(self, tag: str) -> None:
         if self.out_dir is None:

@@ -223,3 +223,33 @@ def per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c, rng=None, dropout=0.0)
     return {"h": h, "c": c, "gate_out": out, "d_x": d_z[:, :d_x_width],
             "d_h_prev": d_z[:, d_x_width:], "d_c_prev": d_cc * out["f"],
             "grads": grads}
+
+
+# --- full-shape forward ------------------------------------------------------------
+#
+# The unroll every pass ran before forward-only passes were compacted: all
+# d_s and d_h units of the masked model, dead ones included, one StepCache
+# per step, dropout iff an rng is given. Training passes must still match it
+# bit for bit; forward-only passes up to BLAS summation order.
+
+def full_shape_forward(model, tokens, init=None, rng=None):
+    """(logits (B, T, V), caches, final full-shape state) of the masked model."""
+    from hwsynth.hlstm import HLSTMState, cell_forward
+
+    batch, T = tokens.shape
+    state = HLSTMState.zeros(model.cell.d_s, batch) if init is None else init
+    logits = np.zeros((batch, T, model.vocab_size))
+    caches = []
+    for t in range(T):
+        state, cache = cell_forward(model.cell, model.embedding[tokens[:, t]], state,
+                                    train=rng is not None, rng=rng,
+                                    dropout_h=model.dropout_h)
+        logits[:, t] = model.head.forward(state.h)
+        caches.append(cache)
+    return logits, caches, state
+
+
+def rel_max_diff(got, ref):
+    """max |got - ref| over max |ref|: a normwise relative error that stays
+    meaningful on logits near zero."""
+    return float(np.abs(got - ref).max() / np.abs(ref).max())

@@ -71,7 +71,7 @@ def test_criterion_1_gradient_fidelity():
     worst = 0.0
     for seed in range(20):
         model, tokens, targets = _fd_model(seed)
-        logits, caches, _ = unroll_forward(model, tokens)
+        logits, caches, _ = unroll_forward(model, tokens, train=True)
         bptt(model, logits, caches, tokens, targets)
         loss_fn = lambda: _total_nll(model, tokens, targets)
         for layer in model.masked_layers():

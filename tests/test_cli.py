@@ -1,9 +1,13 @@
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
 from hwsynth.cli import main
+from hwsynth.hlstm import compact
+from hwsynth.synthflow import checkpoint_load
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +126,17 @@ class TestProfileAnalyzePipeline:
         assert svg_path.read_text(encoding="utf-8").startswith("<svg ")
 
 
+    def test_analyze_report_names_the_host(self, workdir, curve_file, capsys):
+        csv_path = workdir / "host_prof.csv"
+        assert main(["profile", "--grid", "1:8:1", "--runs", "5",
+                     "--backend", f"synthetic:{curve_file}", "--out", str(csv_path)]) == 0
+        report_path = workdir / "host_hyst.json"
+        assert main(["analyze", "--profile", str(csv_path), "--out", str(report_path)]) == 0
+        capsys.readouterr()
+        data = json.loads(report_path.read_text(encoding="utf-8"))
+        assert data["hardware_id"] == os.uname().nodename != ""
+
+
 @pytest.fixture(scope="module")
 def flow_out(workdir, flow_config):
     out = workdir / "flow"
@@ -172,6 +187,17 @@ class TestSynthesizeEvalReportBench:
         assert main(args) == 0
         assert capsys.readouterr().out == first
         assert "median_ns=" in first
+
+
+    @pytest.mark.parametrize("mode", [["--virtual"], ["--reps", "5", "--batch", "2"]])
+    def test_bench_names_the_timed_shape(self, flow_out, mode, capsys):
+        path = flow_out / "checkpoint_rcp.npz"
+        timed = compact(checkpoint_load(path)[0]).cell
+        assert main(["bench", "--checkpoint", str(path)] + mode) == 0
+        out = capsys.readouterr().out
+        dims = re.search(r"compact_d_s=(\d+) compact_d_h=(\d+)", out)
+        assert dims and (int(dims[1]), int(dims[2])) == (timed.d_s, timed.d_h)
+        assert timed.d_s < 12     # rcp pruned units, so the timed shape is smaller
 
 
 class TestPartialReportWarning:

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -12,16 +13,21 @@ from hwsynth.hlstm import (
     bptt,
     cell_backward,
     cell_forward,
+    compact,
+    evaluate,
     perplexity,
     softmax,
     unroll_forward,
 )
-from hwsynth.numkit import ContractViolation, MaskedLinear, make_rng
+from hwsynth.numkit import ARRAYS, ContractViolation, MaskedLinear, make_rng
+from hwsynth.corpus import batch_windows
 from oracles import (
     fd_dense_gradients,
     fd_layer_gradients,
+    full_shape_forward,
     max_rel_err,
     per_gate_cell_step,
+    rel_max_diff,
 )
 
 
@@ -293,13 +299,13 @@ class TestUnrollAndBptt:
             layer.b[...] = 0.0
         tokens = rng.integers(0, 7, size=(1, 5))
         targets = rng.integers(0, 7, size=(1, 5))
-        logits, caches, _ = unroll_forward(model, tokens)
+        logits, caches, _ = unroll_forward(model, tokens, train=True)
         loss = bptt(model, logits, caches, tokens, targets)
         assert loss == pytest.approx(5 * math.log(7), rel=1e-12)
 
     def test_T1_equals_single_step_cross_entropy_gradient(self):
         model, tokens, targets = random_model(15, vocab=4, d_x=2, d_s=2, d_h=2, T=1)
-        logits, caches, _ = unroll_forward(model, tokens)
+        logits, caches, _ = unroll_forward(model, tokens, train=True)
         bptt(model, logits, caches, tokens, targets)
         probs = softmax(logits[0, 0])
         expected = probs.copy()
@@ -310,7 +316,7 @@ class TestUnrollAndBptt:
     def test_whole_model_fd(self):
         model, tokens, targets = random_model(16, vocab=4, d_x=2, d_s=3, d_h=3,
                                               T=4, density=0.6)
-        logits, caches, _ = unroll_forward(model, tokens)
+        logits, caches, _ = unroll_forward(model, tokens, train=True)
         bptt(model, logits, caches, tokens, targets)
         loss_fn = lambda: total_nll(model, tokens, targets)
         for layer in model.masked_layers():
@@ -322,10 +328,158 @@ class TestUnrollAndBptt:
     def test_batched_matches_sum_of_streams(self):
         model, tokens, targets = random_model(17, vocab=5, d_x=2, d_s=3, d_h=3,
                                               T=3, batch=2)
-        logits, caches, _ = unroll_forward(model, tokens)
+        logits, caches, _ = unroll_forward(model, tokens, train=True)
         loss_b = bptt(model, logits, caches, tokens, targets)
         loss_s = sum(total_nll(model, tokens[b:b + 1], targets[b:b + 1]) for b in range(2))
         assert loss_b == pytest.approx(loss_s, rel=1e-12)
+
+
+def unread_model(seed, vocab=9, d_x=5, d_s=14, d_h=12):
+    """Sparse model with nonzero biases and units of three kinds:
+    rc-pruned (cut out by coordinated_rc_prune_counts), emptied but read
+    (all incoming connections gone, as wp leaves them, yet a nonzero bias
+    and live outgoing columns), read by the head alone, and unread (live
+    incoming connections, no live outgoing column)."""
+    rng = make_rng(seed)
+    model = LMModel.create(vocab, d_x, d_s, d_h, rng)
+    cell = model.cell
+    for layer in model.masked_layers():
+        layer.mask[...] = rng.random(layer.mask.shape) < 0.7
+        layer.b[...] = rng.uniform(-0.5, 0.5, size=layer.b.shape)
+        layer.apply_mask()
+    coordinated_rc_prune_counts(cell, model.head, 3, 2)
+    s_act, h_act = (np.flatnonzero(a) for a in cell.active_units())
+    emptied_s, unread_s, head_only_s = s_act[:3]
+    emptied_h, unread_h = h_act[:2]
+    assert model.head.mask[:, head_only_s].any()
+    cell.H.mask[:, :, d_x + head_only_s] = 0.0
+    cell.O.mask[:, emptied_s, :] = 0.0            # state moves by the O bias only
+    cell.H.mask[:, emptied_h, :] = 0.0            # activation relu(H bias) only
+    cell.H.b[:, emptied_h] = 0.4
+    cell.H.mask[:, :, d_x + unread_s] = 0.0
+    model.head.mask[:, unread_s] = 0.0
+    cell.O.mask[:, :, unread_h] = 0.0
+    for layer in model.masked_layers():
+        layer.apply_mask()
+    return model, rng
+
+
+class TestCompact:
+    """Forward-only passes run on compact(model) and match the full-shape
+    masked forward to 1e-12 (normwise relative)."""
+
+    def test_rc_pruned_cell_is_sliced_to_its_active_units(self):
+        rng = make_rng(30)
+        model = LMModel.create(9, 5, 20, 16, rng)
+        coordinated_rc_prune_counts(model.cell, model.head, 7, 4)
+        small = compact(model)
+        assert (small.cell.d_s, small.cell.d_h) == (13, 12) == model.cell.active_dims()
+        assert small.d_x == model.d_x and small.vocab_size == model.vocab_size
+        tokens = rng.integers(0, 9, size=(3, 11))
+        got, caches, _ = unroll_forward(model, tokens)
+        assert caches == []
+        assert rel_max_diff(got, full_shape_forward(model, tokens)[0]) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_emptied_but_read_units_are_kept(self, seed):
+        model, rng = unread_model(seed)
+        small = compact(model)
+        # 3 and 2 units were rc-pruned, one of each kind is unread
+        assert (small.cell.d_s, small.cell.d_h) == (14 - 3 - 1, 12 - 2 - 1)
+        assert model.cell.active_dims() == (14 - 3 - 1, 12 - 2 - 1)
+        tokens = rng.integers(0, 9, size=(4, 13))
+        got, _, _ = unroll_forward(model, tokens)
+        assert rel_max_diff(got, full_shape_forward(model, tokens)[0]) <= 1e-12
+
+    def test_dense_model_is_its_own_compaction(self):
+        model, tokens, _ = random_model(31, vocab=6, d_x=3, d_s=5, d_h=4, batch=3, T=6,
+                                        density=1.0)
+        assert compact(model) is model
+        got, caches, state = unroll_forward(model, tokens)
+        ref, _, ref_state = full_shape_forward(model, tokens)
+        assert caches == []
+        assert got.tobytes() == ref.tobytes()
+        assert np.array_equal(state.h, ref_state.h) and np.array_equal(state.c, ref_state.c)
+
+    def test_state_sliced_in_and_scattered_out(self):
+        model, rng = unread_model(32)
+        tokens = rng.integers(0, 9, size=(3, 7))
+        init = HLSTMState(h=rng.standard_normal((3, 14)) * 0.5,
+                          c=rng.standard_normal((3, 14)) * 0.5)
+        got, _, state = unroll_forward(model, tokens, init=init)
+        ref, _, ref_state = full_shape_forward(model, tokens, init=init)
+        assert rel_max_diff(got, ref) <= 1e-12
+        read = compact(model).cell.d_s
+        kept = np.flatnonzero(model.head.mask.any(axis=0)
+                              | model.cell.H.mask[:, :, model.d_x:].any(axis=(0, 1)))
+        assert kept.size == read < 14
+        dropped = np.setdiff1d(np.arange(14), kept)
+        for got_s, ref_s in ((state.h, ref_state.h), (state.c, ref_state.c)):
+            assert got_s.shape == (3, 14)
+            assert rel_max_diff(got_s[:, kept], ref_s[:, kept]) <= 1e-12
+            assert not got_s[:, dropped].any()
+
+    def test_stateful_evaluate_matches_full_shape(self):
+        model, rng = unread_model(33)
+        ids = rng.integers(0, 9, size=400)
+        total, count, state = 0.0, 0, None
+        for xs, ys in batch_windows(ids, 3, 16):
+            logits, _, state = full_shape_forward(model, xs, init=state)
+            probs = softmax(logits)
+            total -= np.log(np.take_along_axis(probs, ys[..., None], axis=-1)).sum()
+            count += xs.size
+        assert count >= 3 * 16 * 5     # several windows
+        assert abs(evaluate(model, ids, seq_len=16, batch=3) - total / count) \
+            <= 1e-12 * (total / count)
+
+    def test_forward_only_moves_no_parameter_or_gradient(self):
+        model, rng = unread_model(34)
+        for layer in model.masked_layers():
+            layer.grad_w[...] = rng.standard_normal(layer.grad_w.shape)
+            layer.grad_b[...] = rng.standard_normal(layer.grad_b.shape)
+        model.embedding_grad[...] = rng.standard_normal(model.embedding_grad.shape)
+        before = copy.deepcopy(model)
+        tokens = rng.integers(0, 9, size=(2, 9))
+        unroll_forward(model, tokens)
+        evaluate(model, rng.integers(0, 9, size=200), seq_len=8, batch=2)
+        assert np.array_equal(model.embedding, before.embedding)
+        assert np.array_equal(model.embedding_grad, before.embedding_grad)
+        for a, b in zip(model.masked_layers(), before.masked_layers()):
+            for attr in ARRAYS:
+                assert np.array_equal(getattr(a, attr), getattr(b, attr)), (a.name, attr)
+
+    def test_compact_copy_shares_no_array(self):
+        model, _ = unread_model(35)
+        small = compact(model)
+        arrays = [model.embedding] + [getattr(layer, attr) for layer in model.masked_layers()
+                                      for attr in ARRAYS]
+        for new in [small.embedding] + [getattr(layer, attr) for layer in
+                                        small.masked_layers() for attr in ARRAYS]:
+            assert not any(np.shares_memory(new, old) for old in arrays)
+
+    def test_forward_only_refuses_an_rng(self):
+        model, tokens, _ = random_model(36, vocab=4, d_x=2, d_s=2, d_h=2)
+        with pytest.raises(ContractViolation, match="rng"):
+            unroll_forward(model, tokens, rng=make_rng(0))
+
+    def test_bptt_refuses_forward_only_caches(self):
+        model, tokens, targets = random_model(37, vocab=4, d_x=2, d_s=2, d_h=2)
+        logits, caches, _ = unroll_forward(model, tokens)
+        with pytest.raises(ContractViolation, match="train=True"):
+            bptt(model, logits, caches, tokens, targets)
+
+    def test_train_pass_is_the_full_shape_pass(self):
+        model, rng = unread_model(38)
+        model.dropout_h = 0.3
+        tokens = rng.integers(0, 9, size=(3, 8))
+        for seed in (None, 5):
+            run = lambda: None if seed is None else make_rng(seed)
+            got, caches, state = unroll_forward(model, tokens, train=True, rng=run())
+            ref, ref_caches, ref_state = full_shape_forward(model, tokens, rng=run())
+            assert got.tobytes() == ref.tobytes() and len(caches) == 8
+            assert state.h.tobytes() == ref_state.h.tobytes()
+            assert all(np.array_equal(a.gate_in, b.gate_in)
+                       for a, b in zip(caches, ref_caches))
 
 
 class TestPerplexity:

@@ -286,6 +286,20 @@ class TestPersistence:
         save_profile(loaded, tmp_path / "p2.csv")
         assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "p2.csv").read_bytes()
 
+    def test_hardware_id_round_trip(self, tmp_path):
+        profile = profile_from([1, 2, 3], [30.0, 10.0, 20.0])
+        profile.hardware_id = "host-a"
+        save_profile(profile, tmp_path / "p.csv")
+        assert load_profile(tmp_path / "p.csv").hardware_id == "host-a"
+
+    def test_profile_without_hardware_column_loads(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("dim,batch,mean_ns,median_ns,p95_ns,runs\n"
+                        "16,8,1.0,2.0,3.0,5\n", encoding="utf-8")
+        loaded = load_profile(path)
+        assert loaded.hardware_id == "" and loaded.grid == [16]
+        assert loaded.samples[0].median_ns == 2.0
+
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("dim,batch,mean_ns,median_ns,runs\n", encoding="utf-8")

@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 
 from hwsynth import latlab, synthflow
-from hwsynth.growprune import GrowPruneConfig, weight_grow, weight_prune
-from hwsynth.hlstm import GATES, LMModel, unroll_forward
-from hwsynth.numkit import ARRAYS, ContractViolation, make_rng
+from hwsynth.corpus import batch_windows, bundled_corpus_path, load_corpus
+from hwsynth.growprune import (
+    GrowPruneConfig,
+    coordinated_rc_prune_counts,
+    weight_grow,
+    weight_prune,
+)
+from hwsynth.hlstm import GATES, LMModel, bptt, compact, unroll_forward
+from hwsynth.numkit import ARRAYS, ContractViolation, make_rng, sgd_step, sgd_update
 from hwsynth.synthflow import (
     CheckpointError,
     ConfigError,
@@ -26,6 +32,7 @@ from hwsynth.synthflow import (
     param_count,
     run_flow,
 )
+from oracles import full_shape_forward
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +424,106 @@ class TestVirtualLatency:
         lat = LatencyConfig(mode="real", measure_batch=2, measure_seq=4, runs=5)
         stats = measure_model_latency(model, lat)
         assert stats.median_ns > 0
+
+
+def bench_variant(d, seed=1):
+    """The benchmark's infer-stage model: the 50%-sparse d=128 seed on the
+    bundled corpus, rc-pruned to d units of each kind."""
+    corpus = load_corpus(bundled_corpus_path())
+    cfg = FlowConfig(d_x=32, d_s=128, d_h=128, seed_sparsity=0.5, seed=seed)
+    model = make_seed(cfg, corpus.vocab_size, make_rng(seed))
+    if d < 128:
+        coordinated_rc_prune_counts(model.cell, model.head, 128 - d, 128 - d)
+    return model
+
+
+class TestCompactedLatency:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bench_d32_variant_compacts_to_32(self, seed):
+        model = bench_variant(32, seed)
+        small = compact(model)
+        assert (small.cell.d_s, small.cell.d_h) == (32, 32)
+        assert compact(small) is small
+
+    def test_real_mode_times_the_compacted_model(self):
+        # acceptance: pruning 128 -> 32 units must show in real-mode latency
+        lat = LatencyConfig(mode="real", measure_batch=16, measure_seq=64, runs=9)
+        dense = measure_model_latency(bench_variant(128), lat).median_ns
+        pruned = measure_model_latency(bench_variant(32), lat).median_ns
+        assert pruned < 0.6 * dense
+
+
+class TestTrainingPassesKeepFullShape:
+    """Passes that bptt consumes run at full shape, bit for bit as the
+    full-shape unroll (oracles.full_shape_forward) runs them."""
+
+    def setup_model(self, tiny_corpus, dropout_h):
+        cfg = tiny_config(tiny_corpus, optimizer=OptimizerConfig(lr=0.5, dropout_h=dropout_h))
+        ids = load_corpus(tiny_corpus).train
+        model = make_seed(cfg, 9, make_rng(4))
+        coordinated_rc_prune_counts(model.cell, model.head, 4, 3)
+        assert compact(model) is not model    # forward-only passes would compact it
+        return model, ids
+
+    def test_bridging_pass_gradients_bitwise(self, tiny_corpus):
+        model, ids = self.setup_model(tiny_corpus, dropout_h=0.3)   # bridging: no dropout
+        ref = copy.deepcopy(model)
+        nll, grads = synthflow._window_pass(model, ids, 8, 16, collect=True)
+        sums = {id(l): np.zeros_like(l.w) for l in ref.masked_layers()}
+        total = count = windows = 0
+        state = None
+        for xs, ys in batch_windows(ids, 8, 16):
+            logits, caches, state = full_shape_forward(ref, xs, init=state)
+            total += bptt(ref, logits, caches, xs, ys, grad_scale=1.0 / xs.size)
+            count += xs.size
+            windows += 1
+            for layer in ref.masked_layers():
+                sums[id(layer)] += layer.grad_w
+            ref.zero_grads()
+        assert nll == total / count
+        for got, want in zip(model.masked_layers(), ref.masked_layers()):
+            assert np.array_equal(grads[id(got)], sums[id(want)] / windows), got.name
+            assert not got.grad_w.any()
+        assert any(grads[id(l)][l.mask == 0].any() for l in model.masked_layers())
+
+    def test_training_epoch_nll_bitwise(self, tiny_corpus):
+        model, ids = self.setup_model(tiny_corpus, dropout_h=0.3)
+        ref = copy.deepcopy(model)
+        trainer = Trainer(OptimizerConfig(lr=0.5, dropout_h=0.3))
+        nll = trainer.epoch(model, ids, 8, 16, make_rng(9))
+        rng, total, count, state = make_rng(9), 0.0, 0, None
+        for xs, ys in batch_windows(ids, 8, 16):
+            logits, caches, state = full_shape_forward(ref, xs, init=state, rng=rng)
+            total += bptt(ref, logits, caches, xs, ys, grad_scale=1.0 / xs.size)
+            count += xs.size
+            for layer in ref.masked_layers():
+                sgd_step(layer, 0.5, trainer.cfg.weight_decay)
+            sgd_update(ref.embedding, ref.embedding_grad, 0.5, trainer.cfg.weight_decay)
+            ref.embedding_grad[...] = 0.0
+        assert nll == total / count
+        for got, want in zip(model.masked_layers(), ref.masked_layers()):
+            assert np.array_equal(got.w, want.w), got.name
+
+
+class TestRestore:
+    def test_reverted_prune_rewinds_the_trainer(self, tiny_corpus):
+        # no perplexity meets a threshold of 1, so every rcp prune is reverted
+        flow = SynthesisFlow(tiny_config(
+            tiny_corpus, growprune=GrowPruneConfig(accuracy_threshold=1.0,
+                                                   retrain_patience=1)))
+        lines = []
+        flow.log = lines.append
+        flow.train_baseline()
+        flow.step_weight_growth()
+        t = flow.trainer
+        at_snapshot = (t.lr, t.best_valid, t.stale)
+        before = copy.deepcopy(flow.model)
+        flow.step_rc_prune()
+        verdicts = [line for line in lines if "prune" in line]
+        assert verdicts and all("reverted prune" in line for line in verdicts)
+        assert (t.lr, t.best_valid, t.stale) == at_snapshot
+        for a, b in zip(flow.model.masked_layers(), before.masked_layers()):
+            assert np.array_equal(a.w, b.w) and np.array_equal(a.mask, b.mask)
 
 
 class TestBaseline:
