@@ -16,17 +16,22 @@ The language model is one such cell (`LMModel.cell`) between an embedding
 and a softmax head. Every input is a batch: tokens are (B, T), a step's x
 and state are (B, width); other shapes raise ContractViolation.
 
-Training passes (`unroll_forward(train=True)`, then `bptt`) run at full
-shape, so dormant entries get gradients for growth. Forward-only passes
-(`unroll_forward(train=False)`, `evaluate`) run on `compact(model)`, a
-smaller dense copy holding only the units something reads, so pruned
-units cost no time. Real-mode latency (`synthflow.measure_model_latency`,
-`hwsynth bench`) times that compacted model.
+Pruned units cost no time in any pass that feeds no growth. Forward-only
+passes (`unroll_forward(train=False)`, `evaluate`) run on `compact(model)`,
+a smaller dense copy holding only the units something reads. Training
+epochs run on `training_copy(model)`, which also keeps the units something
+writes (so weight decay reaches their live entries) and is written back
+after the epoch. Only the passes whose gradients rank dormant entries for
+growth (grad_sink epochs, rcg's bridging pass) run `unroll_forward(
+train=True)` and `bptt` on the full model, since a dead unit's entries
+need gradients there. Real-mode latency (`synthflow.measure_model_latency`,
+`hwsynth bench`) times the compacted model.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,14 +269,26 @@ def compact(model: LMModel) -> LMModel:
     return _compacted(model)[0]
 
 
+def _read_units(model: LMModel) -> tuple[np.ndarray, np.ndarray]:
+    """Flags of the d_s and d_h units something reads (see compact)."""
+    cell, d_x = model.cell, model.d_x
+    return (model.head.mask.any(axis=0) | cell.H.mask[:, :, d_x:].any(axis=(0, 1)),
+            cell.O.mask.any(axis=(0, 1)))
+
+
 def _compacted(model: LMModel) -> tuple[LMModel, np.ndarray | None]:
     """compact(model) and the d_s units it keeps (None: all of them)."""
-    cell, head, d_x = model.cell, model.head, model.d_x
-    read_s = head.mask.any(axis=0) | cell.H.mask[:, :, d_x:].any(axis=(0, 1))
-    read_h = cell.O.mask.any(axis=(0, 1))
+    read_s, read_h = _read_units(model)
     if read_s.all() and read_h.all():
         return model, None
-    s, h = np.flatnonzero(read_s), np.flatnonzero(read_h)
+    s = np.flatnonzero(read_s)
+    return _take_units(model, s, np.flatnonzero(read_h)), s
+
+
+def _take_units(model: LMModel, s: np.ndarray, h: np.ndarray) -> LMModel:
+    """A dense copy of `model` holding only its d_s units s and d_h units h
+    (sorted index arrays); the embedding and d_x stay whole."""
+    cell, head, d_x = model.cell, model.head, model.d_x
     cols = np.concatenate([np.arange(d_x), d_x + s])
     small = HLSTMCellParams(d_x, s.size, h.size, cell.name)
     for attr in ("w", "mask"):
@@ -280,7 +297,59 @@ def _compacted(model: LMModel) -> tuple[LMModel, np.ndarray | None]:
     small.H.b[...] = cell.H.b[:, h]
     small.O.b[...] = cell.O.b[:, s]
     small_head = MaskedLinear(head.w[:, s], head.mask[:, s], head.b.copy(), head.name)
-    return LMModel(model.embedding.copy(), small, small_head, model.dropout_h), s
+    return LMModel(model.embedding.copy(), small, small_head, model.dropout_h)
+
+
+def _put_units(model: LMModel, small: LMModel, s: np.ndarray, h: np.ndarray) -> None:
+    """Write the weights, biases and embedding of `small`, a
+    `_take_units(model, s, h)` copy, back into `model`. Masks stay: training
+    does not change them."""
+    cell, head, d_x = model.cell, model.head, model.d_x
+    cols = np.concatenate([np.arange(d_x), d_x + s])
+    cell.H.w[:, h[:, None], cols] = small.cell.H.w
+    cell.O.w[:, s[:, None], h] = small.cell.O.w
+    cell.H.b[:, h] = small.cell.H.b
+    cell.O.b[:, s] = small.cell.O.b
+    head.w[:, s] = small.head.w
+    head.b[...] = small.head.b
+    model.embedding[...] = small.embedding
+
+
+class _FullWidthDraws:
+    """The rng of a training copy: each dropout draw is made at the full
+    model's d_h and cut to the copy's d_h units, so the rng stream and every
+    kept unit's mask are those of a full-shape pass."""
+
+    def __init__(self, rng: np.random.Generator, d_h: int, h: np.ndarray):
+        self.rng, self.d_h, self.h = rng, d_h, h
+
+    def random(self, shape: tuple[int, ...]) -> np.ndarray:
+        return self.rng.random(shape[:-1] + (self.d_h,))[..., self.h]
+
+
+@contextmanager
+def training_copy(model: LMModel, rng: np.random.Generator):
+    """Yields (model, rng) to train in place of the given pair: a dense copy
+    holding only the units that are read (see compact) or written
+    (`active_units()`), and an rng whose dropout draws match a full-shape
+    pass. On a normal exit the copy's weights, biases and embedding are
+    written back into `model`. With no unit to drop, the pair itself.
+
+    Training the copy matches training the model up to BLAS summation
+    order. A dropped unit is unread and has no live entry, so it only adds
+    zero terms and SGD never touches it; an unread unit with live entries
+    (wp leaves such units) stays, so weight decay still reaches them; the
+    masks and row liveness of the kept slice are unchanged."""
+    read_s, read_h = _read_units(model)
+    active_s, active_h = model.cell.active_units()
+    keep_s, keep_h = read_s | active_s, read_h | active_h
+    if keep_s.all() and keep_h.all():
+        yield model, rng
+        return
+    s, h = np.flatnonzero(keep_s), np.flatnonzero(keep_h)
+    small = _take_units(model, s, h)
+    yield small, _FullWidthDraws(rng, model.cell.d_h, h)
+    _put_units(model, small, s, h)
 
 
 def _unroll(model: LMModel, tokens: np.ndarray, state: HLSTMState | None,
@@ -313,11 +382,11 @@ def unroll_forward(model: LMModel, tokens: np.ndarray,
     tokens has shape (B, T) and logits (B, T, V). The final state allows
     stateful continuation across minibatches.
 
-    train=True records one StepCache per step for `bptt`, at full shape;
-    dropout is on iff an rng is given. train=False is the forward-only
-    pass: it runs on compact(model), returns no caches (an empty list) and
-    takes no rng; init and the final state are full-shape, and the units
-    compact dropped come back with zero state.
+    train=True records one StepCache per step for `bptt`, at the shape of
+    the model given; dropout is on iff an rng is given. train=False is the
+    forward-only pass: it runs on compact(model), returns no caches (an
+    empty list) and takes no rng; init and the final state are full-shape,
+    and the units compact dropped come back with zero state.
     """
     if train:
         return _unroll(model, tokens, init, rng, record=True)

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,7 +25,8 @@ import numpy as np
 from . import growprune, latlab
 from .corpus import Corpus, batch_windows, bundled_corpus_path, load_corpus
 from .growprune import GrowPruneConfig, HalveDecision
-from .hlstm import LMModel, bptt, compact, evaluate, perplexity, unroll_forward
+from .hlstm import (LMModel, bptt, compact, evaluate, perplexity, training_copy,
+                    unroll_forward)
 from .numkit import ContractViolation, make_rng, sgd_step, sgd_update, write_atomic
 
 CONFIG_VERSION = 1
@@ -209,9 +211,11 @@ def _window_pass(model: LMModel, ids: np.ndarray, batch: int, seq_len: int,
     With `step`, a training pass: dropout is on (from `rng`) and step()
     applies each window's gradients. Without, a bridging pass: no rng, so
     no dropout, and the gradients are cleared after each window. Both run
-    at full shape, so dormant entries get gradients. Returns the mean NLL
-    and, with `collect`, the window-averaged full gradient (dormant entries
-    included) of every masked layer, keyed by id(layer).
+    at the shape of the model given: the bridging pass and growth epochs
+    get the full model, so a dead unit's dormant entries get gradients;
+    other epochs get a training copy (see `Trainer.epoch`). Returns the
+    mean NLL and, with `collect`, the window-averaged full gradient
+    (dormant entries included) of every masked layer, keyed by id(layer).
     """
     layers = model.masked_layers()
     sums = {id(l): np.zeros_like(l.w) for l in layers} if collect else None
@@ -245,6 +249,7 @@ class Trainer:
         self.lr = cfg.lr
         self.best_valid = math.inf
         self.stale = 0
+        self.trained: tuple[int, int] | None = None
 
     def epoch(self, model: LMModel, train_ids: np.ndarray, batch: int,
               seq_len: int, rng: np.random.Generator,
@@ -252,18 +257,27 @@ class Trainer:
         """One pass over the training stream; returns mean training NLL.
 
         grad_sink, when given, receives the epoch-averaged full gradient
-        (dormant entries included) per masked layer, keyed by id(layer).
+        (dormant entries included) per masked layer, keyed by id(layer);
+        such a growth epoch runs at full shape, since growth ranks the
+        dormant entries of every unit. Any other epoch trains
+        `training_copy(model)`, only the units that are read or written,
+        and writes it back: the same result up to BLAS summation order.
+        `self.trained` is the (d_s, d_h) the last epoch ran at.
         """
-        def step():
-            for layer in model.masked_layers():
-                sgd_step(layer, self.lr, self.cfg.weight_decay)
-            sgd_update(model.embedding, model.embedding_grad, self.lr,
-                       self.cfg.weight_decay)
-            model.embedding_grad[...] = 0.0
+        growth = grad_sink is not None
+        run = nullcontext((model, rng)) if growth else training_copy(model, rng)
+        with run as (live, live_rng):
+            def step():
+                for layer in live.masked_layers():
+                    sgd_step(layer, self.lr, self.cfg.weight_decay)
+                sgd_update(live.embedding, live.embedding_grad, self.lr,
+                           self.cfg.weight_decay)
+                live.embedding_grad[...] = 0.0
 
-        mean_nll, grads = _window_pass(model, train_ids, batch, seq_len, rng, step,
-                                       collect=grad_sink is not None)
-        if grad_sink is not None:
+            self.trained = (live.cell.d_s, live.cell.d_h)
+            mean_nll, grads = _window_pass(live, train_ids, batch, seq_len, live_rng,
+                                           step, collect=growth)
+        if growth:
             grad_sink.update(grads)
         return mean_nll
 
@@ -446,8 +460,9 @@ class SynthesisFlow:
                                  seq_len=self.cfg.seq_len, batch=4)
             trainer.note_valid(valid_nll)
             ppl = perplexity(valid_nll)
+            d_s, d_h = trainer.trained
             self.log(f"[{label}] epoch {ep + 1}/{epochs} valid ppl {ppl:.3f} "
-                     f"active {param_count(model)[1]}")
+                     f"active {param_count(model)[1]} trained {d_s}x{d_h}")
         return ppl
 
     # - steps -

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from hwsynth import latlab, synthflow
+from hwsynth import hlstm, latlab, synthflow
 from hwsynth.corpus import batch_windows, bundled_corpus_path, load_corpus
 from hwsynth.growprune import (
     GrowPruneConfig,
@@ -14,7 +14,7 @@ from hwsynth.growprune import (
     weight_grow,
     weight_prune,
 )
-from hwsynth.hlstm import GATES, LMModel, bptt, compact, unroll_forward
+from hwsynth.hlstm import GATES, LMModel, bptt, compact, training_copy, unroll_forward
 from hwsynth.numkit import ARRAYS, ContractViolation, make_rng, sgd_step, sgd_update
 from hwsynth.synthflow import (
     CheckpointError,
@@ -32,7 +32,7 @@ from hwsynth.synthflow import (
     param_count,
     run_flow,
 )
-from oracles import full_shape_forward
+from oracles import full_shape_forward, rel_max_diff
 
 
 @pytest.fixture(scope="module")
@@ -454,8 +454,10 @@ class TestCompactedLatency:
 
 
 class TestTrainingPassesKeepFullShape:
-    """Passes that bptt consumes run at full shape, bit for bit as the
-    full-shape unroll (oracles.full_shape_forward) runs them."""
+    """Passes that bptt consumes match the full-shape unroll
+    (oracles.full_shape_forward) bit for bit. Only the passes that feed
+    growth (the bridging pass, grad_sink epochs) still run at full shape;
+    other epochs train a compacted copy with the same result."""
 
     def setup_model(self, tiny_corpus, dropout_h):
         cfg = tiny_config(tiny_corpus, optimizer=OptimizerConfig(lr=0.5, dropout_h=dropout_h))
@@ -503,6 +505,141 @@ class TestTrainingPassesKeepFullShape:
         assert nll == total / count
         for got, want in zip(model.masked_layers(), ref.masked_layers()):
             assert np.array_equal(got.w, want.w), got.name
+
+
+def oracle_epoch(ref, ids, lr, weight_decay, rng):
+    """One training epoch of `ref` at full shape: full_shape_forward, bptt
+    and sgd_step per window. Returns the mean NLL."""
+    total = count = 0
+    state = None
+    for xs, ys in batch_windows(ids, 8, 16):
+        logits, caches, state = full_shape_forward(ref, xs, init=state, rng=rng)
+        total += bptt(ref, logits, caches, xs, ys, grad_scale=1.0 / xs.size)
+        count += xs.size
+        for layer in ref.masked_layers():
+            sgd_step(layer, lr, weight_decay)
+        sgd_update(ref.embedding, ref.embedding_grad, lr, weight_decay)
+        ref.embedding_grad[...] = 0.0
+    return total / count
+
+
+class TestCompactedTraining:
+    """Epochs that feed no growth train only the read or written units and
+    write them back; the full model ends where a full-shape epoch leaves it."""
+
+    cfg = OptimizerConfig(lr=0.5, dropout_h=0.3)
+
+    def setup_model(self, tiny_corpus):
+        ids = load_corpus(tiny_corpus).train
+        model = make_seed(tiny_config(tiny_corpus, optimizer=self.cfg), 9, make_rng(4))
+        return model, ids
+
+    def assert_matches(self, model, ref):
+        """Masks equal to the oracle's (which never changes them); w, b and
+        the embedding within 1e-12 of it."""
+        for got, want in zip(model.masked_layers(), ref.masked_layers()):
+            assert np.array_equal(got.mask, want.mask), got.name
+            for attr in ("w", "b"):
+                assert rel_max_diff(getattr(got, attr), getattr(want, attr)) <= 1e-12, \
+                    (got.name, attr)
+        assert rel_max_diff(model.embedding, ref.embedding) <= 1e-12
+
+    def test_rc_pruned_units_stay_empty(self, tiny_corpus):
+        model, ids = self.setup_model(tiny_corpus)
+        s_live, h_live = model.cell.active_units()
+        coordinated_rc_prune_counts(model.cell, model.head, 4, 3)
+        s_now, h_now = model.cell.active_units()
+        s_cut, h_cut = np.flatnonzero(s_live & ~s_now), np.flatnonzero(h_live & ~h_now)
+        assert (s_cut.size, h_cut.size) == (4, 3)
+        ref = copy.deepcopy(model)
+        trainer = Trainer(self.cfg)
+        nll = trainer.epoch(model, ids, 8, 16, make_rng(9))
+        assert trainer.trained == (8, 9)
+        assert abs(nll - oracle_epoch(ref, ids, 0.5, trainer.cfg.weight_decay,
+                                      make_rng(9))) <= 1e-12 * nll
+        self.assert_matches(model, ref)
+        H, O, d_x = model.cell.H, model.cell.O, model.d_x
+        for arrays in (H.w[:, h_cut], H.w[:, :, d_x + s_cut], H.mask[:, h_cut],
+                       H.b[:, h_cut], O.w[:, s_cut], O.w[:, :, h_cut], O.mask[:, s_cut],
+                       O.b[:, s_cut], model.head.w[:, s_cut], model.head.mask[:, s_cut]):
+            assert not arrays.any()
+
+    def test_emptied_units_are_kept(self, tiny_corpus):
+        # d_s unit u is written but unread; d_h unit k is read but unwritten,
+        # and the relu of its bias still feeds the O layers
+        model, ids = self.setup_model(tiny_corpus)
+        Trainer(self.cfg).epoch(model, ids, 8, 16, make_rng(8))
+        coordinated_rc_prune_counts(model.cell, model.head, 4, 3)
+        cell, d_x = model.cell, model.d_x
+        s_active, h_active = cell.active_units()
+        u = int(np.flatnonzero(s_active)[0])
+        k = int(np.flatnonzero(h_active & (cell.H.b > 0).any(axis=0))[0])
+        for arr in (cell.H.mask, cell.H.w):
+            arr[:, :, d_x + u] = 0.0
+            arr[:, k] = 0.0
+        model.head.mask[:, u] = model.head.w[:, u] = 0.0
+        live = cell.O.mask[:, u] == 1.0
+        assert live.any() and cell.O.mask[:, :, k].any()
+        assert (compact(model).cell.d_s, cell.active_dims()[1]) == (7, 8)
+        before = cell.O.w[:, u].copy()
+        ref = copy.deepcopy(model)
+        trainer = Trainer(self.cfg)
+        trainer.epoch(model, ids, 8, 16, make_rng(9))
+        assert trainer.trained == (8, 9)
+        oracle_epoch(ref, ids, 0.5, trainer.cfg.weight_decay, make_rng(9))
+        self.assert_matches(model, ref)
+        after = cell.O.w[:, u]
+        assert np.array_equal(after, ref.cell.O.w[:, u])    # nothing reads u: decay only
+        assert np.all(np.abs(after[live]) < np.abs(before[live]))
+
+    def test_dense_model_trains_in_place(self, tiny_corpus, monkeypatch):
+        def no_copy(*args):
+            raise AssertionError("a model with no unit to drop was copied")
+        monkeypatch.setattr(hlstm, "_take_units", no_copy)
+        seed, ids = self.setup_model(tiny_corpus)
+        for model in (seed, LMModel.create(9, 4, 12, 12, make_rng(0))):
+            rng = make_rng(9)
+            with training_copy(model, rng) as (live, live_rng):
+                assert live is model and live_rng is rng
+            ref = copy.deepcopy(model)
+            trainer = Trainer(self.cfg)
+            nll = trainer.epoch(model, ids, 8, 16, make_rng(9))
+            assert trainer.trained == (12, 12)
+            assert nll == oracle_epoch(ref, ids, 0.5, trainer.cfg.weight_decay, make_rng(9))
+            for got, want in zip(model.masked_layers(), ref.masked_layers()):
+                assert np.array_equal(got.w, want.w) and np.array_equal(got.b, want.b)
+
+    def test_growth_epoch_gets_dead_unit_gradients(self, tiny_corpus):
+        # a unit emptied after training keeps its biases, so it still feeds
+        # the state and the gates its dormant entries would join
+        model, ids = self.setup_model(tiny_corpus)
+        Trainer(self.cfg).epoch(model, ids, 8, 16, make_rng(8))
+        cell, d_x = model.cell, model.d_x
+        u = 0
+        k = int(np.flatnonzero((cell.H.b > 0).any(axis=0))[0])
+        for arr in (cell.O.mask, cell.O.w):
+            arr[:, u] = 0.0
+            arr[:, :, k] = 0.0
+        for arr in (cell.H.mask, cell.H.w):
+            arr[:, k] = 0.0
+            arr[:, :, d_x + u] = 0.0
+        model.head.mask[:, u] = model.head.w[:, u] = 0.0
+        trainer, sink = Trainer(self.cfg), {}
+        trainer.epoch(copy.deepcopy(model), ids, 8, 16, make_rng(9))
+        assert trainer.trained == (11, 11)                  # no growth: both dropped
+        trainer.epoch(model, ids, 8, 16, make_rng(9), grad_sink=sink)
+        assert trainer.trained == (12, 12)
+        assert sink[id(model.head)][:, u].any()
+        assert any(sink[id(cell.h_layers[g])][:, d_x + u].any() for g in GATES)
+        assert any(sink[id(cell.o_layers[g])][:, k].any() for g in GATES)
+
+    def test_epoch_log_names_the_trained_shape(self, tiny_corpus):
+        lines = []
+        run_flow(tiny_config(tiny_corpus), log=lines.append)
+        shapes = {line.split("]")[0][1:]: line.rsplit(" ", 1)[1]
+                  for line in lines if " epoch " in line}
+        assert shapes["baseline"] == shapes["wg"] == "12x12"
+        assert shapes["rcp"] != "12x12"
 
 
 class TestRestore:
