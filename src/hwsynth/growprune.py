@@ -2,10 +2,14 @@
 growth/pruning coordinated across the four gates of a cell, and the
 ratio-halving schedule.
 
-Selection counts use ceil(ratio * n) with ties broken by lower index, so
-every decision is deterministic and checkable against a full-sort oracle.
-Grown weights are initialized to lr * gradient (sign-carrying), for both
-single-weight and unit growth.
+Growth and pruning are one rule read in two directions: growth activates
+the dormant connections or units with the largest gradient magnitudes,
+pruning removes the active ones with the smallest weight magnitudes. A
+unit scores the sum over the connections it owns (`unit_importance`).
+Selection counts use ceil(ratio * n) with ties broken by lower index
+(`_pick`), so every decision is deterministic and checkable against a
+full-sort oracle. Grown weights are initialized to lr * gradient
+(sign-carrying), for both single-weight and unit growth.
 """
 
 from __future__ import annotations
@@ -49,19 +53,13 @@ def _ceil_count(ratio: float, n: int) -> int:
     return int(math.ceil(ratio * n))
 
 
-def _top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores; ties favor the lower index."""
-    if k <= 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.argsort(-scores, kind="stable")
-    return np.sort(order[:k])
-
-
-def _bottom_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
-    if k <= 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.argsort(scores, kind="stable")
-    return np.sort(order[:k])
+def _pick(candidates: np.ndarray, scores: np.ndarray, k: int,
+          largest: bool) -> np.ndarray:
+    """The min(k, len(candidates)) candidates with the largest (or
+    smallest) scores, in index order; ties favor the lower index."""
+    ranked = scores[candidates]
+    order = np.argsort(-ranked if largest else ranked, kind="stable")
+    return candidates[np.sort(order[:max(k, 0)])]
 
 
 def weight_grow(layer: MaskedLinear, grad: np.ndarray, g_w: float, lr: float) -> int:
@@ -78,16 +76,11 @@ def weight_grow(layer: MaskedLinear, grad: np.ndarray, g_w: float, lr: float) ->
         raise ContractViolation(
             f"{layer.name}: gradient shape {grad.shape} != {layer.w.shape}")
     dormant = np.flatnonzero(layer.mask.ravel() == 0.0)
-    k = min(_ceil_count(g_w, layer.w.size), dormant.size)
-    if k == 0:
-        return 0
-    scores = np.abs(grad.ravel()[dormant])
-    chosen = dormant[_top_k_stable(scores, k)]
-    flat_m = layer.mask.ravel()
-    flat_w = layer.w.ravel()
-    flat_m[chosen] = 1.0
-    flat_w[chosen] = lr * grad.ravel()[chosen]
-    return k
+    chosen = _pick(dormant, np.abs(grad.ravel()), _ceil_count(g_w, layer.w.size),
+                   largest=True)
+    layer.mask.ravel()[chosen] = 1.0
+    layer.w.ravel()[chosen] = lr * grad.ravel()[chosen]
+    return chosen.size
 
 
 def weight_prune(layer: MaskedLinear, p_w: float) -> int:
@@ -95,61 +88,43 @@ def weight_prune(layer: MaskedLinear, p_w: float) -> int:
     if not 0.0 <= p_w <= 1.0:
         raise ContractViolation(f"pruning ratio {p_w} outside [0, 1]")
     active = np.flatnonzero(layer.mask.ravel() == 1.0)
-    k = min(_ceil_count(p_w, active.size), active.size)
-    if k == 0:
-        return 0
-    scores = np.abs(layer.w.ravel()[active])
-    chosen = active[_bottom_k_stable(scores, k)]
-    flat_m = layer.mask.ravel()
-    flat_w = layer.w.ravel()
-    flat_m[chosen] = 0.0
-    flat_w[chosen] = 0.0
-    return k
+    chosen = _pick(active, np.abs(layer.w.ravel()), _ceil_count(p_w, active.size),
+                   largest=False)
+    layer.mask.ravel()[chosen] = 0.0
+    layer.w.ravel()[chosen] = 0.0
+    return chosen.size
 
 
 # --- coordinated multi-gate structured operations ---------------------------
 
 def unit_importance(cell: HLSTMCellParams, head: MaskedLinear,
                     grads: dict[int, np.ndarray] | None = None):
-    """Summed row/column importances per d_s and d_h structural unit; a d_s
-    unit's column of the head counts too.
+    """Importance of every d_s and d_h unit, one rule for both directions:
+    a unit's rows summed over their layer's active columns plus its columns
+    summed over their layer's active rows, across the four gates and the
+    head (a d_s unit owns a head column). The summand is |W| to prune and
+    |G| to grow; grads maps id(layer) -> gradient matrix. For pruning this
+    is the sum over every entry the unit owns, since w[mask == 0] == 0; for
+    growth it is the |G| of the connections the unit would gain.
 
-    With grads=None importance is sum(|W|) (pruning); otherwise it is
-    sum(|G|) restricted to the active complement (growth). grads maps
-    id(layer) -> gradient matrix.
+    Growth ranks the units rcp cut out by index alone: `_apply_unit_prune`
+    zeroes all their weights and biases, so their state and hidden outputs
+    are 0 and nothing reads them, every gradient growth reads for them is
+    exactly 0, and their scores tie.
     """
-    def mat(layer):
-        if grads is None:
-            return np.abs(layer.w)
-        return np.abs(np.asarray(grads[id(layer)]))
+    read = (lambda layer: layer.w) if grads is None else (lambda layer: grads[id(layer)])
+
+    def add(layer, row_imp, col_imp, col0=0):
+        m = np.abs(read(layer))
+        row_imp += m[:, layer.active_cols()].sum(axis=1)
+        col_imp += m[layer.active_rows(), col0:].sum(axis=0)
 
     s_imp = np.zeros(cell.d_s)
     h_imp = np.zeros(cell.d_h)
     for gate in GATES:
-        o_layer = cell.o_layers[gate]
-        o_cols = o_layer.active_cols()
-        o_rows = o_layer.active_rows()
-        om = mat(o_layer)
-        if grads is None:
-            s_imp += om.sum(axis=1)
-        else:
-            s_imp += om[:, o_cols].sum(axis=1) if o_cols.size else 0.0
-        h_layer = cell.h_layers[gate]
-        hm = mat(h_layer)
-        h_rows = h_layer.active_rows()
-        h_cols = h_layer.active_cols()
-        if grads is None:
-            h_imp += hm.sum(axis=1) + om.sum(axis=0)[:cell.d_h]
-            s_imp += hm[:, cell.d_x:].sum(axis=0)
-        else:
-            h_imp += (hm[:, h_cols].sum(axis=1) if h_cols.size else 0.0)
-            h_imp += (om[o_rows, :].sum(axis=0) if o_rows.size else 0.0)
-            s_imp += (hm[h_rows, cell.d_x:].sum(axis=0) if h_rows.size else 0.0)
-    hd = mat(head)
-    if grads is None:
-        s_imp += hd.sum(axis=0)
-    else:
-        s_imp += hd[head.active_rows(), :].sum(axis=0)
+        add(cell.o_layers[gate], s_imp, h_imp)
+        add(cell.h_layers[gate], h_imp, s_imp, col0=cell.d_x)
+    add(head, np.zeros(head.out_dim), s_imp)   # head rows are outputs, not units
     return s_imp, h_imp
 
 
@@ -175,10 +150,9 @@ def coordinated_rc_prune(cell: HLSTMCellParams, head: MaskedLinear,
 
     Returns the new active (d_s, d_h).
     """
-    s_active, h_active = cell.active_units()
-    k_s = min(_ceil_count(p_r, int(s_active.sum())), int(s_active.sum()))
-    k_h = min(_ceil_count(p_c, int(h_active.sum())), int(h_active.sum()))
-    return coordinated_rc_prune_counts(cell, head, k_s, k_h)
+    n_s, n_h = cell.active_dims()
+    return coordinated_rc_prune_counts(cell, head, _ceil_count(p_r, n_s),
+                                       _ceil_count(p_c, n_h))
 
 
 def coordinated_rc_prune_counts(cell: HLSTMCellParams, head: MaskedLinear,
@@ -191,10 +165,8 @@ def coordinated_rc_prune_counts(cell: HLSTMCellParams, head: MaskedLinear,
     if k_h >= n_h and k_h > 0:
         raise DegenerateLayerError(f"pruning all {n_h} gate hidden units")
     s_imp, h_imp = unit_importance(cell, head)
-    s_cand = np.flatnonzero(s_active)
-    s_idx = s_cand[_bottom_k_stable(s_imp[s_cand], k_s)]
-    h_cand = np.flatnonzero(h_active)
-    h_idx = h_cand[_bottom_k_stable(h_imp[h_cand], k_h)]
+    s_idx = _pick(np.flatnonzero(s_active), s_imp, k_s, largest=False)
+    h_idx = _pick(np.flatnonzero(h_active), h_imp, k_h, largest=False)
     _apply_unit_prune(cell, head, s_idx, h_idx)
     return cell.active_dims()
 
@@ -209,10 +181,8 @@ def coordinated_rc_grow_counts(cell: HLSTMCellParams, head: MaskedLinear,
     """
     s_active, h_active = cell.active_units()
     s_imp, h_imp = unit_importance(cell, head, grads=grads)
-    s_dormant = np.flatnonzero(~s_active)
-    s_idx = s_dormant[_top_k_stable(s_imp[s_dormant], min(k_s, s_dormant.size))]
-    h_dormant = np.flatnonzero(~h_active)
-    h_idx = h_dormant[_top_k_stable(h_imp[h_dormant], min(k_h, h_dormant.size))]
+    s_idx = _pick(np.flatnonzero(~s_active), s_imp, k_s, largest=True)
+    h_idx = _pick(np.flatnonzero(~h_active), h_imp, k_h, largest=True)
 
     def activate(layer, rows=(), cols=()):
         g = np.asarray(grads[id(layer)])

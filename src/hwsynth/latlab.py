@@ -177,6 +177,18 @@ def _stats(times: np.ndarray) -> SampleStats:
     )
 
 
+def time_task(task, warmup_runs: int, measured_runs: int) -> SampleStats:
+    """Call task() warmup_runs times untimed, then time measured_runs calls."""
+    for _ in range(warmup_runs):
+        task()
+    times = np.empty(measured_runs)
+    for i in range(measured_runs):
+        t0 = time.perf_counter_ns()
+        task()
+        times[i] = time.perf_counter_ns() - t0
+    return _stats(times)
+
+
 def measure_point(backend: MatmulBackend, dim: int, batch: int,
                   warmup_runs: int = 10, measured_runs: int = 50) -> SampleStats:
     """Warm up, then time measured_runs executions; central statistic = median."""
@@ -187,19 +199,11 @@ def measure_point(backend: MatmulBackend, dim: int, batch: int,
     if backend.virtual:
         return _stats(backend.virtual_times(dim, measured_runs))
     try:
-        task = backend.make_task(dim, batch)
-        for _ in range(warmup_runs):
-            task()
-        times = np.empty(measured_runs)
-        for i in range(measured_runs):
-            t0 = time.perf_counter_ns()
-            task()
-            times[i] = time.perf_counter_ns() - t0
+        return time_task(backend.make_task(dim, batch), warmup_runs, measured_runs)
     except ContractViolation:
         raise
     except Exception as exc:  # backend failure carries the dim
         raise MeasurementError(dim, str(exc)) from exc
-    return _stats(times)
 
 
 @dataclass

@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -311,16 +310,10 @@ def measure_model_latency(model: LMModel, lat: LatencyConfig) -> latlab.SampleSt
         return latlab.SampleStats(mean_ns=total, median_ns=total,
                                   p95_ns=total, runs=lat.runs)
     model = compact(model)
-    rng = make_rng(12345)
-    tokens = rng.integers(0, model.vocab_size,
-                          size=(lat.measure_batch, lat.measure_seq))
-    unroll_forward(model, tokens)  # warmup
-    times = np.empty(max(lat.runs, 5))
-    for i in range(times.size):
-        t0 = time.perf_counter_ns()
-        unroll_forward(model, tokens)
-        times[i] = time.perf_counter_ns() - t0
-    return latlab._stats(times)
+    tokens = make_rng(12345).integers(0, model.vocab_size,
+                                      size=(lat.measure_batch, lat.measure_seq))
+    return latlab.time_task(lambda: unroll_forward(model, tokens),
+                            warmup_runs=1, measured_runs=max(lat.runs, 5))
 
 
 # --- checkpointing ----------------------------------------------------------------
@@ -536,10 +529,7 @@ class SynthesisFlow:
                                                        gp.p_r, gp.p_c)
             return after != before
 
-        def halve(gp, ppl, single_mode):
-            return growprune.halve_on_violation(gp, ppl, single_mode)
-
-        ppl = self._prune_loop("rcp", prune_once, halve)
+        ppl = self._prune_loop("rcp", prune_once, growprune.halve_on_violation)
         self.report.rows.append(self._row("rcp", self.model, ppl))
         self._save_phase_artifacts("rcp")
 

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from hwsynth import hlstm, latlab, synthflow
+from hwsynth import growprune, hlstm, latlab, synthflow
 from hwsynth.corpus import batch_windows, bundled_corpus_path, load_corpus
 from hwsynth.growprune import (
     GrowPruneConfig,
@@ -816,3 +816,139 @@ class TestPartialReport:
         assert data["complete"] is False
         steps = [r["step"] for r in data["rows"]]
         assert steps == ["baseline", "wg", "rcp"]  # died entering rcg
+
+
+# --- the prune loop's revert paths, with scripted retrain scores ---------------
+
+def scripted_flow(tiny_corpus, ppls, iters=10, **gp):
+    """A tiny flow after wg whose `_fit` trains nothing: it records a copy
+    of the model it is handed and returns the next of `ppls`. The accuracy
+    threshold is 10, so 5 passes and 20 violates."""
+    cfg = tiny_config(tiny_corpus, max_prune_iters=iters, growprune=GrowPruneConfig(
+        accuracy_threshold=10.0, retrain_patience=1, **gp))
+    flow = SynthesisFlow(cfg)
+    flow.log = lambda *a, **k: None
+    flow.train_baseline()
+    flow.step_weight_growth()
+    seen = []
+    scores = iter(ppls)
+
+    def fit(label, model, trainer, rng, epochs, growth_epochs=0):
+        seen.append(copy.deepcopy(model))
+        return next(scores)
+
+    flow._fit = fit
+    return flow, seen
+
+
+def assert_same_params(a, b):
+    assert np.array_equal(a.embedding, b.embedding)
+    for la, lb in zip(a.masked_layers(), b.masked_layers()):
+        for attr in ("w", "mask", "b"):
+            assert np.array_equal(getattr(la, attr), getattr(lb, attr)), la.name
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestPruneLoopPaths:
+    def test_halved_restores_the_snapshot_and_halves_the_ratios(self, tiny_corpus):
+        flow, seen = scripted_flow(tiny_corpus, [20.0], iters=1, p_r=0.4, p_c=0.3)
+        t = flow.trainer
+        before, at_snapshot = copy.deepcopy(flow.model), (t.lr, t.best_valid, t.stale)
+        flow.step_rc_prune()
+        assert len(seen) == 1
+        assert all(a < b for a, b in zip(seen[0].cell.active_dims(),
+                                         before.cell.active_dims()))
+        assert_same_params(flow.model, before)
+        assert (t.lr, t.best_valid, t.stale) == at_snapshot
+        assert (flow.gp.p_r, flow.gp.p_c) == (0.2, 0.15)
+
+    def test_single_mode_prunes_one_unit_of_each_kind(self, tiny_corpus):
+        # 0.5 halves to 0.25, below the 0.3 floor: single-unit mode
+        flow, seen = scripted_flow(tiny_corpus, [20.0, 5.0, 5.0], iters=3, p_r=0.5,
+                                   p_c=0.5, halving_floor=0.3)
+        n_s, n_h = flow.model.cell.active_dims()
+        flow.step_rc_prune()
+        dims = [m.cell.active_dims() for m in seen]
+        assert dims[0][0] < n_s - 1 and dims[0][1] < n_h - 1
+        assert dims[1:] == [(n_s - 1, n_h - 1), (n_s - 2, n_h - 2)]
+        assert (flow.gp.p_r, flow.gp.p_c) == (0.25, 0.25)
+        assert flow.model.cell.active_dims() == (n_s - 2, n_h - 2)
+
+    def test_stop_ends_on_the_last_passing_model(self, tiny_corpus, monkeypatch):
+        # kept, SINGLE_MODE (reverted), kept single-unit prune, STOP (reverted)
+        flow, seen = scripted_flow(tiny_corpus, [5.0, 20.0, 5.0, 20.0], p_r=0.5,
+                                   p_c=0.5, halving_floor=0.3)
+        prunes = count_calls(monkeypatch, growprune, "coordinated_rc_prune_counts")
+        flow.step_rc_prune()
+        assert len(seen) == 4 and len(prunes) == 4   # of 10 allowed iterations
+        assert_same_params(flow.model, seen[2])
+        assert flow.report.rows[-1].valid_ppl == 5.0
+
+    def test_degenerate_prune_restores_and_ends_the_phase(self, tiny_corpus):
+        flow, seen = scripted_flow(tiny_corpus, [])
+        before = copy.deepcopy(flow.model)
+        attempts = []
+
+        def prune_once(_gp, single_mode):
+            attempts.append(single_mode)
+            for layer in flow.model.masked_layers():
+                layer.w[...] = 0.0        # a half-done prune, then the refusal
+            raise growprune.DegenerateLayerError("refused")
+
+        ppl = flow._prune_loop("rcp", prune_once, growprune.halve_on_violation)
+        assert attempts == [False] and seen == []
+        assert_same_params(flow.model, before)
+        assert ppl == flow.report.rows[-1].valid_ppl
+
+    def test_degenerate_after_kept_prunes_keeps_the_last(self, tiny_corpus, monkeypatch):
+        # every prune passes, so only a refused prune (every unit left
+        # asked for) ends the phase early; the model pruned last stays
+        flow, seen = scripted_flow(tiny_corpus, [5.0] * 10, p_r=0.6, p_c=0.6)
+        prunes = count_calls(monkeypatch, growprune, "coordinated_rc_prune_counts")
+        flow.step_rc_prune()
+        assert 1 <= len(seen) < 10 and len(prunes) == len(seen) + 1
+        assert_same_params(flow.model, seen[-1])
+
+    def test_prune_that_removes_nothing_ends_the_phase(self, tiny_corpus, monkeypatch):
+        flow, seen = scripted_flow(tiny_corpus, [], p_w=0.0)
+        prunes = count_calls(monkeypatch, growprune, "weight_prune")
+        before = copy.deepcopy(flow.model)
+        flow.step_weight_prune()
+        assert seen == []
+        assert len(prunes) == len(flow.model.masked_layers())
+        assert_same_params(flow.model, before)
+        assert flow.report.rows[-1].valid_ppl == flow.report.rows[-2].valid_ppl
+        assert flow.state.phase == "done"
+
+
+# --- a real-mode flow: the rcg target comes from a native matmul sweep --------
+
+class TestRealModeFlow:
+    def test_completes_and_rcg_follows_the_swept_lhp(self, tiny_corpus, monkeypatch):
+        tasks = count_calls(monkeypatch, latlab.NativeBackend, "make_task")
+        cfg = tiny_config(tiny_corpus, d_s=8, d_h=8, profile_grid=(1, 8, 1),
+                          latency=LatencyConfig(mode="real", measure_batch=2,
+                                                measure_seq=4, runs=5))
+        report = run_flow(cfg, log=lambda *a, **k: None)
+        assert report.complete
+        assert [r.step for r in report.rows] == ["baseline", "wg", "rcp", "rcg", "wp"]
+        assert len(tasks) == 8                  # one sweep point per grid dim
+        rows = {r.step: r for r in report.rows}
+        tied = max(rows["rcp"].d_s, rows["rcp"].d_h)
+        assert tied <= report.lhp_target <= cfg.d_s
+        if report.lhp_target > tied:
+            assert (rows["rcg"].d_s, rows["rcg"].d_h) == (report.lhp_target,) * 2
+        else:
+            assert (rows["rcg"].d_s, rows["rcg"].d_h) == (rows["rcp"].d_s, rows["rcp"].d_h)
+        assert all(r.latency_median_ns > 0 for r in report.rows)
