@@ -8,13 +8,20 @@ masked output layer. Gate equations per step, with z = [x_t, h_{t-1}]:
     c_t   = f * c_{t-1} + i * g                 h_t = o * tanh(c_t)
 
 The gates' layers live in two stacked blocks, H (4, d_h, d_x+d_s) and O
-(4, d_s, d_h), so a step is one batched matmul per layer kind; each gate's
-H and O layer (what grow/prune and SGD work on) is a MaskedLinear view of
-its slice. The kernels read w as W*Msk: w[mask == 0] == 0 always holds.
+(4, d_s, d_h); each gate's H and O layer (what grow/prune and SGD work on)
+is a MaskedLinear view of its slice. The kernels read w as W*Msk:
+w[mask == 0] == 0 always holds.
 
 The language model is one such cell (`LMModel.cell`) between an embedding
-and a softmax head. Every input is a batch: tokens are (B, T), a step's x
-and state are (B, width); other shapes raise ContractViolation.
+and a softmax head. Every input is a batch: tokens are (B, T) and a step's
+state (B, d_s); other shapes raise ContractViolation. Training and
+forward-only passes share one recurrence (`_unroll`, reversed by `bptt`)
+whose steps do only the work that depends on h_{t-1}: the x part of H,
+bias included, is gathered for all steps from one per-symbol table before
+the loop, and the head runs once on all steps after it. A step is one
+batched matmul per layer kind and one tanh for all four gates, with
+sigmoid(v) = (1 + tanh(v/2)) / 2. This matches the per-step, per-gate
+computation to rounding, not bit for bit.
 
 Pruned units cost no time in any pass that feeds no growth. Forward-only
 passes (`unroll_forward(train=False)`, `evaluate`) run on `compact(model)`,
@@ -137,7 +144,7 @@ class StepCache:
     """Intermediates of one cell step, consumed exactly once by backward.
     Gate arrays are (4, B, width) in GATES order; the others (B, width)."""
 
-    z: np.ndarray
+    h_prev: np.ndarray
     h_act: np.ndarray         # relu output of the H layers, before dropout
     keep: np.ndarray | None   # dropout scale
     gate_in: np.ndarray       # input of the O layers
@@ -148,49 +155,75 @@ class StepCache:
     consumed: bool = False
 
 
-def cell_forward(params: HLSTMCellParams, x_t: np.ndarray, prev: HLSTMState,
+# One tanh serves all four gates: sigmoid(v) = (1 + tanh(v/2)) / 2 for f, i, o.
+_GATE_SCALE = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
+
+
+def _project_input(params: HLSTMCellParams, x: np.ndarray) -> np.ndarray:
+    """The x part of every H layer's pre-activation, bias included:
+    x (N, d_x) -> (4, N, d_h). On the embedding it is a per-symbol table."""
+    return (np.matmul(x, params.H.w[:, :, :params.d_x].transpose(0, 2, 1))
+            + params.H.b[:, None])
+
+
+def _project_input_backward(params: HLSTMCellParams, x: np.ndarray,
+                            d_xw: np.ndarray) -> np.ndarray:
+    """Reverse of _project_input: accumulates the x part of H.grad_w and
+    H.grad_b from d_xw (4, N, d_h) and returns dL/dx (N, d_x)."""
+    H, d_x = params.H, params.d_x
+    H.grad_w[:, :, :d_x] += np.matmul(d_xw.transpose(0, 2, 1), x)
+    H.grad_b += d_xw.sum(axis=1)
+    return np.matmul(d_xw, H.w[:, :, :d_x]).sum(axis=0)
+
+
+def cell_forward(params: HLSTMCellParams, xw_t: np.ndarray, prev: HLSTMState,
                  train: bool = False, rng: np.random.Generator | None = None,
-                 dropout_h: float = 0.0) -> tuple[HLSTMState, StepCache]:
-    """One step for all four gates at once: one batched matmul per layer
-    kind, which rounds exactly like four per-gate products (one GEMM over
-    the concatenated 4*d_h rows does not). The kernels read w as W*Msk,
-    relying on w[mask == 0] == 0."""
-    x_t = np.asarray(x_t, dtype=FLOAT)
-    if x_t.ndim != 2 or x_t.shape[1] != params.d_x:
-        raise ContractViolation(f"x shape {x_t.shape} is not (B, d_x={params.d_x})")
+                 dropout_h: float = 0.0,
+                 record: bool = True) -> tuple[HLSTMState, StepCache | None]:
+    """One step for all four gates at once, given xw_t (4, B, d_h), the x
+    part of the H layers' pre-activations (see _project_input): one batched
+    matmul adds the recurrent part, another runs the O layers, and one tanh
+    computes every gate. Returns the StepCache only when `record`. The
+    kernels read w as W*Msk, relying on w[mask == 0] == 0."""
     H, O = params.H, params.O
-    z = np.concatenate([x_t, prev.h], axis=1)
-    c_prev = prev.c
-    act = activation_forward(ActivationKind.RELU,
-                             np.matmul(z, H.w.transpose(0, 2, 1)) + H.b[:, None])
+    batch = len(prev.h)
+    if xw_t.shape != (len(GATES), batch, params.d_h):
+        raise ContractViolation(f"projected input shape {xw_t.shape} is not "
+                                f"(4, B={batch}, d_h={params.d_h})")
+    act = activation_forward(
+        ActivationKind.RELU,
+        np.matmul(prev.h, H.w[:, :, params.d_x:].transpose(0, 2, 1)) + xw_t)
     gate_in, keep = act, None
     if train and dropout_h > 0.0:
         if rng is None:
             raise ContractViolation("dropout during training needs an rng")
         keep = (rng.random(act.shape) >= dropout_h) / (1.0 - dropout_h)
         gate_in = act * keep
-    pre_out = np.matmul(gate_in, O.w.transpose(0, 2, 1)) + O.b[:, None]
-    gates = np.empty_like(pre_out)
-    gates[:3] = activation_forward(ActivationKind.SIGMOID, pre_out[:3])
-    gates[3] = activation_forward(ActivationKind.TANH, pre_out[3])
+    pre_out = np.matmul(gate_in, O.w.transpose(0, 2, 1))
+    pre_out += O.b[:, None]
+    pre_out *= _GATE_SCALE
+    gates = activation_forward(ActivationKind.TANH, pre_out)
+    gates[:3] += 1.0
+    gates[:3] *= 0.5
     f, i, o, g = gates
-    c = f * c_prev + i * g
-    if not np.all(np.isfinite(c)):
-        raise NumericAbort("non-finite value in cell state")
+    c = f * prev.c + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    return HLSTMState(h=h, c=c), StepCache(z=z, h_act=act, keep=keep, gate_in=gate_in,
-                                           gate_out=gates, c_prev=c_prev,
-                                           tanh_c=tanh_c, h=h)
+    cache = StepCache(h_prev=prev.h, h_act=act, keep=keep, gate_in=gate_in,
+                      gate_out=gates, c_prev=prev.c, tanh_c=tanh_c, h=h) if record else None
+    return HLSTMState(h=h, c=c), cache
 
 
 def cell_backward(params: HLSTMCellParams, cache: StepCache, d_h_t: np.ndarray,
                   d_c_t: np.ndarray) -> tuple[np.ndarray, HLSTMState]:
-    """Exact reverse of cell_forward; accumulates all gate-layer gradients."""
+    """Exact reverse of cell_forward: returns (dL/dxw_t, dL/d previous state)
+    and accumulates the O blocks' gradients and the recurrent part of
+    H.grad_w. The x part of H.grad_w and H.grad_b belong to xw_t's
+    projection (see _project_input_backward)."""
     if cache.consumed:
         raise ContractViolation("StepCache already consumed by a backward pass")
     cache.consumed = True
-    H, O = params.H, params.O
+    H, O, d_x = params.H, params.O, params.d_x
     f, i, o, g = cache.gate_out
     d_c = d_c_t + d_h_t * o * (1.0 - cache.tanh_c ** 2)
     d_pre_out = np.stack([d_c * cache.c_prev, d_c * g, d_h_t * cache.tanh_c, d_c * i])
@@ -203,13 +236,9 @@ def cell_backward(params: HLSTMCellParams, cache: StepCache, d_h_t: np.ndarray,
     if cache.keep is not None:
         d_in = d_in * cache.keep
     d_pre = activation_backward(ActivationKind.RELU, cache.h_act, d_in)
-    H.grad_w += np.matmul(d_pre.transpose(0, 2, 1), cache.z)
-    H.grad_b += d_pre.sum(axis=1)
-    # summed gate by gate in GATES order; one GEMM over all 4*d_h would round differently
-    d_z = np.zeros_like(cache.z)
-    for part in np.matmul(d_pre, H.w):
-        d_z += part
-    return d_z[:, :params.d_x], HLSTMState(h=d_z[:, params.d_x:], c=d_c * f)
+    H.grad_w[:, :, d_x:] += np.matmul(d_pre.transpose(0, 2, 1), cache.h_prev)
+    d_h_prev = np.matmul(d_pre, H.w[:, :, d_x:]).sum(axis=0)
+    return d_pre, HLSTMState(h=d_h_prev, c=d_c * f)
 
 
 @dataclass
@@ -360,18 +389,23 @@ def _unroll(model: LMModel, tokens: np.ndarray, state: HLSTMState | None,
     if np.any(tokens < 0) or np.any(tokens >= model.vocab_size):
         raise ContractViolation("token id out of vocabulary range")
     batch, T = tokens.shape
+    cell = model.cell
     if state is None:
-        state = HLSTMState.zeros(model.cell.d_s, batch)
-    logits = np.zeros(tokens.shape + (model.vocab_size,), dtype=FLOAT)
+        state = HLSTMState.zeros(cell.d_s, batch)
+    xw = _project_input(cell, model.embedding)[:, tokens.T]     # (4, T, B, d_h)
+    hs = np.empty((batch, T, cell.d_s), dtype=FLOAT)
     caches: list[StepCache] = []
     for t in range(T):
-        state, cache = cell_forward(model.cell, model.embedding[tokens[:, t]], state,
-                                    train=rng is not None, rng=rng,
-                                    dropout_h=model.dropout_h)
-        logits[:, t, :] = model.head.forward(state.h)
+        state, cache = cell_forward(cell, xw[:, t], state, train=rng is not None,
+                                    rng=rng, dropout_h=model.dropout_h, record=record)
+        hs[:, t] = state.h
         if record:
             caches.append(cache)
-    return logits, caches, state
+    # a non-finite c stays non-finite through f * c + i * g
+    if not np.all(np.isfinite(state.c)):
+        raise NumericAbort("non-finite value in cell state")
+    logits = model.head.forward(hs.reshape(batch * T, cell.d_s))
+    return logits.reshape(batch, T, model.vocab_size), caches, state
 
 
 def unroll_forward(model: LMModel, tokens: np.ndarray,
@@ -435,11 +469,21 @@ def bptt(model: LMModel, logits: np.ndarray, caches, tokens: np.ndarray,
     d_logits[idx] -= 1.0
     d_logits *= grad_scale
 
-    d_next = HLSTMState(h=np.zeros_like(caches[0].h), c=np.zeros_like(caches[0].h))
-    for t in range(tokens.shape[1] - 1, -1, -1):
-        d_h = model.head.backward(caches[t].h, d_logits[:, t, :])
-        d_x, d_next = cell_backward(model.cell, caches[t], d_h + d_next.h, d_next.c)
-        np.add.at(model.embedding_grad, tokens[:, t], d_x)
+    batch, T = tokens.shape
+    cell, head = model.cell, model.head
+    hs = np.stack([cache.h for cache in caches], axis=1)
+    d_hs = head.backward(hs.reshape(batch * T, cell.d_s),
+                         d_logits.reshape(batch * T, model.vocab_size))
+    d_hs = d_hs.reshape(batch, T, cell.d_s)
+    d_xw = np.empty((len(GATES), T, batch, cell.d_h), dtype=FLOAT)
+    d_next = HLSTMState(h=np.zeros_like(hs[:, 0]), c=np.zeros_like(hs[:, 0]))
+    for t in range(T - 1, -1, -1):
+        d_xw[:, t], d_next = cell_backward(cell, caches[t], d_hs[:, t] + d_next.h,
+                                           d_next.c)
+    steps = tokens.T.reshape(-1)
+    d_x = _project_input_backward(cell, model.embedding[steps],
+                                  d_xw.reshape(len(GATES), T * batch, cell.d_h))
+    np.add.at(model.embedding_grad, steps, d_x)
     return total_nll
 
 

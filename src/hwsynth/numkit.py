@@ -42,10 +42,9 @@ class ActivationKind(Enum):
 def activation_forward(kind: ActivationKind, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=FLOAT)
     if kind is ActivationKind.SIGMOID:
-        # exp(-|v|) never overflows: 1/(1+e) for v >= 0, e/(1+e) below
-        e = np.exp(-np.abs(v))
-        d = 1.0 + e
-        return np.divide(1.0, d, out=e / d, where=v >= 0)
+        # the tanh form the H-LSTM cell computes its gates with; it cannot
+        # overflow, and tanh(+-400) = +-1 exactly, so +-800 maps to 1 and 0
+        return 0.5 * (1.0 + np.tanh(0.5 * v))
     if kind is ActivationKind.TANH:
         return np.tanh(v)
     if kind is ActivationKind.RELU:
@@ -145,7 +144,9 @@ class MaskedLinear:
         if x.shape[-1] != self.in_dim:
             raise ContractViolation(
                 f"{self.name}: input width {x.shape[-1]} != expected {self.in_dim}")
-        return x @ self.w.T + self.b
+        y = x @ self.w.T
+        y += self.b
+        return y
 
     def backward(self, x: np.ndarray, d_y: np.ndarray) -> np.ndarray:
         """Accumulate grad_w (unmasked) and grad_b over a batch x (B, in),

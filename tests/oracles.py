@@ -166,8 +166,8 @@ def grown_masks(cell, head, s_idx, h_idx):
 #
 # One cell step as eight separate layer products (an H and an O layer per
 # gate, through W*Msk) with the sign-split sigmoid. The stacked kernels in
-# hlstm run the same float ops in the same order, so on batched input they
-# must match this bit for bit.
+# hlstm project the input separately from the recurrent part and compute
+# the sigmoid through tanh, so they match this to rounding (1e-12 normwise).
 
 def _sigmoid_split(v):
     out = np.empty_like(v)
@@ -225,25 +225,52 @@ def per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c, rng=None, dropout=0.0)
             "grads": grads}
 
 
+# --- one library step on raw input ---------------------------------------------------
+#
+# cell_forward takes the step's projected input, the x part of every H
+# layer's pre-activation with the bias, and cell_backward returns its
+# gradient; an unroll projects a whole pass at once. These adapters run one
+# step from a (B, d_x) input through the library's own projection.
+
+def cell_step(cell, x, prev, **kwargs):
+    """cell_forward on a (B, d_x) input; kwargs as for cell_forward."""
+    from hwsynth.hlstm import _project_input, cell_forward
+
+    return cell_forward(cell, _project_input(cell, np.asarray(x, dtype=float)), prev,
+                        **kwargs)
+
+
+def cell_step_backward(cell, cache, x, d_h, d_c):
+    """cell_backward of a cell_step on input x, with the x part of H.grad_w
+    and H.grad_b. Returns (dL/dx, dL/d previous state)."""
+    from hwsynth.hlstm import _project_input_backward, cell_backward
+
+    d_xw, d_prev = cell_backward(cell, cache, d_h, d_c)
+    return _project_input_backward(cell, x, d_xw), d_prev
+
+
 # --- full-shape forward ------------------------------------------------------------
 #
 # The unroll every pass ran before forward-only passes were compacted: all
 # d_s and d_h units of the masked model, dead ones included, one StepCache
-# per step, dropout iff an rng is given. Training passes must still match it
-# bit for bit; forward-only passes up to BLAS summation order.
+# per step, dropout iff an rng is given. It projects the input and applies
+# the head step by step where the library does both once per pass, so a
+# training pass matches it bit for bit only while the BLAS rounds a GEMM
+# row the same whatever the row count (as OpenBLAS does for B > 1);
+# forward-only passes match it up to BLAS summation order.
 
 def full_shape_forward(model, tokens, init=None, rng=None):
     """(logits (B, T, V), caches, final full-shape state) of the masked model."""
-    from hwsynth.hlstm import HLSTMState, cell_forward
+    from hwsynth.hlstm import HLSTMState
 
     batch, T = tokens.shape
     state = HLSTMState.zeros(model.cell.d_s, batch) if init is None else init
     logits = np.zeros((batch, T, model.vocab_size))
     caches = []
     for t in range(T):
-        state, cache = cell_forward(model.cell, model.embedding[tokens[:, t]], state,
-                                    train=rng is not None, rng=rng,
-                                    dropout_h=model.dropout_h)
+        state, cache = cell_step(model.cell, model.embedding[tokens[:, t]], state,
+                                 train=rng is not None, rng=rng,
+                                 dropout_h=model.dropout_h)
         logits[:, t] = model.head.forward(state.h)
         caches.append(cache)
     return logits, caches, state
