@@ -28,12 +28,9 @@ class UsageError(ValueError):
 
 def _parse_grid(spec: str) -> list[int]:
     try:
-        lo, hi, step = (int(p) for p in spec.split(":"))
-    except ValueError:
-        raise UsageError(f"grid must be 'lo:hi:step', got {spec!r}") from None
-    if lo < 1 or hi < lo or step < 1:
-        raise UsageError(f"invalid grid {spec!r}: need 1 <= lo <= hi, step >= 1")
-    return list(range(lo, hi + 1, step))
+        return latlab.dim_grid(tuple(int(p) for p in spec.split(":")))
+    except (ValueError, ContractViolation) as exc:
+        raise UsageError(f"grid must be 'lo:hi:step', got {spec!r}: {exc}") from None
 
 
 def cmd_profile(args) -> int:
@@ -78,11 +75,15 @@ def cmd_synthesize(args) -> int:
 def cmd_eval(args) -> int:
     model, meta = synthflow.checkpoint_load(args.checkpoint)
     path = bundled_corpus_path() if args.corpus == "bundled" else args.corpus
-    corpus = load_corpus(path)
+    defaults = synthflow.FlowConfig   # for checkpoints older than the split meta
+    corpus = load_corpus(path, meta.get("train_frac", defaults.train_frac),
+                         meta.get("valid_frac", defaults.valid_frac))
     if corpus.vocab_size != model.vocab_size:
         raise UsageError(f"corpus vocabulary {corpus.vocab_size} != model "
                          f"vocabulary {model.vocab_size}")
-    ppl = perplexity(evaluate(model, corpus.valid, batch=4))
+    ppl = perplexity(evaluate(model, corpus.valid,
+                              seq_len=meta.get("seq_len", defaults.seq_len),
+                              batch=synthflow.VALID_BATCH))
     print(f"phase={meta.get('phase', '?')} valid_perplexity={ppl!r}")
     return 0
 

@@ -177,14 +177,14 @@ def _project_input_backward(params: HLSTMCellParams, x: np.ndarray,
 
 
 def cell_forward(params: HLSTMCellParams, xw_t: np.ndarray, prev: HLSTMState,
-                 train: bool = False, rng: np.random.Generator | None = None,
-                 dropout_h: float = 0.0,
+                 rng: np.random.Generator | None = None, dropout_h: float = 0.0,
                  record: bool = True) -> tuple[HLSTMState, StepCache | None]:
     """One step for all four gates at once, given xw_t (4, B, d_h), the x
     part of the H layers' pre-activations (see _project_input): one batched
     matmul adds the recurrent part, another runs the O layers, and one tanh
-    computes every gate. Returns the StepCache only when `record`. The
-    kernels read w as W*Msk, relying on w[mask == 0] == 0."""
+    computes every gate. Dropout runs iff an rng is given and dropout_h > 0.
+    Returns the StepCache only when `record`. The kernels read w as W*Msk,
+    relying on w[mask == 0] == 0."""
     H, O = params.H, params.O
     batch = len(prev.h)
     if xw_t.shape != (len(GATES), batch, params.d_h):
@@ -194,9 +194,7 @@ def cell_forward(params: HLSTMCellParams, xw_t: np.ndarray, prev: HLSTMState,
         ActivationKind.RELU,
         np.matmul(prev.h, H.w[:, :, params.d_x:].transpose(0, 2, 1)) + xw_t)
     gate_in, keep = act, None
-    if train and dropout_h > 0.0:
-        if rng is None:
-            raise ContractViolation("dropout during training needs an rng")
+    if rng is not None and dropout_h > 0.0:
         keep = (rng.random(act.shape) >= dropout_h) / (1.0 - dropout_h)
         gate_in = act * keep
     pre_out = np.matmul(gate_in, O.w.transpose(0, 2, 1))
@@ -396,8 +394,8 @@ def _unroll(model: LMModel, tokens: np.ndarray, state: HLSTMState | None,
     hs = np.empty((batch, T, cell.d_s), dtype=FLOAT)
     caches: list[StepCache] = []
     for t in range(T):
-        state, cache = cell_forward(cell, xw[:, t], state, train=rng is not None,
-                                    rng=rng, dropout_h=model.dropout_h, record=record)
+        state, cache = cell_forward(cell, xw[:, t], state, rng=rng,
+                                    dropout_h=model.dropout_h, record=record)
         hs[:, t] = state.h
         if record:
             caches.append(cache)

@@ -206,6 +206,16 @@ def measure_point(backend: MatmulBackend, dim: int, batch: int,
         raise MeasurementError(dim, str(exc)) from exc
 
 
+def dim_grid(spec) -> list[int]:
+    """The dims of an inclusive (lo, hi, step) grid: lo, lo + step, ... up to hi."""
+    if len(spec) != 3:
+        raise ContractViolation(f"grid {spec} must be (lo, hi, step)")
+    lo, hi, step = spec
+    if lo < 1 or step < 1 or hi < lo:
+        raise ContractViolation(f"grid {spec}: need 1 <= lo <= hi, step >= 1")
+    return list(range(lo, hi + 1, step))
+
+
 @dataclass
 class SweepConfig:
     warmup_runs: int = 10

@@ -173,7 +173,8 @@ class MaskedLinear:
 
 
 def sgd_step(layer: MaskedLinear, lr: float, weight_decay: float = 0.0) -> None:
-    """W <- W - lr (grad + wd W) on active entries only; gradients cleared.
+    """W <- W - lr (grad + wd W) on active entries only, so w[mask == 0]
+    stays 0; gradients cleared.
 
     Bias updates are applied only to rows that still have at least one
     active connection, so dead output units keep a zero bias.
@@ -183,7 +184,6 @@ def sgd_step(layer: MaskedLinear, lr: float, weight_decay: float = 0.0) -> None:
     layer.w -= lr * layer.mask * (layer.grad_w + weight_decay * layer.w)
     live = layer.mask.any(axis=1)
     layer.b[live] -= lr * (layer.grad_b[live] + weight_decay * layer.b[live])
-    layer.apply_mask()
     layer.zero_grads()
 
 

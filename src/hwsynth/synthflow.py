@@ -2,8 +2,9 @@
 
 Order: seed -> weight growth (wg) -> row/column pruning (rcp) -> row/column
 growth back to the nearest latency hysteresis point (rcg) -> weight pruning
-(wp). CPU mode skips rcp and rcg to maximize weight sparsity. Each step
-appends a report row (dims, parameter counts, validation perplexity,
+(wp). CPU mode skips rcp and rcg to maximize weight sparsity. The flow
+builds rcg's LHP map once, before any training. Each step appends a report
+row (compact(model)'s dims, parameter counts, validation perplexity,
 measured forward latency); prune phases restore the last passing checkpoint
 so the flow never emits a model violating the accuracy threshold.
 """
@@ -16,7 +17,7 @@ import io
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ CONFIG_VERSION = 1
 CHECKPOINT_VERSION = 1
 
 PHASES = ("wg", "rcp", "rcg", "wp", "done")
+VALID_BATCH = 4     # lanes of every validation pass, the flow's and `hwsynth eval`'s
 
 
 class ConfigError(ValueError):
@@ -92,11 +94,10 @@ class FlowConfig:
         for name in ("baseline_epochs", "wg_epochs", "growth_epochs", "rcg_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if len(self.profile_grid) != 3:
-            raise ConfigError(f"profile_grid {self.profile_grid} must be (lo, hi, step)")
-        lo, hi, step = self.profile_grid
-        if lo < 1 or step < 1 or hi < lo:
-            raise ConfigError(f"profile_grid {self.profile_grid}: need 1 <= lo <= hi, step >= 1")
+        try:
+            latlab.dim_grid(self.profile_grid)
+        except ContractViolation as exc:
+            raise ConfigError(f"profile_grid: {exc}") from None
 
     @classmethod
     def from_json(cls, path: str | Path) -> "FlowConfig":
@@ -150,19 +151,14 @@ class FlowReport:
     threshold: float = math.inf
     lhp_target: int | None = None
 
-    CSV_HEADER = ["step", "d_s", "d_h", "d_x", "total_params", "active_params",
-                  "valid_ppl", "latency_median_ns", "latency_mean_ns",
-                  "latency_p95_ns"]
+    CSV_HEADER = [f.name for f in fields(ReportRow)]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.CSV_HEADER)
         for r in self.rows:
-            writer.writerow([r.step, r.d_s, r.d_h, r.d_x, r.total_params,
-                             r.active_params, repr(r.valid_ppl),
-                             repr(r.latency_median_ns), repr(r.latency_mean_ns),
-                             repr(r.latency_p95_ns)])
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in astuple(r)])
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -377,19 +373,24 @@ def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
 
 class SynthesisFlow:
     def __init__(self, cfg: FlowConfig, out_dir: str | Path | None = None):
-        # Checked here, not in FlowConfig, because the CLI sets cpu_mode and
-        # profile_path after the config is built. A loaded profile is kept for rcg.
-        self.profile: latlab.LatencyProfile | None = None
+        # rcg's LHP map, built before the corpus is read or anything trains; here, not in
+        # FlowConfig, because the CLI sets cpu_mode and profile_path after the config is built.
+        self.hmap: latlab.HysteresisMap | None = None
         if not cfg.cpu_mode:
-            if cfg.profile_path:
-                self.profile = latlab.load_profile(cfg.profile_path)
-                source, top = f"profile {cfg.profile_path}", max(self.profile.grid, default=0)
-            else:
-                lo, hi, step = cfg.profile_grid
-                source, top = f"profile_grid {cfg.profile_grid}", range(lo, hi + 1, step)[-1]
-            if top < cfg.d_s:
+            profile = latlab.load_profile(cfg.profile_path) if cfg.profile_path else None
+            dims = profile.grid if profile is not None else latlab.dim_grid(cfg.profile_grid)
+            if max(dims, default=0) < cfg.d_s:
+                source = (f"profile {cfg.profile_path}" if profile is not None
+                          else f"profile_grid {cfg.profile_grid}")
                 raise ConfigError(f"{source} stops below d_s {cfg.d_s}; rcg could not "
                                   f"look up the pruned dim")
+            if profile is None:
+                backend = (latlab.SyntheticBackend(cfg.latency.curve)
+                           if cfg.latency.mode == "virtual"
+                           else latlab.NativeBackend(seed=cfg.seed))
+                profile = latlab.sweep(backend, dims, cfg.latency.measure_batch,
+                                       latlab.SweepConfig(hardware_id="flow"))
+            self.hmap = latlab.detect_lhps(profile)
         self.cfg = cfg
         self.out_dir = Path(out_dir) if out_dir is not None else None
         if self.out_dir is not None:
@@ -408,9 +409,9 @@ class SynthesisFlow:
 
     def _row(self, step: str, model: LMModel, ppl: float) -> ReportRow:
         total, active = param_count(model)
-        d_s, d_h = model.cell.active_dims()
+        shape = compact(model).cell    # what forward passes and real mode run
         lat = measure_model_latency(model, self.cfg.latency)
-        return ReportRow(step=step, d_s=d_s, d_h=d_h, d_x=model.d_x,
+        return ReportRow(step=step, d_s=shape.d_s, d_h=shape.d_h, d_x=model.d_x,
                          total_params=total, active_params=active,
                          valid_ppl=ppl, latency_median_ns=lat.median_ns,
                          latency_mean_ns=lat.mean_ns, latency_p95_ns=lat.p95_ns)
@@ -427,7 +428,9 @@ class SynthesisFlow:
     def _save_phase_artifacts(self, tag: str) -> None:
         if self.out_dir is None:
             return
-        checkpoint_save(self.model, {"phase": tag, "seed": self.cfg.seed},
+        # the split and window length `hwsynth eval` scores the checkpoint with
+        meta = {k: getattr(self.cfg, k) for k in ("seed", "seq_len", "train_frac", "valid_frac")}
+        checkpoint_save(self.model, {"phase": tag, **meta},
                         self.out_dir / f"checkpoint_{tag}.npz")
         growprune.export_masks(self.model.masked_layers(),
                                self.out_dir / "masks", tag)
@@ -440,7 +443,7 @@ class SynthesisFlow:
         last validation perplexity; with no epochs, that of the model as is."""
         if epochs == 0:
             return perplexity(evaluate(model, self.corpus.valid,
-                                       seq_len=self.cfg.seq_len, batch=4))
+                                       seq_len=self.cfg.seq_len, batch=VALID_BATCH))
         for ep in range(epochs):
             sink: dict | None = {} if ep < growth_epochs else None
             trainer.epoch(model, self.corpus.train, self.cfg.batch,
@@ -450,7 +453,7 @@ class SynthesisFlow:
                     growprune.weight_grow(layer, sink[id(layer)], self.gp.g_w,
                                           trainer.lr)
             valid_nll = evaluate(model, self.corpus.valid,
-                                 seq_len=self.cfg.seq_len, batch=4)
+                                 seq_len=self.cfg.seq_len, batch=VALID_BATCH)
             trainer.note_valid(valid_nll)
             ppl = perplexity(valid_nll)
             d_s, d_h = trainer.trained
@@ -533,26 +536,12 @@ class SynthesisFlow:
         self.report.rows.append(self._row("rcp", self.model, ppl))
         self._save_phase_artifacts("rcp")
 
-    def _hysteresis_map(self) -> latlab.HysteresisMap:
-        profile = self.profile
-        if profile is None:
-            lo, hi, step = self.cfg.profile_grid
-            grid = list(range(lo, hi + 1, step))
-            if self.cfg.latency.mode == "virtual":
-                backend = latlab.SyntheticBackend(self.cfg.latency.curve)
-            else:
-                backend = latlab.NativeBackend(seed=self.cfg.seed)
-            profile = latlab.sweep(backend, grid, self.cfg.latency.measure_batch,
-                                   latlab.SweepConfig(hardware_id="flow"))
-        return latlab.detect_lhps(profile)
-
     def step_rc_grow(self) -> None:
         self.state.advance("rcg")
-        hmap = self._hysteresis_map()
-        cell = self.model.cell
-        cur_s, cur_h = cell.active_dims()
+        shape = compact(self.model).cell
+        cur_s, cur_h = shape.d_s, shape.d_h
         tied = max(cur_s, cur_h)
-        target = latlab.nearest_lhp(hmap, tied)
+        target = latlab.nearest_lhp(self.hmap, tied)
         self.report.lhp_target = target.dim
         if target.found and target.dim > tied:
             target_dim = min(target.dim, self.cfg.d_s)
@@ -560,7 +549,7 @@ class SynthesisFlow:
             grads = _window_pass(self.model, self.corpus.train, self.cfg.batch,
                                  self.cfg.seq_len, collect=True)[1]
             growprune.coordinated_rc_grow_counts(
-                cell, self.model.head, grads,
+                self.model.cell, self.model.head, grads,
                 target_dim - cur_s, target_dim - cur_h, self.trainer.lr)
             self.log(f"[rcg] grew tied dim {tied} -> {target_dim}")
         else:

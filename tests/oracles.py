@@ -269,8 +269,7 @@ def full_shape_forward(model, tokens, init=None, rng=None):
     caches = []
     for t in range(T):
         state, cache = cell_step(model.cell, model.embedding[tokens[:, t]], state,
-                                 train=rng is not None, rng=rng,
-                                 dropout_h=model.dropout_h)
+                                 rng=rng, dropout_h=model.dropout_h)
         logits[:, t] = model.head.forward(state.h)
         caches.append(cache)
     return logits, caches, state

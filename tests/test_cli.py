@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from hwsynth.cli import main
-from hwsynth.hlstm import compact
-from hwsynth.synthflow import checkpoint_load
+from hwsynth.corpus import load_corpus
+from hwsynth.hlstm import compact, evaluate, perplexity
+from hwsynth.synthflow import checkpoint_load, checkpoint_save
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,33 @@ class TestSynthesizeEvalReportBench:
         out = capsys.readouterr().out
         assert "phase=wp" in out
         assert "valid_perplexity=" in out
+
+    def test_eval_scores_each_checkpoint_as_the_flow_did(self, workdir, flow_config,
+                                                         capsys):
+        # seq_len 16 and a 0.7 train split, neither of them eval's fallback
+        data = json.loads(open(flow_config, encoding="utf-8").read())
+        data["train_frac"] = 0.7
+        config = workdir / "split_flow.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        out = workdir / "split_flow"
+        assert main(["synthesize", "--config", str(config), "--out", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))["rows"]
+        capsys.readouterr()
+        for row in rows[1:]:
+            assert main(["eval", "--checkpoint", str(out / f"checkpoint_{row['step']}.npz"),
+                         "--corpus", data["corpus_path"]]) == 0
+            got = re.search(r"valid_perplexity=(\S+)", capsys.readouterr().out)[1]
+            assert float(got) == row["valid_ppl"], row["step"]
+
+    def test_eval_of_a_checkpoint_without_split_meta(self, flow_out, tiny_corpus,
+                                                     tmp_path, capsys):
+        model, _ = checkpoint_load(flow_out / "checkpoint_wp.npz")
+        old = tmp_path / "old.npz"
+        checkpoint_save(model, {"phase": "wp", "seed": 0}, old)
+        assert main(["eval", "--checkpoint", str(old), "--corpus", tiny_corpus]) == 0
+        want = perplexity(evaluate(model, load_corpus(tiny_corpus, 0.8, 0.1).valid,
+                                   seq_len=64, batch=4))
+        assert f"valid_perplexity={want!r}" in capsys.readouterr().out
 
     def test_eval_vocab_mismatch(self, flow_out, tmp_path, capsys):
         other = tmp_path / "other.txt"

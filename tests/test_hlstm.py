@@ -227,8 +227,7 @@ class TestStackedKernelsMatchPerGate:
         assert cell.active_dims() == (35, 32)
         x, h_prev, c_prev, d_h, d_c = self.step_inputs(rng, cell, batch)
         state, cache = cell_step(cell, x, HLSTMState(h=h_prev, c=c_prev),
-                                 train=dropout > 0, rng=make_rng(seed + 1),
-                                 dropout_h=dropout)
+                                 rng=make_rng(seed + 1), dropout_h=dropout)
         d_x, d_prev = cell_step_backward(cell, cache, x, d_h, d_c)
         ref = per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c,
                                  rng=make_rng(seed + 1), dropout=dropout)

@@ -15,6 +15,7 @@ from hwsynth.latlab import (
     SyntheticBackend,
     SyntheticCurveSpec,
     detect_lhps,
+    dim_grid,
     load_profile,
     make_backend,
     measure_point,
@@ -125,6 +126,13 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ContractViolation):
             sweep(SyntheticBackend(SyntheticCurveSpec()), [], 16)
+
+    def test_grid_rule(self):
+        # inclusive: 16:128:4 has (128 - 16) / 4 + 1 = 29 points, the last one hi
+        grid = dim_grid((16, 128, 4))
+        assert len(grid) == 29 and (grid[0], grid[-1]) == (16, 128)
+        assert dim_grid((1, 12, 2))[-1] == 11          # a step may stop below hi
+        assert dim_grid((5, 5, 3)) == [5]
 
     def test_failure_stops_the_sweep_at_its_dim(self):
         measured = []

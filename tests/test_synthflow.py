@@ -151,6 +151,17 @@ class TestFlowConfig:
             SynthesisFlow(tiny_config(tiny_corpus, profile_path=path))
         SynthesisFlow(tiny_config(tiny_corpus, profile_path=path, cpu_mode=True))
 
+    def test_lhp_map_is_built_once_at_construction(self, tiny_corpus, monkeypatch):
+        sweeps = count_calls(monkeypatch, latlab, "sweep")
+        analyses = count_calls(monkeypatch, latlab, "detect_lhps")
+        flow = SynthesisFlow(tiny_config(tiny_corpus))
+        flow.log = lambda *a, **k: None
+        assert (len(sweeps), len(analyses)) == (1, 1)
+        assert flow.hmap.profile.grid == list(range(1, 13))
+        report = flow.run()
+        assert (len(sweeps), len(analyses)) == (1, 1)
+        assert report.complete and report.lhp_target in flow.hmap.lhp_set
+
     def test_rcg_reuses_the_loaded_profile(self, tiny_corpus, tmp_path):
         path = write_profile(tmp_path / "p.csv", 12)
         flow = SynthesisFlow(tiny_config(tiny_corpus, profile_path=path))
@@ -592,6 +603,23 @@ class TestCompactedTraining:
         assert np.array_equal(after, ref.cell.O.w[:, u])    # nothing reads u: decay only
         assert np.all(np.abs(after[live]) < np.abs(before[live]))
 
+    def test_report_row_names_the_compact_shape(self, tiny_corpus):
+        # as above: d_s unit u is written but unread, d_h unit k read but unwritten
+        model, _ = self.setup_model(tiny_corpus)
+        coordinated_rc_prune_counts(model.cell, model.head, 4, 3)
+        cell, d_x = model.cell, model.d_x
+        s_active, h_active = cell.active_units()
+        u, k = int(np.flatnonzero(s_active)[0]), int(np.flatnonzero(h_active)[0])
+        for arr in (cell.H.mask, cell.H.w):
+            arr[:, :, d_x + u] = 0.0
+            arr[:, k] = 0.0
+        model.head.mask[:, u] = model.head.w[:, u] = 0.0
+        assert cell.O.mask[:, u].any() and cell.O.mask[:, :, k].any()
+        shape = compact(model).cell
+        assert cell.active_dims() == (8, 8) and (shape.d_s, shape.d_h) == (7, 9)
+        row = SynthesisFlow(tiny_config(tiny_corpus))._row("wp", model, 1.0)
+        assert (row.d_s, row.d_h) == (7, 9)
+
     def test_dense_model_trains_in_place(self, tiny_corpus, monkeypatch):
         def no_copy(*args):
             raise AssertionError("a model with no unit to drop was copied")
@@ -807,9 +835,9 @@ class TestDeterminism:
 class TestPartialReport:
     def test_failure_still_writes_partial_report(self, tiny_corpus, tmp_path,
                                                  monkeypatch):
-        def fail(_profile):
+        def fail(_hmap, _d):
             raise RuntimeError("LHP analysis failed")
-        monkeypatch.setattr(latlab, "detect_lhps", fail)
+        monkeypatch.setattr(latlab, "nearest_lhp", fail)
         with pytest.raises(RuntimeError, match="LHP"):
             run_flow(tiny_config(tiny_corpus), tmp_path, log=lambda *a, **k: None)
         data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
@@ -935,6 +963,20 @@ class TestPruneLoopPaths:
 # --- a real-mode flow: the rcg target comes from a native matmul sweep --------
 
 class TestRealModeFlow:
+    def test_failing_sweep_stops_before_training(self, tiny_corpus, tmp_path,
+                                                 monkeypatch):
+        def broken(self, dim, batch):
+            raise RuntimeError("no kernel")
+        monkeypatch.setattr(latlab.NativeBackend, "make_task", broken)
+        epochs = count_calls(monkeypatch, Trainer, "epoch")
+        cfg = tiny_config(tiny_corpus, latency=LatencyConfig(
+            mode="real", measure_batch=2, measure_seq=4, runs=5))
+        with pytest.raises(latlab.MeasurementError, match="dim 1"):
+            run_flow(cfg, tmp_path, log=lambda *a, **k: None)
+        assert epochs == []
+        assert not (tmp_path / "report.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
     def test_completes_and_rcg_follows_the_swept_lhp(self, tiny_corpus, monkeypatch):
         tasks = count_calls(monkeypatch, latlab.NativeBackend, "make_task")
         cfg = tiny_config(tiny_corpus, d_s=8, d_h=8, profile_grid=(1, 8, 1),
