@@ -34,6 +34,8 @@ def _parse_grid(spec: str) -> list[int]:
 
 
 def cmd_profile(args) -> int:
+    if args.batch < 1:
+        raise UsageError(f"--batch must be at least 1, got {args.batch}")
     grid = _parse_grid(args.grid)
     backend = latlab.make_backend(args.backend, seed=args.seed)
     cfg = latlab.SweepConfig(warmup_runs=args.warmup, measured_runs=args.runs,
@@ -104,6 +106,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.batch < 1 or args.reps < 5:
+        raise UsageError(f"need --batch >= 1 and --reps >= 5, got {args.batch}, {args.reps}")
     model, _ = synthflow.checkpoint_load(args.checkpoint)
     lat_cfg = synthflow.LatencyConfig(
         mode="virtual" if args.virtual else "real",
@@ -161,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="model forward latency from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--reps", type=int, default=9)
+    p.add_argument("--reps", type=int, default=9, help="timed forwards, at least 5")
     p.add_argument("--virtual", action="store_true")
     p.set_defaults(func=cmd_bench)
     return parser

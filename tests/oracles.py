@@ -227,17 +227,19 @@ def per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c, rng=None, dropout=0.0)
 
 # --- one library step on raw input ---------------------------------------------------
 #
-# cell_forward takes the step's projected input, the x part of every H
-# layer's pre-activation with the bias, and cell_backward returns its
-# gradient; an unroll projects a whole pass at once. These adapters run one
-# step from a (B, d_x) input through the library's own projection.
+# cell_forward takes the pass's step operands (the recurrent part of H and
+# the gate-scaled O, laid out once per pass) and the step's projected input,
+# the x part of every H layer's pre-activation with the bias, and
+# cell_backward returns its gradient; an unroll projects a whole pass at
+# once. These adapters run one step from a (B, d_x) input through the
+# library's own layout and projection.
 
 def cell_step(cell, x, prev, **kwargs):
     """cell_forward on a (B, d_x) input; kwargs as for cell_forward."""
-    from hwsynth.hlstm import _project_input, cell_forward
+    from hwsynth.hlstm import _project_input, _step_operands, cell_forward
 
-    return cell_forward(cell, _project_input(cell, np.asarray(x, dtype=float)), prev,
-                        **kwargs)
+    return cell_forward(_step_operands(cell),
+                        _project_input(cell, np.asarray(x, dtype=float)), prev, **kwargs)
 
 
 def cell_step_backward(cell, cache, x, d_h, d_c):
@@ -253,24 +255,27 @@ def cell_step_backward(cell, cache, x, d_h, d_c):
 #
 # The unroll every pass ran before forward-only passes were compacted: all
 # d_s and d_h units of the masked model, dead ones included, one StepCache
-# per step, dropout iff an rng is given. It projects the input and applies
-# the head step by step where the library does both once per pass, so a
+# per step, dropout iff an rng is given. It projects the input, lays out
+# the step operands and applies the head step by step where the library
+# does each once per pass, so a
 # training pass matches it bit for bit only while the BLAS rounds a GEMM
 # row the same whatever the row count (as OpenBLAS does for B > 1);
 # forward-only passes match it up to BLAS summation order.
 
 def full_shape_forward(model, tokens, init=None, rng=None):
-    """(logits (B, T, V), caches, final full-shape state) of the masked model."""
-    from hwsynth.hlstm import HLSTMState
+    """(logits (B, T, V), caches, final full-shape state) of the masked model.
+    The caches are a recording bptt accepts: the steps' caches and h stack."""
+    from hwsynth.hlstm import HLSTMState, _Recording
 
     batch, T = tokens.shape
     state = HLSTMState.zeros(model.cell.d_s, batch) if init is None else init
     logits = np.zeros((batch, T, model.vocab_size))
-    caches = []
+    caches = _Recording(np.zeros((batch, T, model.cell.d_s)))
     for t in range(T):
         state, cache = cell_step(model.cell, model.embedding[tokens[:, t]], state,
                                  rng=rng, dropout_h=model.dropout_h)
         logits[:, t] = model.head.forward(state.h)
+        caches.hs[:, t] = state.h
         caches.append(cache)
     return logits, caches, state
 

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from hwsynth import synthflow
 from hwsynth.cli import main
 from hwsynth.corpus import load_corpus
 from hwsynth.hlstm import compact, evaluate, perplexity
@@ -226,6 +227,26 @@ class TestSynthesizeEvalReportBench:
         dims = re.search(r"compact_d_s=(\d+) compact_d_h=(\d+)", out)
         assert dims and (int(dims[1]), int(dims[2])) == (timed.d_s, timed.d_h)
         assert timed.d_s < 12     # rcp pruned units, so the timed shape is smaller
+
+
+    @pytest.mark.parametrize("bad", [["--batch", "0"], ["--batch", "-3"], ["--reps", "0"],
+                                     ["--reps", "4"]])
+    def test_bench_rejects_bad_timing_args_before_timing(self, flow_out, bad, monkeypatch,
+                                                         capsys):
+        timed = []
+        monkeypatch.setattr(synthflow, "measure_model_latency",
+                            lambda *args: timed.append(args))
+        assert main(["bench", "--checkpoint", str(flow_out / "checkpoint_wp.npz")]
+                    + bad) == 2
+        assert bad[0] in capsys.readouterr().err
+        assert timed == []
+
+    def test_profile_rejects_batch_below_one(self, workdir, curve_file, capsys):
+        out = workdir / "batch0.csv"
+        assert main(["profile", "--grid", "1:4:1", "--runs", "5", "--batch", "0",
+                     "--backend", f"synthetic:{curve_file}", "--out", str(out)]) == 2
+        assert "--batch" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPartialReportWarning:

@@ -498,6 +498,66 @@ class TestCompact:
                        for a, b in zip(caches, ref_caches))
 
 
+def edit_live_weights(model, rng):
+    """Move every live cell weight and every gate bias in place, as SGD does
+    between windows (w[mask == 0] == 0 still holds)."""
+    for block in (model.cell.H, model.cell.O):
+        block.w *= 1.0 + rng.uniform(-0.5, 0.5, size=block.w.shape)
+        block.b += rng.uniform(-0.3, 0.3, size=block.b.shape)
+
+
+class TestStepOperands:
+    """Each pass lays out its step operands (the recurrent part of H and the
+    gate-scaled O and O bias) from the weights it is given."""
+
+    @staticmethod
+    def model(dense, seed):
+        """A dense model (its own compaction) or one compact() slices."""
+        if dense:
+            model = random_model(seed, vocab=9, d_x=5, d_s=6, d_h=5, density=1.0)[0]
+            return model, make_rng(seed)
+        return unread_model(seed)
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_weights_edited_between_calls_are_read(self, dense, train):
+        model, rng = self.model(dense, 40)
+        tokens = rng.integers(0, 9, size=(3, 9))
+        before, _, _ = unroll_forward(model, tokens, train=train)
+        edit_live_weights(model, rng)
+        got, _, _ = unroll_forward(model, tokens, train=train)
+        ref = full_shape_forward(copy.deepcopy(model), tokens)[0]
+        assert rel_max_diff(before, ref) > 1e-3      # the edit moved the logits
+        assert rel_max_diff(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_evaluate_reads_weights_edited_between_calls(self, dense):
+        model, rng = self.model(dense, 41)
+        ids = rng.integers(0, 9, size=200)
+        first = evaluate(model, ids, seq_len=8, batch=2)
+        edit_live_weights(model, rng)
+        fresh = copy.deepcopy(model)
+        assert evaluate(model, ids, seq_len=8, batch=2) == evaluate(fresh, ids, seq_len=8,
+                                                                    batch=2) != first
+
+    @pytest.mark.parametrize("d", [128, 32])
+    def test_infer_shape_matches_full_shape(self, d):
+        """The bench's infer shape: batch 16 on a dense d=128 model and on a
+        d=128 model rc-pruned to a compact d=32."""
+        rng = make_rng(42)
+        model = LMModel.create(49, 32, 128, 128, rng)
+        for layer in model.masked_layers():
+            layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
+        coordinated_rc_prune_counts(model.cell, model.head, 128 - d, 128 - d)
+        small = compact(model).cell
+        assert (small.d_s, small.d_h) == (d, d)
+        tokens = rng.integers(0, 49, size=(16, 12))
+        got, _, state = unroll_forward(model, tokens)
+        ref, _, ref_state = full_shape_forward(model, tokens)
+        assert rel_max_diff(got, ref) <= 1e-12
+        assert rel_max_diff(state.c, ref_state.c) <= 1e-12
+
+
 class TestPerplexity:
     def test_uniform_predictor(self):
         assert perplexity(math.log(10)) == pytest.approx(10.0)
