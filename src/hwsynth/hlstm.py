@@ -21,10 +21,12 @@ bias included, is gathered for all steps from one per-symbol table before
 the loop, and the head runs once on all steps after it. A step is one
 batched matmul per layer kind and one tanh for all four gates, with
 sigmoid(v) = (1 + tanh(v/2)) / 2. This matches the per-step, per-gate
-computation to rounding, not bit for bit. A pass lays out the step's GEMM
-operands once (`_step_operands`), contiguous: at B=16, d=128 OpenBLAS's NT
-path on transposed views took 104 us per H and 101 us per O matmul, not 40
-and 58. Training lays them out per window, since SGD moves the weights.
+computation to rounding, not bit for bit. `bptt` reverses the table per
+symbol: one one-hot GEMM sums each symbol's steps, then the V-row embedding
+projects them back; its step derives all four gates by one formula. Each
+pass (in training, each window) lays out what its steps read once and
+contiguous, as OpenBLAS runs transposed views slower: `_step_operands`,
+and `_BackwardPass` with the backward's buffers and gradient sums.
 
 Pruned units cost no time in any pass that feeds no growth. Forward-only
 passes (`unroll_forward(train=False)`, `evaluate`) run on `compact(model)`,
@@ -49,11 +51,9 @@ import numpy as np
 from .numkit import (
     FLOAT,
     ARRAYS,
-    ActivationKind,
     ContractViolation,
     MaskedLinear,
     NumericAbort,
-    activation_backward,
 )
 from .corpus import batch_windows
 
@@ -230,32 +230,56 @@ def cell_forward(operands: tuple[np.ndarray, ...], xw_t: np.ndarray, prev: HLSTM
     return HLSTMState(h=h, c=c), cache
 
 
-def cell_backward(params: HLSTMCellParams, cache: StepCache, d_h_t: np.ndarray,
-                  d_c_t: np.ndarray) -> tuple[np.ndarray, HLSTMState]:
-    """Exact reverse of cell_forward: returns (dL/dxw_t, dL/d previous state)
-    and accumulates the O blocks' gradients and the recurrent part of
-    H.grad_w. The x part of H.grad_w and H.grad_b belong to xw_t's
-    projection (see _project_input_backward)."""
+class _BackwardPass:
+    """A bptt pass's step operands (H's recurrent part, contiguous; O.w is),
+    step buffers and gradient accumulators, which `flush` adds to the cell."""
+
+    def __init__(self, params: HLSTMCellParams, batch: int):
+        self.h_rec = np.ascontiguousarray(params.H.w[:, :, params.d_x:])
+        self.o_w = params.O.w
+        self.grad_h, self.step_h = np.zeros((2, *self.h_rec.shape))
+        self.grad_o, self.step_o = np.zeros((2, *self.o_w.shape))
+        self.grad_o_b = np.zeros_like(params.O.b)
+        self.d_gates, self.deriv = np.empty((2, len(GATES), batch, params.d_s))
+        self.d_in = np.empty((len(GATES), batch, params.d_h))
+
+    def flush(self, params: HLSTMCellParams) -> None:
+        params.H.grad_w[:, :, params.d_x:] += self.grad_h
+        params.O.grad_w += self.grad_o
+        params.O.grad_b += self.grad_o_b
+
+
+# A gate's derivative via its output y: y (A - y) + B, so y (1 - y) or 1 - y^2.
+_DERIV_A = np.array([1.0, 1.0, 1.0, 0.0])[:, None, None]
+_DERIV_B = np.array([0.0, 0.0, 0.0, 1.0])[:, None, None]
+
+
+def cell_backward(bwd: _BackwardPass, cache: StepCache, d_h_t: np.ndarray,
+                  d_c_t: np.ndarray, out: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, HLSTMState]:
+    """Exact reverse of cell_forward: returns (dL/dxw_t, into `out` if given,
+    dL/d previous state) and sums the O blocks' and H's recurrent gradients
+    in `bwd` (see `flush`). The x part of H.grad_w and H.grad_b belong to
+    xw_t's projection (see _project_input_backward)."""
     if cache.consumed:
         raise ContractViolation("StepCache already consumed by a backward pass")
     cache.consumed = True
-    H, O, d_x = params.H, params.O, params.d_x
-    f, i, o, g = cache.gate_out
-    d_c = d_c_t + d_h_t * o * (1.0 - cache.tanh_c ** 2)
-    d_pre_out = np.empty_like(cache.gate_out)
-    for k, (u, v) in enumerate([(d_c, cache.c_prev), (d_c, g), (d_h_t, cache.tanh_c), (d_c, i)]):
-        np.multiply(u, v, out=d_pre_out[k])
-    d_pre_out[:3] = activation_backward(ActivationKind.SIGMOID, cache.gate_out[:3],
-                                        d_pre_out[:3])
-    d_pre_out[3] = activation_backward(ActivationKind.TANH, g, d_pre_out[3])
-    O.grad_w += np.matmul(d_pre_out.transpose(0, 2, 1), cache.gate_in)
-    O.grad_b += d_pre_out.sum(axis=1)
-    d_in = np.matmul(d_pre_out, O.w)
+    gates, tanh_c, d_gates = cache.gate_out, cache.tanh_c, bwd.d_gates
+    f, i, o, g = gates
+    d_c = d_c_t + d_h_t * o * (1.0 - tanh_c * tanh_c)
+    for k, (u, v) in enumerate([(d_c, cache.c_prev), (d_c, g), (d_h_t, tanh_c), (d_c, i)]):
+        np.multiply(u, v, out=d_gates[k])
+    np.multiply(np.subtract(_DERIV_A, gates, out=bwd.deriv), gates, out=bwd.deriv)
+    d_gates *= np.add(bwd.deriv, _DERIV_B, out=bwd.deriv)
+    bwd.grad_o += np.matmul(d_gates.transpose(0, 2, 1), cache.gate_in, out=bwd.step_o)
+    bwd.grad_o_b += d_gates.sum(axis=1)
+    d_in = np.matmul(d_gates, bwd.o_w, out=bwd.d_in)
     if cache.keep is not None:
-        d_in = d_in * cache.keep
-    d_pre = activation_backward(ActivationKind.RELU, cache.h_act, d_in)
-    H.grad_w[:, :, d_x:] += np.matmul(d_pre.transpose(0, 2, 1), cache.h_prev)
-    d_h_prev = np.matmul(d_pre, H.w[:, :, d_x:]).sum(axis=0)
+        d_in *= cache.keep
+    d_pre = np.multiply(d_in, cache.h_act > 0.0, out=out)
+    bwd.grad_h += np.matmul(d_pre.transpose(0, 2, 1), cache.h_prev, out=bwd.step_h)
+    # d_gates is spent: its buffer takes the four gates' terms of dL/dh_prev
+    d_h_prev = np.matmul(d_pre, bwd.h_rec, out=d_gates).sum(axis=0)
     return d_pre, HLSTMState(h=d_h_prev, c=d_c * f)
 
 
@@ -499,14 +523,15 @@ def bptt(model: LMModel, logits: np.ndarray, caches, tokens: np.ndarray,
                          d_logits.reshape(batch * T, model.vocab_size))
     d_hs = d_hs.reshape(batch, T, cell.d_s)
     d_xw = np.empty((len(GATES), T, batch, cell.d_h), dtype=FLOAT)
+    bwd = _BackwardPass(cell, batch)
     d_next = HLSTMState(h=np.zeros_like(hs[:, 0]), c=np.zeros_like(hs[:, 0]))
     for t in range(T - 1, -1, -1):
-        d_xw[:, t], d_next = cell_backward(cell, caches[t], d_hs[:, t] + d_next.h,
-                                           d_next.c)
-    steps = tokens.T.reshape(-1)
-    d_x = _project_input_backward(cell, model.embedding[steps],
-                                  d_xw.reshape(len(GATES), T * batch, cell.d_h))
-    np.add.at(model.embedding_grad, steps, d_x)
+        _, d_next = cell_backward(bwd, caches[t], d_hs[:, t] + d_next.h, d_next.c,
+                                  out=d_xw[:, t])
+    bwd.flush(cell)
+    one_hot = (np.arange(model.vocab_size)[:, None] == tokens.T.reshape(-1)).astype(FLOAT)
+    d_table = np.matmul(one_hot, d_xw.reshape(len(GATES), T * batch, cell.d_h))
+    model.embedding_grad += _project_input_backward(cell, model.embedding, d_table)
     return total_nll
 
 

@@ -94,6 +94,11 @@ class FlowConfig:
         for name in ("baseline_epochs", "wg_epochs", "growth_epochs", "rcg_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        if self.latency.mode not in ("virtual", "real"):
+            raise ConfigError(f"latency.mode {self.latency.mode!r} is not 'virtual' or 'real'")
+        for name in ("runs", "measure_batch", "measure_seq"):
+            if getattr(self.latency, name) < 1:
+                raise ConfigError(f"latency.{name} must be at least 1")
         try:
             latlab.dim_grid(self.profile_grid)
         except ContractViolation as exc:

@@ -243,11 +243,14 @@ def cell_step(cell, x, prev, **kwargs):
 
 
 def cell_step_backward(cell, cache, x, d_h, d_c):
-    """cell_backward of a cell_step on input x, with the x part of H.grad_w
-    and H.grad_b. Returns (dL/dx, dL/d previous state)."""
-    from hwsynth.hlstm import _project_input_backward, cell_backward
+    """cell_backward of a cell_step on input x, with its gradients added
+    into the cell and the x part of H.grad_w and H.grad_b. Returns (dL/dx,
+    dL/d previous state)."""
+    from hwsynth.hlstm import _BackwardPass, _project_input_backward, cell_backward
 
-    d_xw, d_prev = cell_backward(cell, cache, d_h, d_c)
+    bwd = _BackwardPass(cell, len(d_h))
+    d_xw, d_prev = cell_backward(bwd, cache, d_h, d_c)
+    bwd.flush(cell)
     return _project_input_backward(cell, x, d_xw), d_prev
 
 
@@ -278,6 +281,66 @@ def full_shape_forward(model, tokens, init=None, rng=None):
         caches.hs[:, t] = state.h
         caches.append(cache)
     return logits, caches, state
+
+
+# --- reference backward ------------------------------------------------------------
+#
+# The backward bptt ran before it reversed the per-symbol table and fused
+# the gate derivatives: each step adds its gradients straight into the
+# cell's blocks, through numkit.activation_backward per gate kind, and the
+# x part of H runs on every step's gathered embedding row, scattered back
+# into the embedding gradient with np.add.at.
+
+def reference_cell_backward(cell, cache, d_h_t, d_c_t):
+    """(dL/dxw_t, dL/dh_prev, dL/dc_prev) of one step; accumulates the O
+    blocks' gradients and the recurrent part of H.grad_w into the cell."""
+    from hwsynth.numkit import ActivationKind, activation_backward
+
+    H, O, d_x = cell.H, cell.O, cell.d_x
+    f, i, o, g = cache.gate_out
+    d_c = d_c_t + d_h_t * o * (1.0 - cache.tanh_c ** 2)
+    d_pre_out = np.stack([d_c * cache.c_prev, d_c * g, d_h_t * cache.tanh_c, d_c * i])
+    d_pre_out[:3] = activation_backward(ActivationKind.SIGMOID, cache.gate_out[:3],
+                                        d_pre_out[:3])
+    d_pre_out[3] = activation_backward(ActivationKind.TANH, g, d_pre_out[3])
+    O.grad_w += np.matmul(d_pre_out.transpose(0, 2, 1), cache.gate_in)
+    O.grad_b += d_pre_out.sum(axis=1)
+    d_in = np.matmul(d_pre_out, O.w)
+    if cache.keep is not None:
+        d_in = d_in * cache.keep
+    d_pre = activation_backward(ActivationKind.RELU, cache.h_act, d_in)
+    H.grad_w[:, :, d_x:] += np.matmul(d_pre.transpose(0, 2, 1), cache.h_prev)
+    return d_pre, np.matmul(d_pre, H.w[:, :, d_x:]).sum(axis=0), d_c * f
+
+
+def reference_bptt(model, logits, caches, tokens, targets, grad_scale=1.0):
+    """bptt's contract (summed NLL returned, every gradient accumulated)
+    through the reference backward."""
+    from hwsynth.hlstm import softmax
+
+    probs = softmax(logits)
+    idx = (*np.indices(targets.shape).reshape(2, -1), targets.reshape(-1))
+    nll = float(-np.log(probs[idx]).sum())
+    d_logits = probs.copy()
+    d_logits[idx] -= 1.0
+    d_logits *= grad_scale
+    batch, T = tokens.shape
+    cell = model.cell
+    H, d_x = cell.H, cell.d_x
+    d_hs = model.head.backward(caches.hs.reshape(batch * T, cell.d_s),
+                               d_logits.reshape(batch * T, model.vocab_size))
+    d_hs = d_hs.reshape(batch, T, cell.d_s)
+    d_xw = np.empty((4, T, batch, cell.d_h))
+    d_h = d_c = np.zeros((batch, cell.d_s))
+    for t in range(T - 1, -1, -1):
+        d_xw[:, t], d_h, d_c = reference_cell_backward(cell, caches[t], d_hs[:, t] + d_h, d_c)
+    steps = tokens.T.reshape(-1)
+    x = model.embedding[steps]
+    d_xw = d_xw.reshape(4, T * batch, cell.d_h)
+    H.grad_w[:, :, :d_x] += np.matmul(d_xw.transpose(0, 2, 1), x)
+    H.grad_b += d_xw.sum(axis=1)
+    np.add.at(model.embedding_grad, steps, np.matmul(d_xw, H.w[:, :, :d_x]).sum(axis=0))
+    return nll
 
 
 def rel_max_diff(got, ref):

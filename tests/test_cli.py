@@ -78,7 +78,10 @@ class TestExitCodes:
         assert main(["synthesize", "--config", str(bad),
                      "--out", str(workdir / "o")]) == 2
 
-    @pytest.mark.parametrize("override", [{"depth": 2}, {"profile_grid": [1, 8, 1]}])
+    @pytest.mark.parametrize("override", [
+        {"depth": 2}, {"profile_grid": [1, 8, 1]},
+        {"latency": {"mode": "Virtual", "curve": {"period": 4}}},
+        {"latency": {"mode": "virtual", "runs": 0, "curve": {"period": 4}}}])
     def test_bad_flow_config_fails_before_training(self, workdir, flow_config,
                                                    override, capsys):
         data = json.loads(open(flow_config, encoding="utf-8").read())

@@ -10,12 +10,14 @@ from hwsynth.hlstm import (
     HLSTMCellParams,
     HLSTMState,
     LMModel,
+    _BackwardPass,
     bptt,
     cell_backward,
     compact,
     evaluate,
     perplexity,
     softmax,
+    training_copy,
     unroll_forward,
 )
 from hwsynth.numkit import ARRAYS, ContractViolation, MaskedLinear, NumericAbort, make_rng
@@ -28,6 +30,7 @@ from oracles import (
     full_shape_forward,
     max_rel_err,
     per_gate_cell_step,
+    reference_bptt,
     rel_max_diff,
 )
 
@@ -166,16 +169,17 @@ class TestCellBackward:
         _, cache = cell_step(cell, np.ones((1, 2)),
                              HLSTMState(h=np.zeros((1, 3)), c=c_prev))
         d_c = np.array([[1.0, -2.0, 0.5]])
-        _, d_prev = cell_backward(cell, cache, np.zeros((1, 3)), d_c)
+        _, d_prev = cell_backward(_BackwardPass(cell, 1), cache, np.zeros((1, 3)), d_c)
         assert np.allclose(d_prev.c, 0.5 * d_c)  # c_t = 0.5 * c_prev
 
     def test_cache_reuse_rejected(self):
         rng = make_rng(8)
         cell = HLSTMCellParams.create(2, 2, 2, rng)
         _, cache = cell_step(cell, rng.standard_normal((1, 2)), HLSTMState.zeros(2, 1))
-        cell_backward(cell, cache, np.zeros((1, 2)), np.zeros((1, 2)))
+        bwd = _BackwardPass(cell, 1)
+        cell_backward(bwd, cache, np.zeros((1, 2)), np.zeros((1, 2)))
         with pytest.raises(ContractViolation):
-            cell_backward(cell, cache, np.zeros((1, 2)), np.zeros((1, 2)))
+            cell_backward(bwd, cache, np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_parameter_gradients_match_fd(self):
         rng = make_rng(9)
@@ -556,6 +560,91 @@ class TestStepOperands:
         ref, _, ref_state = full_shape_forward(model, tokens)
         assert rel_max_diff(got, ref) <= 1e-12
         assert rel_max_diff(state.c, ref_state.c) <= 1e-12
+
+
+class TestBpttMatchesReference:
+    """bptt (per-symbol reverse of the input table, fused gate derivatives,
+    per-pass gradient buffers) against the per-step backward it replaced,
+    `oracles.reference_bptt`: within 1e-12 on every gradient."""
+
+    VOCAB, SEEN = 12, 7          # tokens repeat over symbols 0..6; 7..11 never occur
+
+    @staticmethod
+    def gradients(model):
+        grads = {"embedding": model.embedding_grad}
+        for layer in model.masked_layers():
+            grads[f"{layer.name}.grad_w"] = layer.grad_w
+            grads[f"{layer.name}.grad_b"] = layer.grad_b
+        return grads
+
+    def compare(self, model, tokens, targets, seed):
+        """Both backwards from one forward each of `model` and a deep copy,
+        with the same dropout draws; returns bptt's embedding gradient."""
+        ref = copy.deepcopy(model)
+        runs = []
+        for m, backward in ((model, bptt), (ref, reference_bptt)):
+            rng = make_rng(seed) if m.dropout_h > 0.0 else None
+            logits, caches, _ = unroll_forward(m, tokens, train=True, rng=rng)
+            runs.append(backward(m, logits, caches, tokens, targets,
+                                 grad_scale=1.0 / tokens.size))
+        assert runs[0] == runs[1]
+        got, want = self.gradients(model), self.gradients(ref)
+        for key, ref_grad in want.items():
+            assert got[key].shape == ref_grad.shape, key
+            if not ref_grad.any():       # e.g. f's gradients at T=1: c_prev is 0
+                assert not got[key].any(), key
+            else:
+                assert rel_max_diff(got[key], ref_grad) <= 1e-12, key
+        return model.embedding_grad
+
+    def tokens(self, rng, batch, T):
+        return (rng.integers(0, self.SEEN, size=(batch, T)),
+                rng.integers(0, self.VOCAB, size=(batch, T)))
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("T", [1, 16])
+    @pytest.mark.parametrize("batch", [1, 4, 32])
+    def test_matches_reference(self, batch, T, dropout):
+        model = random_model(50 + batch + T, vocab=self.VOCAB, d_x=6, d_s=20, d_h=16)[0]
+        model.dropout_h = dropout
+        tokens, targets = self.tokens(make_rng(batch * T), batch, T)
+        emb_grad = self.compare(model, tokens, targets, seed=batch + T)
+        unseen = np.setdiff1d(np.arange(self.VOCAB), tokens)
+        assert unseen.size >= self.VOCAB - self.SEEN
+        assert not emb_grad[unseen].any()
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_compacted_training_copy(self, dropout):
+        model, rng = unread_model(51, vocab=self.VOCAB)
+        model.dropout_h = dropout
+        with training_copy(model, rng) as (small, _):
+            assert (small.cell.d_s, small.cell.d_h) == (14 - 3, 12 - 2)
+            tokens, targets = self.tokens(rng, 8, 16)
+            self.compare(small, tokens, targets, seed=52)
+
+    def test_gradients_accumulate(self):
+        """A second pass adds to the gradients the first left: every one doubles."""
+        model = random_model(55, vocab=self.VOCAB, d_x=6, d_s=20, d_h=16)[0]
+        tokens, targets = self.tokens(make_rng(56), 4, 16)
+        once = {}
+        for _ in range(2):
+            logits, caches, _ = unroll_forward(model, tokens, train=True)
+            bptt(model, logits, caches, tokens, targets)
+            once = once or {key: grad.copy() for key, grad in self.gradients(model).items()}
+        for key, grad in self.gradients(model).items():
+            assert np.array_equal(grad, 2.0 * once[key]), key
+
+    def test_embedding_gradient_matches_fd(self):
+        """Repeated tokens sum into their symbol's row; a symbol that never
+        occurs gets an exactly zero row."""
+        model = random_model(53, vocab=6, d_x=2, d_s=3, d_h=3)[0]
+        rng = make_rng(54)
+        tokens, targets = rng.integers(0, 3, size=(2, 5)), rng.integers(0, 6, size=(2, 5))
+        logits, caches, _ = unroll_forward(model, tokens, train=True)
+        bptt(model, logits, caches, tokens, targets)
+        fd = fd_dense_gradients(model.embedding, lambda: total_nll(model, tokens, targets))
+        assert max_rel_err(model.embedding_grad, fd) < 1e-5
+        assert not model.embedding_grad[3:].any() and model.embedding_grad[:3].all()
 
 
 class TestPerplexity:

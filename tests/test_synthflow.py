@@ -86,6 +86,19 @@ class TestFlowConfig:
         with pytest.raises(ConfigError):
             FlowConfig(wg_epochs=-1)
 
+    @pytest.mark.parametrize("latency,key", [
+        (dict(mode="Virtual"), "mode"), (dict(mode="wallclock"), "mode"),
+        (dict(runs=0), "runs"), (dict(mode="real", runs=-1), "runs"),
+        (dict(measure_batch=0), "measure_batch"), (dict(measure_seq=0), "measure_seq")])
+    def test_bad_latency_rejected(self, latency, key, tmp_path):
+        # "Virtual" used to run the real-mode sweep and wall-clock timing
+        with pytest.raises(ConfigError, match=f"latency.{key}"):
+            FlowConfig(latency=LatencyConfig(**latency))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"latency": latency}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"latency.{key}"):
+            FlowConfig.from_json(path)
+
     def test_from_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
