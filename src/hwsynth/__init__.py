@@ -1,13 +1,13 @@
 """Hardware-guided grow-and-prune synthesis of compact H-LSTM models."""
 
-from .numkit import ActivationKind, MaskedLinear, make_rng
+from .numkit import MaskedLinear, make_rng
 from .hlstm import HLSTMCellParams, HLSTMState, LMModel, perplexity
 from .growprune import GrowPruneConfig
 from .latlab import LatencyProfile, SyntheticCurveSpec, detect_lhps, nearest_lhp
 from .synthflow import FlowConfig, FlowReport, run_flow
 
 __all__ = [
-    "ActivationKind", "MaskedLinear", "make_rng",
+    "MaskedLinear", "make_rng",
     "HLSTMCellParams", "HLSTMState", "LMModel", "perplexity",
     "GrowPruneConfig",
     "LatencyProfile", "SyntheticCurveSpec", "detect_lhps", "nearest_lhp",

@@ -29,8 +29,10 @@ contiguous, as OpenBLAS runs transposed views slower: `_step_operands`,
 and `_BackwardPass` with the backward's buffers and gradient sums.
 
 Pruned units cost no time in any pass that feeds no growth. Forward-only
-passes (`unroll_forward(train=False)`, `evaluate`) run on `compact(model)`,
-a smaller dense copy holding only the units something reads. Training
+passes run on `compact(model)`, a smaller dense copy holding only the
+units something reads: `unroll_forward(train=False)` one window from a
+zero state, returning the copy's final state, and `evaluate` a stream of
+windows, carrying the copy's state from one to the next. Training
 epochs run on `training_copy(model)`, which also keeps the units something
 writes (so weight decay reaches their live entries) and is written back
 after the epoch. Only the passes whose gradients rank dormant entries for
@@ -337,7 +339,10 @@ def compact(model: LMModel) -> LMModel:
     live, a d_h unit while an O column of it is. An unread unit only adds
     zero terms; a unit wp emptied may still be read (its bias flows on), so
     liveness is not `active_units()`. The embedding and d_x stay."""
-    return _compacted(model)[0]
+    read_s, read_h = _read_units(model)
+    if read_s.all() and read_h.all():
+        return model
+    return _take_units(model, np.flatnonzero(read_s), np.flatnonzero(read_h))
 
 
 def _read_units(model: LMModel) -> tuple[np.ndarray, np.ndarray]:
@@ -345,15 +350,6 @@ def _read_units(model: LMModel) -> tuple[np.ndarray, np.ndarray]:
     cell, d_x = model.cell, model.d_x
     return (model.head.mask.any(axis=0) | cell.H.mask[:, :, d_x:].any(axis=(0, 1)),
             cell.O.mask.any(axis=(0, 1)))
-
-
-def _compacted(model: LMModel) -> tuple[LMModel, np.ndarray | None]:
-    """compact(model) and the d_s units it keeps (None: all of them)."""
-    read_s, read_h = _read_units(model)
-    if read_s.all() and read_h.all():
-        return model, None
-    s = np.flatnonzero(read_s)
-    return _take_units(model, s, np.flatnonzero(read_h)), s
 
 
 def _take_units(model: LMModel, s: np.ndarray, h: np.ndarray) -> LMModel:
@@ -458,30 +454,22 @@ def _unroll(model: LMModel, tokens: np.ndarray, state: HLSTMState | None,
 def unroll_forward(model: LMModel, tokens: np.ndarray,
                    init: HLSTMState | None = None, train: bool = False,
                    rng: np.random.Generator | None = None):
-    """Run T steps; returns (logits, caches, final state).
-
-    tokens has shape (B, T) and logits (B, T, V). The final state allows
-    stateful continuation across minibatches.
+    """Run T steps from `init` (None: zero state); returns (logits, caches,
+    final state). tokens has shape (B, T) and logits (B, T, V).
 
     train=True records one StepCache per step for `bptt`, at the shape of
-    the model given; dropout is on iff an rng is given. train=False is the
-    forward-only pass: it runs on compact(model), returns no caches (an
-    empty list) and takes no rng; init and the final state are full-shape,
-    and the units compact dropped come back with zero state.
+    the model given; dropout is on iff an rng is given, and the final state
+    (full-shape) continues the next window. train=False is the forward-only
+    pass: it runs on compact(model) from a zero state, takes no init and no
+    rng, and returns no caches (an empty list) and compact(model)'s final
+    state. Stateful forward-only windows go through `evaluate`.
     """
     if train:
         return _unroll(model, tokens, init, rng, record=True)
-    if rng is not None:
-        raise ContractViolation("a forward-only pass takes no rng; dropout is for training")
-    small, kept = _compacted(model)
-    if kept is None:
-        return _unroll(model, tokens, init)
-    if init is not None:
-        init = HLSTMState(h=init.h[:, kept], c=init.c[:, kept])
-    logits, _, small_state = _unroll(small, tokens, init)
-    state = HLSTMState.zeros(model.cell.d_s, len(logits))
-    state.h[:, kept], state.c[:, kept] = small_state.h, small_state.c
-    return logits, [], state
+    if rng is not None or init is not None:
+        raise ContractViolation("a forward-only pass takes no init or rng: evaluate runs "
+                                "stateful windows, and dropout is for training")
+    return _unroll(compact(model), tokens, None)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -545,7 +533,7 @@ def evaluate(model: LMModel, tokens: np.ndarray, seq_len: int = 64,
              batch: int = 1) -> float:
     """Mean per-token NLL of a token stream, stateful across windows; the
     windows run forward-only on compact(model), compacted and laid out once."""
-    small = _compacted(model)[0]
+    small = compact(model)
     layout = _project_input(small.cell, small.embedding), _step_operands(small.cell)
     total_nll = 0.0
     count = 0

@@ -77,30 +77,22 @@ class NearestLHP(NamedTuple):
 
 
 # --- backends ----------------------------------------------------------------
+#
+# A backend has one method, measure(dim, batch, warmup_runs, measured_runs)
+# -> SampleStats: the latency of one square-weight x dense-input multiply.
 
-class MatmulBackend:
-    """Executes one square-weight x dense-input multiply for timing."""
-
-    virtual = False
-
-    def make_task(self, dim: int, batch: int):
-        raise NotImplementedError
-
-
-class NativeBackend(MatmulBackend):
+class NativeBackend:
     """Times real numpy matmuls (dim x dim weight, batch x dim input)."""
 
     def __init__(self, seed: int = 0):
         self._rng = make_rng(seed)
 
-    def make_task(self, dim: int, batch: int):
+    def measure(self, dim: int, batch: int, warmup_runs: int,
+                measured_runs: int) -> SampleStats:
         w = self._rng.standard_normal((dim, dim))
         x = self._rng.standard_normal((batch, dim))
         out = np.empty((batch, dim))
-
-        def task():
-            np.matmul(x, w, out=out)
-        return task
+        return time_task(lambda: np.matmul(x, w, out=out), warmup_runs, measured_runs)
 
 
 @dataclass
@@ -121,6 +113,10 @@ class SyntheticCurveSpec:
     noise_ns: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.period < 1:
+            raise ContractViolation(f"period must be at least 1, got {self.period}")
+
     def latency_ns(self, dim: int) -> float:
         phase = dim % self.period / self.period
         value = self.base_ns + self.slope_ns * dim + self.jump_ns * phase
@@ -134,28 +130,27 @@ class SyntheticCurveSpec:
         return cls(**data)
 
 
-class SyntheticBackend(MatmulBackend):
+class SyntheticBackend:
     """Virtual-clock backend driven by a closed-form curve.
 
-    No time passes: measure_point reads the closed-form latency directly,
-    giving exact noise-controlled profiles.
+    No time passes: measure reads the closed-form latency directly (no
+    warm-up), giving exact noise-controlled profiles.
     """
-
-    virtual = True
 
     def __init__(self, spec: SyntheticCurveSpec):
         self.spec = spec
         self._noise_rng = make_rng(spec.seed)
 
-    def virtual_times(self, dim: int, runs: int) -> np.ndarray:
+    def measure(self, dim: int, batch: int, warmup_runs: int,
+                measured_runs: int) -> SampleStats:
         base = self.spec.latency_ns(dim)
         if self.spec.noise_ns == 0.0:
-            return np.full(runs, base)
-        noise = self._noise_rng.uniform(0.0, self.spec.noise_ns, size=runs)
-        return base + noise
+            return _stats(np.full(measured_runs, base))
+        return _stats(base + self._noise_rng.uniform(0.0, self.spec.noise_ns,
+                                                     size=measured_runs))
 
 
-def make_backend(spec: str, seed: int = 0) -> MatmulBackend:
+def make_backend(spec: str, seed: int = 0) -> NativeBackend | SyntheticBackend:
     """Backend factory from a CLI-style spec: 'native' or 'synthetic:<file>'."""
     if spec == "native":
         return NativeBackend(seed=seed)
@@ -189,18 +184,16 @@ def time_task(task, warmup_runs: int, measured_runs: int) -> SampleStats:
     return _stats(times)
 
 
-def measure_point(backend: MatmulBackend, dim: int, batch: int,
+def measure_point(backend, dim: int, batch: int,
                   warmup_runs: int = 10, measured_runs: int = 50) -> SampleStats:
     """Warm up, then time measured_runs executions; central statistic = median."""
     if dim < 1:
         raise ContractViolation("dim must be >= 1")
     if measured_runs < 5:
         raise ContractViolation("measured_runs must be >= 5")
-    if backend.virtual:
-        return _stats(backend.virtual_times(dim, measured_runs))
     try:
-        return time_task(backend.make_task(dim, batch), warmup_runs, measured_runs)
-    except ContractViolation:
+        return backend.measure(dim, batch, warmup_runs, measured_runs)
+    except (ContractViolation, MeasurementError):
         raise
     except Exception as exc:  # backend failure carries the dim
         raise MeasurementError(dim, str(exc)) from exc
@@ -223,7 +216,7 @@ class SweepConfig:
     hardware_id: str = "unknown"
 
 
-def sweep(backend: MatmulBackend, grid: list[int], batch: int,
+def sweep(backend, grid: list[int], batch: int,
           cfg: SweepConfig | None = None) -> LatencyProfile:
     """One measure_point per grid entry, strictly sequential; a failed
     point raises MeasurementError naming its dim."""
@@ -364,7 +357,7 @@ def save_hysteresis_report(hmap: HysteresisMap, path: str | Path) -> None:
     Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
-def profile_svg(profile: LatencyProfile, hmap: HysteresisMap | None = None) -> str:
+def profile_svg(profile: LatencyProfile, hmap: HysteresisMap) -> str:
     """Self-contained SVG line chart: dimension vs. median latency, LHPs marked."""
     width, height = 720, 360
     med = profile.medians()
@@ -382,12 +375,9 @@ def profile_svg(profile: LatencyProfile, hmap: HysteresisMap | None = None) -> s
         return height - pad - (v - y0) / yr * (height - 2 * pad)
 
     pts = " ".join(f"{sx(d):.1f},{sy(v):.1f}" for d, v in zip(dims, med))
-    marks = ""
-    if hmap is not None:
-        lut = dict(zip(profile.grid, med))
-        for lhp in hmap.lhp_set:
-            marks += (f'<circle cx="{sx(lhp):.1f}" cy="{sy(lut[lhp]):.1f}" '
-                      f'r="4" fill="#c0392b"/>')
+    lut = dict(zip(profile.grid, med))
+    marks = "".join(f'<circle cx="{sx(lhp):.1f}" cy="{sy(lut[lhp]):.1f}" '
+                    f'r="4" fill="#c0392b"/>' for lhp in hmap.lhp_set)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
         f'<rect width="{width}" height="{height}" fill="white"/>'

@@ -3,16 +3,15 @@
 Everything downstream (the H-LSTM cell, the grow/prune algorithms, the
 synthesis flow) is built on the primitives here: masked linear layers whose
 gradients are accumulated for *all* entries (dormant connections included,
-so growth can rank them later), elementwise activations with analytic
-derivatives, a mask-respecting SGD step, and the atomic file write every
-artifact goes through. Layer gradients take batches only: (B, width).
+so growth can rank them later), a mask-respecting SGD step, and the atomic
+file write every artifact goes through. Layer gradients take batches only:
+(B, width).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -31,36 +30,6 @@ class NumericAbort(RuntimeError):
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded RNG; identical seed gives an identical draw sequence."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-class ActivationKind(Enum):
-    SIGMOID = "sigmoid"
-    TANH = "tanh"
-    RELU = "relu"
-
-
-def activation_forward(kind: ActivationKind, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=FLOAT)
-    if kind is ActivationKind.SIGMOID:
-        # the tanh form the H-LSTM cell computes its gates with; it cannot
-        # overflow, and tanh(+-400) = +-1 exactly, so +-800 maps to 1 and 0
-        return 0.5 * (1.0 + np.tanh(0.5 * v))
-    if kind is ActivationKind.TANH:
-        return np.tanh(v)
-    if kind is ActivationKind.RELU:
-        return np.maximum(v, 0.0)
-    raise ContractViolation(f"unknown activation {kind!r}")
-
-
-def activation_backward(kind: ActivationKind, out: np.ndarray, d_out: np.ndarray) -> np.ndarray:
-    """Analytic derivative expressed through the cached forward output."""
-    if kind is ActivationKind.SIGMOID:
-        return d_out * out * (1.0 - out)
-    if kind is ActivationKind.TANH:
-        return d_out * (1.0 - out * out)
-    if kind is ActivationKind.RELU:
-        return d_out * (out > 0.0)
-    raise ContractViolation(f"unknown activation {kind!r}")
 
 
 ARRAYS = ("w", "mask", "b", "grad_w", "grad_b")

@@ -87,6 +87,9 @@ class FlowConfig:
     max_prune_iters: int = 40
 
     def __post_init__(self):
+        for name in ("d_x", "d_s", "d_h", "batch", "seq_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0.0 < self.seed_sparsity < 1.0:
             raise ConfigError("seed_sparsity must be in (0, 1)")
         if self.d_s != self.d_h:
@@ -96,9 +99,9 @@ class FlowConfig:
                 raise ConfigError(f"{name} must be non-negative")
         if self.latency.mode not in ("virtual", "real"):
             raise ConfigError(f"latency.mode {self.latency.mode!r} is not 'virtual' or 'real'")
-        for name in ("runs", "measure_batch", "measure_seq"):
-            if getattr(self.latency, name) < 1:
-                raise ConfigError(f"latency.{name} must be at least 1")
+        for name, floor in (("runs", 5), ("measure_batch", 1), ("measure_seq", 1)):
+            if getattr(self.latency, name) < floor:
+                raise ConfigError(f"latency.{name} must be at least {floor}")
         try:
             latlab.dim_grid(self.profile_grid)
         except ContractViolation as exc:
@@ -116,7 +119,10 @@ class FlowConfig:
             gp = GrowPruneConfig(**data.pop("growprune", {}))
             opt = OptimizerConfig(**data.pop("optimizer", {}))
             lat_raw = data.pop("latency", {})
-            curve = latlab.SyntheticCurveSpec(**lat_raw.pop("curve", {}))
+            try:
+                curve = latlab.SyntheticCurveSpec(**lat_raw.pop("curve", {}))
+            except ContractViolation as exc:   # it names the curve's field
+                raise ConfigError(f"latency.curve.{exc}") from None
             lat = LatencyConfig(curve=curve, **lat_raw)
             if "profile_grid" in data:
                 data["profile_grid"] = tuple(data["profile_grid"])
@@ -314,7 +320,7 @@ def measure_model_latency(model: LMModel, lat: LatencyConfig) -> latlab.SampleSt
     tokens = make_rng(12345).integers(0, model.vocab_size,
                                       size=(lat.measure_batch, lat.measure_seq))
     return latlab.time_task(lambda: unroll_forward(model, tokens),
-                            warmup_runs=1, measured_runs=max(lat.runs, 5))
+                            warmup_runs=1, measured_runs=lat.runs)
 
 
 # --- checkpointing ----------------------------------------------------------------

@@ -287,28 +287,27 @@ def full_shape_forward(model, tokens, init=None, rng=None):
 #
 # The backward bptt ran before it reversed the per-symbol table and fused
 # the gate derivatives: each step adds its gradients straight into the
-# cell's blocks, through numkit.activation_backward per gate kind, and the
-# x part of H runs on every step's gathered embedding row, scattered back
-# into the embedding gradient with np.add.at.
+# cell's blocks, through each gate kind's derivative written out from its
+# output y (y (1 - y) for the sigmoids, 1 - y^2 for tanh, [y > 0] for the
+# relu), and the x part of H runs on every step's gathered embedding row,
+# scattered back into the embedding gradient with np.add.at.
 
 def reference_cell_backward(cell, cache, d_h_t, d_c_t):
     """(dL/dxw_t, dL/dh_prev, dL/dc_prev) of one step; accumulates the O
     blocks' gradients and the recurrent part of H.grad_w into the cell."""
-    from hwsynth.numkit import ActivationKind, activation_backward
-
     H, O, d_x = cell.H, cell.O, cell.d_x
     f, i, o, g = cache.gate_out
     d_c = d_c_t + d_h_t * o * (1.0 - cache.tanh_c ** 2)
     d_pre_out = np.stack([d_c * cache.c_prev, d_c * g, d_h_t * cache.tanh_c, d_c * i])
-    d_pre_out[:3] = activation_backward(ActivationKind.SIGMOID, cache.gate_out[:3],
-                                        d_pre_out[:3])
-    d_pre_out[3] = activation_backward(ActivationKind.TANH, g, d_pre_out[3])
+    sig = cache.gate_out[:3]
+    d_pre_out[:3] = d_pre_out[:3] * sig * (1.0 - sig)
+    d_pre_out[3] = d_pre_out[3] * (1.0 - g * g)
     O.grad_w += np.matmul(d_pre_out.transpose(0, 2, 1), cache.gate_in)
     O.grad_b += d_pre_out.sum(axis=1)
     d_in = np.matmul(d_pre_out, O.w)
     if cache.keep is not None:
         d_in = d_in * cache.keep
-    d_pre = activation_backward(ActivationKind.RELU, cache.h_act, d_in)
+    d_pre = d_in * (cache.h_act > 0.0)
     H.grad_w[:, :, d_x:] += np.matmul(d_pre.transpose(0, 2, 1), cache.h_prev)
     return d_pre, np.matmul(d_pre, H.w[:, :, d_x:]).sum(axis=0), d_c * f
 

@@ -81,7 +81,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("override", [
         {"depth": 2}, {"profile_grid": [1, 8, 1]},
         {"latency": {"mode": "Virtual", "curve": {"period": 4}}},
-        {"latency": {"mode": "virtual", "runs": 0, "curve": {"period": 4}}}])
+        {"latency": {"mode": "virtual", "runs": 0, "curve": {"period": 4}}},
+        {"d_s": 0, "d_h": 0}, {"d_x": 0}, {"d_s": -2},
+        {"latency": {"mode": "virtual", "runs": 4, "curve": {"period": 4}}},
+        {"latency": {"mode": "virtual", "curve": {"period": 0}}},
+        {"latency": {"mode": "virtual", "curve": {"period": -16}}}])
     def test_bad_flow_config_fails_before_training(self, workdir, flow_config,
                                                    override, capsys):
         data = json.loads(open(flow_config, encoding="utf-8").read())
@@ -249,6 +253,16 @@ class TestSynthesizeEvalReportBench:
         assert main(["profile", "--grid", "1:4:1", "--runs", "5", "--batch", "0",
                      "--backend", f"synthetic:{curve_file}", "--out", str(out)]) == 2
         assert "--batch" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("period", [0, -16])
+    def test_profile_rejects_a_bad_curve_period(self, workdir, period, capsys):
+        spec = workdir / f"period{period}.json"
+        spec.write_text(json.dumps({"period": period}), encoding="utf-8")
+        out = workdir / f"period{period}.csv"
+        assert main(["profile", "--grid", "1:4:1", "--runs", "5",
+                     "--backend", f"synthetic:{spec}", "--out", str(out)]) == 2
+        assert "period" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,19 @@ class TestCellForward:
             assert np.all(np.abs(state.h) < 1.0)
             sig = cache.gate_out[:3]    # f, i, o
             assert np.all((sig > 0) & (sig < 1))
+
+    def test_saturated_gates_are_exact(self):
+        # O pre-activations of +-800: the gates' sigmoid, (1 + tanh(v/2)) / 2,
+        # must reach exactly 1.0 and 0.0 without overflowing
+        cell = zeroed_cell(d_s=2)
+        cell.O.b[:, 0], cell.O.b[:, 1] = 800.0, -800.0
+        prev = HLSTMState(h=np.zeros((3, 2)), c=np.full((3, 2), 0.7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            state, cache = cell_step(cell, np.ones((3, 2)), prev)
+        sig = cache.gate_out[:3]    # f, i, o
+        assert np.all(sig[:, :, 0] == 1.0) and np.all(sig[:, :, 1] == 0.0)
+        assert np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.h))
 
     def test_pruned_input_column_invariance(self):
         rng = make_rng(5)
@@ -333,8 +347,8 @@ class TestUnrollAndBptt:
         fd_emb = fd_dense_gradients(model.embedding, loss_fn)
         assert max_rel_err(model.embedding_grad, fd_emb) < 1e-5
 
-    @pytest.mark.parametrize("train", [False, True])
-    @pytest.mark.parametrize("poison", ["embedding", "init"])
+    @pytest.mark.parametrize("poison,train", [("embedding", False), ("embedding", True),
+                                              ("init", True)])
     def test_non_finite_cell_state_aborts(self, poison, train):
         model, tokens, _ = random_model(18, vocab=5, d_x=2, d_s=3, d_h=3, T=4, batch=2)
         init = None
@@ -421,24 +435,6 @@ class TestCompact:
         assert got.tobytes() == ref.tobytes()
         assert np.array_equal(state.h, ref_state.h) and np.array_equal(state.c, ref_state.c)
 
-    def test_state_sliced_in_and_scattered_out(self):
-        model, rng = unread_model(32)
-        tokens = rng.integers(0, 9, size=(3, 7))
-        init = HLSTMState(h=rng.standard_normal((3, 14)) * 0.5,
-                          c=rng.standard_normal((3, 14)) * 0.5)
-        got, _, state = unroll_forward(model, tokens, init=init)
-        ref, _, ref_state = full_shape_forward(model, tokens, init=init)
-        assert rel_max_diff(got, ref) <= 1e-12
-        read = compact(model).cell.d_s
-        kept = np.flatnonzero(model.head.mask.any(axis=0)
-                              | model.cell.H.mask[:, :, model.d_x:].any(axis=(0, 1)))
-        assert kept.size == read < 14
-        dropped = np.setdiff1d(np.arange(14), kept)
-        for got_s, ref_s in ((state.h, ref_state.h), (state.c, ref_state.c)):
-            assert got_s.shape == (3, 14)
-            assert rel_max_diff(got_s[:, kept], ref_s[:, kept]) <= 1e-12
-            assert not got_s[:, dropped].any()
-
     def test_stateful_evaluate_matches_full_shape(self):
         model, rng = unread_model(33)
         ids = rng.integers(0, 9, size=400)
@@ -481,6 +477,12 @@ class TestCompact:
         model, tokens, _ = random_model(36, vocab=4, d_x=2, d_s=2, d_h=2)
         with pytest.raises(ContractViolation, match="rng"):
             unroll_forward(model, tokens, rng=make_rng(0))
+
+    def test_forward_only_refuses_an_init(self):
+        # stateful forward-only windows go through evaluate
+        model, tokens, _ = random_model(36, vocab=4, d_x=2, d_s=2, d_h=2)
+        with pytest.raises(ContractViolation, match="init"):
+            unroll_forward(model, tokens, init=HLSTMState.zeros(2, 1))
 
     def test_bptt_refuses_forward_only_caches(self):
         model, tokens, targets = random_model(37, vocab=4, d_x=2, d_s=2, d_h=2)
@@ -559,7 +561,10 @@ class TestStepOperands:
         got, _, state = unroll_forward(model, tokens)
         ref, _, ref_state = full_shape_forward(model, tokens)
         assert rel_max_diff(got, ref) <= 1e-12
-        assert rel_max_diff(state.c, ref_state.c) <= 1e-12
+        # the forward-only state is compact(model)'s: the rc-pruned units drop out
+        kept = np.flatnonzero(model.cell.active_units()[0])
+        assert state.c.shape == (16, d)
+        assert rel_max_diff(state.c, ref_state.c[:, kept]) <= 1e-12
 
 
 class TestBpttMatchesReference:

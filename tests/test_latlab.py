@@ -70,6 +70,12 @@ class TestSyntheticCurve:
         assert spec.base_ns == 500.0 and spec.period == 16
         assert spec.slope_ns == -1.0  # default preserved
 
+    @pytest.mark.parametrize("period", [0, -16])
+    def test_curve_period_floor(self, period):
+        # 0 divided by zero in the sawtooth; a negative period made every dim an LHP
+        with pytest.raises(ContractViolation, match="period"):
+            SyntheticCurveSpec(period=period)
+
 
 class TestMeasurePoint:
     def test_virtual_backend_exact(self):
@@ -106,10 +112,17 @@ class TestMeasurePoint:
 
     def test_backend_failure_carries_dim(self):
         class Broken(NativeBackend):
-            def make_task(self, dim, batch):
+            def measure(self, dim, batch, warmup_runs, measured_runs):
                 raise RuntimeError("boom")
         with pytest.raises(MeasurementError, match="dim 7"):
             measure_point(Broken(), 7, 16, warmup_runs=0, measured_runs=5)
+
+    def test_synthetic_backend_failure_carries_dim(self):
+        class Broken(SyntheticBackend):
+            def measure(self, dim, batch, warmup_runs, measured_runs):
+                raise RuntimeError("boom")
+        with pytest.raises(MeasurementError, match="dim 7"):
+            measure_point(Broken(SyntheticCurveSpec()), 7, 16, measured_runs=5)
 
 
 class TestSweep:
@@ -138,11 +151,11 @@ class TestSweep:
         measured = []
 
         class FailsAt(SyntheticBackend):
-            def virtual_times(self, dim, runs):
+            def measure(self, dim, batch, warmup_runs, measured_runs):
                 if dim >= 32:
                     raise MeasurementError(dim, "thermal")
                 measured.append(dim)
-                return super().virtual_times(dim, runs)
+                return super().measure(dim, batch, warmup_runs, measured_runs)
         backend = FailsAt(SyntheticCurveSpec())
         with pytest.raises(MeasurementError, match="dim 32") as exc_info:
             sweep(backend, [8, 16, 32, 64], 16, SweepConfig(measured_runs=5))
@@ -349,13 +362,13 @@ class TestPersistence:
 class TestBackendFactory:
     def test_native(self):
         backend = make_backend("native")
-        assert type(backend) is NativeBackend and not backend.virtual
+        assert type(backend) is NativeBackend
 
     def test_synthetic_from_file(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"period": 16}', encoding="utf-8")
         backend = make_backend(f"synthetic:{path}")
-        assert backend.virtual
+        assert type(backend) is SyntheticBackend
         assert backend.spec.period == 16
 
     def test_unknown_rejected(self):

@@ -89,7 +89,9 @@ class TestFlowConfig:
     @pytest.mark.parametrize("latency,key", [
         (dict(mode="Virtual"), "mode"), (dict(mode="wallclock"), "mode"),
         (dict(runs=0), "runs"), (dict(mode="real", runs=-1), "runs"),
-        (dict(measure_batch=0), "measure_batch"), (dict(measure_seq=0), "measure_seq")])
+        (dict(measure_batch=0), "measure_batch"), (dict(measure_seq=0), "measure_seq"),
+        # real mode times exactly `runs` forwards, as many as `hwsynth bench --reps`
+        (dict(runs=4), "runs"), (dict(mode="real", runs=1), "runs")])
     def test_bad_latency_rejected(self, latency, key, tmp_path):
         # "Virtual" used to run the real-mode sweep and wall-clock timing
         with pytest.raises(ConfigError, match=f"latency.{key}"):
@@ -97,6 +99,27 @@ class TestFlowConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"latency": latency}), encoding="utf-8")
         with pytest.raises(ConfigError, match=f"latency.{key}"):
+            FlowConfig.from_json(path)
+
+    @pytest.mark.parametrize("sizes", [
+        dict(d_s=0, d_h=0), dict(d_x=0), dict(d_s=-2), dict(batch=0), dict(seq_len=-1)])
+    def test_non_positive_size_rejected(self, sizes, tmp_path):
+        # d_s = d_h = 0 used to complete a flow of a 0x0 cell, d_x = 0 one that
+        # never reads its input
+        key = next(iter(sizes))
+        with pytest.raises(ConfigError, match=f"^{key} must be at least 1"):
+            FlowConfig(**sizes)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(sizes), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{key} must be at least 1"):
+            FlowConfig.from_json(path)
+
+    @pytest.mark.parametrize("period", [0, -16])
+    def test_bad_curve_period_rejected(self, period, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"latency": {"curve": {"period": period}}}),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="latency.curve.period"):
             FlowConfig.from_json(path)
 
     def test_from_json_round_trip(self, tmp_path):
@@ -978,9 +1001,9 @@ class TestPruneLoopPaths:
 class TestRealModeFlow:
     def test_failing_sweep_stops_before_training(self, tiny_corpus, tmp_path,
                                                  monkeypatch):
-        def broken(self, dim, batch):
+        def broken(self, dim, batch, warmup_runs, measured_runs):
             raise RuntimeError("no kernel")
-        monkeypatch.setattr(latlab.NativeBackend, "make_task", broken)
+        monkeypatch.setattr(latlab.NativeBackend, "measure", broken)
         epochs = count_calls(monkeypatch, Trainer, "epoch")
         cfg = tiny_config(tiny_corpus, latency=LatencyConfig(
             mode="real", measure_batch=2, measure_seq=4, runs=5))
@@ -991,7 +1014,7 @@ class TestRealModeFlow:
         assert not (tmp_path / "report.json").exists()
 
     def test_completes_and_rcg_follows_the_swept_lhp(self, tiny_corpus, monkeypatch):
-        tasks = count_calls(monkeypatch, latlab.NativeBackend, "make_task")
+        tasks = count_calls(monkeypatch, latlab.NativeBackend, "measure")
         cfg = tiny_config(tiny_corpus, d_s=8, d_h=8, profile_grid=(1, 8, 1),
                           latency=LatencyConfig(mode="real", measure_batch=2,
                                                 measure_seq=4, runs=5))
