@@ -19,7 +19,7 @@ from pathlib import Path
 from . import latlab, synthflow
 from .corpus import bundled_corpus_path, load_corpus
 from .hlstm import compact, evaluate, perplexity
-from .numkit import ContractViolation
+from .numkit import ContractViolation, write_atomic
 
 
 class UsageError(ValueError):
@@ -51,8 +51,8 @@ def cmd_analyze(args) -> int:
     hmap = latlab.detect_lhps(profile)
     latlab.save_hysteresis_report(hmap, args.out)
     if args.svg:
-        Path(args.svg).write_text(latlab.profile_svg(profile, hmap),
-                                  encoding="utf-8")
+        svg = latlab.profile_svg(profile, hmap).encode("utf-8")
+        write_atomic(args.svg, lambda fh: fh.write(svg))
     print(f"{len(hmap.lhp_set)} LHPs over {len(profile.grid)} grid points; "
           f"redundancy {hmap.redundancy * 100:.1f}%")
     return 0

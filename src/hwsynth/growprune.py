@@ -14,16 +14,14 @@ full-sort oracle. Grown weights are initialized to lr * gradient
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from .hlstm import GATES, HLSTMCellParams
-from .numkit import ContractViolation, MaskedLinear, write_atomic
+from .numkit import ContractViolation, MaskedLinear
 
 
 class DegenerateLayerError(ValueError):
@@ -47,6 +45,8 @@ class GrowPruneConfig:
                 raise ContractViolation(f"ratio {name}={v} outside [0, 1]")
         if not self.accuracy_threshold > 0:
             raise ContractViolation("accuracy threshold must be positive")
+        if self.retrain_patience < 0:
+            raise ContractViolation(f"retrain_patience={self.retrain_patience} is negative")
 
 
 def _ceil_count(ratio: float, n: int) -> int:
@@ -158,12 +158,10 @@ def coordinated_rc_prune(cell: HLSTMCellParams, head: MaskedLinear,
 def coordinated_rc_prune_counts(cell: HLSTMCellParams, head: MaskedLinear,
                                 k_s: int, k_h: int) -> tuple[int, int]:
     s_active, h_active = cell.active_units()
-    n_s = int(s_active.sum())
-    n_h = int(h_active.sum())
-    if k_s >= n_s and k_s > 0:
-        raise DegenerateLayerError(f"pruning all {n_s} hidden-state units")
-    if k_h >= n_h and k_h > 0:
-        raise DegenerateLayerError(f"pruning all {n_h} gate hidden units")
+    for k, n, what in ((k_s, int(s_active.sum()), "hidden-state"),
+                       (k_h, int(h_active.sum()), "gate hidden")):
+        if k >= n and k > 0:
+            raise DegenerateLayerError(f"pruning all {n} {what} units")
     s_imp, h_imp = unit_importance(cell, head)
     s_idx = _pick(np.flatnonzero(s_active), s_imp, k_s, largest=False)
     h_idx = _pick(np.flatnonzero(h_active), h_imp, k_h, largest=False)
@@ -234,26 +232,3 @@ def halve_weight_ratio(cfg: GrowPruneConfig, achieved_metric: float
     if new_cfg.p_w < cfg.halving_floor:
         return new_cfg, HalveDecision.STOP
     return new_cfg, HalveDecision.HALVED
-
-
-# --- mask snapshot export ----------------------------------------------------
-
-def export_masks(layers: list[MaskedLinear], out_dir: str | Path,
-                 tag: str) -> Path:
-    """Write one portable bitmap (P1) per layer plus a JSON manifest, each
-    file atomically."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, layer in enumerate(layers):
-        fname = f"{tag}_{i:02d}_{layer.name.replace('.', '_')}.pbm"
-        m, n = layer.mask.shape
-        rows = "\n".join(" ".join(str(int(v)) for v in row) for row in layer.mask)
-        pbm = f"P1\n{n} {m}\n{rows}\n".encode("utf-8")
-        write_atomic(out_dir / fname, lambda fh: fh.write(pbm))
-        entries.append({"layer": layer.name, "file": fname,
-                        "shape": [m, n], "active": layer.active_count()})
-    manifest = out_dir / f"{tag}_manifest.json"
-    text = json.dumps({"tag": tag, "layers": entries}, indent=2).encode("utf-8")
-    write_atomic(manifest, lambda fh: fh.write(text))
-    return manifest

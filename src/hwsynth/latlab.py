@@ -11,16 +11,16 @@ a point slower than any smaller design point.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from .numkit import ContractViolation, make_rng
+from .numkit import ContractViolation, make_rng, write_atomic
 
 
 class MeasurementError(RuntimeError):
@@ -69,11 +69,6 @@ class HysteresisMap:
     lhp_set: list[int]
     bins: list[HysteresisBin]
     redundancy: float   # architecture-space redundancy: 1 - #LHPs / #grid points
-
-
-class NearestLHP(NamedTuple):
-    dim: int
-    found: bool         # False: no LHP at or above the query, d returned as-is
 
 
 # --- backends ----------------------------------------------------------------
@@ -260,15 +255,13 @@ def detect_lhps(profile: LatencyProfile) -> HysteresisMap:
                          redundancy=redundancy_val)
 
 
-def nearest_lhp(hmap: HysteresisMap, d: int) -> NearestLHP:
-    """Smallest LHP >= d, the recovery target for a pruned dimension."""
+def nearest_lhp(hmap: HysteresisMap, d: int) -> int | None:
+    """Smallest LHP >= d, the recovery target for a pruned dimension; None
+    when every LHP lies below d."""
     if d > hmap.profile.grid[-1]:
         raise ContractViolation(
             f"query dim {d} above profiled grid max {hmap.profile.grid[-1]}")
-    for lhp in hmap.lhp_set:
-        if lhp >= d:
-            return NearestLHP(dim=lhp, found=True)
-    return NearestLHP(dim=d, found=False)
+    return next((lhp for lhp in hmap.lhp_set if lhp >= d), None)
 
 
 def spearman(x, y) -> float:
@@ -299,13 +292,15 @@ _REQUIRED = CSV_HEADER[:-1]
 
 
 def save_profile(profile: LatencyProfile, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for dim, s in zip(profile.grid, profile.samples):
-            writer.writerow([dim, profile.batch, repr(s.mean_ns),
-                             repr(s.median_ns), repr(s.p95_ns), s.runs,
-                             profile.hardware_id])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for dim, s in zip(profile.grid, profile.samples):
+        writer.writerow([dim, profile.batch, repr(s.mean_ns),
+                         repr(s.median_ns), repr(s.p95_ns), s.runs,
+                         profile.hardware_id])
+    text = buf.getvalue().encode("utf-8")
+    write_atomic(path, lambda fh: fh.write(text))
 
 
 def load_profile(path: str | Path) -> LatencyProfile:
@@ -354,7 +349,8 @@ def save_hysteresis_report(hmap: HysteresisMap, path: str | Path) -> None:
         "redundancy": hmap.redundancy,
         "redundancy_pct": f"{hmap.redundancy * 100:.1f}%",
     }
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    text = (json.dumps(data, indent=2) + "\n").encode("utf-8")
+    write_atomic(path, lambda fh: fh.write(text))
 
 
 def profile_svg(profile: LatencyProfile, hmap: HysteresisMap) -> str:

@@ -163,9 +163,10 @@ def sgd_update(value: np.ndarray, grad: np.ndarray, lr: float, weight_decay: flo
     value -= lr * (grad + weight_decay * value)
 
 
-def write_atomic(path: Path, write) -> None:
+def write_atomic(path: str | Path, write) -> None:
     """write(fh) to a temp file beside `path`, then rename it over `path`:
     readers see the old file or the new one, never a partial one."""
+    path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as fh:

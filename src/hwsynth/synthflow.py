@@ -5,8 +5,8 @@ growth back to the nearest latency hysteresis point (rcg) -> weight pruning
 (wp). CPU mode skips rcp and rcg to maximize weight sparsity. The flow
 builds rcg's LHP map once, before any training. Each step appends a report
 row (compact(model)'s dims, parameter counts, validation perplexity,
-measured forward latency); prune phases restore the last passing checkpoint
-so the flow never emits a model violating the accuracy threshold.
+measured forward latency); prune phases restore the last passing checkpoint,
+and a flow is complete only if its final model meets the accuracy threshold.
 """
 
 from __future__ import annotations
@@ -52,6 +52,16 @@ class OptimizerConfig:
     weight_decay: float = 1.2e-6
     dropout_h: float = 0.0
 
+    def __post_init__(self):
+        for name, ok, rule in (
+                ("lr", math.isfinite(self.lr) and self.lr > 0, "finite and positive"),
+                ("dropout_h", 0.0 <= self.dropout_h < 1.0, "in [0, 1)"),
+                ("weight_decay", self.weight_decay >= 0, "non-negative"),
+                ("lr_decay", 0.0 < self.lr_decay <= 1.0, "in (0, 1]"),
+                ("lr_patience", self.lr_patience >= 0, "non-negative")):
+            if not ok:
+                raise ConfigError(f"optimizer.{name} must be {rule}, got {getattr(self, name)}")
+
 
 @dataclass
 class LatencyConfig:
@@ -94,7 +104,8 @@ class FlowConfig:
             raise ConfigError("seed_sparsity must be in (0, 1)")
         if self.d_s != self.d_h:
             raise ConfigError("the flow ties d_s and d_h; set them equal")
-        for name in ("baseline_epochs", "wg_epochs", "growth_epochs", "rcg_epochs"):
+        for name in ("baseline_epochs", "wg_epochs", "growth_epochs", "rcg_epochs",
+                     "max_prune_iters"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if self.latency.mode not in ("virtual", "real"):
@@ -443,8 +454,6 @@ class SynthesisFlow:
         meta = {k: getattr(self.cfg, k) for k in ("seed", "seq_len", "train_frac", "valid_frac")}
         checkpoint_save(self.model, {"phase": tag, **meta},
                         self.out_dir / f"checkpoint_{tag}.npz")
-        growprune.export_masks(self.model.masked_layers(),
-                               self.out_dir / "masks", tag)
 
     def _fit(self, label: str, model: LMModel, trainer: Trainer,
              rng: np.random.Generator, epochs: int, growth_epochs: int = 0) -> float:
@@ -552,10 +561,9 @@ class SynthesisFlow:
         shape = compact(self.model).cell
         cur_s, cur_h = shape.d_s, shape.d_h
         tied = max(cur_s, cur_h)
-        target = latlab.nearest_lhp(self.hmap, tied)
-        self.report.lhp_target = target.dim
-        if target.found and target.dim > tied:
-            target_dim = min(target.dim, self.cfg.d_s)
+        target = self.report.lhp_target = latlab.nearest_lhp(self.hmap, tied)
+        if target is not None and target > tied:
+            target_dim = min(target, self.cfg.d_s)
             # bridging gradients: epoch-averaged, no parameter updates
             grads = _window_pass(self.model, self.corpus.train, self.cfg.batch,
                                  self.cfg.seq_len, collect=True)[1]
@@ -564,7 +572,7 @@ class SynthesisFlow:
                 target_dim - cur_s, target_dim - cur_h, self.trainer.lr)
             self.log(f"[rcg] grew tied dim {tied} -> {target_dim}")
         else:
-            self.log(f"[rcg] dim {tied} already at an LHP; no growth")
+            self.log(f"[rcg] no LHP above dim {tied}; no growth")
         ppl = self._fit("rcg", self.model, self.trainer, self.rng, self.cfg.rcg_epochs)
         self.report.rows.append(self._row("rcg", self.model, ppl))
         self._save_phase_artifacts("rcg")
@@ -594,7 +602,10 @@ class SynthesisFlow:
                 self.step_rc_prune()
                 self.step_rc_grow()
             self.step_weight_prune()
-            self.report.complete = True
+            final, threshold = self.report.rows[-1].valid_ppl, self.report.threshold
+            self.report.complete = final <= threshold
+            if not self.report.complete:
+                self.log(f"[flow] final valid ppl {final:.3f} above threshold {threshold:.3f}")
         finally:
             if self.out_dir is not None:
                 for name, text in (("report.csv", self.report.to_csv()),

@@ -233,9 +233,9 @@ def test_criterion_4_lhp_dominance():
         hmap = latlab.detect_lhps(profile)
         lut = dict(zip(grid, lats))
         for d in grid:
-            res = latlab.nearest_lhp(hmap, d)
-            if res.found:
-                assert lut[res.dim] <= lut[d]
+            target = latlab.nearest_lhp(hmap, d)
+            if target is not None:
+                assert lut[target] <= lut[d]
                 checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
@@ -287,9 +287,9 @@ def test_criterion_5_end_to_end_toy_synthesis(toy_flow_runs):
         hardware_id="t", batch=16, grid=grid, samples=samples))
     tied = max(rows["rcp"].d_s, rows["rcp"].d_h)
     target = latlab.nearest_lhp(hmap, tied)
-    assert report.lhp_target == target.dim
-    if target.found:
-        assert rows["rcg"].d_s == target.dim
+    assert report.lhp_target == target
+    if target is not None:
+        assert rows["rcg"].d_s == target
     # parameter trajectory follows the step semantics
     assert rows["rcp"].active_params <= rows["wg"].active_params
     assert rows["rcg"].active_params >= rows["rcp"].active_params

@@ -85,7 +85,14 @@ class TestExitCodes:
         {"d_s": 0, "d_h": 0}, {"d_x": 0}, {"d_s": -2},
         {"latency": {"mode": "virtual", "runs": 4, "curve": {"period": 4}}},
         {"latency": {"mode": "virtual", "curve": {"period": 0}}},
-        {"latency": {"mode": "virtual", "curve": {"period": -16}}}])
+        {"latency": {"mode": "virtual", "curve": {"period": -16}}},
+        {"growprune": {"accuracy_threshold": 1e9, "retrain_patience": -1}},
+        {"max_prune_iters": -3},
+        {"optimizer": {"lr": 0.5, "weight_decay": -5.0}},
+        {"optimizer": {"lr": 0.5, "lr_decay": -1.0}},
+        {"optimizer": {"lr": 0.5, "dropout_h": 1.0}},
+        {"optimizer": {"lr": 0.5, "dropout_h": -0.5}},
+        {"optimizer": {"lr": -1.0}}])
     def test_bad_flow_config_fails_before_training(self, workdir, flow_config,
                                                    override, capsys):
         data = json.loads(open(flow_config, encoding="utf-8").read())
@@ -96,6 +103,17 @@ class TestExitCodes:
         assert main(["synthesize", "--config", str(bad), "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_flow_above_its_threshold_exits_1(self, workdir, flow_config, capsys):
+        # every model of this config scores about 9 ppl
+        data = json.loads(open(flow_config, encoding="utf-8").read())
+        data["growprune"]["accuracy_threshold"] = 1.5
+        cfg = workdir / "strict_flow.json"
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        out = workdir / "strict_flow_out"
+        assert main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "flow INCOMPLETE" in capsys.readouterr().out
+        assert json.loads((out / "report.json").read_text(encoding="utf-8"))["complete"] is False
 
     def test_short_profile_fails_before_training(self, workdir, flow_config, capsys):
         # the flow's d_s is 12; this profile stops at 8
@@ -144,6 +162,39 @@ class TestProfileAnalyzePipeline:
         capsys.readouterr()
         data = json.loads(report_path.read_text(encoding="utf-8"))
         assert data["hardware_id"] == os.uname().nodename != ""
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("target", ["prof.csv", "hyst.json", "prof.svg"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, curve_file, target,
+                                                  monkeypatch, capsys):
+        def profile(grid, out):
+            return ["profile", "--grid", grid, "--runs", "5",
+                    "--backend", f"synthetic:{curve_file}", "--out", str(tmp_path / out)]
+
+        def analyze(prof):
+            return ["analyze", "--profile", str(tmp_path / prof), "--out",
+                    str(tmp_path / "hyst.json"), "--svg", str(tmp_path / "prof.svg")]
+
+        for argv in (profile("1:12:1", "prof.csv"), profile("1:6:1", "prof6.csv"),
+                     analyze("prof.csv")):
+            assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == target:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        # rewrite the target from the 6-point profile, so a write that landed would show
+        argv = profile("1:6:1", "prof.csv") if target == "prof.csv" else analyze("prof6.csv")
+        assert main(argv) == 1
+        assert "disk full" in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(after) == sorted(before)        # no temp file left behind
+        assert after[target] == before[target]
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,4 @@
-import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -12,7 +10,6 @@ from hwsynth.growprune import (
     coordinated_rc_grow_counts,
     coordinated_rc_prune,
     coordinated_rc_prune_counts,
-    export_masks,
     halve_on_violation,
     halve_weight_ratio,
     unit_importance,
@@ -423,42 +420,8 @@ class TestHalvingSchedule:
         with pytest.raises(ContractViolation):
             GrowPruneConfig(p_w=1.5)
 
-
-class TestExportMasks:
-    def test_pbm_and_manifest(self, tmp_path):
-        layer = MaskedLinear(w=np.ones((2, 3)),
-                             mask=np.array([[1.0, 0.0, 1.0],
-                                            [0.0, 0.0, 1.0]]),
-                             b=np.zeros(2), name="cell0.Of")
-        manifest = export_masks([layer], tmp_path, tag="rcp")
-        data = json.loads(manifest.read_text(encoding="utf-8"))
-        assert data["layers"][0]["active"] == 3
-        pbm = (tmp_path / data["layers"][0]["file"]).read_text(encoding="utf-8")
-        assert pbm.splitlines()[0] == "P1"
-        assert pbm.splitlines()[1] == "3 2"
-        assert pbm.splitlines()[2] == "1 0 1"
-
-    def test_failed_export_keeps_previous_files(self, tmp_path, monkeypatch):
-        layers = [MaskedLinear(w=np.ones((2, 3)), mask=np.ones((2, 3)), b=np.zeros(2),
-                               name=f"cell0.H{g}") for g in "fio"]
-        export_masks(layers, tmp_path, tag="rcg")
-        export_masks(layers, tmp_path, tag="wp")
-        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
-        for layer in layers:
-            layer.mask[0, :] = layer.w[0, :] = 0.0
-        replaced, real_replace = [], os.replace
-
-        def fail_on_second(src, dst):
-            if replaced:
-                raise OSError("disk full")
-            replaced.append(os.path.basename(dst))
-            real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", fail_on_second)
-        with pytest.raises(OSError, match="disk full"):
-            export_masks(layers, tmp_path, tag="wp")
-        after = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
-        assert sorted(after) == sorted(before)        # no temp file left behind
-        assert replaced == ["wp_00_cell0_Hf.pbm"]
-        for name, data in after.items():
-            assert (data != before[name]) == (name in replaced), name
+    def test_negative_retrain_patience_rejected(self):
+        # -1 used to reach rcp's prune loop, which read an unset ppl
+        with pytest.raises(ContractViolation, match="retrain_patience"):
+            GrowPruneConfig(retrain_patience=-1)
+        GrowPruneConfig(retrain_patience=0)

@@ -235,16 +235,14 @@ class TestNearestLhp:
         return detect_lhps(profile_from(grid, [spec.latency_ns(d) for d in grid]))
 
     def test_recovery_rounds_up_to_next_lhp(self):
-        res = nearest_lhp(self.hmap(), 1197)
-        assert res == (1200, True)
+        assert nearest_lhp(self.hmap(), 1197) == 1200
 
     def test_exact_lhp_is_its_own_target(self):
-        assert nearest_lhp(self.hmap(), 700) == (700, True)
+        assert nearest_lhp(self.hmap(), 700) == 700
 
     def test_above_all_lhps_not_found(self):
         profile = profile_from([1, 2, 3], [10.0, 20.0, 30.0])
-        res = nearest_lhp(detect_lhps(profile), 3)
-        assert res.dim == 3 and not res.found
+        assert nearest_lhp(detect_lhps(profile), 3) is None
 
     def test_query_above_grid_rejected(self):
         with pytest.raises(ContractViolation):
@@ -257,10 +255,9 @@ class TestNearestLhp:
         lats = [spec.latency_ns(d) for d in grid]
         hmap = detect_lhps(profile_from(grid, lats))
         for d in range(1, 257, 7):
-            res = nearest_lhp(hmap, d)
-            if res.found:
-                target_lat = lats[res.dim - 1]
-                assert all(target_lat <= lats[k - 1] for k in range(1, res.dim))
+            target = nearest_lhp(hmap, d)
+            if target is not None:
+                assert all(lats[target - 1] <= lats[k - 1] for k in range(1, target))
 
 
 class TestSpearman:

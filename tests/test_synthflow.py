@@ -86,6 +86,33 @@ class TestFlowConfig:
         with pytest.raises(ConfigError):
             FlowConfig(wg_epochs=-1)
 
+    @pytest.mark.parametrize("optimizer,key", [
+        (dict(lr=-1.0), "lr"), (dict(lr=0.0), "lr"), (dict(lr=math.inf), "lr"),
+        (dict(dropout_h=1.0), "dropout_h"), (dict(dropout_h=-0.5), "dropout_h"),
+        (dict(weight_decay=-5.0), "weight_decay"), (dict(lr_decay=-1.0), "lr_decay"),
+        (dict(lr_decay=0.0), "lr_decay"), (dict(lr_decay=1.5), "lr_decay"),
+        (dict(lr_patience=-1), "lr_patience")])
+    def test_bad_optimizer_rejected(self, optimizer, key, tmp_path):
+        # dropout_h=1.0 used to divide 0 by 0 mid-flow, weight_decay=-5.0 to
+        # diverge, and lr_decay=-1.0 to flip the sign of lr at the first plateau
+        with pytest.raises(ConfigError, match=f"^optimizer.{key} must be"):
+            OptimizerConfig(**optimizer)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"optimizer": optimizer}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^optimizer.{key} must be"):
+            FlowConfig.from_json(path)
+
+    @pytest.mark.parametrize("override,error,key", [
+        ({"max_prune_iters": -3}, ConfigError, "max_prune_iters"),
+        ({"growprune": {"retrain_patience": -1}}, ContractViolation, "retrain_patience")])
+    def test_negative_prune_loop_counts_rejected(self, override, error, key, tmp_path):
+        # -3 iterations used to complete a flow that pruned nothing; -1 retrain
+        # epochs to fail in rcp after baseline and wg had trained
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(override), encoding="utf-8")
+        with pytest.raises(error, match=key):
+            FlowConfig.from_json(path)
+
     @pytest.mark.parametrize("latency,key", [
         (dict(mode="Virtual"), "mode"), (dict(mode="wallclock"), "mode"),
         (dict(runs=0), "runs"), (dict(mode="real", runs=-1), "runs"),
@@ -773,10 +800,10 @@ class TestFullFlow:
         hmap = latlab.detect_lhps(profile)
         tied = max(rows["rcp"].d_s, rows["rcp"].d_h)
         target = latlab.nearest_lhp(hmap, tied)
-        assert report.lhp_target == target.dim
-        if target.found and target.dim > tied:
-            assert rows["rcg"].d_s == target.dim
-            assert rows["rcg"].d_h == target.dim
+        assert report.lhp_target == target
+        if target is not None and target > tied:
+            assert rows["rcg"].d_s == target
+            assert rows["rcg"].d_h == target
 
     def test_rcg_latency_not_above_rcp(self, flow_result):
         _, report, _ = flow_result
@@ -790,12 +817,11 @@ class TestFullFlow:
         assert rows["wp"].valid_ppl <= report.threshold
 
     def test_artifacts_on_disk(self, flow_result):
+        # one checkpoint per phase is the one record of its masks
         _, _, out = flow_result
-        assert (out / "report.csv").exists()
-        assert (out / "report.json").exists()
-        for tag in ("wg", "rcp", "rcg", "wp"):
-            assert (out / f"checkpoint_{tag}.npz").exists()
-        assert (out / "masks" / "wp_manifest.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"checkpoint_{tag}.npz" for tag in ("rcg", "rcp", "wg", "wp")
+        ] + ["report.csv", "report.json"]
         data = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert data["complete"] is True
 
@@ -824,6 +850,41 @@ class TestCpuMode:
         # weight pruning may incidentally empty individual rows
         assert rows["wp"].total_params == rows["wg"].total_params
         assert rows["wp"].d_s <= cfg.d_s
+
+
+class TestLhpTarget:
+    def test_no_lhp_at_or_above_the_pruned_dim_is_null(self, tiny_corpus, tmp_path):
+        # the curve rises over the whole grid, so its one LHP is dim 1
+        curve = latlab.SyntheticCurveSpec(slope_ns=10, period=64)
+        flow = SynthesisFlow(tiny_config(tiny_corpus, latency=LatencyConfig(curve=curve)),
+                             tmp_path)
+        flow.log = lambda *a, **k: None
+        report = flow.run()
+        assert flow.hmap.lhp_set == [1]
+        rows = {r.step: r for r in report.rows}
+        assert rows["rcp"].d_s > 1
+        assert report.lhp_target is None
+        assert (rows["rcg"].d_s, rows["rcg"].d_h) == (rows["rcp"].d_s, rows["rcp"].d_h)
+        data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert data["lhp_target"] is None
+
+
+class TestCompletion:
+    @pytest.mark.parametrize("cpu_mode", [False, True])
+    def test_final_model_above_threshold_is_incomplete(self, tiny_corpus, tmp_path,
+                                                       cpu_mode):
+        # every model of this config scores about 9 ppl
+        lines = []
+        cfg = tiny_config(tiny_corpus, cpu_mode=cpu_mode, growprune=GrowPruneConfig(
+            accuracy_threshold=1.5, retrain_patience=1))
+        report = run_flow(cfg, tmp_path, log=lines.append)
+        steps = ["baseline", "wg", "wp"] if cpu_mode else ["baseline", "wg", "rcp", "rcg", "wp"]
+        assert [r.step for r in report.rows] == steps
+        assert report.rows[-1].valid_ppl > report.threshold == 1.5
+        assert not report.complete
+        data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert data["complete"] is False
+        assert lines[-1].endswith("above threshold 1.500")
 
 
 class TestZeroEpochs:
@@ -1024,9 +1085,10 @@ class TestRealModeFlow:
         assert len(tasks) == 8                  # one sweep point per grid dim
         rows = {r.step: r for r in report.rows}
         tied = max(rows["rcp"].d_s, rows["rcp"].d_h)
-        assert tied <= report.lhp_target <= cfg.d_s
-        if report.lhp_target > tied:
-            assert (rows["rcg"].d_s, rows["rcg"].d_h) == (report.lhp_target,) * 2
+        target = report.lhp_target
+        assert target is None or tied <= target <= cfg.d_s
+        if target is not None and target > tied:
+            assert (rows["rcg"].d_s, rows["rcg"].d_h) == (target,) * 2
         else:
             assert (rows["rcg"].d_s, rows["rcg"].d_h) == (rows["rcp"].d_s, rows["rcp"].d_h)
         assert all(r.latency_median_ns > 0 for r in report.rows)
