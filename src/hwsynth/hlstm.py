@@ -29,17 +29,21 @@ contiguous, as OpenBLAS runs transposed views slower: `_step_operands`,
 and `_BackwardPass` with the backward's buffers and gradient sums.
 
 Pruned units cost no time in any pass that feeds no growth. Forward-only
-passes run on `compact(model)`, a smaller dense copy holding only the
-units something reads: `unroll_forward(train=False)` one window from a
-zero state, returning the copy's final state, and `evaluate` a stream of
-windows, carrying the copy's state from one to the next. Training
-epochs run on `training_copy(model)`, which also keeps the units something
-writes (so weight decay reaches their live entries) and is written back
-after the epoch. Only the passes whose gradients rank dormant entries for
-growth (grad_sink epochs, rcg's bridging pass) run `unroll_forward(
-train=True)` and `bptt` on the full model, since a dead unit's entries
-need gradients there. Real-mode latency (`synthflow.measure_model_latency`,
-`hwsynth bench`) times the compacted model.
+passes read only the units something reads (see `compact`): their table,
+step operands and head are gathered straight from the model's arrays, or
+are the model's own when every unit is read, and their steps run in
+buffers made once per pass (c updated in place, each h written straight
+into a step-major h stack). `unroll_forward(train=False)` runs one window from a
+zero state and returns the read units' final state; `evaluate` runs a
+stream of windows, carrying that state from one to the next. Training
+epochs run on `training_copy(model)`, a dense copy that also keeps the
+units something writes (so weight decay reaches their live entries) and
+is written back after the epoch. Only the passes whose gradients rank
+dormant entries for growth (grad_sink epochs, rcg's bridging pass) run
+`unroll_forward(train=True)` and `bptt` on the full model, since a dead
+unit's entries need gradients there. Real-mode latency
+(`synthflow.measure_model_latency`, `hwsynth bench`) times forwards of
+`compact(model)`.
 """
 
 from __future__ import annotations
@@ -170,11 +174,15 @@ class _Recording(list):
 _GATE_SCALE = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
 
 
-def _project_input(params: HLSTMCellParams, x: np.ndarray) -> np.ndarray:
+def _project_input(params: HLSTMCellParams, x: np.ndarray,
+                   h: np.ndarray | None = None) -> np.ndarray:
     """The x part of every H layer's pre-activation, bias included:
-    x (N, d_x) -> (4, N, d_h). On the embedding it is a per-symbol table."""
-    return (np.matmul(x, params.H.w[:, :, :params.d_x].transpose(0, 2, 1))
-            + params.H.b[:, None])
+    x (N, d_x) -> (4, N, d_h), or of the d_h units h (an index array) only.
+    On the embedding it is a per-symbol table."""
+    w, b = params.H.w[:, :, :params.d_x], params.H.b
+    if h is not None:
+        w, b = w.take(h, axis=1), b[:, h]
+    return np.matmul(x, w.transpose(0, 2, 1)) + b[:, None]
 
 
 def _project_input_backward(params: HLSTMCellParams, x: np.ndarray,
@@ -187,46 +195,76 @@ def _project_input_backward(params: HLSTMCellParams, x: np.ndarray,
     return np.matmul(d_xw, H.w[:, :, :d_x]).sum(axis=0)
 
 
-def _step_operands(params: HLSTMCellParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _step_operands(params: HLSTMCellParams, units: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A pass's step operands: H's recurrent part as a contiguous (4, d_s,
     d_h) array, then O as a contiguous (4, d_h, d_s) array and O's bias, both
-    times _GATE_SCALE; scaling by 1/2 or 1 is exact, so it changes no value."""
+    times _GATE_SCALE; scaling by 1/2 or 1 is exact, so it changes no value.
+    With units (s, h), index arrays, only those d_s and d_h units."""
     H, O = params.H, params.O
-    return (np.ascontiguousarray(H.w[:, :, params.d_x:].transpose(0, 2, 1)),
-            np.multiply(O.w.transpose(0, 2, 1), _GATE_SCALE, order="C"),
-            O.b[:, None] * _GATE_SCALE)
+    h_rec, o_w, o_b = H.w[:, :, params.d_x:].transpose(0, 2, 1), O.w.transpose(0, 2, 1), O.b
+    if units is not None:
+        s, h = units
+        h_rec, o_w, o_b = h_rec[:, s[:, None], h], o_w[:, h[:, None], s], o_b[:, s]
+    return (np.ascontiguousarray(h_rec), np.multiply(o_w, _GATE_SCALE, order="C"),
+            o_b[:, None] * _GATE_SCALE)
+
+
+class _StepBuffers:
+    """A forward-only pass's step buffers, made once per pass (see
+    cell_forward): the H and O layers' outputs, views of the three sigmoid
+    gates and of each gate, and a (B, d_s) scratch."""
+
+    def __init__(self, batch: int, d_s: int, d_h: int):
+        self.act = np.empty((len(GATES), batch, d_h), dtype=FLOAT)
+        self.gates = np.empty((len(GATES), batch, d_s), dtype=FLOAT)
+        self.sigmoids, self.per_gate = self.gates[:3], tuple(self.gates)
+        self.scratch = np.empty((batch, d_s), dtype=FLOAT)
 
 
 def cell_forward(operands: tuple[np.ndarray, ...], xw_t: np.ndarray, prev: HLSTMState,
                  rng: np.random.Generator | None = None, dropout_h: float = 0.0,
-                 record: bool = True) -> tuple[HLSTMState, StepCache | None]:
+                 record: bool = True, bufs: _StepBuffers | None = None,
+                 out: np.ndarray | None = None) -> tuple[HLSTMState, StepCache | None]:
     """One step for all four gates at once, given the pass's `_step_operands`
     and xw_t (4, B, d_h), the x part of the H layers' pre-activations (see
     _project_input): one NN batched matmul adds the recurrent part, another
     runs the O layers, and one tanh computes every gate. Dropout runs iff an
     rng is given and dropout_h > 0. Returns the StepCache only when
-    `record`. The operands read w as W*Msk, relying on w[mask == 0] == 0."""
+    `record`. The operands read w as W*Msk, relying on w[mask == 0] == 0.
+
+    h goes into `out` if given. A forward-only step may pass its pass's
+    `bufs`: the step then computes in them and updates prev.c in place, so
+    the state it returns holds prev.c."""
     h_rec, o_w, o_b = operands
     batch = len(prev.h)
     if xw_t.shape != (len(GATES), batch, h_rec.shape[2]):
         raise ContractViolation(f"projected input shape {xw_t.shape} is not "
                                 f"(4, B={batch}, d_h={h_rec.shape[2]})")
-    act = np.matmul(prev.h, h_rec)
+    if record and bufs is not None:
+        raise ContractViolation("a recorded step keeps its arrays; it takes no step buffers")
+    act = np.matmul(prev.h, h_rec, out=None if bufs is None else bufs.act)
     act += xw_t
     np.maximum(act, 0.0, out=act)
     gate_in, keep = act, None
     if rng is not None and dropout_h > 0.0:
         keep = (rng.random(act.shape) >= dropout_h) / (1.0 - dropout_h)
         gate_in = act * keep
-    gates = np.matmul(gate_in, o_w)
+    gates = np.matmul(gate_in, o_w, out=None if bufs is None else bufs.gates)
     gates += o_b
     np.tanh(gates, out=gates)
-    gates[:3] += 1.0
-    gates[:3] *= 0.5
-    f, i, o, g = gates
-    c = f * prev.c + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
+    sigmoids, (f, i, o, g) = (gates[:3], gates) if bufs is None else (bufs.sigmoids, bufs.per_gate)
+    sigmoids += 1.0
+    sigmoids *= 0.5
+    if bufs is None:
+        c = f * prev.c + i * g
+        tanh_c = np.tanh(c)
+    else:
+        c = prev.c
+        c *= f
+        c += np.multiply(i, g, out=bufs.scratch)
+        tanh_c = np.tanh(c, out=bufs.scratch)
+    h = np.multiply(o, tanh_c, out=out)
     cache = StepCache(h_prev=prev.h, h_act=act, keep=keep, gate_in=gate_in,
                       gate_out=gates, c_prev=prev.c, tanh_c=tanh_c) if record else None
     return HLSTMState(h=h, c=c), cache
@@ -419,36 +457,63 @@ def training_copy(model: LMModel, rng: np.random.Generator):
     _put_units(model, small, s, h)
 
 
+def _forward_layout(model: LMModel) -> tuple[np.ndarray, tuple[np.ndarray, ...], MaskedLinear]:
+    """What a forward-only pass reads, for the units something reads (see
+    compact): the x part of H per symbol, the `_step_operands` and the head,
+    gathered straight from the model's arrays; the model's own when every
+    unit is read."""
+    cell, head = model.cell, model.head
+    read_s, read_h = _read_units(model)
+    if read_s.all() and read_h.all():
+        return _project_input(cell, model.embedding), _step_operands(cell), head
+    s, h = np.flatnonzero(read_s), np.flatnonzero(read_h)
+    return (_project_input(cell, model.embedding, h), _step_operands(cell, (s, h)),
+            MaskedLinear(head.w[:, s], head.mask[:, s], head.b, head.name))
+
+
 def _unroll(model: LMModel, tokens: np.ndarray, state: HLSTMState | None,
             rng: np.random.Generator | None = None, record: bool = False, layout=None):
-    """One pass; it lays out what its steps read (the x part of H per symbol,
-    the `_step_operands`) unless `evaluate` passes its windows' `layout`."""
+    """One pass. A recording pass lays out the whole model's table and
+    `_step_operands`; a forward-only pass reads `layout` (`_forward_layout`,
+    which `evaluate` makes once for all its windows) and runs its steps in
+    `_StepBuffers`, updating state.c in place (a zero state's, or the state
+    `evaluate` carries from its last window) and writing each h straight
+    into a step-major h stack; its logits are a (B, T, V) view of the head's
+    (T, B, V)."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ContractViolation(f"tokens shape {tokens.shape} is not (B, T)")
     if np.any(tokens < 0) or np.any(tokens >= model.vocab_size):
         raise ContractViolation("token id out of vocabulary range")
     batch, T = tokens.shape
-    cell = model.cell
-    if state is None:
-        state = HLSTMState.zeros(cell.d_s, batch)
     if layout is None:
-        layout = _project_input(cell, model.embedding), _step_operands(cell)
-    table, operands = layout
+        layout = ((_project_input(model.cell, model.embedding), _step_operands(model.cell),
+                   model.head) if record else _forward_layout(model))
+    table, operands, head = layout
+    d_s = head.in_dim
+    if state is None:
+        state = HLSTMState.zeros(d_s, batch)
     xw = table[:, tokens.T]                                      # (4, T, B, d_h)
-    hs = np.empty((batch, T, cell.d_s), dtype=FLOAT)
-    caches = _Recording(hs) if record else []
-    for t in range(T):
-        state, cache = cell_forward(operands, xw[:, t], state, rng=rng,
-                                    dropout_h=model.dropout_h, record=record)
-        hs[:, t] = state.h
-        if record:
+    if record:
+        hs = np.empty((batch, T, d_s), dtype=FLOAT)
+        caches = _Recording(hs)
+        for t in range(T):
+            state, cache = cell_forward(operands, xw[:, t], state, rng=rng,
+                                        dropout_h=model.dropout_h)
+            hs[:, t] = state.h
             caches.append(cache)
+    else:
+        # step-major, so each step reads and writes a contiguous h
+        caches, hs = [], np.empty((T, batch, d_s), dtype=FLOAT)
+        bufs = _StepBuffers(batch, d_s, table.shape[2])
+        for t in range(T):
+            state, _ = cell_forward(operands, xw[:, t], state, record=False, bufs=bufs,
+                                    out=hs[t])
     # a non-finite c stays non-finite through f * c + i * g
     if not np.all(np.isfinite(state.c)):
         raise NumericAbort("non-finite value in cell state")
-    logits = model.head.forward(hs.reshape(batch * T, cell.d_s))
-    return logits.reshape(batch, T, model.vocab_size), caches, state
+    logits = head.forward(hs.reshape(-1, d_s)).reshape(*hs.shape[:2], model.vocab_size)
+    return (logits if record else logits.transpose(1, 0, 2)), caches, state
 
 
 def unroll_forward(model: LMModel, tokens: np.ndarray,
@@ -460,16 +525,17 @@ def unroll_forward(model: LMModel, tokens: np.ndarray,
     train=True records one StepCache per step for `bptt`, at the shape of
     the model given; dropout is on iff an rng is given, and the final state
     (full-shape) continues the next window. train=False is the forward-only
-    pass: it runs on compact(model) from a zero state, takes no init and no
-    rng, and returns no caches (an empty list) and compact(model)'s final
-    state. Stateful forward-only windows go through `evaluate`.
+    pass: it runs only the units something reads (see compact), from a zero
+    state, takes no init and no rng, and returns no caches (an empty list)
+    and the final state of those units, compact(model)'s. Stateful
+    forward-only windows go through `evaluate`.
     """
     if train:
         return _unroll(model, tokens, init, rng, record=True)
     if rng is not None or init is not None:
         raise ContractViolation("a forward-only pass takes no init or rng: evaluate runs "
                                 "stateful windows, and dropout is for training")
-    return _unroll(compact(model), tokens, None)
+    return _unroll(model, tokens, None)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -532,14 +598,14 @@ def perplexity(mean_nll: float) -> float:
 def evaluate(model: LMModel, tokens: np.ndarray, seq_len: int = 64,
              batch: int = 1) -> float:
     """Mean per-token NLL of a token stream, stateful across windows; the
-    windows run forward-only on compact(model), compacted and laid out once."""
-    small = compact(model)
-    layout = _project_input(small.cell, small.embedding), _step_operands(small.cell)
+    windows run forward-only on the units something reads (see
+    unroll_forward), laid out once for all of them."""
+    layout = _forward_layout(model)
     total_nll = 0.0
     count = 0
     state = None
     for xs, ys in batch_windows(np.asarray(tokens), batch, seq_len):
-        logits, _, state = _unroll(small, xs, state, layout=layout)
+        logits, _, state = _unroll(model, xs, state, layout=layout)
         total_nll += _softmax_nll(logits, ys)[2]
         count += xs.size
     if count == 0:

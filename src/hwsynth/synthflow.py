@@ -561,18 +561,20 @@ class SynthesisFlow:
         shape = compact(self.model).cell
         cur_s, cur_h = shape.d_s, shape.d_h
         tied = max(cur_s, cur_h)
-        target = self.report.lhp_target = latlab.nearest_lhp(self.hmap, tied)
+        target = latlab.nearest_lhp(self.hmap, tied)
+        if target is not None and target > self.cfg.d_s:
+            target = None       # a loaded profile may reach past d_s; growth cannot
+        self.report.lhp_target = target
         if target is not None and target > tied:
-            target_dim = min(target, self.cfg.d_s)
             # bridging gradients: epoch-averaged, no parameter updates
             grads = _window_pass(self.model, self.corpus.train, self.cfg.batch,
                                  self.cfg.seq_len, collect=True)[1]
             growprune.coordinated_rc_grow_counts(
                 self.model.cell, self.model.head, grads,
-                target_dim - cur_s, target_dim - cur_h, self.trainer.lr)
-            self.log(f"[rcg] grew tied dim {tied} -> {target_dim}")
+                target - cur_s, target - cur_h, self.trainer.lr)
+            self.log(f"[rcg] grew tied dim {tied} -> {target}")
         else:
-            self.log(f"[rcg] no LHP above dim {tied}; no growth")
+            self.log(f"[rcg] no LHP in [{tied}, {self.cfg.d_s}]; no growth")
         ppl = self._fit("rcg", self.model, self.trainer, self.rng, self.cfg.rcg_epochs)
         self.report.rows.append(self._row("rcg", self.model, ppl))
         self._save_phase_artifacts("rcg")

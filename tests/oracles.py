@@ -283,6 +283,32 @@ def full_shape_forward(model, tokens, init=None, rng=None):
     return logits, caches, state
 
 
+# --- reference forward-only pass ----------------------------------------------------
+#
+# The forward-only pass before it gathered its operands from the read units
+# and reused its step buffers: it builds compact(model), lays out that
+# copy's table and step operands, and runs cell_forward step by step on
+# fresh arrays. The library's forward-only passes match it bit for bit.
+
+def reference_forward_only(model, tokens, init=None):
+    """(logits (B, T, V), final state) of compact(model) from `init` (None:
+    zero state), one fresh-array cell_forward per step."""
+    from hwsynth.hlstm import HLSTMState, _project_input, _step_operands, cell_forward, compact
+
+    small = compact(model)
+    cell = small.cell
+    table, operands = _project_input(cell, small.embedding), _step_operands(cell)
+    batch, T = tokens.shape
+    state = HLSTMState.zeros(cell.d_s, batch) if init is None else init
+    xw = table[:, tokens.T]
+    hs = np.empty((batch, T, cell.d_s))
+    for t in range(T):
+        state, _ = cell_forward(operands, xw[:, t], state, record=False)
+        hs[:, t] = state.h
+    logits = small.head.forward(hs.reshape(batch * T, cell.d_s))
+    return logits.reshape(batch, T, small.vocab_size), state
+
+
 # --- reference backward ------------------------------------------------------------
 #
 # The backward bptt ran before it reversed the per-symbol table and fused

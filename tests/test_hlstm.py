@@ -32,6 +32,7 @@ from oracles import (
     max_rel_err,
     per_gate_cell_step,
     reference_bptt,
+    reference_forward_only,
     rel_max_diff,
 )
 
@@ -399,8 +400,8 @@ def unread_model(seed, vocab=9, d_x=5, d_s=14, d_h=12):
 
 
 class TestCompact:
-    """Forward-only passes run on compact(model) and match the full-shape
-    masked forward to 1e-12 (normwise relative)."""
+    """Forward-only passes run the units compact(model) keeps and match the
+    full-shape masked forward to 1e-12 (normwise relative)."""
 
     def test_rc_pruned_cell_is_sliced_to_its_active_units(self):
         rng = make_rng(30)
@@ -565,6 +566,72 @@ class TestStepOperands:
         kept = np.flatnonzero(model.cell.active_units()[0])
         assert state.c.shape == (16, d)
         assert rel_max_diff(state.c, ref_state.c[:, kept]) <= 1e-12
+
+
+def bench_shape_model(d, seed=60):
+    """The bench's infer input: a 50%-sparse d=128 model with nonzero biases,
+    rc-pruned to d when d < 128."""
+    rng = make_rng(seed)
+    model = LMModel.create(49, 32, 128, 128, rng)
+    for layer in model.masked_layers():
+        layer.mask[...] = rng.random(layer.mask.shape) < 0.5
+        layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
+        layer.apply_mask()
+    coordinated_rc_prune_counts(model.cell, model.head, 128 - d, 128 - d)
+    return model, rng
+
+
+class TestForwardOnlyMatchesReference:
+    """The forward-only passes (operands gathered from the read units, step
+    buffers made once per pass) against `oracles.reference_forward_only`,
+    compact(model) stepped on fresh arrays: equal bit for bit."""
+
+    @staticmethod
+    def assert_same(got, ref):
+        (logits, _, state), (ref_logits, ref_state) = got, ref
+        assert logits.tobytes() == ref_logits.tobytes()
+        assert state.h.tobytes() == ref_state.h.tobytes()
+        assert state.c.tobytes() == ref_state.c.tobytes()
+
+    @pytest.mark.parametrize("d", [128, 51, 32])
+    def test_bench_infer_shapes(self, d):
+        model, rng = bench_shape_model(d)
+        assert compact(model).cell.d_s == d and (compact(model) is model) == (d == 128)
+        tokens = rng.integers(0, 49, size=(16, 64))
+        self.assert_same(unroll_forward(model, tokens), reference_forward_only(model, tokens))
+
+    @pytest.mark.parametrize("batch", [16, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unread_model(self, seed, batch):
+        model, rng = unread_model(seed)
+        tokens = rng.integers(0, 9, size=(batch, 13))
+        self.assert_same(unroll_forward(model, tokens), reference_forward_only(model, tokens))
+
+    @pytest.mark.parametrize("d", [128, 32])
+    def test_evaluate(self, d):
+        model, rng = bench_shape_model(d)
+        ids = rng.integers(0, 49, size=2000)
+        total, count, state = 0.0, 0, None
+        for xs, ys in batch_windows(ids, 4, 64):
+            logits, state = reference_forward_only(model, xs, init=state)
+            total += float(-np.log(softmax(logits)[(*np.indices(ys.shape), ys)]).sum())
+            count += xs.size
+        assert count == 4 * 64 * 7
+        assert evaluate(model, ids, seq_len=64, batch=4) == total / count
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_later_passes_leave_what_a_caller_keeps(self, pruned):
+        """The step buffers are a pass's own: a second forward-only pass and an
+        evaluate on the same model leave the first pass's logits and state."""
+        model, rng = unread_model(61) if pruned else bench_shape_model(128, seed=61)
+        vocab = model.vocab_size
+        tokens = rng.integers(0, vocab, size=(4, 10))
+        first = unroll_forward(model, tokens)
+        kept = [a.copy() for a in (first[0], first[2].h, first[2].c)]
+        unroll_forward(model, rng.integers(0, vocab, size=(4, 10)))
+        evaluate(model, rng.integers(0, vocab, size=300), seq_len=10, batch=4)
+        for before, after in zip(kept, (first[0], first[2].h, first[2].c)):
+            assert after.tobytes() == before.tobytes()
 
 
 class TestBpttMatchesReference:

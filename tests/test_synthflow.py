@@ -44,9 +44,9 @@ def tiny_corpus(tmp_path_factory):
     return str(path)
 
 
-def write_profile(path, top):
-    """A profile CSV of a period-4 synthetic curve over dims 1..top (no rows for 0)."""
-    curve = latlab.SyntheticCurveSpec(period=4)
+def write_profile(path, top, period=4):
+    """A profile CSV of a synthetic curve over dims 1..top (no rows for 0)."""
+    curve = latlab.SyntheticCurveSpec(period=period)
     grid = list(range(1, top + 1))
     latlab.save_profile(latlab.LatencyProfile(
         hardware_id="t", batch=16, grid=grid,
@@ -863,6 +863,21 @@ class TestLhpTarget:
         assert flow.hmap.lhp_set == [1]
         rows = {r.step: r for r in report.rows}
         assert rows["rcp"].d_s > 1
+        assert report.lhp_target is None
+        assert (rows["rcg"].d_s, rows["rcg"].d_h) == (rows["rcp"].d_s, rows["rcp"].d_h)
+        data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert data["lhp_target"] is None
+
+    def test_an_lhp_past_d_s_is_no_target(self, tiny_corpus, tmp_path):
+        # a loaded profile may reach past d_s = 12: its LHPs are 1 and 16, and
+        # growth capped at 12 would land on no LHP, so rcg grows nothing
+        path = write_profile(tmp_path / "p16.csv", 16, period=16)
+        flow = SynthesisFlow(tiny_config(tiny_corpus, profile_path=path), tmp_path)
+        flow.log = lambda *a, **k: None
+        report = flow.run()
+        assert flow.hmap.lhp_set == [1, 16]
+        rows = {r.step: r for r in report.rows}
+        assert 1 < rows["rcp"].d_s < 12
         assert report.lhp_target is None
         assert (rows["rcg"].d_s, rows["rcg"].d_h) == (rows["rcp"].d_s, rows["rcp"].d_h)
         data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
