@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import latlab, synthflow
 from .corpus import bundled_corpus_path, load_corpus
-from .hlstm import compact, evaluate, perplexity
+from .hlstm import evaluate, perplexity, read_dims
 from .numkit import ContractViolation, write_atomic
 
 
@@ -113,10 +113,10 @@ def cmd_bench(args) -> int:
         mode="virtual" if args.virtual else "real",
         measure_batch=args.batch, runs=args.reps)
     stats = synthflow.measure_model_latency(model, lat_cfg)
-    timed = compact(model).cell   # the shape real mode times
+    d_s, d_h = read_dims(model)   # the shape real mode times
     print(f"median_ns={stats.median_ns!r} p95_ns={stats.p95_ns!r} "
           f"mean_ns={stats.mean_ns!r} runs={stats.runs} "
-          f"compact_d_s={timed.d_s} compact_d_h={timed.d_h}")
+          f"compact_d_s={d_s} compact_d_h={d_h}")
     return 0
 
 

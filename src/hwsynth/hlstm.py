@@ -15,27 +15,30 @@ w[mask == 0] == 0 always holds.
 The language model is one such cell (`LMModel.cell`) between an embedding
 and a softmax head. Every input is a batch: tokens are (B, T) and a step's
 state (B, d_s); other shapes raise ContractViolation. Training and
-forward-only passes share one recurrence (`_unroll`, reversed by `bptt`)
-whose steps do only the work that depends on h_{t-1}: the x part of H,
-bias included, is gathered for all steps from one per-symbol table before
-the loop, and the head runs once on all steps after it. A step is one
-batched matmul per layer kind and one tanh for all four gates, with
-sigmoid(v) = (1 + tanh(v/2)) / 2. This matches the per-step, per-gate
-computation to rounding, not bit for bit. `bptt` reverses the table per
-symbol: one one-hot GEMM sums each symbol's steps, then the V-row embedding
-projects them back; its step derives all four gates by one formula. Each
-pass (in training, each window) lays out what its steps read once and
-contiguous, as OpenBLAS runs transposed views slower: `_step_operands`,
-and `_BackwardPass` with the backward's buffers and gradient sums.
+forward-only passes share one recurrence, `cell_forward`, which runs all of
+a pass's steps in one call (reversed step by step by `bptt`). Its steps do
+only the work that depends on h_{t-1}: the x part of H, bias included, is
+gathered for all steps from one per-symbol table before the loop, and the
+head runs once on all steps after it. A step is one batched matmul per
+layer kind, a same-shape add of the O bias (broadcast to (4, B, d_s) once
+per pass) and one tanh for all four gates, with sigmoid(v) = (1 +
+tanh(v/2)) / 2. This matches the per-step, per-gate computation to
+rounding, not bit for bit. `bptt` reverses the table per symbol: one
+one-hot GEMM sums each symbol's steps, then the V-row embedding projects
+them back; its step derives all four gates by one formula. Each pass (in
+training, each window) lays out what its steps read once and contiguous,
+as OpenBLAS runs transposed views slower: `_layout`, and `_BackwardPass`
+with the backward's buffers and gradient sums.
 
 Pruned units cost no time in any pass that feeds no growth. Forward-only
-passes read only the units something reads (see `compact`): their table,
-step operands and head are gathered straight from the model's arrays, or
+passes read only the units something reads (see `compact`; one max per
+mask block finds them): their table, step operands and head are gathered
+straight from the model's arrays (each H row once, then its columns), or
 are the model's own when every unit is read, and their steps run in
 buffers made once per pass (c updated in place, each h written straight
-into a step-major h stack). `unroll_forward(train=False)` runs one window from a
-zero state and returns the read units' final state; `evaluate` runs a
-stream of windows, carrying that state from one to the next. Training
+into a step-major h stack). `unroll_forward(train=False)` runs one window
+from a zero state and returns the read units' final state; `evaluate` runs
+a stream of windows, carrying that state from one to the next. Training
 epochs run on `training_copy(model)`, a dense copy that also keeps the
 units something writes (so weight decay reaches their live entries) and
 is written back after the epoch. Only the passes whose gradients rank
@@ -43,7 +46,8 @@ dormant entries for growth (grad_sink epochs, rcg's bridging pass) run
 `unroll_forward(train=True)` and `bptt` on the full model, since a dead
 unit's entries need gradients there. Real-mode latency
 (`synthflow.measure_model_latency`, `hwsynth bench`) times forwards of
-`compact(model)`.
+`compact(model)`; the report and `hwsynth bench` read its dims off
+`read_dims(model)` without building it.
 """
 
 from __future__ import annotations
@@ -165,8 +169,8 @@ class StepCache:
 class _Recording(list):
     """A train=True pass's StepCaches, with `hs`, the (B, T, d_s) h stack."""
 
-    def __init__(self, hs: np.ndarray):
-        super().__init__()
+    def __init__(self, hs: np.ndarray, caches=()):
+        super().__init__(caches)
         self.hs = hs
 
 
@@ -174,20 +178,34 @@ class _Recording(list):
 _GATE_SCALE = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
 
 
-def _project_input(params: HLSTMCellParams, x: np.ndarray,
-                   h: np.ndarray | None = None) -> np.ndarray:
-    """The x part of every H layer's pre-activation, bias included:
-    x (N, d_x) -> (4, N, d_h), or of the d_h units h (an index array) only.
-    On the embedding it is a per-symbol table."""
-    w, b = params.H.w[:, :, :params.d_x], params.H.b
-    if h is not None:
-        w, b = w.take(h, axis=1), b[:, h]
-    return np.matmul(x, w.transpose(0, 2, 1)) + b[:, None]
+def _layout(params: HLSTMCellParams, x: np.ndarray,
+            units: tuple[np.ndarray, np.ndarray] | None = None
+            ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """What a pass's steps read. First the x part of every H layer's
+    pre-activation, bias included: x (N, d_x) -> (4, N, d_h), on the
+    embedding a per-symbol table. Then the step operands: H's recurrent part
+    as a contiguous (4, d_s, d_h) array, O as a contiguous (4, d_h, d_s)
+    array and O's bias, both times _GATE_SCALE; scaling by 1/2 or 1 is
+    exact, so it changes no value. With units (s, h), index arrays, only
+    those d_s and d_h units: each block's rows are gathered once, then its
+    columns."""
+    H, O, d_x = params.H, params.O, params.d_x
+    h_w, h_b, o_w, o_b = H.w, H.b, O.w, O.b
+    h_rec = h_w[:, :, d_x:]
+    if units is not None:
+        s, h = units
+        h_w, h_b = h_w.take(h, axis=1), h_b.take(h, axis=1)
+        h_rec = h_w.take(d_x + s, axis=2)
+        o_w, o_b = o_w.take(s, axis=1).take(h, axis=2), o_b.take(s, axis=1)
+    table = np.matmul(x, h_w[:, :, :d_x].transpose(0, 2, 1)) + h_b[:, None]
+    return table, (np.ascontiguousarray(h_rec.transpose(0, 2, 1)),
+                   np.multiply(o_w.transpose(0, 2, 1), _GATE_SCALE, order="C"),
+                   o_b[:, None] * _GATE_SCALE)
 
 
 def _project_input_backward(params: HLSTMCellParams, x: np.ndarray,
                             d_xw: np.ndarray) -> np.ndarray:
-    """Reverse of _project_input: accumulates the x part of H.grad_w and
+    """Reverse of _layout's x part: accumulates the x part of H.grad_w and
     H.grad_b from d_xw (4, N, d_h) and returns dL/dx (N, d_x)."""
     H, d_x = params.H, params.d_x
     H.grad_w[:, :, :d_x] += np.matmul(d_xw.transpose(0, 2, 1), x)
@@ -195,79 +213,62 @@ def _project_input_backward(params: HLSTMCellParams, x: np.ndarray,
     return np.matmul(d_xw, H.w[:, :, :d_x]).sum(axis=0)
 
 
-def _step_operands(params: HLSTMCellParams, units: tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A pass's step operands: H's recurrent part as a contiguous (4, d_s,
-    d_h) array, then O as a contiguous (4, d_h, d_s) array and O's bias, both
-    times _GATE_SCALE; scaling by 1/2 or 1 is exact, so it changes no value.
-    With units (s, h), index arrays, only those d_s and d_h units."""
-    H, O = params.H, params.O
-    h_rec, o_w, o_b = H.w[:, :, params.d_x:].transpose(0, 2, 1), O.w.transpose(0, 2, 1), O.b
-    if units is not None:
-        s, h = units
-        h_rec, o_w, o_b = h_rec[:, s[:, None], h], o_w[:, h[:, None], s], o_b[:, s]
-    return (np.ascontiguousarray(h_rec), np.multiply(o_w, _GATE_SCALE, order="C"),
-            o_b[:, None] * _GATE_SCALE)
+def cell_forward(operands: tuple[np.ndarray, ...], xw: np.ndarray, init: HLSTMState,
+                 hs: np.ndarray, rng: np.random.Generator | None = None,
+                 dropout_h: float = 0.0, record: bool = True
+                 ) -> tuple[HLSTMState, list[StepCache] | None]:
+    """A pass's T steps, all four gates at once, given the pass's step
+    operands (see _layout) and xw (4, T, B, d_h), the x part of the H
+    layers' pre-activations at each step. A step is one NN batched matmul
+    that adds the recurrent part, another that runs the O layers, and one
+    tanh that computes every gate. Step t's h goes into hs[t] (hs is
+    step-major: (T, B, d_s) or a view of that shape). Dropout runs iff an
+    rng is given and dropout_h > 0. Returns the final state and, when
+    `record`, one StepCache per step (else None). The operands read w as
+    W*Msk, relying on w[mask == 0] == 0.
 
-
-class _StepBuffers:
-    """A forward-only pass's step buffers, made once per pass (see
-    cell_forward): the H and O layers' outputs, views of the three sigmoid
-    gates and of each gate, and a (B, d_s) scratch."""
-
-    def __init__(self, batch: int, d_s: int, d_h: int):
-        self.act = np.empty((len(GATES), batch, d_h), dtype=FLOAT)
-        self.gates = np.empty((len(GATES), batch, d_s), dtype=FLOAT)
-        self.sigmoids, self.per_gate = self.gates[:3], tuple(self.gates)
-        self.scratch = np.empty((batch, d_s), dtype=FLOAT)
-
-
-def cell_forward(operands: tuple[np.ndarray, ...], xw_t: np.ndarray, prev: HLSTMState,
-                 rng: np.random.Generator | None = None, dropout_h: float = 0.0,
-                 record: bool = True, bufs: _StepBuffers | None = None,
-                 out: np.ndarray | None = None) -> tuple[HLSTMState, StepCache | None]:
-    """One step for all four gates at once, given the pass's `_step_operands`
-    and xw_t (4, B, d_h), the x part of the H layers' pre-activations (see
-    _project_input): one NN batched matmul adds the recurrent part, another
-    runs the O layers, and one tanh computes every gate. Dropout runs iff an
-    rng is given and dropout_h > 0. Returns the StepCache only when
-    `record`. The operands read w as W*Msk, relying on w[mask == 0] == 0.
-
-    h goes into `out` if given. A forward-only step may pass its pass's
-    `bufs`: the step then computes in them and updates prev.c in place, so
-    the state it returns holds prev.c."""
+    A recording pass keeps every step's arrays. A forward-only pass
+    computes in buffers made once here and updates init.c in place, so the
+    state it returns holds init.c and h is hs[T-1]."""
     h_rec, o_w, o_b = operands
-    batch = len(prev.h)
-    if xw_t.shape != (len(GATES), batch, h_rec.shape[2]):
-        raise ContractViolation(f"projected input shape {xw_t.shape} is not "
-                                f"(4, B={batch}, d_h={h_rec.shape[2]})")
-    if record and bufs is not None:
-        raise ContractViolation("a recorded step keeps its arrays; it takes no step buffers")
-    act = np.matmul(prev.h, h_rec, out=None if bufs is None else bufs.act)
-    act += xw_t
-    np.maximum(act, 0.0, out=act)
-    gate_in, keep = act, None
-    if rng is not None and dropout_h > 0.0:
-        keep = (rng.random(act.shape) >= dropout_h) / (1.0 - dropout_h)
-        gate_in = act * keep
-    gates = np.matmul(gate_in, o_w, out=None if bufs is None else bufs.gates)
-    gates += o_b
-    np.tanh(gates, out=gates)
-    sigmoids, (f, i, o, g) = (gates[:3], gates) if bufs is None else (bufs.sigmoids, bufs.per_gate)
-    sigmoids += 1.0
-    sigmoids *= 0.5
-    if bufs is None:
-        c = f * prev.c + i * g
-        tanh_c = np.tanh(c)
-    else:
-        c = prev.c
-        c *= f
-        c += np.multiply(i, g, out=bufs.scratch)
-        tanh_c = np.tanh(c, out=bufs.scratch)
-    h = np.multiply(o, tanh_c, out=out)
-    cache = StepCache(h_prev=prev.h, h_act=act, keep=keep, gate_in=gate_in,
-                      gate_out=gates, c_prev=prev.c, tanh_c=tanh_c) if record else None
-    return HLSTMState(h=h, c=c), cache
+    n_steps, batch = xw.shape[1], len(init.h)
+    if xw.shape != (len(GATES), n_steps, batch, h_rec.shape[2]):
+        raise ContractViolation(f"projected input shape {xw.shape} is not "
+                                f"(4, T, B={batch}, d_h={h_rec.shape[2]})")
+    gate_shape = (len(GATES), batch, o_w.shape[2])
+    # a same-shape add runs as one inner loop, a (4, 1, d_s) one as 4 B loops of d_s
+    o_b = np.broadcast_to(o_b, gate_shape).copy()
+    h, c, caches = init.h, init.c, [] if record else None
+    if not record:
+        act, gates = np.empty((len(GATES), batch, h_rec.shape[2])), np.empty(gate_shape)
+        sigmoids, (f, i, o, g), scratch = gates[:3], gates, np.empty(gate_shape[1:])
+    for t in range(n_steps):
+        act = np.matmul(h, h_rec, out=None if record else act)
+        act += xw[:, t]
+        np.maximum(act, 0.0, out=act)
+        gate_in, keep = act, None
+        if rng is not None and dropout_h > 0.0:
+            keep = (rng.random(act.shape) >= dropout_h) / (1.0 - dropout_h)
+            gate_in = act * keep
+        gates = np.matmul(gate_in, o_w, out=None if record else gates)
+        gates += o_b
+        np.tanh(gates, out=gates)
+        if record:
+            sigmoids, (f, i, o, g) = gates[:3], gates
+        sigmoids += 1.0
+        sigmoids *= 0.5
+        if record:
+            c_prev, c = c, f * c + i * g
+            tanh_c = np.tanh(c)
+            h_prev, h = h, o * tanh_c
+            hs[t] = h
+            caches.append(StepCache(h_prev=h_prev, h_act=act, keep=keep, gate_in=gate_in,
+                                    gate_out=gates, c_prev=c_prev, tanh_c=tanh_c))
+        else:
+            c *= f
+            c += np.multiply(i, g, out=scratch)
+            h = np.multiply(o, np.tanh(c, out=scratch), out=hs[t])
+    return HLSTMState(h=h, c=c), caches
 
 
 class _BackwardPass:
@@ -384,10 +385,18 @@ def compact(model: LMModel) -> LMModel:
 
 
 def _read_units(model: LMModel) -> tuple[np.ndarray, np.ndarray]:
-    """Flags of the d_s and d_h units something reads (see compact)."""
+    """Flags of the d_s and d_h units something reads (see compact): one
+    max per mask block, as mask entries are 0 or 1."""
     cell, d_x = model.cell, model.d_x
-    return (model.head.mask.any(axis=0) | cell.H.mask[:, :, d_x:].any(axis=(0, 1)),
-            cell.O.mask.any(axis=(0, 1)))
+    read_s = np.maximum(model.head.mask.max(axis=0, initial=0.0),
+                        cell.H.mask[:, :, d_x:].max(axis=(0, 1), initial=0.0))
+    return read_s > 0.0, cell.O.mask.max(axis=(0, 1), initial=0.0) > 0.0
+
+
+def read_dims(model: LMModel) -> tuple[int, int]:
+    """(d_s, d_h) of compact(model), without building it."""
+    read_s, read_h = _read_units(model)
+    return int(read_s.sum()), int(read_h.sum())
 
 
 def _take_units(model: LMModel, s: np.ndarray, h: np.ndarray) -> LMModel:
@@ -459,26 +468,31 @@ def training_copy(model: LMModel, rng: np.random.Generator):
 
 def _forward_layout(model: LMModel) -> tuple[np.ndarray, tuple[np.ndarray, ...], MaskedLinear]:
     """What a forward-only pass reads, for the units something reads (see
-    compact): the x part of H per symbol, the `_step_operands` and the head,
-    gathered straight from the model's arrays; the model's own when every
-    unit is read."""
+    compact): the x part of H per symbol, the step operands (see _layout)
+    and the head, gathered straight from the model's arrays; the model's
+    own when every unit is read."""
     cell, head = model.cell, model.head
     read_s, read_h = _read_units(model)
     if read_s.all() and read_h.all():
-        return _project_input(cell, model.embedding), _step_operands(cell), head
+        return (*_layout(cell, model.embedding), head)
     s, h = np.flatnonzero(read_s), np.flatnonzero(read_h)
-    return (_project_input(cell, model.embedding, h), _step_operands(cell, (s, h)),
-            MaskedLinear(head.w[:, s], head.mask[:, s], head.b, head.name))
+    # gathered from a valid layer, so it keeps the invariants unchecked; the bench
+    # counts MACs in MaskedLinear.forward, so the head stays a MaskedLinear. w[:, s]
+    # is column-major like compact(model)'s head; a row-major copy changes the
+    # head GEMM's rounding
+    pass_head = MaskedLinear.on_arrays(head.name, w=head.w[:, s], mask=head.mask[:, s],
+                                       b=head.b)
+    return (*_layout(cell, model.embedding, (s, h)), pass_head)
 
 
 def _unroll(model: LMModel, tokens: np.ndarray, state: HLSTMState | None,
             rng: np.random.Generator | None = None, record: bool = False, layout=None):
-    """One pass. A recording pass lays out the whole model's table and
-    `_step_operands`; a forward-only pass reads `layout` (`_forward_layout`,
-    which `evaluate` makes once for all its windows) and runs its steps in
-    `_StepBuffers`, updating state.c in place (a zero state's, or the state
-    `evaluate` carries from its last window) and writing each h straight
-    into a step-major h stack; its logits are a (B, T, V) view of the head's
+    """One pass: one cell_forward call runs all its steps. A recording pass
+    lays out the whole model; a forward-only pass reads `layout`
+    (`_forward_layout`, which `evaluate` makes once for all its windows),
+    updates state.c in place (a zero state's, or the state `evaluate`
+    carries from its last window) and writes each h straight into a
+    step-major h stack; its logits are a (B, T, V) view of the head's
     (T, B, V)."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -487,28 +501,23 @@ def _unroll(model: LMModel, tokens: np.ndarray, state: HLSTMState | None,
         raise ContractViolation("token id out of vocabulary range")
     batch, T = tokens.shape
     if layout is None:
-        layout = ((_project_input(model.cell, model.embedding), _step_operands(model.cell),
-                   model.head) if record else _forward_layout(model))
+        layout = ((*_layout(model.cell, model.embedding), model.head) if record
+                  else _forward_layout(model))
     table, operands, head = layout
     d_s = head.in_dim
     if state is None:
         state = HLSTMState.zeros(d_s, batch)
-    xw = table[:, tokens.T]                                      # (4, T, B, d_h)
+    xw = table.take(tokens.T, axis=1)                            # (4, T, B, d_h)
     if record:
         hs = np.empty((batch, T, d_s), dtype=FLOAT)
-        caches = _Recording(hs)
-        for t in range(T):
-            state, cache = cell_forward(operands, xw[:, t], state, rng=rng,
-                                        dropout_h=model.dropout_h)
-            hs[:, t] = state.h
-            caches.append(cache)
+        state, caches = cell_forward(operands, xw, state, hs.transpose(1, 0, 2), rng,
+                                     model.dropout_h)
+        caches = _Recording(hs, caches)
     else:
         # step-major, so each step reads and writes a contiguous h
-        caches, hs = [], np.empty((T, batch, d_s), dtype=FLOAT)
-        bufs = _StepBuffers(batch, d_s, table.shape[2])
-        for t in range(T):
-            state, _ = cell_forward(operands, xw[:, t], state, record=False, bufs=bufs,
-                                    out=hs[t])
+        hs = np.empty((T, batch, d_s), dtype=FLOAT)
+        state, _ = cell_forward(operands, xw, state, hs, record=False)
+        caches = []
     # a non-finite c stays non-finite through f * c + i * g
     if not np.all(np.isfinite(state.c)):
         raise NumericAbort("non-finite value in cell state")

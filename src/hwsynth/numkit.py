@@ -69,10 +69,17 @@ class MaskedLinear:
     def view(cls, block, k: int, name: str) -> "MaskedLinear":
         """Layer k of a stacked block: each array is `block.<array>[k]`, so
         writes through the layer land in the block and vice versa."""
+        return cls.on_arrays(name, **{attr: getattr(block, attr)[k] for attr in ARRAYS})
+
+    @classmethod
+    def on_arrays(cls, name: str, **arrays: np.ndarray) -> "MaskedLinear":
+        """A layer on arrays that already keep its invariants, taken as they
+        are: no check, copy or mask applied. A forward-only pass may give it
+        just w, mask and b."""
         layer = cls.__new__(cls)
         layer.name = name
-        for attr in ARRAYS:
-            setattr(layer, attr, getattr(block, attr)[k])
+        for attr, value in arrays.items():
+            setattr(layer, attr, value)
         return layer
 
     def __setattr__(self, attr, value):

@@ -25,8 +25,8 @@ import numpy as np
 from . import growprune, latlab
 from .corpus import Corpus, batch_windows, bundled_corpus_path, load_corpus
 from .growprune import GrowPruneConfig, HalveDecision
-from .hlstm import (LMModel, bptt, compact, evaluate, perplexity, training_copy,
-                    unroll_forward)
+from .hlstm import (LMModel, bptt, compact, evaluate, perplexity, read_dims,
+                    training_copy, unroll_forward)
 from .numkit import ContractViolation, make_rng, sgd_step, sgd_update, write_atomic
 
 CONFIG_VERSION = 1
@@ -108,6 +108,9 @@ class FlowConfig:
                      "max_prune_iters"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        if self.growth_epochs > self.wg_epochs:
+            raise ConfigError(f"growth_epochs {self.growth_epochs} exceeds wg_epochs "
+                              f"{self.wg_epochs}; growth runs only in wg's epochs")
         if self.latency.mode not in ("virtual", "real"):
             raise ConfigError(f"latency.mode {self.latency.mode!r} is not 'virtual' or 'real'")
         for name, floor in (("runs", 5), ("measure_batch", 1), ("measure_seq", 1)):
@@ -431,9 +434,9 @@ class SynthesisFlow:
 
     def _row(self, step: str, model: LMModel, ppl: float) -> ReportRow:
         total, active = param_count(model)
-        shape = compact(model).cell    # what forward passes and real mode run
+        d_s, d_h = read_dims(model)    # what forward passes and real mode run
         lat = measure_model_latency(model, self.cfg.latency)
-        return ReportRow(step=step, d_s=shape.d_s, d_h=shape.d_h, d_x=model.d_x,
+        return ReportRow(step=step, d_s=d_s, d_h=d_h, d_x=model.d_x,
                          total_params=total, active_params=active,
                          valid_ppl=ppl, latency_median_ns=lat.median_ns,
                          latency_mean_ns=lat.mean_ns, latency_p95_ns=lat.p95_ns)
@@ -558,8 +561,7 @@ class SynthesisFlow:
 
     def step_rc_grow(self) -> None:
         self.state.advance("rcg")
-        shape = compact(self.model).cell
-        cur_s, cur_h = shape.d_s, shape.d_h
+        cur_s, cur_h = read_dims(self.model)
         tied = max(cur_s, cur_h)
         target = latlab.nearest_lhp(self.hmap, tied)
         if target is not None and target > self.cfg.d_s:

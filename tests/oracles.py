@@ -227,19 +227,22 @@ def per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c, rng=None, dropout=0.0)
 
 # --- one library step on raw input ---------------------------------------------------
 #
-# cell_forward takes the pass's step operands (the recurrent part of H and
-# the gate-scaled O, laid out once per pass) and the step's projected input,
-# the x part of every H layer's pre-activation with the bias, and
-# cell_backward returns its gradient; an unroll projects a whole pass at
-# once. These adapters run one step from a (B, d_x) input through the
-# library's own layout and projection.
+# cell_forward runs a pass's steps on the pass's layout (the x part of
+# every H layer's pre-activation with the bias, and the step operands: the
+# recurrent part of H and the gate-scaled O, laid out once per pass), and
+# cell_backward returns the gradient of one step's projected input. These
+# adapters run one step from a (B, d_x) input through the library's own
+# layout.
 
 def cell_step(cell, x, prev, **kwargs):
-    """cell_forward on a (B, d_x) input; kwargs as for cell_forward."""
-    from hwsynth.hlstm import _project_input, _step_operands, cell_forward
+    """One cell_forward step on a (B, d_x) input: (state, its StepCache or
+    None); kwargs as for cell_forward."""
+    from hwsynth.hlstm import _layout, cell_forward
 
-    return cell_forward(_step_operands(cell),
-                        _project_input(cell, np.asarray(x, dtype=float)), prev, **kwargs)
+    xw, operands = _layout(cell, np.asarray(x, dtype=float))
+    hs = np.empty((1, *prev.h.shape))
+    state, caches = cell_forward(operands, xw[:, None], prev, hs, **kwargs)
+    return state, caches[0] if caches else None
 
 
 def cell_step_backward(cell, cache, x, d_h, d_c):
@@ -286,27 +289,34 @@ def full_shape_forward(model, tokens, init=None, rng=None):
 # --- reference forward-only pass ----------------------------------------------------
 #
 # The forward-only pass before it gathered its operands from the read units
-# and reused its step buffers: it builds compact(model), lays out that
-# copy's table and step operands, and runs cell_forward step by step on
-# fresh arrays. The library's forward-only passes match it bit for bit.
+# and ran its steps in one call on reused buffers: it builds compact(model),
+# lays out that copy's table and step operands, and runs one step at a time
+# on fresh arrays, written out here in the order of operations cell_forward
+# keeps (O bias broadcast from (4, 1, d_s), sigmoids as (1 + tanh) / 2). The
+# library's forward-only passes match it bit for bit.
 
 def reference_forward_only(model, tokens, init=None):
     """(logits (B, T, V), final state) of compact(model) from `init` (None:
-    zero state), one fresh-array cell_forward per step."""
-    from hwsynth.hlstm import HLSTMState, _project_input, _step_operands, cell_forward, compact
+    zero state), each step on fresh arrays."""
+    from hwsynth.hlstm import HLSTMState, _layout, compact
 
     small = compact(model)
     cell = small.cell
-    table, operands = _project_input(cell, small.embedding), _step_operands(cell)
+    table, (h_rec, o_w, o_b) = _layout(cell, small.embedding)
     batch, T = tokens.shape
     state = HLSTMState.zeros(cell.d_s, batch) if init is None else init
+    h, c = state.h, state.c
     xw = table[:, tokens.T]
     hs = np.empty((batch, T, cell.d_s))
     for t in range(T):
-        state, _ = cell_forward(operands, xw[:, t], state, record=False)
-        hs[:, t] = state.h
+        act = np.maximum(np.matmul(h, h_rec) + xw[:, t], 0.0)
+        gates = np.tanh(np.matmul(act, o_w) + o_b)
+        f, i, o = (gates[:3] + 1.0) * 0.5
+        c = f * c + i * gates[3]
+        h = o * np.tanh(c)
+        hs[:, t] = h
     logits = small.head.forward(hs.reshape(batch * T, cell.d_s))
-    return logits.reshape(batch, T, small.vocab_size), state
+    return logits.reshape(batch, T, small.vocab_size), HLSTMState(h=h, c=c)
 
 
 # --- reference backward ------------------------------------------------------------

@@ -92,7 +92,9 @@ class TestExitCodes:
         {"optimizer": {"lr": 0.5, "lr_decay": -1.0}},
         {"optimizer": {"lr": 0.5, "dropout_h": 1.0}},
         {"optimizer": {"lr": 0.5, "dropout_h": -0.5}},
-        {"optimizer": {"lr": -1.0}}])
+        {"optimizer": {"lr": -1.0}},
+        # 2 growth epochs in a 1-epoch wg used to grow once, silently
+        {"wg_epochs": 1, "growth_epochs": 2}])
     def test_bad_flow_config_fails_before_training(self, workdir, flow_config,
                                                    override, capsys):
         data = json.loads(open(flow_config, encoding="utf-8").read())

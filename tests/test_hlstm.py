@@ -12,11 +12,13 @@ from hwsynth.hlstm import (
     HLSTMState,
     LMModel,
     _BackwardPass,
+    _read_units,
     bptt,
     cell_backward,
     compact,
     evaluate,
     perplexity,
+    read_dims,
     softmax,
     training_copy,
     unroll_forward,
@@ -513,6 +515,63 @@ def edit_live_weights(model, rng):
         block.b += rng.uniform(-0.3, 0.3, size=block.b.shape)
 
 
+class TestReadUnits:
+    """_read_units (a max per mask block) against the definition: a d_s unit
+    is read while any head column or H recurrent column of it is nonzero, a
+    d_h unit while any O column of it is."""
+
+    D_X, D_S, D_H = 3, 6, 5
+
+    @staticmethod
+    def by_definition(model):
+        cell = model.cell
+        return ((model.head.mask != 0).any(axis=0)
+                | (cell.H.mask[:, :, model.d_x:] != 0).any(axis=(0, 1)),
+                (cell.O.mask != 0).any(axis=(0, 1)))
+
+    def empty_model(self):
+        model = LMModel.create(7, self.D_X, self.D_S, self.D_H, make_rng(70))
+        for layer in model.masked_layers():
+            layer.mask[...] = 0.0
+        return model
+
+    def assert_flags(self, model, read_s, read_h):
+        got, want = _read_units(model), self.by_definition(model)
+        for flags, ref, expected in zip(got, want, (read_s, read_h)):
+            assert flags.dtype == bool and np.array_equal(flags, ref)
+            assert list(np.flatnonzero(flags)) == expected
+        small = compact(model).cell
+        assert read_dims(model) == (small.d_s, small.d_h) == (len(read_s), len(read_h))
+
+    @pytest.mark.parametrize("gate", range(len(GATES)))
+    def test_a_single_live_entry(self, gate):
+        model, D_X = self.empty_model(), self.D_X
+        self.assert_flags(model, [], [])
+        model.cell.H.mask[gate, 2, D_X - 1] = 1.0      # an x column reads no unit
+        self.assert_flags(model, [], [])
+        model.cell.H.mask[gate, 2, D_X - 1] = 0.0
+        model.cell.H.mask[gate, 4, D_X + 3] = 1.0      # only H's recurrent column 3
+        self.assert_flags(model, [3], [])
+        model.cell.H.mask[gate, 4, D_X + 3] = 0.0
+        model.cell.O.mask[gate, 0, 4] = 1.0            # only O's column 4
+        self.assert_flags(model, [], [4])
+        model.cell.O.mask[gate, 0, 4] = 0.0
+        model.head.mask[6, 5] = 1.0                    # only the head's column 5
+        self.assert_flags(model, [5], [])
+
+    @pytest.mark.parametrize("gate", range(len(GATES)))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_gate_all_zero(self, gate, seed):
+        rng = make_rng(seed)
+        model = self.empty_model()
+        for layer in model.masked_layers():
+            layer.mask[...] = rng.random(layer.mask.shape) < 0.15
+        model.cell.H.mask[gate] = 0.0
+        model.cell.O.mask[gate] = 0.0
+        read_s, read_h = (list(np.flatnonzero(f)) for f in self.by_definition(model))
+        self.assert_flags(model, read_s, read_h)
+
+
 class TestStepOperands:
     """Each pass lays out its step operands (the recurrent part of H and the
     gate-scaled O and O bias) from the weights it is given."""
@@ -581,10 +640,21 @@ def bench_shape_model(d, seed=60):
     return model, rng
 
 
+def oracle_model(kind, seed):
+    """A forward-only oracle input: the bench's d=128 model (every unit read),
+    the bench model rc-pruned to d=32 (kind 128 or 32), or unread_model. Each
+    read d_s unit has a nonzero O bias in all four gates, which the bench's
+    seed models (O.b == 0) lack, so a wrongly broadcast bias shows."""
+    model, rng = unread_model(seed) if kind == "unread" else bench_shape_model(kind, seed)
+    assert np.all(compact(model).cell.O.b != 0.0)
+    return model, rng
+
+
 class TestForwardOnlyMatchesReference:
-    """The forward-only passes (operands gathered from the read units, step
-    buffers made once per pass) against `oracles.reference_forward_only`,
-    compact(model) stepped on fresh arrays: equal bit for bit."""
+    """The forward-only passes (operands gathered from the read units, all
+    steps in one call on buffers made once per pass) against
+    `oracles.reference_forward_only`, compact(model) stepped on fresh
+    arrays: equal bit for bit."""
 
     @staticmethod
     def assert_same(got, ref):
@@ -607,10 +677,19 @@ class TestForwardOnlyMatchesReference:
         tokens = rng.integers(0, 9, size=(batch, 13))
         self.assert_same(unroll_forward(model, tokens), reference_forward_only(model, tokens))
 
-    @pytest.mark.parametrize("d", [128, 32])
+    @pytest.mark.parametrize("batch", [1, 4, 16])
+    @pytest.mark.parametrize("kind", [128, 32, "unread"])
+    def test_batches(self, kind, batch):
+        model, rng = oracle_model(kind, 62)
+        tokens = rng.integers(0, model.vocab_size, size=(batch, 64))
+        self.assert_same(unroll_forward(model, tokens), reference_forward_only(model, tokens))
+
+    @pytest.mark.parametrize("d", [128, 32, "unread"])
     def test_evaluate(self, d):
-        model, rng = bench_shape_model(d)
-        ids = rng.integers(0, 49, size=2000)
+        """evaluate's stateful B=4 NLL is the sum over reference windows that
+        carry their state through `init`."""
+        model, rng = oracle_model(d, 60)
+        ids = rng.integers(0, model.vocab_size, size=2000)
         total, count, state = 0.0, 0, None
         for xs, ys in batch_windows(ids, 4, 64):
             logits, state = reference_forward_only(model, xs, init=state)

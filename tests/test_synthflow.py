@@ -86,6 +86,22 @@ class TestFlowConfig:
         with pytest.raises(ConfigError):
             FlowConfig(wg_epochs=-1)
 
+    @pytest.mark.parametrize("wg,growth", [(2, 3), (0, 1), (4, 5)])
+    def test_growth_epochs_beyond_wg_epochs_rejected(self, wg, growth, tmp_path):
+        # growth runs in wg's epochs only, so the flow used to grow wg_epochs times
+        with pytest.raises(ConfigError, match="^growth_epochs .* exceeds wg_epochs"):
+            FlowConfig(wg_epochs=wg, growth_epochs=growth)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"wg_epochs": wg, "growth_epochs": growth}),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="^growth_epochs .* exceeds wg_epochs"):
+            FlowConfig.from_json(path)
+
+    @pytest.mark.parametrize("wg,growth", [(0, 0), (2, 2), (4, 3)])
+    def test_growth_epochs_within_wg_epochs_accepted(self, wg, growth):
+        cfg = FlowConfig(wg_epochs=wg, growth_epochs=growth)
+        assert (cfg.wg_epochs, cfg.growth_epochs) == (wg, growth)
+
     @pytest.mark.parametrize("optimizer,key", [
         (dict(lr=-1.0), "lr"), (dict(lr=0.0), "lr"), (dict(lr=math.inf), "lr"),
         (dict(dropout_h=1.0), "dropout_h"), (dict(dropout_h=-0.5), "dropout_h"),
@@ -904,7 +920,8 @@ class TestCompletion:
 
 class TestZeroEpochs:
     def test_every_phase_evaluates_once(self, tiny_corpus):
-        cfg = tiny_config(tiny_corpus, baseline_epochs=0, wg_epochs=0, rcg_epochs=0)
+        cfg = tiny_config(tiny_corpus, baseline_epochs=0, wg_epochs=0, growth_epochs=0,
+                          rcg_epochs=0)
         report = run_flow(cfg, log=lambda *a, **k: None)
         assert report.complete
         assert [r.step for r in report.rows] == ["baseline", "wg", "rcp", "rcg", "wp"]
