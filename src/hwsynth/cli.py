@@ -3,7 +3,7 @@
 Commands: profile (latency sweep), analyze (hysteresis report + plot),
 synthesize (run the four-step flow), eval (perplexity of a checkpoint),
 report (print a flow's report table), bench (forward latency of the
-checkpoint's compacted model, whose d_s/d_h it prints).
+checkpoint's frozen model, whose d_s/d_h it prints as compact_d_s/_d_h).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 """
@@ -34,8 +34,8 @@ def _parse_grid(spec: str) -> list[int]:
 
 
 def cmd_profile(args) -> int:
-    if args.batch < 1:
-        raise UsageError(f"--batch must be at least 1, got {args.batch}")
+    if args.batch < 1 or args.warmup < 0:
+        raise UsageError(f"need --batch >= 1 and --warmup >= 0, got {args.batch}, {args.warmup}")
     grid = _parse_grid(args.grid)
     backend = latlab.make_backend(args.backend, seed=args.seed)
     cfg = latlab.SweepConfig(warmup_runs=args.warmup, measured_runs=args.runs,
@@ -113,7 +113,7 @@ def cmd_bench(args) -> int:
         mode="virtual" if args.virtual else "real",
         measure_batch=args.batch, runs=args.reps)
     stats = synthflow.measure_model_latency(model, lat_cfg)
-    d_s, d_h = read_dims(model)   # the shape real mode times
+    d_s, d_h = read_dims(model)   # the dims of freeze(model), which real mode times
     print(f"median_ns={stats.median_ns!r} p95_ns={stats.p95_ns!r} "
           f"mean_ns={stats.mean_ns!r} runs={stats.runs} "
           f"compact_d_s={d_s} compact_d_h={d_h}")

@@ -117,7 +117,7 @@ def unit_importance(cell: HLSTMCellParams, head: MaskedLinear,
     def add(layer, row_imp, col_imp, col0=0):
         m = np.abs(read(layer))
         row_imp += m[:, layer.active_cols()].sum(axis=1)
-        col_imp += m[layer.active_rows(), col0:].sum(axis=0)
+        col_imp += m[layer.mask.any(axis=1), col0:].sum(axis=0)
 
     s_imp = np.zeros(cell.d_s)
     h_imp = np.zeros(cell.d_h)
@@ -184,7 +184,7 @@ def coordinated_rc_grow_counts(cell: HLSTMCellParams, head: MaskedLinear,
 
     def activate(layer, rows=(), cols=()):
         g = np.asarray(grads[id(layer)])
-        live_r, live_c = layer.active_rows(), layer.active_cols()
+        live_r, live_c = np.flatnonzero(layer.mask.any(axis=1)), layer.active_cols()
         for idx in (np.ix_(rows, live_c), np.ix_(live_r, cols)):
             layer.mask[idx] = 1.0
             layer.w[idx] = lr * g[idx]

@@ -30,24 +30,19 @@ training, each window) lays out what its steps read once and contiguous,
 as OpenBLAS runs transposed views slower: `_layout`, and `_BackwardPass`
 with the backward's buffers and gradient sums.
 
-Pruned units cost no time in any pass that feeds no growth. Forward-only
-passes read only the units something reads (see `compact`; one max per
-mask block finds them): their table, step operands and head are gathered
-straight from the model's arrays (each H row once, then its columns), or
-are the model's own when every unit is read, and their steps run in
-buffers made once per pass (c updated in place, each h written straight
-into a step-major h stack). `unroll_forward(train=False)` runs one window
-from a zero state and returns the read units' final state; `evaluate` runs
-a stream of windows, carrying that state from one to the next. Training
-epochs run on `training_copy(model)`, a dense copy that also keeps the
-units something writes (so weight decay reaches their live entries) and
-is written back after the epoch. Only the passes whose gradients rank
-dormant entries for growth (grad_sink epochs, rcg's bridging pass) run
+Pruned units cost no time in any pass that feeds no growth. Inference
+runs `freeze(model)`: the read units' table, step operands and head, laid
+out once (each forward then pays only for its steps, in buffers made once
+per pass). `unroll_forward(train=False)` freezes the model per call;
+`evaluate` and real-mode latency (`synthflow.measure_model_latency`,
+`hwsynth bench`) freeze once and run every window on the frozen model, and
+the report reads its dims off `read_dims(model)`. Training epochs run on
+`training_copy(model)`, a dense copy that also keeps the units something
+writes (so weight decay reaches their live entries) and is written back
+after the epoch. Only the passes whose gradients rank dormant entries for
+growth (grad_sink epochs, rcg's bridging pass) run
 `unroll_forward(train=True)` and `bptt` on the full model, since a dead
-unit's entries need gradients there. Real-mode latency
-(`synthflow.measure_model_latency`, `hwsynth bench`) times forwards of
-`compact(model)`; the report and `hwsynth bench` read its dims off
-`read_dims(model)` without building it.
+unit's entries need gradients there.
 """
 
 from __future__ import annotations
@@ -55,6 +50,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -370,22 +366,8 @@ class LMModel:
         return cls(embedding=emb, cell=cell, head=head, dropout_h=dropout_h)
 
 
-def compact(model: LMModel) -> LMModel:
-    """The model's read units as a smaller dense model with the same logits
-    (up to BLAS summation order); the model itself when nothing is unread.
-
-    A d_s unit is read while a head column or an H column d_x+s of it is
-    live, a d_h unit while an O column of it is. An unread unit only adds
-    zero terms; a unit wp emptied may still be read (its bias flows on), so
-    liveness is not `active_units()`. The embedding and d_x stay."""
-    read_s, read_h = _read_units(model)
-    if read_s.all() and read_h.all():
-        return model
-    return _take_units(model, np.flatnonzero(read_s), np.flatnonzero(read_h))
-
-
 def _read_units(model: LMModel) -> tuple[np.ndarray, np.ndarray]:
-    """Flags of the d_s and d_h units something reads (see compact): one
+    """Flags of the d_s and d_h units something reads (see freeze): one
     max per mask block, as mask entries are 0 or 1."""
     cell, d_x = model.cell, model.d_x
     read_s = np.maximum(model.head.mask.max(axis=0, initial=0.0),
@@ -394,7 +376,7 @@ def _read_units(model: LMModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_dims(model: LMModel) -> tuple[int, int]:
-    """(d_s, d_h) of compact(model), without building it."""
+    """(d_s, d_h) of freeze(model), without building it."""
     read_s, read_h = _read_units(model)
     return int(read_s.sum()), int(read_h.sum())
 
@@ -444,7 +426,7 @@ class _FullWidthDraws:
 @contextmanager
 def training_copy(model: LMModel, rng: np.random.Generator):
     """Yields (model, rng) to train in place of the given pair: a dense copy
-    holding only the units that are read (see compact) or written
+    holding only the units that are read (see freeze) or written
     (`active_units()`), and an rng whose dropout draws match a full-shape
     pass. On a normal exit the copy's weights, biases and embedding are
     written back into `model`. With no unit to drop, the pair itself.
@@ -466,63 +448,73 @@ def training_copy(model: LMModel, rng: np.random.Generator):
     _put_units(model, small, s, h)
 
 
-def _forward_layout(model: LMModel) -> tuple[np.ndarray, tuple[np.ndarray, ...], MaskedLinear]:
-    """What a forward-only pass reads, for the units something reads (see
-    compact): the x part of H per symbol, the step operands (see _layout)
-    and the head, gathered straight from the model's arrays; the model's
-    own when every unit is read."""
+class FrozenModel(NamedTuple):
+    """An inference model, laid out once (see `freeze`): `table`, the x
+    part of H per symbol (4, V, d_h), bias included; the step `operands`
+    (see _layout); and the `head`. A recording pass reads the same fields
+    of the whole model."""
+
+    table: np.ndarray
+    operands: tuple[np.ndarray, np.ndarray, np.ndarray]
+    head: MaskedLinear
+
+    def forward(self, tokens: np.ndarray, state: HLSTMState | None = None
+                ) -> tuple[np.ndarray, HLSTMState]:
+        """(logits (B, T, V), final state) of a window of tokens (B, T) from
+        `state` (None: zero state), whose c it updates in place."""
+        logits, _, state = _unroll(self, tokens, state)
+        return logits, state
+
+
+def freeze(model: LMModel) -> FrozenModel:
+    """`model` as an inference model of only the units something reads, laid
+    out once: the same logits up to BLAS summation order. A d_s unit is read
+    while a head column or an H column d_x+s of it is live, a d_h unit while
+    an O column of it is; an unread unit only adds zero terms, and a unit wp
+    emptied may still be read (its bias flows on). It shares the head's bias
+    with `model`, and the whole head when every unit is read; its other
+    arrays are new, so it keeps the weights it was frozen with."""
     cell, head = model.cell, model.head
     read_s, read_h = _read_units(model)
     if read_s.all() and read_h.all():
-        return (*_layout(cell, model.embedding), head)
+        return FrozenModel(*_layout(cell, model.embedding), head)
     s, h = np.flatnonzero(read_s), np.flatnonzero(read_h)
     # gathered from a valid layer, so it keeps the invariants unchecked; the bench
-    # counts MACs in MaskedLinear.forward, so the head stays a MaskedLinear. w[:, s]
-    # is column-major like compact(model)'s head; a row-major copy changes the
-    # head GEMM's rounding
-    pass_head = MaskedLinear.on_arrays(head.name, w=head.w[:, s], mask=head.mask[:, s],
-                                       b=head.b)
-    return (*_layout(cell, model.embedding, (s, h)), pass_head)
+    # counts MACs in MaskedLinear.forward. w[:, s] stays column-major: a row-major
+    # copy changes the head GEMM's rounding
+    head = MaskedLinear.on_arrays(head.name, w=head.w[:, s], mask=head.mask[:, s], b=head.b)
+    return FrozenModel(*_layout(cell, model.embedding, (s, h)), head)
 
 
-def _unroll(model: LMModel, tokens: np.ndarray, state: HLSTMState | None,
-            rng: np.random.Generator | None = None, record: bool = False, layout=None):
-    """One pass: one cell_forward call runs all its steps. A recording pass
-    lays out the whole model; a forward-only pass reads `layout`
-    (`_forward_layout`, which `evaluate` makes once for all its windows),
-    updates state.c in place (a zero state's, or the state `evaluate`
-    carries from its last window) and writes each h straight into a
-    step-major h stack; its logits are a (B, T, V) view of the head's
-    (T, B, V)."""
+def _unroll(frozen: FrozenModel, tokens: np.ndarray, state: HLSTMState | None,
+            rng: np.random.Generator | None = None, dropout_h: float = 0.0,
+            record: bool = False):
+    """One pass: one cell_forward call runs all its steps. A forward-only
+    pass updates state.c in place and returns no caches; its logits are a
+    (B, T, V) view of the head's (T, B, V)."""
+    table, operands, head = frozen
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ContractViolation(f"tokens shape {tokens.shape} is not (B, T)")
-    if np.any(tokens < 0) or np.any(tokens >= model.vocab_size):
+    if np.any(tokens < 0) or np.any(tokens >= head.out_dim):
         raise ContractViolation("token id out of vocabulary range")
     batch, T = tokens.shape
-    if layout is None:
-        layout = ((*_layout(model.cell, model.embedding), model.head) if record
-                  else _forward_layout(model))
-    table, operands, head = layout
     d_s = head.in_dim
     if state is None:
         state = HLSTMState.zeros(d_s, batch)
     xw = table.take(tokens.T, axis=1)                            # (4, T, B, d_h)
-    if record:
-        hs = np.empty((batch, T, d_s), dtype=FLOAT)
-        state, caches = cell_forward(operands, xw, state, hs.transpose(1, 0, 2), rng,
-                                     model.dropout_h)
-        caches = _Recording(hs, caches)
-    else:
-        # step-major, so each step reads and writes a contiguous h
-        hs = np.empty((T, batch, d_s), dtype=FLOAT)
-        state, _ = cell_forward(operands, xw, state, hs, record=False)
-        caches = []
+    # bptt reads a (B, T, d_s) h stack; a forward-only one is step-major, so each
+    # step reads and writes a contiguous h
+    hs = np.empty((batch, T, d_s) if record else (T, batch, d_s), dtype=FLOAT)
+    state, caches = cell_forward(operands, xw, state, hs.transpose(1, 0, 2) if record else hs,
+                                 rng, dropout_h, record)
     # a non-finite c stays non-finite through f * c + i * g
     if not np.all(np.isfinite(state.c)):
         raise NumericAbort("non-finite value in cell state")
-    logits = head.forward(hs.reshape(-1, d_s)).reshape(*hs.shape[:2], model.vocab_size)
-    return (logits if record else logits.transpose(1, 0, 2)), caches, state
+    logits = head.forward(hs.reshape(-1, d_s)).reshape(*hs.shape[:2], head.out_dim)
+    if record:
+        return logits, _Recording(hs, caches), state
+    return logits.transpose(1, 0, 2), None, state
 
 
 def unroll_forward(model: LMModel, tokens: np.ndarray,
@@ -533,18 +525,19 @@ def unroll_forward(model: LMModel, tokens: np.ndarray,
 
     train=True records one StepCache per step for `bptt`, at the shape of
     the model given; dropout is on iff an rng is given, and the final state
-    (full-shape) continues the next window. train=False is the forward-only
-    pass: it runs only the units something reads (see compact), from a zero
-    state, takes no init and no rng, and returns no caches (an empty list)
-    and the final state of those units, compact(model)'s. Stateful
-    forward-only windows go through `evaluate`.
+    (full-shape) continues the next window. train=False runs
+    `freeze(model).forward(tokens)` from a zero state: it takes no init and
+    no rng, and returns no caches (an empty list). Stateful forward-only
+    windows run on a frozen model, as in `evaluate`.
     """
     if train:
-        return _unroll(model, tokens, init, rng, record=True)
+        layout = FrozenModel(*_layout(model.cell, model.embedding), model.head)
+        return _unroll(layout, tokens, init, rng, model.dropout_h, record=True)
     if rng is not None or init is not None:
         raise ContractViolation("a forward-only pass takes no init or rng: evaluate runs "
                                 "stateful windows, and dropout is for training")
-    return _unroll(model, tokens, None)
+    logits, state = freeze(model).forward(tokens)
+    return logits, [], state
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -606,15 +599,14 @@ def perplexity(mean_nll: float) -> float:
 
 def evaluate(model: LMModel, tokens: np.ndarray, seq_len: int = 64,
              batch: int = 1) -> float:
-    """Mean per-token NLL of a token stream, stateful across windows; the
-    windows run forward-only on the units something reads (see
-    unroll_forward), laid out once for all of them."""
-    layout = _forward_layout(model)
+    """Mean per-token NLL of a token stream, stateful across windows, which
+    run on `freeze(model)`."""
+    frozen = freeze(model)
     total_nll = 0.0
     count = 0
     state = None
     for xs, ys in batch_windows(np.asarray(tokens), batch, seq_len):
-        logits, _, state = _unroll(model, xs, state, layout=layout)
+        logits, state = frozen.forward(xs, state)
         total_nll += _softmax_nll(logits, ys)[2]
         count += xs.size
     if count == 0:

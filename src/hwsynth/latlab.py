@@ -121,8 +121,11 @@ class SyntheticCurveSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticCurveSpec":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(**data)
+        """The spec in a JSON object file; a bad spec raises ContractViolation."""
+        try:
+            return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+        except (TypeError, ValueError) as exc:
+            raise ContractViolation(f"curve spec {path}: {exc}") from None
 
 
 class SyntheticBackend:

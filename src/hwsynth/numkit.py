@@ -74,8 +74,8 @@ class MaskedLinear:
     @classmethod
     def on_arrays(cls, name: str, **arrays: np.ndarray) -> "MaskedLinear":
         """A layer on arrays that already keep its invariants, taken as they
-        are: no check, copy or mask applied. A forward-only pass may give it
-        just w, mask and b."""
+        are: no check, copy or mask applied. A frozen model's head (see
+        hlstm.freeze) has just w, mask and b."""
         layer = cls.__new__(cls)
         layer.name = name
         for attr, value in arrays.items():
@@ -140,9 +140,6 @@ class MaskedLinear:
         self.grad_w += d_y.T @ x
         self.grad_b += d_y.sum(axis=0)
         return d_y @ self.w
-
-    def active_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.mask.any(axis=1))
 
     def active_cols(self) -> np.ndarray:
         return np.flatnonzero(self.mask.any(axis=0))

@@ -4,7 +4,7 @@ Order: seed -> weight growth (wg) -> row/column pruning (rcp) -> row/column
 growth back to the nearest latency hysteresis point (rcg) -> weight pruning
 (wp). CPU mode skips rcp and rcg to maximize weight sparsity. The flow
 builds rcg's LHP map once, before any training. Each step appends a report
-row (compact(model)'s dims, parameter counts, validation perplexity,
+row (freeze(model)'s dims, parameter counts, validation perplexity,
 measured forward latency); prune phases restore the last passing checkpoint,
 and a flow is complete only if its final model meets the accuracy threshold.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from . import growprune, latlab
 from .corpus import Corpus, batch_windows, bundled_corpus_path, load_corpus
 from .growprune import GrowPruneConfig, HalveDecision
-from .hlstm import (LMModel, bptt, compact, evaluate, perplexity, read_dims,
+from .hlstm import (LMModel, bptt, evaluate, freeze, perplexity, read_dims,
                     training_copy, unroll_forward)
 from .numkit import ContractViolation, make_rng, sgd_step, sgd_update, write_atomic
 
@@ -319,7 +319,7 @@ def measure_model_latency(model: LMModel, lat: LatencyConfig) -> latlab.SampleSt
 
     Virtual mode: deterministic closed-form sum over the per-layer active
     output dimensions, scaled by sequence length. Real mode: wall-clock
-    timing of forwards of compact(model), the shape a deployment runs.
+    timing of forwards of freeze(model), frozen once: what a deployment runs.
     """
     if lat.mode == "virtual":
         total = 0.0
@@ -330,10 +330,10 @@ def measure_model_latency(model: LMModel, lat: LatencyConfig) -> latlab.SampleSt
         total *= lat.measure_seq
         return latlab.SampleStats(mean_ns=total, median_ns=total,
                                   p95_ns=total, runs=lat.runs)
-    model = compact(model)
+    frozen = freeze(model)
     tokens = make_rng(12345).integers(0, model.vocab_size,
                                       size=(lat.measure_batch, lat.measure_seq))
-    return latlab.time_task(lambda: unroll_forward(model, tokens),
+    return latlab.time_task(lambda: frozen.forward(tokens),
                             warmup_runs=1, measured_runs=lat.runs)
 
 

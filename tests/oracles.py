@@ -289,18 +289,21 @@ def full_shape_forward(model, tokens, init=None, rng=None):
 # --- reference forward-only pass ----------------------------------------------------
 #
 # The forward-only pass before it gathered its operands from the read units
-# and ran its steps in one call on reused buffers: it builds compact(model),
-# lays out that copy's table and step operands, and runs one step at a time
+# and ran its steps in one call on reused buffers: it builds a dense copy of
+# the read units (the model itself when every unit is read), lays out that
+# copy's table and step operands, and runs one step at a time
 # on fresh arrays, written out here in the order of operations cell_forward
 # keeps (O bias broadcast from (4, 1, d_s), sigmoids as (1 + tanh) / 2). The
 # library's forward-only passes match it bit for bit.
 
 def reference_forward_only(model, tokens, init=None):
-    """(logits (B, T, V), final state) of compact(model) from `init` (None:
-    zero state), each step on fresh arrays."""
-    from hwsynth.hlstm import HLSTMState, _layout, compact
+    """(logits (B, T, V), final state) of the read units' dense copy from
+    `init` (None: zero state), each step on fresh arrays."""
+    from hwsynth.hlstm import HLSTMState, _layout, _read_units, _take_units
 
-    small = compact(model)
+    read_s, read_h = _read_units(model)
+    small = model if read_s.all() and read_h.all() else _take_units(
+        model, np.flatnonzero(read_s), np.flatnonzero(read_h))
     cell = small.cell
     table, (h_rec, o_w, o_b) = _layout(cell, small.embedding)
     batch, T = tokens.shape

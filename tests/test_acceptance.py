@@ -317,8 +317,6 @@ def _check_invariants(model, where):
     for layer in model.masked_layers():
         assert np.all(layer.w[layer.mask == 0.0] == 0.0), \
             f"{where}: live weight under zero mask in {layer.name}"
-        assert np.array_equal(layer.active_rows(),
-                              np.flatnonzero(layer.mask.any(axis=1)))
         assert np.array_equal(layer.active_cols(),
                               np.flatnonzero(layer.mask.any(axis=0)))
 

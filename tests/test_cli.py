@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from hwsynth import synthflow
+from hwsynth import latlab, synthflow
 from hwsynth.cli import main
 from hwsynth.corpus import load_corpus
-from hwsynth.hlstm import compact, evaluate, perplexity
+from hwsynth.hlstm import evaluate, freeze, perplexity
 from hwsynth.synthflow import checkpoint_load, checkpoint_save
 
 
@@ -281,12 +281,13 @@ class TestSynthesizeEvalReportBench:
     @pytest.mark.parametrize("mode", [["--virtual"], ["--reps", "5", "--batch", "2"]])
     def test_bench_names_the_timed_shape(self, flow_out, mode, capsys):
         path = flow_out / "checkpoint_rcp.npz"
-        timed = compact(checkpoint_load(path)[0]).cell
+        timed = freeze(checkpoint_load(path)[0])
         assert main(["bench", "--checkpoint", str(path)] + mode) == 0
         out = capsys.readouterr().out
         dims = re.search(r"compact_d_s=(\d+) compact_d_h=(\d+)", out)
-        assert dims and (int(dims[1]), int(dims[2])) == (timed.d_s, timed.d_h)
-        assert timed.d_s < 12     # rcp pruned units, so the timed shape is smaller
+        assert dims and (int(dims[1]), int(dims[2])) == (timed.head.in_dim,
+                                                         timed.table.shape[2])
+        assert timed.head.in_dim < 12     # rcp pruned units, so the timed shape is smaller
 
 
     @pytest.mark.parametrize("bad", [["--batch", "0"], ["--batch", "-3"], ["--reps", "0"],
@@ -301,21 +302,31 @@ class TestSynthesizeEvalReportBench:
         assert bad[0] in capsys.readouterr().err
         assert timed == []
 
-    def test_profile_rejects_batch_below_one(self, workdir, curve_file, capsys):
-        out = workdir / "batch0.csv"
-        assert main(["profile", "--grid", "1:4:1", "--runs", "5", "--batch", "0",
-                     "--backend", f"synthetic:{curve_file}", "--out", str(out)]) == 2
-        assert "--batch" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("bad", [["--batch", "0"], ["--warmup", "-3"]])
+    def test_profile_rejects_bad_timing_args_before_timing(self, workdir, curve_file, bad,
+                                                           monkeypatch, capsys):
+        swept = []
+        monkeypatch.setattr(latlab, "sweep", lambda *args: swept.append(args))
+        out = workdir / "bad_timing.csv"
+        assert main(["profile", "--grid", "1:4:1", "--runs", "5", "--backend",
+                     f"synthetic:{curve_file}", "--out", str(out)] + bad) == 2
+        assert bad[0] in capsys.readouterr().err
+        assert swept == [] and not out.exists()
 
-    @pytest.mark.parametrize("period", [0, -16])
-    def test_profile_rejects_a_bad_curve_period(self, workdir, period, capsys):
-        spec = workdir / f"period{period}.json"
-        spec.write_text(json.dumps({"period": period}), encoding="utf-8")
-        out = workdir / f"period{period}.csv"
+    # a usage error (exit 2) that names the spec file, like a bad --config
+    @pytest.mark.parametrize("text, named", [
+        ('{"period": 0}', "period"), ('{"period": -16}', "period"),
+        ('period: 4', "Expecting value"), ('[4]', "mapping"),
+        ('{"period": 4, "bogus": 1}', "bogus")],
+        ids=["0", "-16", "not-json", "not-an-object", "unknown-field"])
+    def test_profile_rejects_a_bad_curve_period(self, tmp_path, text, named, capsys):
+        spec = tmp_path / "curve.json"
+        spec.write_text(text, encoding="utf-8")
+        out = tmp_path / "profile.csv"
         assert main(["profile", "--grid", "1:4:1", "--runs", "5",
                      "--backend", f"synthetic:{spec}", "--out", str(out)]) == 2
-        assert "period" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and str(spec) in err
         assert not out.exists()
 
 

@@ -148,6 +148,10 @@ def make_cell(seed, d_x=3, d_s=5, d_h=4, density=0.8):
     return cell, head, rng
 
 
+def live_rows(layer):
+    return np.flatnonzero(layer.mask.any(axis=1))
+
+
 def layer_masks(cell, head):
     return {layer.name: layer.mask.copy() for layer in cell.layers() + [head]}
 
@@ -156,11 +160,11 @@ class TestCoordinatedPrune:
     def test_gates_stay_dimensionally_identical(self):
         cell, head, _ = make_cell(6, density=1.0)
         coordinated_rc_prune(cell, head, p_r=0.4, p_c=0.25)
-        ref_rows = cell.o_layers["f"].active_rows()
-        ref_hrows = cell.h_layers["f"].active_rows()
+        ref_rows = live_rows(cell.o_layers["f"])
+        ref_hrows = live_rows(cell.h_layers["f"])
         for gate in GATES:
-            assert np.array_equal(cell.o_layers[gate].active_rows(), ref_rows)
-            assert np.array_equal(cell.h_layers[gate].active_rows(), ref_hrows)
+            assert np.array_equal(live_rows(cell.o_layers[gate]), ref_rows)
+            assert np.array_equal(live_rows(cell.h_layers[gate]), ref_hrows)
 
     def test_counts_and_structural_consequences(self):
         cell, head, _ = make_cell(7, d_s=5, d_h=4, density=1.0)
@@ -271,16 +275,16 @@ class TestCoordinatedGrow:
 
     def test_gates_identical_after_grow(self):
         cell, _, _, _ = self.grown_cell(11, k_s=1, k_h=2)
-        ref = cell.o_layers["f"].active_rows()
+        ref = live_rows(cell.o_layers["f"])
         for gate in GATES:
-            assert np.array_equal(cell.o_layers[gate].active_rows(), ref)
+            assert np.array_equal(live_rows(cell.o_layers[gate]), ref)
 
     def test_grow_never_touches_active_region(self):
         cell, head, rng = make_cell(12, d_s=6, d_h=5, density=1.0)
         coordinated_rc_prune_counts(cell, head, k_s=3, k_h=2)
         snaps = []
         for layer in cell.layers() + [head]:
-            region = np.ix_(layer.active_rows(), layer.active_cols())
+            region = np.ix_(live_rows(layer), layer.active_cols())
             snaps.append((layer, region, layer.w[region].copy()))
         grads = {id(layer): rng.standard_normal(layer.w.shape)
                  for layer in cell.layers() + [head]}
@@ -366,7 +370,7 @@ class TestRcGrow:
                                         k_h=int(rng.integers(0, len(h_act))))
             snaps = []
             for layer in cell.layers() + [head]:
-                region = np.ix_(layer.active_rows(), layer.active_cols())
+                region = np.ix_(live_rows(layer), layer.active_cols())
                 snaps.append((layer, region, layer.w[region].copy(),
                               layer.mask[region].copy()))
             grads = {id(layer): rng.standard_normal(layer.w.shape)

@@ -15,8 +15,8 @@ from hwsynth.hlstm import (
     _read_units,
     bptt,
     cell_backward,
-    compact,
     evaluate,
+    freeze,
     perplexity,
     read_dims,
     softmax,
@@ -401,17 +401,22 @@ def unread_model(seed, vocab=9, d_x=5, d_s=14, d_h=12):
     return model, rng
 
 
+def frozen_dims(frozen):
+    """(d_s, d_h) of a frozen model: its head's input and its table's width."""
+    return frozen.head.in_dim, frozen.table.shape[2]
+
+
 class TestCompact:
-    """Forward-only passes run the units compact(model) keeps and match the
+    """Forward-only passes run the units freeze(model) keeps and match the
     full-shape masked forward to 1e-12 (normwise relative)."""
 
     def test_rc_pruned_cell_is_sliced_to_its_active_units(self):
         rng = make_rng(30)
         model = LMModel.create(9, 5, 20, 16, rng)
         coordinated_rc_prune_counts(model.cell, model.head, 7, 4)
-        small = compact(model)
-        assert (small.cell.d_s, small.cell.d_h) == (13, 12) == model.cell.active_dims()
-        assert small.d_x == model.d_x and small.vocab_size == model.vocab_size
+        frozen = freeze(model)
+        assert frozen_dims(frozen) == (13, 12) == model.cell.active_dims()
+        assert frozen.table.shape[1] == frozen.head.out_dim == model.vocab_size
         tokens = rng.integers(0, 9, size=(3, 11))
         got, caches, _ = unroll_forward(model, tokens)
         assert caches == []
@@ -420,9 +425,8 @@ class TestCompact:
     @pytest.mark.parametrize("seed", range(5))
     def test_emptied_but_read_units_are_kept(self, seed):
         model, rng = unread_model(seed)
-        small = compact(model)
         # 3 and 2 units were rc-pruned, one of each kind is unread
-        assert (small.cell.d_s, small.cell.d_h) == (14 - 3 - 1, 12 - 2 - 1)
+        assert frozen_dims(freeze(model)) == (14 - 3 - 1, 12 - 2 - 1)
         assert model.cell.active_dims() == (14 - 3 - 1, 12 - 2 - 1)
         tokens = rng.integers(0, 9, size=(4, 13))
         got, _, _ = unroll_forward(model, tokens)
@@ -431,7 +435,8 @@ class TestCompact:
     def test_dense_model_is_its_own_compaction(self):
         model, tokens, _ = random_model(31, vocab=6, d_x=3, d_s=5, d_h=4, batch=3, T=6,
                                         density=1.0)
-        assert compact(model) is model
+        frozen = freeze(model)
+        assert frozen.head is model.head and frozen_dims(frozen) == (5, 4)
         got, caches, state = unroll_forward(model, tokens)
         ref, _, ref_state = full_shape_forward(model, tokens)
         assert caches == []
@@ -467,14 +472,22 @@ class TestCompact:
             for attr in ARRAYS:
                 assert np.array_equal(getattr(a, attr), getattr(b, attr)), (a.name, attr)
 
-    def test_compact_copy_shares_no_array(self):
-        model, _ = unread_model(35)
-        small = compact(model)
+    def test_frozen_model_shares_only_the_head_bias(self):
+        model, rng = unread_model(35)
+        frozen = freeze(model)
         arrays = [model.embedding] + [getattr(layer, attr) for layer in model.masked_layers()
                                       for attr in ARRAYS]
-        for new in [small.embedding] + [getattr(layer, attr) for layer in
-                                        small.masked_layers() for attr in ARRAYS]:
+        for new in [frozen.table, *frozen.operands, frozen.head.w, frozen.head.mask]:
             assert not any(np.shares_memory(new, old) for old in arrays)
+        assert frozen.head.b is model.head.b
+        # it keeps the cell weights it was frozen with
+        tokens = rng.integers(0, 9, size=(3, 7))
+        before, state = frozen.forward(tokens)
+        kept = [a.copy() for a in (before, state.h, state.c)]
+        edit_live_weights(model, rng)
+        again, state = frozen.forward(tokens)
+        for old, new in zip(kept, (again, state.h, state.c)):
+            assert new.tobytes() == old.tobytes()
 
     def test_forward_only_refuses_an_rng(self):
         model, tokens, _ = random_model(36, vocab=4, d_x=2, d_s=2, d_h=2)
@@ -540,8 +553,7 @@ class TestReadUnits:
         for flags, ref, expected in zip(got, want, (read_s, read_h)):
             assert flags.dtype == bool and np.array_equal(flags, ref)
             assert list(np.flatnonzero(flags)) == expected
-        small = compact(model).cell
-        assert read_dims(model) == (small.d_s, small.d_h) == (len(read_s), len(read_h))
+        assert read_dims(model) == frozen_dims(freeze(model)) == (len(read_s), len(read_h))
 
     @pytest.mark.parametrize("gate", range(len(GATES)))
     def test_a_single_live_entry(self, gate):
@@ -578,7 +590,7 @@ class TestStepOperands:
 
     @staticmethod
     def model(dense, seed):
-        """A dense model (its own compaction) or one compact() slices."""
+        """A dense model (frozen whole) or one freeze() slices."""
         if dense:
             model = random_model(seed, vocab=9, d_x=5, d_s=6, d_h=5, density=1.0)[0]
             return model, make_rng(seed)
@@ -615,13 +627,12 @@ class TestStepOperands:
         for layer in model.masked_layers():
             layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
         coordinated_rc_prune_counts(model.cell, model.head, 128 - d, 128 - d)
-        small = compact(model).cell
-        assert (small.d_s, small.d_h) == (d, d)
+        assert read_dims(model) == (d, d)
         tokens = rng.integers(0, 49, size=(16, 12))
         got, _, state = unroll_forward(model, tokens)
         ref, _, ref_state = full_shape_forward(model, tokens)
         assert rel_max_diff(got, ref) <= 1e-12
-        # the forward-only state is compact(model)'s: the rc-pruned units drop out
+        # the forward-only state is freeze(model)'s: the rc-pruned units drop out
         kept = np.flatnonzero(model.cell.active_units()[0])
         assert state.c.shape == (16, d)
         assert rel_max_diff(state.c, ref_state.c[:, kept]) <= 1e-12
@@ -646,15 +657,15 @@ def oracle_model(kind, seed):
     read d_s unit has a nonzero O bias in all four gates, which the bench's
     seed models (O.b == 0) lack, so a wrongly broadcast bias shows."""
     model, rng = unread_model(seed) if kind == "unread" else bench_shape_model(kind, seed)
-    assert np.all(compact(model).cell.O.b != 0.0)
+    assert np.all(model.cell.O.b[:, _read_units(model)[0]] != 0.0)
     return model, rng
 
 
 class TestForwardOnlyMatchesReference:
     """The forward-only passes (operands gathered from the read units, all
     steps in one call on buffers made once per pass) against
-    `oracles.reference_forward_only`, compact(model) stepped on fresh
-    arrays: equal bit for bit."""
+    `oracles.reference_forward_only`, the read units' dense copy stepped on
+    fresh arrays: equal bit for bit."""
 
     @staticmethod
     def assert_same(got, ref):
@@ -666,9 +677,13 @@ class TestForwardOnlyMatchesReference:
     @pytest.mark.parametrize("d", [128, 51, 32])
     def test_bench_infer_shapes(self, d):
         model, rng = bench_shape_model(d)
-        assert compact(model).cell.d_s == d and (compact(model) is model) == (d == 128)
+        frozen = freeze(model)
+        assert read_dims(model) == (d, d) and (frozen.head is model.head) == (d == 128)
         tokens = rng.integers(0, 49, size=(16, 64))
-        self.assert_same(unroll_forward(model, tokens), reference_forward_only(model, tokens))
+        ref = reference_forward_only(model, tokens)
+        self.assert_same(unroll_forward(model, tokens), ref)
+        logits, state = frozen.forward(tokens)
+        self.assert_same((logits, None, state), ref)
 
     @pytest.mark.parametrize("batch", [16, 3])
     @pytest.mark.parametrize("seed", range(3))

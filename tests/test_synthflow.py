@@ -14,7 +14,8 @@ from hwsynth.growprune import (
     weight_grow,
     weight_prune,
 )
-from hwsynth.hlstm import GATES, LMModel, bptt, compact, training_copy, unroll_forward
+from hwsynth.hlstm import (GATES, LMModel, bptt, freeze, read_dims, training_copy,
+                           unroll_forward)
 from hwsynth.numkit import ARRAYS, ContractViolation, make_rng, sgd_step, sgd_update
 from hwsynth.synthflow import (
     CheckpointError,
@@ -530,10 +531,8 @@ def bench_variant(d, seed=1):
 class TestCompactedLatency:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bench_d32_variant_compacts_to_32(self, seed):
-        model = bench_variant(32, seed)
-        small = compact(model)
-        assert (small.cell.d_s, small.cell.d_h) == (32, 32)
-        assert compact(small) is small
+        frozen = freeze(bench_variant(32, seed))
+        assert (frozen.head.in_dim, frozen.table.shape[2]) == (32, 32)
 
     def test_real_mode_times_the_compacted_model(self):
         # acceptance: pruning 128 -> 32 units must show in real-mode latency
@@ -541,6 +540,14 @@ class TestCompactedLatency:
         dense = measure_model_latency(bench_variant(128), lat).median_ns
         pruned = measure_model_latency(bench_variant(32), lat).median_ns
         assert pruned < 0.6 * dense
+
+    def test_real_mode_lays_the_model_out_once(self, monkeypatch):
+        laid_out = []
+        layout = hlstm._layout
+        monkeypatch.setattr(hlstm, "_layout", lambda *a: laid_out.append(1) or layout(*a))
+        lat = LatencyConfig(mode="real", measure_batch=2, measure_seq=8, runs=5)
+        assert measure_model_latency(bench_variant(32), lat).runs == 5
+        assert len(laid_out) == 1     # one freeze, then a warm-up and 5 timed forwards
 
 
 class TestTrainingPassesKeepFullShape:
@@ -554,7 +561,7 @@ class TestTrainingPassesKeepFullShape:
         ids = load_corpus(tiny_corpus).train
         model = make_seed(cfg, 9, make_rng(4))
         coordinated_rc_prune_counts(model.cell, model.head, 4, 3)
-        assert compact(model) is not model    # forward-only passes would compact it
+        assert read_dims(model) != (12, 12)    # forward-only passes would slice it
         return model, ids
 
     def test_bridging_pass_gradients_bitwise(self, tiny_corpus):
@@ -670,7 +677,7 @@ class TestCompactedTraining:
         model.head.mask[:, u] = model.head.w[:, u] = 0.0
         live = cell.O.mask[:, u] == 1.0
         assert live.any() and cell.O.mask[:, :, k].any()
-        assert (compact(model).cell.d_s, cell.active_dims()[1]) == (7, 8)
+        assert (read_dims(model)[0], cell.active_dims()[1]) == (7, 8)
         before = cell.O.w[:, u].copy()
         ref = copy.deepcopy(model)
         trainer = Trainer(self.cfg)
@@ -694,8 +701,9 @@ class TestCompactedTraining:
             arr[:, k] = 0.0
         model.head.mask[:, u] = model.head.w[:, u] = 0.0
         assert cell.O.mask[:, u].any() and cell.O.mask[:, :, k].any()
-        shape = compact(model).cell
-        assert cell.active_dims() == (8, 8) and (shape.d_s, shape.d_h) == (7, 9)
+        timed = freeze(model)
+        assert cell.active_dims() == (8, 8)
+        assert (timed.head.in_dim, timed.table.shape[2]) == (7, 9)
         row = SynthesisFlow(tiny_config(tiny_corpus))._row("wp", model, 1.0)
         assert (row.d_s, row.d_h) == (7, 9)
 
