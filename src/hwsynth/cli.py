@@ -5,7 +5,7 @@ synthesize (run the four-step flow), eval (perplexity of a checkpoint),
 report (print a flow's report table), bench (forward latency of the
 checkpoint's frozen model, whose d_s/d_h it prints as compact_d_s/_d_h).
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
+Exit codes: 0 success, 1 runtime failure, 2 usage, config or profile-file error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import latlab, synthflow
-from .corpus import bundled_corpus_path, load_corpus
+from .corpus import batch_windows, bundled_corpus_path, load_corpus
 from .hlstm import evaluate, perplexity, read_dims
 from .numkit import ContractViolation, write_atomic
 
@@ -83,10 +83,13 @@ def cmd_eval(args) -> int:
     if corpus.vocab_size != model.vocab_size:
         raise UsageError(f"corpus vocabulary {corpus.vocab_size} != model "
                          f"vocabulary {model.vocab_size}")
-    ppl = perplexity(evaluate(model, corpus.valid,
-                              seq_len=meta.get("seq_len", defaults.seq_len),
-                              batch=synthflow.VALID_BATCH))
-    print(f"phase={meta.get('phase', '?')} valid_perplexity={ppl!r}")
+    seq_len, batch = meta.get("seq_len", defaults.seq_len), synthflow.VALID_BATCH
+    valid_ppl = perplexity(evaluate(model, corpus.valid, seq_len=seq_len, batch=batch))
+    test_ppl = (repr(perplexity(evaluate(model, corpus.test, seq_len=seq_len, batch=batch)))
+                if next(batch_windows(corpus.test, batch, seq_len), None) is not None
+                else "none")   # a test split shorter than one window
+    print(f"phase={meta.get('phase', '?')} valid_perplexity={valid_ppl!r} "
+          f"test_perplexity={test_ppl}")
     return 0
 
 
@@ -153,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("eval", help="validation perplexity of a checkpoint")
+    p = sub.add_parser("eval", help="validation and test perplexity of a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", default="bundled")
     p.set_defaults(func=cmd_eval)
@@ -179,7 +182,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, synthflow.ConfigError, ContractViolation) as exc:
+    except (UsageError, synthflow.ConfigError, latlab.ProfileParseError,
+            ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -32,8 +32,13 @@ class Corpus:
 
 def load_corpus(path: str | Path, train_frac: float = 0.8,
                 valid_frac: float = 0.1) -> Corpus:
+    """Split a UTF-8 text's character ids, in order, into train, valid and
+    test. Ids index `chars`, the distinct characters by code point; one numpy
+    gather maps the text's UTF-32 code points through a code point -> id table."""
     text = Path(path).read_text(encoding="utf-8")
-    chars = sorted(set(text))
+    points = np.frombuffer(text.encode("utf-32-le"), "<u4")
+    present = np.bincount(points) > 0
+    chars = [chr(c) for c in np.flatnonzero(present)]
     if len(chars) < 2:
         raise ContractViolation("corpus must contain at least two distinct characters")
     if len(chars) > MAX_VOCAB:
@@ -41,8 +46,7 @@ def load_corpus(path: str | Path, train_frac: float = 0.8,
             f"corpus vocabulary {len(chars)} exceeds the {MAX_VOCAB}-symbol limit")
     if not 0 < train_frac < 1 or not 0 < valid_frac < 1 or train_frac + valid_frac >= 1:
         raise ContractViolation("split fractions must be positive and sum below 1")
-    lut = {ch: i for i, ch in enumerate(chars)}
-    ids = np.array([lut[ch] for ch in text], dtype=np.int64)
+    ids = (np.cumsum(present, dtype=np.int64) - 1)[points]
     n = len(ids)
     n_train = int(n * train_frac)
     n_valid = int(n * valid_frac)

@@ -367,12 +367,12 @@ class LMModel:
 
 
 def _read_units(model: LMModel) -> tuple[np.ndarray, np.ndarray]:
-    """Flags of the d_s and d_h units something reads (see freeze): one
-    max per mask block, as mask entries are 0 or 1."""
+    """Flags of the d_s and d_h units something reads (see freeze): one GEMV
+    column sum per mask block, exact as its entries are 0 or 1."""
     cell, d_x = model.cell, model.d_x
-    read_s = np.maximum(model.head.mask.max(axis=0, initial=0.0),
-                        cell.H.mask[:, :, d_x:].max(axis=(0, 1), initial=0.0))
-    return read_s > 0.0, cell.O.mask.max(axis=(0, 1), initial=0.0) > 0.0
+    s_head, s_h, h_o = (np.ones(m.size // m.shape[-1]) @ m.reshape(-1, m.shape[-1])
+                        for m in (model.head.mask, cell.H.mask[:, :, d_x:], cell.O.mask))
+    return s_head + s_h > 0.0, h_o > 0.0
 
 
 def read_dims(model: LMModel) -> tuple[int, int]:

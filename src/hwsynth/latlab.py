@@ -326,8 +326,10 @@ def load_profile(path: str | Path) -> LatencyProfile:
             if not row:
                 continue
             try:
-                dim = int(row[0])
-                batch = int(row[1])
+                dim, row_batch = int(row[0]), int(row[1])
+                if grid and row_batch != batch:
+                    raise ValueError(f"batch {row_batch}, where the rows above have {batch}")
+                batch = row_batch
                 samples.append(SampleStats(mean_ns=float(row[2]),
                                            median_ns=float(row[3]),
                                            p95_ns=float(row[4]),

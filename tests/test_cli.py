@@ -72,6 +72,16 @@ class TestExitCodes:
         assert rc == 1
         assert "failure:" in capsys.readouterr().err
 
+    def test_malformed_profile_is_usage_error(self, workdir, capsys):
+        # rows that disagree on batch: the profile has no one batch to load
+        mixed = workdir / "mixed_batch.csv"
+        mixed.write_text(",".join(latlab.CSV_HEADER) + "\n1,8,1.0,1.0,1.0,5\n"
+                         "2,16,1.0,1.0,1.0,5\n", encoding="utf-8")
+        assert main(["analyze", "--profile", str(mixed),
+                     "--out", str(workdir / "mixed.json")]) == 2
+        assert "mixed_batch.csv:3: batch 16" in capsys.readouterr().err
+        assert not (workdir / "mixed.json").exists()
+
     def test_bad_config_json(self, workdir):
         bad = workdir / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -226,12 +236,28 @@ class TestSynthesizeEvalReportBench:
         capsys.readouterr()
 
     def test_eval_checkpoint(self, flow_out, tiny_corpus, capsys):
-        rc = main(["eval", "--checkpoint", str(flow_out / "checkpoint_wp.npz"),
-                   "--corpus", tiny_corpus])
+        path = flow_out / "checkpoint_wp.npz"
+        rc = main(["eval", "--checkpoint", str(path), "--corpus", tiny_corpus])
         assert rc == 0
         out = capsys.readouterr().out
         assert "phase=wp" in out
         assert "valid_perplexity=" in out
+        # the test split, scored as the valid one: the flow's splits and window
+        model, meta = checkpoint_load(path)
+        test = load_corpus(tiny_corpus, meta["train_frac"], meta["valid_frac"]).test
+        want = perplexity(evaluate(model, test, seq_len=meta["seq_len"],
+                                   batch=synthflow.VALID_BATCH))
+        assert f" test_perplexity={want!r}" in out
+
+    def test_eval_of_a_test_split_shorter_than_a_window(self, flow_out, tiny_corpus,
+                                                         tmp_path, capsys):
+        model, meta = checkpoint_load(flow_out / "checkpoint_wp.npz")
+        short = tmp_path / "short_test.npz"
+        # 3000 characters leave a 30-token test split, under one 4 x 16 window
+        checkpoint_save(model, dict(meta, train_frac=0.5, valid_frac=0.49), short)
+        assert main(["eval", "--checkpoint", str(short), "--corpus", tiny_corpus]) == 0
+        out = capsys.readouterr().out
+        assert "valid_perplexity=" in out and out.rstrip().endswith(" test_perplexity=none")
 
     def test_eval_scores_each_checkpoint_as_the_flow_did(self, workdir, flow_config,
                                                          capsys):

@@ -10,6 +10,28 @@ from hwsynth.corpus import (
 from hwsynth.numkit import ContractViolation
 
 
+def reference_encoding(text):
+    """Ids by a per-character dict lookup: what `load_corpus` must match."""
+    chars = sorted(set(text))
+    lut = {ch: i for i, ch in enumerate(chars)}
+    return chars, np.array([lut[ch] for ch in text], dtype=np.int64)
+
+
+NON_ASCII = [chr(c) for c in (0xE9, 0x3B1, 0x416, 0x20AC, 0x4E2D, 0xFFFD)]
+
+
+def generated_text(kind, rng):
+    """A seeded text of one kind; every symbol of its alphabet appears."""
+    alphabet = {"bmp": list("abc xyz\n") + NON_ASCII,
+                "astral": list("ab \n") + NON_ASCII[:2] + ["\U0001F600"],
+                "crlf": list("abcd ") + ["\r\n"],
+                "two": ["a", "b"],
+                "max_vocab": [chr(0x20 + i) for i in range(95)]
+                             + [chr(0x3B1 + i) for i in range(MAX_VOCAB - 95)]}[kind]
+    pieces = list(rng.permutation(alphabet)) + list(rng.choice(alphabet, size=2000))
+    return "".join(pieces)
+
+
 class TestBundledCorpus:
     def test_loads_within_limits(self):
         corpus = load_corpus(bundled_corpus_path())
@@ -27,8 +49,27 @@ class TestBundledCorpus:
         path = bundled_corpus_path()
         corpus = load_corpus(path)
         ids = np.concatenate([corpus.train, corpus.valid, corpus.test])
-        assert "".join(corpus.chars[i] for i in ids) == path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
+        assert "".join(corpus.chars[i] for i in ids) == text
         assert corpus.chars == sorted(set(corpus.chars))
+        assert ids.dtype == np.int64 and np.array_equal(ids, reference_encoding(text)[1])
+
+
+class TestGeneratedTexts:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind, vocab", [
+        ("bmp", 14), ("astral", 7), ("crlf", 6), ("two", 2), ("max_vocab", MAX_VOCAB)])
+    def test_ids_match_a_per_character_lookup(self, tmp_path, kind, vocab, seed):
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(generated_text(kind, np.random.default_rng(seed)).encode("utf-8"))
+        text = path.read_text(encoding="utf-8")     # CRLF reads as "\n"
+        corpus = load_corpus(path)
+        chars, ids = reference_encoding(text)
+        got = np.concatenate([corpus.train, corpus.valid, corpus.test])
+        assert corpus.chars == chars and corpus.vocab_size == vocab
+        assert [ord(c) for c in corpus.chars] == sorted(ord(c) for c in corpus.chars)
+        assert got.dtype == np.int64 and np.array_equal(got, ids)
+        assert "".join(corpus.chars[i] for i in got) == text and "\r" not in corpus.chars
 
 
 class TestLoadErrors:

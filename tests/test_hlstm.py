@@ -529,9 +529,9 @@ def edit_live_weights(model, rng):
 
 
 class TestReadUnits:
-    """_read_units (a max per mask block) against the definition: a d_s unit
-    is read while any head column or H recurrent column of it is nonzero, a
-    d_h unit while any O column of it is."""
+    """_read_units (a GEMV column sum per mask block) against the definition:
+    a d_s unit is read while any head column or H recurrent column of it is
+    nonzero, a d_h unit while any O column of it is."""
 
     D_X, D_S, D_H = 3, 6, 5
 

@@ -332,6 +332,16 @@ class TestPersistence:
         with pytest.raises(ProfileParseError, match=":3:"):
             load_profile(path)
 
+    def test_rows_that_disagree_on_batch_name_the_first_line(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n"
+                        "16,8,1.0,1.0,1.0,5\n"
+                        "32,8,1.0,1.0,1.0,5\n"
+                        "48,16,1.0,1.0,1.0,5\n"
+                        "64,32,1.0,1.0,1.0,5\n", encoding="utf-8")
+        with pytest.raises(ProfileParseError, match=r"mixed\.csv:4: batch 16.* 8"):
+            load_profile(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
