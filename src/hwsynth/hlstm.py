@@ -18,8 +18,9 @@ state (B, d_s); other shapes raise ContractViolation. Training and
 forward-only passes share one recurrence, `cell_forward`, which runs all of
 a pass's steps in one call (reversed step by step by `bptt`). Its steps do
 only the work that depends on h_{t-1}: the x part of H, bias included, is
-gathered for all steps from one per-symbol table before the loop, and the
-head runs once on all steps after it. A step is one batched matmul per
+one per-symbol table (4, V, d_h) made before the loop, from which each step
+gathers its (4, B, d_h) slice into one reused buffer, and the head runs
+once on all steps after it. A step is that gather, one batched matmul per
 layer kind, a same-shape add of the O bias (broadcast to (4, B, d_s) once
 per pass) and one tanh for all four gates, with sigmoid(v) = (1 +
 tanh(v/2)) / 2. This matches the per-step, per-gate computation to
@@ -209,38 +210,45 @@ def _project_input_backward(params: HLSTMCellParams, x: np.ndarray,
     return np.matmul(d_xw, H.w[:, :, :d_x]).sum(axis=0)
 
 
-def cell_forward(operands: tuple[np.ndarray, ...], xw: np.ndarray, init: HLSTMState,
-                 hs: np.ndarray, rng: np.random.Generator | None = None,
+def cell_forward(operands: tuple[np.ndarray, ...], table: np.ndarray, ids: np.ndarray,
+                 init: HLSTMState, hs: np.ndarray, rng: np.random.Generator | None = None,
                  dropout_h: float = 0.0, record: bool = True
                  ) -> tuple[HLSTMState, list[StepCache] | None]:
     """A pass's T steps, all four gates at once, given the pass's step
-    operands (see _layout) and xw (4, T, B, d_h), the x part of the H
-    layers' pre-activations at each step. A step is one NN batched matmul
-    that adds the recurrent part, another that runs the O layers, and one
-    tanh that computes every gate. Step t's h goes into hs[t] (hs is
-    step-major: (T, B, d_s) or a view of that shape). Dropout runs iff an
-    rng is given and dropout_h > 0. Returns the final state and, when
-    `record`, one StepCache per step (else None). The operands read w as
-    W*Msk, relying on w[mask == 0] == 0.
+    operands and table (4, V, d_h), the x part of the H layers'
+    pre-activations per symbol (see _layout), and ids (T, B), each step's
+    symbols. A step gathers its (4, B, d_h) rows of the table into one
+    reused buffer, then runs one NN batched matmul that adds the recurrent
+    part, another that runs the O layers, and one tanh that computes every
+    gate. The ids are checked against V once here, so the steps gather
+    without a bounds check. Step t's h goes into hs[t] (hs is step-major:
+    (T, B, d_s) or a view of that shape). Dropout runs iff an rng is given
+    and dropout_h > 0. Returns the final state and, when `record`, one
+    StepCache per step (else None). The operands read w as W*Msk, relying
+    on w[mask == 0] == 0.
 
     A recording pass keeps every step's arrays. A forward-only pass
     computes in buffers made once here and updates init.c in place, so the
     state it returns holds init.c and h is hs[T-1]."""
     h_rec, o_w, o_b = operands
-    n_steps, batch = xw.shape[1], len(init.h)
-    if xw.shape != (len(GATES), n_steps, batch, h_rec.shape[2]):
-        raise ContractViolation(f"projected input shape {xw.shape} is not "
-                                f"(4, T, B={batch}, d_h={h_rec.shape[2]})")
+    batch, d_h = len(init.h), h_rec.shape[2]
+    if table.ndim != 3 or table.shape[::2] != (len(GATES), d_h) or ids.shape[1:] != (batch,):
+        raise ContractViolation(f"table {table.shape} and ids {ids.shape} are not "
+                                f"(4, V, d_h={d_h}) and (T, B={batch})")
+    if np.any(ids < 0) or np.any(ids >= table.shape[1]):
+        raise ContractViolation("token id out of vocabulary range")
+    x_t = np.empty((len(GATES), batch, d_h))
     gate_shape = (len(GATES), batch, o_w.shape[2])
     # a same-shape add runs as one inner loop, a (4, 1, d_s) one as 4 B loops of d_s
     o_b = np.broadcast_to(o_b, gate_shape).copy()
     h, c, caches = init.h, init.c, [] if record else None
     if not record:
-        act, gates = np.empty((len(GATES), batch, h_rec.shape[2])), np.empty(gate_shape)
+        act, gates = np.empty((len(GATES), batch, d_h)), np.empty(gate_shape)
         sigmoids, (f, i, o, g), scratch = gates[:3], gates, np.empty(gate_shape[1:])
-    for t in range(n_steps):
+    for t, step_ids in enumerate(ids):
         act = np.matmul(h, h_rec, out=None if record else act)
-        act += xw[:, t]
+        # "clip" skips the bounds check, which with "raise" also buffers out
+        act += table.take(step_ids, axis=1, out=x_t, mode="clip")
         np.maximum(act, 0.0, out=act)
         gate_in, keep = act, None
         if rng is not None and dropout_h > 0.0:
@@ -294,10 +302,11 @@ _DERIV_B = np.array([0.0, 0.0, 0.0, 1.0])[:, None, None]
 def cell_backward(bwd: _BackwardPass, cache: StepCache, d_h_t: np.ndarray,
                   d_c_t: np.ndarray, out: np.ndarray | None = None
                   ) -> tuple[np.ndarray, HLSTMState]:
-    """Exact reverse of cell_forward: returns (dL/dxw_t, into `out` if given,
-    dL/d previous state) and sums the O blocks' and H's recurrent gradients
-    in `bwd` (see `flush`). The x part of H.grad_w and H.grad_b belong to
-    xw_t's projection (see _project_input_backward)."""
+    """Exact reverse of one cell_forward step: returns (dL/dxw_t, the
+    gradient of the step's gathered table rows, into `out` if given, dL/d
+    previous state) and sums the O blocks' and H's recurrent gradients in
+    `bwd` (see `flush`). The x part of H.grad_w and H.grad_b belong to the
+    table's projection (see _project_input_backward)."""
     if cache.consumed:
         raise ContractViolation("StepCache already consumed by a backward pass")
     cache.consumed = True
@@ -496,18 +505,15 @@ def _unroll(frozen: FrozenModel, tokens: np.ndarray, state: HLSTMState | None,
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ContractViolation(f"tokens shape {tokens.shape} is not (B, T)")
-    if np.any(tokens < 0) or np.any(tokens >= head.out_dim):
-        raise ContractViolation("token id out of vocabulary range")
     batch, T = tokens.shape
     d_s = head.in_dim
     if state is None:
         state = HLSTMState.zeros(d_s, batch)
-    xw = table.take(tokens.T, axis=1)                            # (4, T, B, d_h)
     # bptt reads a (B, T, d_s) h stack; a forward-only one is step-major, so each
     # step reads and writes a contiguous h
     hs = np.empty((batch, T, d_s) if record else (T, batch, d_s), dtype=FLOAT)
-    state, caches = cell_forward(operands, xw, state, hs.transpose(1, 0, 2) if record else hs,
-                                 rng, dropout_h, record)
+    state, caches = cell_forward(operands, table, np.ascontiguousarray(tokens.T), state,
+                                 hs.transpose(1, 0, 2) if record else hs, rng, dropout_h, record)
     # a non-finite c stays non-finite through f * c + i * g
     if not np.all(np.isfinite(state.c)):
         raise NumericAbort("non-finite value in cell state")

@@ -327,16 +327,22 @@ def load_profile(path: str | Path) -> LatencyProfile:
                 continue
             try:
                 dim, row_batch = int(row[0]), int(row[1])
-                if grid and row_batch != batch:
-                    raise ValueError(f"batch {row_batch}, where the rows above have {batch}")
-                batch = row_batch
-                samples.append(SampleStats(mean_ns=float(row[2]),
-                                           median_ns=float(row[3]),
-                                           p95_ns=float(row[4]),
-                                           runs=int(row[5])))
+                row_id = row[6] if len(row) > 6 else ""
+                # one profile is one host at one batch
+                for name, got, above in (("batch", row_batch, batch),
+                                         ("hardware_id", row_id, hardware_id)):
+                    if grid and got != above:
+                        raise ValueError(f"{name} {got!r}, where the rows above have {above!r}")
+                batch, hardware_id = row_batch, row_id
+                latencies, runs = [float(v) for v in row[2:5]], int(row[5])
+                # a NaN is never a prefix minimum, so no LHP could be found past it
+                for name, value in zip(CSV_HEADER[2:5], latencies):
+                    if not 0.0 < value < math.inf:
+                        raise ValueError(f"{name} {value} is not a positive finite latency")
+                if runs < 1:
+                    raise ValueError(f"runs {runs} is below 1")
+                samples.append(SampleStats(*latencies, runs=runs))
                 grid.append(dim)
-                if len(row) > 6:
-                    hardware_id = row[6]
             except (ValueError, IndexError) as exc:
                 raise ProfileParseError(f"{path}:{lineno}: {exc}") from exc
     return LatencyProfile(hardware_id=hardware_id, batch=batch, grid=grid,

@@ -228,20 +228,21 @@ def per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c, rng=None, dropout=0.0)
 # --- one library step on raw input ---------------------------------------------------
 #
 # cell_forward runs a pass's steps on the pass's layout (the x part of
-# every H layer's pre-activation with the bias, and the step operands: the
-# recurrent part of H and the gate-scaled O, laid out once per pass), and
-# cell_backward returns the gradient of one step's projected input. These
-# adapters run one step from a (B, d_x) input through the library's own
-# layout.
+# every H layer's pre-activation with the bias, per symbol, and the step
+# operands: the recurrent part of H and the gate-scaled O, laid out once per
+# pass) and the steps' symbol ids, and cell_backward returns the gradient of
+# one step's projected input. These adapters run one step from a (B, d_x)
+# input through the library's own layout: its B rows are the table, and
+# row b is batch row b's symbol.
 
 def cell_step(cell, x, prev, **kwargs):
     """One cell_forward step on a (B, d_x) input: (state, its StepCache or
     None); kwargs as for cell_forward."""
     from hwsynth.hlstm import _layout, cell_forward
 
-    xw, operands = _layout(cell, np.asarray(x, dtype=float))
+    table, operands = _layout(cell, np.asarray(x, dtype=float))
     hs = np.empty((1, *prev.h.shape))
-    state, caches = cell_forward(operands, xw[:, None], prev, hs, **kwargs)
+    state, caches = cell_forward(operands, table, np.arange(len(x))[None], prev, hs, **kwargs)
     return state, caches[0] if caches else None
 
 

@@ -82,6 +82,36 @@ class TestExitCodes:
         assert "mixed_batch.csv:3: batch 16" in capsys.readouterr().err
         assert not (workdir / "mixed.json").exists()
 
+    def test_profile_from_two_hosts_is_usage_error(self, workdir, capsys):
+        hosts = workdir / "two_hosts.csv"
+        hosts.write_text(",".join(latlab.CSV_HEADER) + "\n1,8,1.0,1.0,1.0,5,host-a\n"
+                         "2,8,1.0,1.0,1.0,5,host-b\n", encoding="utf-8")
+        assert main(["analyze", "--profile", str(hosts),
+                     "--out", str(workdir / "hosts.json")]) == 2
+        assert "two_hosts.csv:3: hardware_id 'host-b'" in capsys.readouterr().err
+        assert not (workdir / "hosts.json").exists()
+
+    def test_nan_profile_is_usage_error(self, workdir, capsys):
+        # no NaN median is a prefix minimum, so analysis would find no LHP
+        nan = workdir / "nan.csv"
+        nan.write_text("dim,batch,mean_ns,median_ns,p95_ns,runs\n"
+                       + "".join(f"{d},8,nan,nan,nan,5\n" for d in (1, 2)), encoding="utf-8")
+        assert main(["analyze", "--profile", str(nan),
+                     "--out", str(workdir / "nan.json")]) == 2
+        assert "nan.csv:2: mean_ns nan" in capsys.readouterr().err
+        assert not (workdir / "nan.json").exists()
+
+    def test_nan_profile_fails_before_training(self, workdir, flow_config, capsys):
+        nan = workdir / "nan_flow.csv"
+        nan.write_text("dim,batch,mean_ns,median_ns,p95_ns,runs\n"
+                       + "".join(f"{d},16,1.0,{'nan' if d == 5 else 1.0},1.0,5\n"
+                                 for d in range(1, 13)), encoding="utf-8")
+        out = workdir / "nan_profile_out"
+        assert main(["synthesize", "--config", flow_config, "--profile", str(nan),
+                     "--out", str(out)]) == 2
+        assert "nan_flow.csv:6: median_ns nan" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
     def test_bad_config_json(self, workdir):
         bad = workdir / "bad.json"
         bad.write_text("{not json", encoding="utf-8")

@@ -12,9 +12,11 @@ from hwsynth.hlstm import (
     HLSTMState,
     LMModel,
     _BackwardPass,
+    _layout,
     _read_units,
     bptt,
     cell_backward,
+    cell_forward,
     evaluate,
     freeze,
     perplexity,
@@ -298,10 +300,24 @@ class TestUnrollAndBptt:
             state, _ = cell_step(model.cell, model.embedding[tokens[:, t]], state)
             assert np.allclose(logits[:, t], model.head.forward(state.h))
 
-    def test_token_out_of_range(self):
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("entry", ["train", "forward", "evaluate", "cell_forward"])
+    def test_token_out_of_range(self, entry, bad):
+        # the steps gather table rows unchecked (mode="clip"), so without the
+        # check an id past either end would silently read the first or last row
         model, _, _ = random_model(13, vocab=4, d_x=2, d_s=2, d_h=2)
-        with pytest.raises(ContractViolation):
-            unroll_forward(model, np.array([[0, 4]]))
+        tokens = np.array([[0, 1, 2], [3, bad, 0]])
+        with pytest.raises(ContractViolation, match="vocabulary"):
+            if entry == "train":
+                unroll_forward(model, tokens, train=True)
+            elif entry == "forward":
+                unroll_forward(model, tokens)
+            elif entry == "evaluate":
+                evaluate(model, np.array([0, bad, 2, 3, 1, 0, 2]), seq_len=3)
+            else:
+                table, operands = _layout(model.cell, model.embedding)
+                cell_forward(operands, table, np.ascontiguousarray(tokens.T),
+                             HLSTMState.zeros(2, 2), np.empty((3, 2, 2)))
 
     def test_unbatched_tokens_rejected(self):
         model, tokens, _ = random_model(13, vocab=4, d_x=2, d_s=2, d_h=2)

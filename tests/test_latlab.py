@@ -342,6 +342,27 @@ class TestPersistence:
         with pytest.raises(ProfileParseError, match=r"mixed\.csv:4: batch 16.* 8"):
             load_profile(path)
 
+    def test_rows_that_disagree_on_hardware_id_name_the_first_line(self, tmp_path):
+        path = tmp_path / "hosts.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n"
+                        "16,8,1.0,1.0,1.0,5,host-a\n"
+                        "32,8,1.0,1.0,1.0,5,host-b\n"
+                        "48,8,1.0,1.0,1.0,5,host-b\n", encoding="utf-8")
+        with pytest.raises(ProfileParseError,
+                           match=r"hosts\.csv:3: hardware_id 'host-b'.* 'host-a'"):
+            load_profile(path)
+
+    @pytest.mark.parametrize("row, column", [
+        ("32,8,1.0,nan,1.0,5", "median_ns"), ("32,8,inf,1.0,1.0,5", "mean_ns"),
+        ("32,8,1.0,1.0,0.0,5", "p95_ns"), ("32,8,1.0,-2.0,1.0,5", "median_ns"),
+        ("32,8,1.0,1.0,1.0,0", "runs")])
+    def test_bad_statistic_names_line(self, tmp_path, row, column):
+        path = tmp_path / "stats.csv"
+        path.write_text("dim,batch,mean_ns,median_ns,p95_ns,runs\n"
+                        f"16,8,1.0,1.0,1.0,5\n{row}\n", encoding="utf-8")
+        with pytest.raises(ProfileParseError, match=rf"stats\.csv:3: {column} "):
+            load_profile(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
