@@ -15,27 +15,27 @@ w[mask == 0] == 0 always holds.
 The language model is one such cell (`LMModel.cell`) between an embedding
 and a softmax head. Every input is a batch: tokens are (B, T) and a step's
 state (B, d_s); other shapes raise ContractViolation. Training and
-forward-only passes share one recurrence, `cell_forward`, which runs all of
-a pass's steps in one call (reversed step by step by `bptt`). Its steps do
-only the work that depends on h_{t-1}: the x part of H, bias included, is
-one per-symbol table (4, V, d_h) made before the loop, from which each step
-gathers its (4, B, d_h) slice into one reused buffer, and the head runs
-once on all steps after it. A step is that gather, one batched matmul per
-layer kind, a same-shape add of the O bias (broadcast to (4, B, d_s) once
-per pass) and one tanh for all four gates, with sigmoid(v) = (1 +
-tanh(v/2)) / 2. This matches the per-step, per-gate computation to
-rounding, not bit for bit. `bptt` reverses the table per symbol: one
-one-hot GEMM sums each symbol's steps, then the V-row embedding projects
-them back; its step derives all four gates by one formula. Each pass (in
-training, each window) lays out what its steps read once and contiguous,
-as OpenBLAS runs transposed views slower: `_layout`, and `_BackwardPass`
-with the backward's buffers and gradient sums.
+forward-only passes share one recurrence, `cell_forward`: one call and one
+step body per pass, whose steps write into the pass's recording, arrays
+made once per pass with a slot per step for `bptt` to reverse (a
+forward-only pass reuses one slot). A step does only the work that depends
+on h_{t-1}: it gathers the x part of H, bias included, from a per-symbol
+table (4, V, d_h) made before the loop, then runs one batched matmul per
+layer kind and one tanh for all four gates, with sigmoid(v) = (1 +
+tanh(v/2)) / 2; the head runs once on the (T, B, d_s) h stack after the
+loop. This matches the per-step, per-gate computation to rounding, not bit
+for bit. `bptt` reverses the table per symbol: one one-hot GEMM sums each
+symbol's steps, then the V-row embedding projects them back; its step
+derives all four gates by one formula. Each pass (in training, each
+window) lays out what its steps read once and contiguous, as OpenBLAS runs
+transposed views slower: `_layout`, and `_BackwardPass` with the
+backward's buffers and gradient sums.
 
 Pruned units cost no time in any pass that feeds no growth. Inference
 runs `freeze(model)`: the read units' table, step operands and head, laid
-out once (each forward then pays only for its steps, in buffers made once
-per pass). `unroll_forward(train=False)` freezes the model per call;
-`evaluate` and real-mode latency (`synthflow.measure_model_latency`,
+out once, so each forward pays only for its steps and leaves the state it
+starts from as it was. `unroll_forward(train=False)` freezes the model per
+call; `evaluate` and real-mode latency (`synthflow.measure_model_latency`,
 `hwsynth bench`) freeze once and run every window on the frozen model, and
 the report reads its dims off `read_dims(model)`. Training epochs run on
 `training_copy(model)`, a dense copy that also keeps the units something
@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import cycle
 from typing import NamedTuple
 
 import numpy as np
@@ -149,26 +150,22 @@ class HLSTMCellParams:
 
 
 @dataclass
-class StepCache:
-    """Intermediates of one cell step, consumed exactly once by backward.
-    Gate arrays are (4, B, width) in GATES order; the others (B, width)."""
+class _Recording:
+    """A pass's step arrays, one slot per step (a forward-only pass reuses
+    one): `act`, the H layers' relu output, and `gate_in`, the O layers'
+    input (`act` itself unless the pass drops units, by `keep`), (slots, 4,
+    B, d_h); the `gates` (slots, 4, B, d_s); `c` and `tanh_c` (slots, B,
+    d_s). `init` is the state before step 0, `hs` the (T, B, d_s) h stack."""
 
-    h_prev: np.ndarray
-    h_act: np.ndarray         # relu output of the H layers, before dropout
-    keep: np.ndarray | None   # dropout scale
-    gate_in: np.ndarray       # input of the O layers
-    gate_out: np.ndarray
-    c_prev: np.ndarray
+    init: HLSTMState
+    hs: np.ndarray
+    act: np.ndarray
+    gate_in: np.ndarray
+    keep: np.ndarray | None
+    gates: np.ndarray
+    c: np.ndarray
     tanh_c: np.ndarray
     consumed: bool = False
-
-
-class _Recording(list):
-    """A train=True pass's StepCaches, with `hs`, the (B, T, d_s) h stack."""
-
-    def __init__(self, hs: np.ndarray, caches=()):
-        super().__init__(caches)
-        self.hs = hs
 
 
 # One tanh serves all four gates: sigmoid(v) = (1 + tanh(v/2)) / 2 for f, i, o.
@@ -213,7 +210,7 @@ def _project_input_backward(params: HLSTMCellParams, x: np.ndarray,
 def cell_forward(operands: tuple[np.ndarray, ...], table: np.ndarray, ids: np.ndarray,
                  init: HLSTMState, hs: np.ndarray, rng: np.random.Generator | None = None,
                  dropout_h: float = 0.0, record: bool = True
-                 ) -> tuple[HLSTMState, list[StepCache] | None]:
+                 ) -> tuple[HLSTMState, _Recording]:
     """A pass's T steps, all four gates at once, given the pass's step
     operands and table (4, V, d_h), the x part of the H layers'
     pre-activations per symbol (see _layout), and ids (T, B), each step's
@@ -221,15 +218,12 @@ def cell_forward(operands: tuple[np.ndarray, ...], table: np.ndarray, ids: np.nd
     reused buffer, then runs one NN batched matmul that adds the recurrent
     part, another that runs the O layers, and one tanh that computes every
     gate. The ids are checked against V once here, so the steps gather
-    without a bounds check. Step t's h goes into hs[t] (hs is step-major:
-    (T, B, d_s) or a view of that shape). Dropout runs iff an rng is given
-    and dropout_h > 0. Returns the final state and, when `record`, one
-    StepCache per step (else None). The operands read w as W*Msk, relying
-    on w[mask == 0] == 0.
-
-    A recording pass keeps every step's arrays. A forward-only pass
-    computes in buffers made once here and updates init.c in place, so the
-    state it returns holds init.c and h is hs[T-1]."""
+    without a bounds check. Step t's h goes into hs[t] (hs is (T, B, d_s)).
+    Dropout runs iff an rng is given and dropout_h > 0. The operands read w
+    as W*Msk, relying on w[mask == 0] == 0. Every step writes into the
+    pass's _Recording, made here: a slot per step when `record`, else one
+    slot that every step reuses. Returns the final state (h is hs[T-1];
+    `init` is left as it was) and the recording."""
     h_rec, o_w, o_b = operands
     batch, d_h = len(init.h), h_rec.shape[2]
     if table.ndim != 3 or table.shape[::2] != (len(GATES), d_h) or ids.shape[1:] != (batch,):
@@ -237,42 +231,37 @@ def cell_forward(operands: tuple[np.ndarray, ...], table: np.ndarray, ids: np.nd
                                 f"(4, V, d_h={d_h}) and (T, B={batch})")
     if np.any(ids < 0) or np.any(ids >= table.shape[1]):
         raise ContractViolation("token id out of vocabulary range")
-    x_t = np.empty((len(GATES), batch, d_h))
-    gate_shape = (len(GATES), batch, o_w.shape[2])
+    slots, gate_shape = len(ids) if record else 1, (len(GATES), batch, o_w.shape[2])
+    x_t, scratch = np.empty((len(GATES), batch, d_h)), np.empty(gate_shape[1:])
     # a same-shape add runs as one inner loop, a (4, 1, d_s) one as 4 B loops of d_s
     o_b = np.broadcast_to(o_b, gate_shape).copy()
-    h, c, caches = init.h, init.c, [] if record else None
-    if not record:
-        act, gates = np.empty((len(GATES), batch, d_h)), np.empty(gate_shape)
-        sigmoids, (f, i, o, g), scratch = gates[:3], gates, np.empty(gate_shape[1:])
-    for t, step_ids in enumerate(ids):
-        act = np.matmul(h, h_rec, out=None if record else act)
+    act = np.empty((slots, len(GATES), batch, d_h))
+    drop = rng is not None and dropout_h > 0.0
+    rec = _Recording(init, hs, act, np.empty_like(act) if drop else act,
+                     np.empty_like(act) if drop else None, np.empty((slots, *gate_shape)),
+                     *np.empty((2, slots, *gate_shape[1:])))
+    # each slot's views, made once per pass: slicing per step outweighs a small step
+    views = [(rec.act[k], rec.gate_in[k], rec.keep[k] if drop else None, rec.gates[k],
+              rec.gates[k, :3], *rec.gates[k], rec.c[k], rec.tanh_c[k]) for k in range(slots)]
+    h, c = init.h, init.c
+    for step_ids, h_t, (act, gate_in, keep, gates, sigmoids, f, i, o, g, c_t, tanh_c) \
+            in zip(ids, hs, cycle(views)):
+        np.matmul(h, h_rec, out=act)
         # "clip" skips the bounds check, which with "raise" also buffers out
         act += table.take(step_ids, axis=1, out=x_t, mode="clip")
         np.maximum(act, 0.0, out=act)
-        gate_in, keep = act, None
-        if rng is not None and dropout_h > 0.0:
-            keep = (rng.random(act.shape) >= dropout_h) / (1.0 - dropout_h)
-            gate_in = act * keep
-        gates = np.matmul(gate_in, o_w, out=None if record else gates)
+        if drop:
+            np.divide(rng.random(act.shape) >= dropout_h, 1.0 - dropout_h, out=keep)
+            np.multiply(act, keep, out=gate_in)
+        np.matmul(gate_in, o_w, out=gates)
         gates += o_b
         np.tanh(gates, out=gates)
-        if record:
-            sigmoids, (f, i, o, g) = gates[:3], gates
         sigmoids += 1.0
         sigmoids *= 0.5
-        if record:
-            c_prev, c = c, f * c + i * g
-            tanh_c = np.tanh(c)
-            h_prev, h = h, o * tanh_c
-            hs[t] = h
-            caches.append(StepCache(h_prev=h_prev, h_act=act, keep=keep, gate_in=gate_in,
-                                    gate_out=gates, c_prev=c_prev, tanh_c=tanh_c))
-        else:
-            c *= f
-            c += np.multiply(i, g, out=scratch)
-            h = np.multiply(o, np.tanh(c, out=scratch), out=hs[t])
-    return HLSTMState(h=h, c=c), caches
+        c = np.multiply(f, c, out=c_t)
+        c += np.multiply(i, g, out=scratch)
+        h = np.multiply(o, np.tanh(c, out=tanh_c), out=h_t)
+    return HLSTMState(h=h, c=c), rec
 
 
 class _BackwardPass:
@@ -299,31 +288,30 @@ _DERIV_A = np.array([1.0, 1.0, 1.0, 0.0])[:, None, None]
 _DERIV_B = np.array([0.0, 0.0, 0.0, 1.0])[:, None, None]
 
 
-def cell_backward(bwd: _BackwardPass, cache: StepCache, d_h_t: np.ndarray,
+def cell_backward(bwd: _BackwardPass, rec: _Recording, t: int, d_h_t: np.ndarray,
                   d_c_t: np.ndarray, out: np.ndarray | None = None
                   ) -> tuple[np.ndarray, HLSTMState]:
-    """Exact reverse of one cell_forward step: returns (dL/dxw_t, the
-    gradient of the step's gathered table rows, into `out` if given, dL/d
-    previous state) and sums the O blocks' and H's recurrent gradients in
-    `bwd` (see `flush`). The x part of H.grad_w and H.grad_b belong to the
-    table's projection (see _project_input_backward)."""
-    if cache.consumed:
-        raise ContractViolation("StepCache already consumed by a backward pass")
-    cache.consumed = True
-    gates, tanh_c, d_gates = cache.gate_out, cache.tanh_c, bwd.d_gates
+    """Exact reverse of step t of the recording `rec` (at t = 0 the previous
+    state is rec.init): returns (dL/dxw_t, the gradient of the step's
+    gathered table rows, into `out` if given, dL/d previous state) and sums
+    the O blocks' and H's recurrent gradients in `bwd` (see `flush`). The x
+    part of H.grad_w and H.grad_b belong to the table's projection (see
+    _project_input_backward)."""
+    h_prev, c_prev = (rec.hs[t - 1], rec.c[t - 1]) if t else (rec.init.h, rec.init.c)
+    gates, tanh_c, d_gates = rec.gates[t], rec.tanh_c[t], bwd.d_gates
     f, i, o, g = gates
     d_c = d_c_t + d_h_t * o * (1.0 - tanh_c * tanh_c)
-    for k, (u, v) in enumerate([(d_c, cache.c_prev), (d_c, g), (d_h_t, tanh_c), (d_c, i)]):
+    for k, (u, v) in enumerate([(d_c, c_prev), (d_c, g), (d_h_t, tanh_c), (d_c, i)]):
         np.multiply(u, v, out=d_gates[k])
     np.multiply(np.subtract(_DERIV_A, gates, out=bwd.deriv), gates, out=bwd.deriv)
     d_gates *= np.add(bwd.deriv, _DERIV_B, out=bwd.deriv)
-    bwd.grad_o += np.matmul(d_gates.transpose(0, 2, 1), cache.gate_in, out=bwd.step_o)
+    bwd.grad_o += np.matmul(d_gates.transpose(0, 2, 1), rec.gate_in[t], out=bwd.step_o)
     bwd.grad_o_b += d_gates.sum(axis=1)
     d_in = np.matmul(d_gates, bwd.o_w, out=bwd.d_in)
-    if cache.keep is not None:
-        d_in *= cache.keep
-    d_pre = np.multiply(d_in, cache.h_act > 0.0, out=out)
-    bwd.grad_h += np.matmul(d_pre.transpose(0, 2, 1), cache.h_prev, out=bwd.step_h)
+    if rec.keep is not None:
+        d_in *= rec.keep[t]
+    d_pre = np.multiply(d_in, rec.act[t] > 0.0, out=out)
+    bwd.grad_h += np.matmul(d_pre.transpose(0, 2, 1), h_prev, out=bwd.step_h)
     # d_gates is spent: its buffer takes the four gates' terms of dL/dh_prev
     d_h_prev = np.matmul(d_pre, bwd.h_rec, out=d_gates).sum(axis=0)
     return d_pre, HLSTMState(h=d_h_prev, c=d_c * f)
@@ -470,7 +458,7 @@ class FrozenModel(NamedTuple):
     def forward(self, tokens: np.ndarray, state: HLSTMState | None = None
                 ) -> tuple[np.ndarray, HLSTMState]:
         """(logits (B, T, V), final state) of a window of tokens (B, T) from
-        `state` (None: zero state), whose c it updates in place."""
+        `state` (None: zero state), which it leaves as it was."""
         logits, _, state = _unroll(self, tokens, state)
         return logits, state
 
@@ -498,9 +486,8 @@ def freeze(model: LMModel) -> FrozenModel:
 def _unroll(frozen: FrozenModel, tokens: np.ndarray, state: HLSTMState | None,
             rng: np.random.Generator | None = None, dropout_h: float = 0.0,
             record: bool = False):
-    """One pass: one cell_forward call runs all its steps. A forward-only
-    pass updates state.c in place and returns no caches; its logits are a
-    (B, T, V) view of the head's (T, B, V)."""
+    """One pass: one cell_forward call, then the head once on the h stack.
+    Returns (logits, a (B, T, V) view of the head's (T, B, V), recording, state)."""
     table, operands, head = frozen
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -509,32 +496,29 @@ def _unroll(frozen: FrozenModel, tokens: np.ndarray, state: HLSTMState | None,
     d_s = head.in_dim
     if state is None:
         state = HLSTMState.zeros(d_s, batch)
-    # bptt reads a (B, T, d_s) h stack; a forward-only one is step-major, so each
-    # step reads and writes a contiguous h
-    hs = np.empty((batch, T, d_s) if record else (T, batch, d_s), dtype=FLOAT)
-    state, caches = cell_forward(operands, table, np.ascontiguousarray(tokens.T), state,
-                                 hs.transpose(1, 0, 2) if record else hs, rng, dropout_h, record)
+    # step-major, so each step reads and writes a contiguous h
+    hs = np.empty((T, batch, d_s), dtype=FLOAT)
+    state, rec = cell_forward(operands, table, np.ascontiguousarray(tokens.T), state, hs,
+                              rng, dropout_h, record)
     # a non-finite c stays non-finite through f * c + i * g
     if not np.all(np.isfinite(state.c)):
         raise NumericAbort("non-finite value in cell state")
-    logits = head.forward(hs.reshape(-1, d_s)).reshape(*hs.shape[:2], head.out_dim)
-    if record:
-        return logits, _Recording(hs, caches), state
-    return logits.transpose(1, 0, 2), None, state
+    logits = head.forward(hs.reshape(-1, d_s)).reshape(T, batch, head.out_dim)
+    return logits.transpose(1, 0, 2), rec, state
 
 
 def unroll_forward(model: LMModel, tokens: np.ndarray,
                    init: HLSTMState | None = None, train: bool = False,
                    rng: np.random.Generator | None = None):
-    """Run T steps from `init` (None: zero state); returns (logits, caches,
-    final state). tokens has shape (B, T) and logits (B, T, V).
+    """Run T steps from `init` (None: zero state); returns (logits,
+    recording, final state). tokens has shape (B, T) and logits (B, T, V).
 
-    train=True records one StepCache per step for `bptt`, at the shape of
-    the model given; dropout is on iff an rng is given, and the final state
-    (full-shape) continues the next window. train=False runs
+    train=True keeps every step's arrays for `bptt` (see cell_forward), at
+    the shape of the model given; dropout is on iff an rng is given, and the
+    final state (full-shape) continues the next window. train=False runs
     `freeze(model).forward(tokens)` from a zero state: it takes no init and
-    no rng, and returns no caches (an empty list). Stateful forward-only
-    windows run on a frozen model, as in `evaluate`.
+    no rng, and returns an empty list for the recording. Stateful
+    forward-only windows run on a frozen model, as in `evaluate`.
     """
     if train:
         layout = FrozenModel(*_layout(model.cell, model.embedding), model.head)
@@ -560,19 +544,23 @@ def _softmax_nll(logits: np.ndarray, targets: np.ndarray):
     return probs, idx, float(-np.log(probs[idx]).sum())
 
 
-def bptt(model: LMModel, logits: np.ndarray, caches, tokens: np.ndarray,
+def bptt(model: LMModel, logits: np.ndarray, rec: _Recording, tokens: np.ndarray,
          targets: np.ndarray, grad_scale: float = 1.0) -> float:
     """Cross-entropy over all steps; accumulates every parameter gradient.
 
     Returns the summed NLL (not the mean). grad_scale rescales accumulated
     gradients (training uses 1/(B*T); the finite-difference oracle uses 1).
+    `rec` is the recording of a train=True unroll_forward, consumed here:
+    a second bptt on it raises ContractViolation.
     """
-    tokens = np.asarray(tokens)
-    targets = np.asarray(targets)
+    tokens, targets = np.asarray(tokens), np.asarray(targets)
     if targets.shape != tokens.shape:
         raise ContractViolation("targets must match tokens shape")
-    if not isinstance(caches, _Recording) or len(caches) != tokens.shape[1]:
-        raise ContractViolation("bptt needs the caches of a train=True unroll_forward")
+    if not isinstance(rec, _Recording) or len(rec.act) != tokens.shape[1]:
+        raise ContractViolation("bptt needs the recording of a train=True unroll_forward")
+    if rec.consumed:
+        raise ContractViolation("recording already consumed by a backward pass")
+    rec.consumed = True
     probs, idx, total_nll = _softmax_nll(logits, targets)
     d_logits = probs.copy()
     d_logits[idx] -= 1.0
@@ -580,16 +568,14 @@ def bptt(model: LMModel, logits: np.ndarray, caches, tokens: np.ndarray,
 
     batch, T = tokens.shape
     cell, head = model.cell, model.head
-    hs = caches.hs
-    d_hs = head.backward(hs.reshape(batch * T, cell.d_s),
-                         d_logits.reshape(batch * T, model.vocab_size))
-    d_hs = d_hs.reshape(batch, T, cell.d_s)
+    # in (B, T) order, so the head's gradient sums its rows as the logits run
+    hs = rec.hs.transpose(1, 0, 2).reshape(batch * T, cell.d_s)
+    d_hs = head.backward(hs, d_logits.reshape(batch * T, -1)).reshape(batch, T, -1)
     d_xw = np.empty((len(GATES), T, batch, cell.d_h), dtype=FLOAT)
     bwd = _BackwardPass(cell, batch)
-    d_next = HLSTMState(h=np.zeros_like(hs[:, 0]), c=np.zeros_like(hs[:, 0]))
+    d_next = HLSTMState.zeros(cell.d_s, batch)
     for t in range(T - 1, -1, -1):
-        _, d_next = cell_backward(bwd, caches[t], d_hs[:, t] + d_next.h, d_next.c,
-                                  out=d_xw[:, t])
+        _, d_next = cell_backward(bwd, rec, t, d_hs[:, t] + d_next.h, d_next.c, out=d_xw[:, t])
     bwd.flush(cell)
     one_hot = (np.arange(model.vocab_size)[:, None] == tokens.T.reshape(-1)).astype(FLOAT)
     d_table = np.matmul(one_hot, d_xw.reshape(len(GATES), T * batch, cell.d_h))

@@ -127,17 +127,25 @@ class FlowConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read flow config {path}: {exc}") from exc
+
+        def section(value, key: str) -> dict:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} of flow config {path} is not a JSON object")
+            return value
+
+        data = section(data, "top level")
         if data.pop("version", CONFIG_VERSION) != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version in {path}")
         try:
-            gp = GrowPruneConfig(**data.pop("growprune", {}))
-            opt = OptimizerConfig(**data.pop("optimizer", {}))
-            lat_raw = data.pop("latency", {})
+            gp = GrowPruneConfig(**section(data.pop("growprune", {}), "growprune"))
+            opt = OptimizerConfig(**section(data.pop("optimizer", {}), "optimizer"))
+            raw = section(data.pop("latency", {}), "latency")
             try:
-                curve = latlab.SyntheticCurveSpec(**lat_raw.pop("curve", {}))
+                curve = latlab.SyntheticCurveSpec(
+                    **section(raw.pop("curve", {}), "latency.curve"))
             except ContractViolation as exc:   # it names the curve's field
                 raise ConfigError(f"latency.curve.{exc}") from None
-            lat = LatencyConfig(curve=curve, **lat_raw)
+            lat = LatencyConfig(curve=curve, **raw)
             if "profile_grid" in data:
                 data["profile_grid"] = tuple(data["profile_grid"])
             return cls(growprune=gp, optimizer=opt, latency=lat, **data)
@@ -243,9 +251,8 @@ def _window_pass(model: LMModel, ids: np.ndarray, batch: int, seq_len: int,
     count = windows = 0
     states = None
     for xs, ys in batch_windows(ids, batch, seq_len):
-        logits, caches, states = unroll_forward(model, xs, init=states,
-                                                train=True, rng=rng)
-        total_nll += bptt(model, logits, caches, xs, ys, grad_scale=1.0 / xs.size)
+        logits, rec, states = unroll_forward(model, xs, init=states, train=True, rng=rng)
+        total_nll += bptt(model, logits, rec, xs, ys, grad_scale=1.0 / xs.size)
         count += xs.size
         windows += 1
         if collect:
@@ -417,11 +424,17 @@ class SynthesisFlow:
                                        latlab.SweepConfig(hardware_id="flow"))
             self.hmap = latlab.detect_lhps(profile)
         self.cfg = cfg
+        path = bundled_corpus_path() if cfg.corpus_path == "bundled" else cfg.corpus_path
+        self.corpus: Corpus = load_corpus(path, cfg.train_frac, cfg.valid_frac)
+        for split, batch in (("train", cfg.batch), ("valid", VALID_BATCH)):
+            ids = getattr(self.corpus, split)
+            if next(batch_windows(ids, batch, cfg.seq_len), None) is None:
+                raise ConfigError(f"{split} split of {path} has {len(ids)} tokens; a batch "
+                                  f"{batch} x seq_len {cfg.seq_len} window needs "
+                                  f"{batch * cfg.seq_len + 1}")
         self.out_dir = Path(out_dir) if out_dir is not None else None
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = bundled_corpus_path() if cfg.corpus_path == "bundled" else cfg.corpus_path
-        self.corpus: Corpus = load_corpus(path, cfg.train_frac, cfg.valid_frac)
         self.rng = make_rng(cfg.seed)
         self.state = FlowState()
         self.report = FlowReport()

@@ -231,29 +231,28 @@ def per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c, rng=None, dropout=0.0)
 # every H layer's pre-activation with the bias, per symbol, and the step
 # operands: the recurrent part of H and the gate-scaled O, laid out once per
 # pass) and the steps' symbol ids, and cell_backward returns the gradient of
-# one step's projected input. These adapters run one step from a (B, d_x)
-# input through the library's own layout: its B rows are the table, and
-# row b is batch row b's symbol.
+# one recorded step's projected input. These adapters run one step from a
+# (B, d_x) input through the library's own layout: its B rows are the
+# table, and row b is batch row b's symbol.
 
 def cell_step(cell, x, prev, **kwargs):
-    """One cell_forward step on a (B, d_x) input: (state, its StepCache or
-    None); kwargs as for cell_forward."""
+    """One cell_forward step on a (B, d_x) input: (state, its one-step
+    recording); kwargs as for cell_forward."""
     from hwsynth.hlstm import _layout, cell_forward
 
     table, operands = _layout(cell, np.asarray(x, dtype=float))
     hs = np.empty((1, *prev.h.shape))
-    state, caches = cell_forward(operands, table, np.arange(len(x))[None], prev, hs, **kwargs)
-    return state, caches[0] if caches else None
+    return cell_forward(operands, table, np.arange(len(x))[None], prev, hs, **kwargs)
 
 
-def cell_step_backward(cell, cache, x, d_h, d_c):
-    """cell_backward of a cell_step on input x, with its gradients added
-    into the cell and the x part of H.grad_w and H.grad_b. Returns (dL/dx,
-    dL/d previous state)."""
+def cell_step_backward(cell, rec, x, d_h, d_c):
+    """cell_backward of a cell_step's recording on input x, with its
+    gradients added into the cell and the x part of H.grad_w and H.grad_b.
+    Returns (dL/dx, dL/d previous state)."""
     from hwsynth.hlstm import _BackwardPass, _project_input_backward, cell_backward
 
     bwd = _BackwardPass(cell, len(d_h))
-    d_xw, d_prev = cell_backward(bwd, cache, d_h, d_c)
+    d_xw, d_prev = cell_backward(bwd, rec, 0, d_h, d_c)
     bwd.flush(cell)
     return _project_input_backward(cell, x, d_xw), d_prev
 
@@ -261,30 +260,36 @@ def cell_step_backward(cell, cache, x, d_h, d_c):
 # --- full-shape forward ------------------------------------------------------------
 #
 # The unroll every pass ran before forward-only passes were compacted: all
-# d_s and d_h units of the masked model, dead ones included, one StepCache
-# per step, dropout iff an rng is given. It projects the input, lays out
-# the step operands and applies the head step by step where the library
+# d_s and d_h units of the masked model, dead ones included, one recorded
+# step at a time, dropout iff an rng is given. It projects the input, lays
+# out the step operands and applies the head step by step where the library
 # does each once per pass, so a
 # training pass matches it bit for bit only while the BLAS rounds a GEMM
 # row the same whatever the row count (as OpenBLAS does for B > 1);
 # forward-only passes match it up to BLAS summation order.
 
 def full_shape_forward(model, tokens, init=None, rng=None):
-    """(logits (B, T, V), caches, final full-shape state) of the masked model.
-    The caches are a recording bptt accepts: the steps' caches and h stack."""
+    """(logits (B, T, V), recording, final full-shape state) of the masked
+    model. The recording is one bptt accepts: the steps' one-step
+    recordings joined along their slot axis."""
     from hwsynth.hlstm import HLSTMState, _Recording
 
     batch, T = tokens.shape
     state = HLSTMState.zeros(model.cell.d_s, batch) if init is None else init
     logits = np.zeros((batch, T, model.vocab_size))
-    caches = _Recording(np.zeros((batch, T, model.cell.d_s)))
+    steps = []
     for t in range(T):
-        state, cache = cell_step(model.cell, model.embedding[tokens[:, t]], state,
-                                 rng=rng, dropout_h=model.dropout_h)
+        state, step = cell_step(model.cell, model.embedding[tokens[:, t]], state,
+                                rng=rng, dropout_h=model.dropout_h)
         logits[:, t] = model.head.forward(state.h)
-        caches.hs[:, t] = state.h
-        caches.append(cache)
-    return logits, caches, state
+        steps.append(step)
+
+    def joined(name):
+        arrays = [getattr(step, name) for step in steps]
+        return None if arrays[0] is None else np.concatenate(arrays)
+
+    names = ("hs", "act", "gate_in", "keep", "gates", "c", "tanh_c")
+    return logits, _Recording(steps[0].init, *map(joined, names)), state
 
 
 # --- reference forward-only pass ----------------------------------------------------
@@ -332,29 +337,32 @@ def reference_forward_only(model, tokens, init=None):
 # relu), and the x part of H runs on every step's gathered embedding row,
 # scattered back into the embedding gradient with np.add.at.
 
-def reference_cell_backward(cell, cache, d_h_t, d_c_t):
-    """(dL/dxw_t, dL/dh_prev, dL/dc_prev) of one step; accumulates the O
-    blocks' gradients and the recurrent part of H.grad_w into the cell."""
+def reference_cell_backward(cell, rec, t, d_h_t, d_c_t):
+    """(dL/dxw_t, dL/dh_prev, dL/dc_prev) of step t of a recording;
+    accumulates the O blocks' gradients and the recurrent part of H.grad_w
+    into the cell."""
     H, O, d_x = cell.H, cell.O, cell.d_x
-    f, i, o, g = cache.gate_out
-    d_c = d_c_t + d_h_t * o * (1.0 - cache.tanh_c ** 2)
-    d_pre_out = np.stack([d_c * cache.c_prev, d_c * g, d_h_t * cache.tanh_c, d_c * i])
-    sig = cache.gate_out[:3]
+    h_prev, c_prev = (rec.hs[t - 1], rec.c[t - 1]) if t > 0 else (rec.init.h, rec.init.c)
+    gate_out, tanh_c = rec.gates[t], rec.tanh_c[t]
+    f, i, o, g = gate_out
+    d_c = d_c_t + d_h_t * o * (1.0 - tanh_c ** 2)
+    d_pre_out = np.stack([d_c * c_prev, d_c * g, d_h_t * tanh_c, d_c * i])
+    sig = gate_out[:3]
     d_pre_out[:3] = d_pre_out[:3] * sig * (1.0 - sig)
     d_pre_out[3] = d_pre_out[3] * (1.0 - g * g)
-    O.grad_w += np.matmul(d_pre_out.transpose(0, 2, 1), cache.gate_in)
+    O.grad_w += np.matmul(d_pre_out.transpose(0, 2, 1), rec.gate_in[t])
     O.grad_b += d_pre_out.sum(axis=1)
     d_in = np.matmul(d_pre_out, O.w)
-    if cache.keep is not None:
-        d_in = d_in * cache.keep
-    d_pre = d_in * (cache.h_act > 0.0)
-    H.grad_w[:, :, d_x:] += np.matmul(d_pre.transpose(0, 2, 1), cache.h_prev)
+    if rec.keep is not None:
+        d_in = d_in * rec.keep[t]
+    d_pre = d_in * (rec.act[t] > 0.0)
+    H.grad_w[:, :, d_x:] += np.matmul(d_pre.transpose(0, 2, 1), h_prev)
     return d_pre, np.matmul(d_pre, H.w[:, :, d_x:]).sum(axis=0), d_c * f
 
 
-def reference_bptt(model, logits, caches, tokens, targets, grad_scale=1.0):
+def reference_bptt(model, logits, rec, tokens, targets, grad_scale=1.0):
     """bptt's contract (summed NLL returned, every gradient accumulated)
-    through the reference backward."""
+    through the reference backward, from a train=True recording."""
     from hwsynth.hlstm import softmax
 
     probs = softmax(logits)
@@ -366,13 +374,14 @@ def reference_bptt(model, logits, caches, tokens, targets, grad_scale=1.0):
     batch, T = tokens.shape
     cell = model.cell
     H, d_x = cell.H, cell.d_x
-    d_hs = model.head.backward(caches.hs.reshape(batch * T, cell.d_s),
+    hs = rec.hs.transpose(1, 0, 2)       # (B, T, d_s)
+    d_hs = model.head.backward(hs.reshape(batch * T, cell.d_s),
                                d_logits.reshape(batch * T, model.vocab_size))
     d_hs = d_hs.reshape(batch, T, cell.d_s)
     d_xw = np.empty((4, T, batch, cell.d_h))
     d_h = d_c = np.zeros((batch, cell.d_s))
     for t in range(T - 1, -1, -1):
-        d_xw[:, t], d_h, d_c = reference_cell_backward(cell, caches[t], d_hs[:, t] + d_h, d_c)
+        d_xw[:, t], d_h, d_c = reference_cell_backward(cell, rec, t, d_hs[:, t] + d_h, d_c)
     steps = tokens.T.reshape(-1)
     x = model.embedding[steps]
     d_xw = d_xw.reshape(4, T * batch, cell.d_h)

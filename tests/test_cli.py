@@ -118,6 +118,18 @@ class TestExitCodes:
         assert main(["synthesize", "--config", str(bad),
                      "--out", str(workdir / "o")]) == 2
 
+    @pytest.mark.parametrize("text,key", [("[1, 2]", "flow config"),
+                                          ('{"latency": null}', "latency of flow config"),
+                                          ('{"latency": {"curve": [4]}}', "latency.curve")])
+    def test_config_section_not_an_object(self, workdir, text, key, capsys):
+        bad = workdir / "not_an_object.json"
+        bad.write_text(text, encoding="utf-8")
+        out = workdir / "not_an_object_out"
+        assert main(["synthesize", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} " in err and "not_an_object.json is not a JSON object" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", [
         {"depth": 2}, {"profile_grid": [1, 8, 1]},
         {"latency": {"mode": "Virtual", "curve": {"period": 4}}},

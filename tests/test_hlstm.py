@@ -8,6 +8,7 @@ import pytest
 from hwsynth.growprune import coordinated_rc_prune_counts
 from hwsynth.hlstm import (
     GATES,
+    FrozenModel,
     HLSTMCellParams,
     HLSTMState,
     LMModel,
@@ -123,9 +124,9 @@ class TestCellForward:
         cell = HLSTMCellParams.create(3, 4, 5, rng)
         state = HLSTMState.zeros(4, 1)
         for _ in range(20):
-            state, cache = cell_step(cell, rng.uniform(-3, 3, size=(1, 3)), state)
+            state, rec = cell_step(cell, rng.uniform(-3, 3, size=(1, 3)), state)
             assert np.all(np.abs(state.h) < 1.0)
-            sig = cache.gate_out[:3]    # f, i, o
+            sig = rec.gates[0, :3]    # f, i, o
             assert np.all((sig > 0) & (sig < 1))
 
     def test_saturated_gates_are_exact(self):
@@ -136,8 +137,8 @@ class TestCellForward:
         prev = HLSTMState(h=np.zeros((3, 2)), c=np.full((3, 2), 0.7))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            state, cache = cell_step(cell, np.ones((3, 2)), prev)
-        sig = cache.gate_out[:3]    # f, i, o
+            state, rec = cell_step(cell, np.ones((3, 2)), prev)
+        sig = rec.gates[0, :3]    # f, i, o
         assert np.all(sig[:, :, 0] == 1.0) and np.all(sig[:, :, 1] == 0.0)
         assert np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.h))
 
@@ -175,8 +176,8 @@ class TestCellBackward:
         rng = make_rng(7)
         cell = HLSTMCellParams.create(2, 3, 2, rng)
         x = rng.standard_normal((1, 2))
-        _, cache = cell_step(cell, x, HLSTMState.zeros(3, 1))
-        d_x, d_prev = cell_step_backward(cell, cache, x, np.zeros((1, 3)), np.zeros((1, 3)))
+        _, rec = cell_step(cell, x, HLSTMState.zeros(3, 1))
+        d_x, d_prev = cell_step_backward(cell, rec, x, np.zeros((1, 3)), np.zeros((1, 3)))
         assert np.array_equal(d_x, np.zeros((1, 2)))
         assert np.array_equal(d_prev.h, np.zeros((1, 3)))
         for layer in cell.layers():
@@ -185,20 +186,11 @@ class TestCellBackward:
     def test_zero_weight_cell_c_prev_gradient(self):
         cell = zeroed_cell(d_x=2, d_s=3, d_h=2)
         c_prev = np.array([[0.1, 0.2, 0.3]])
-        _, cache = cell_step(cell, np.ones((1, 2)),
-                             HLSTMState(h=np.zeros((1, 3)), c=c_prev))
+        _, rec = cell_step(cell, np.ones((1, 2)),
+                           HLSTMState(h=np.zeros((1, 3)), c=c_prev))
         d_c = np.array([[1.0, -2.0, 0.5]])
-        _, d_prev = cell_backward(_BackwardPass(cell, 1), cache, np.zeros((1, 3)), d_c)
+        _, d_prev = cell_backward(_BackwardPass(cell, 1), rec, 0, np.zeros((1, 3)), d_c)
         assert np.allclose(d_prev.c, 0.5 * d_c)  # c_t = 0.5 * c_prev
-
-    def test_cache_reuse_rejected(self):
-        rng = make_rng(8)
-        cell = HLSTMCellParams.create(2, 2, 2, rng)
-        _, cache = cell_step(cell, rng.standard_normal((1, 2)), HLSTMState.zeros(2, 1))
-        bwd = _BackwardPass(cell, 1)
-        cell_backward(bwd, cache, np.zeros((1, 2)), np.zeros((1, 2)))
-        with pytest.raises(ContractViolation):
-            cell_backward(bwd, cache, np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_parameter_gradients_match_fd(self):
         rng = make_rng(9)
@@ -217,8 +209,8 @@ class TestCellBackward:
             state, _ = cell_step(cell, x, prev)
             return float((r_h * state.h).sum() + (r_c * state.c).sum())
 
-        _, cache = cell_step(cell, x, prev)
-        cell_step_backward(cell, cache, x, r_h, r_c)
+        _, rec = cell_step(cell, x, prev)
+        cell_step_backward(cell, rec, x, r_h, r_c)
         for layer in cell.layers():
             fd = fd_layer_gradients(layer, loss)
             assert max_rel_err(layer.grad_w, fd) < 1e-5, layer.name
@@ -249,9 +241,9 @@ class TestStackedKernelsMatchPerGate:
         cell, rng = pruned_cell(seed)
         assert cell.active_dims() == (35, 32)
         x, h_prev, c_prev, d_h, d_c = self.step_inputs(rng, cell, batch)
-        state, cache = cell_step(cell, x, HLSTMState(h=h_prev, c=c_prev),
-                                 rng=make_rng(seed + 1), dropout_h=dropout)
-        d_x, d_prev = cell_step_backward(cell, cache, x, d_h, d_c)
+        state, rec = cell_step(cell, x, HLSTMState(h=h_prev, c=c_prev),
+                               rng=make_rng(seed + 1), dropout_h=dropout)
+        d_x, d_prev = cell_step_backward(cell, rec, x, d_h, d_c)
         ref = per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c,
                                  rng=make_rng(seed + 1), dropout=dropout)
         out = [("h", state.h, ref["h"]), ("c", state.c, ref["c"]),
@@ -259,7 +251,7 @@ class TestStackedKernelsMatchPerGate:
                ("d_c_prev", d_prev.c, ref["d_c_prev"])]
         for k, g in enumerate(GATES):
             want = ref["gate_out"][g]
-            out.append((f"gate {g}", cache.gate_out[k], want))
+            out.append((f"gate {g}", rec.gates[0, k], want))
         for layer in cell.layers():
             grad_w, grad_b = ref["grads"][layer.name]
             out.append((f"{layer.name}.grad_w", layer.grad_w, grad_w))
@@ -348,7 +340,7 @@ class TestUnrollAndBptt:
         probs = softmax(logits[0, 0])
         expected = probs.copy()
         expected[targets[0, 0]] -= 1.0
-        top_h = caches[0].gate_out[GATES.index("o")][0] * caches[0].tanh_c[0]
+        top_h = caches.gates[0, GATES.index("o"), 0] * caches.tanh_c[0, 0]
         assert np.allclose(model.head.grad_w, np.outer(expected, top_h))
 
     @pytest.mark.parametrize("batch", [1, 3])
@@ -377,6 +369,16 @@ class TestUnrollAndBptt:
             init = HLSTMState(h=np.zeros((2, 3)), c=np.full((2, 3), np.inf))
         with pytest.raises(NumericAbort, match="non-finite value in cell state"):
             unroll_forward(model, tokens, init=init, train=train)
+
+    def test_recording_reuse_rejected(self):
+        model, tokens, targets = random_model(8, vocab=4, d_x=2, d_s=2, d_h=2, T=3, batch=2)
+        logits, rec, _ = unroll_forward(model, tokens, train=True)
+        bptt(model, logits, rec, tokens, targets)
+        grads = [layer.grad_w.copy() for layer in model.masked_layers()]
+        with pytest.raises(ContractViolation, match="consumed"):
+            bptt(model, logits, rec, tokens, targets)
+        for layer, before in zip(model.masked_layers(), grads):
+            assert np.array_equal(layer.grad_w, before), layer.name
 
     def test_batched_matches_sum_of_streams(self):
         model, tokens, targets = random_model(17, vocab=5, d_x=2, d_s=3, d_h=3,
@@ -505,6 +507,30 @@ class TestCompact:
         for old, new in zip(kept, (again, state.h, state.c)):
             assert new.tobytes() == old.tobytes()
 
+    def test_forward_only_leaves_a_passed_in_state(self, monkeypatch):
+        """FrozenModel.forward reads the state it is given and returns a new
+        one, in a direct call and in each of evaluate's windows, which start
+        from the last window's state."""
+        model, rng = unread_model(39)
+        frozen = freeze(model)
+        d_s = frozen.head.in_dim
+        given = HLSTMState(h=rng.standard_normal((2, d_s)), c=rng.standard_normal((2, d_s)))
+        kept = [(given, given.h.copy(), given.c.copy())]
+        _, state = frozen.forward(rng.integers(0, 9, size=(2, 7)), given)
+        assert not np.shares_memory(state.c, given.c)
+        forward = FrozenModel.forward
+
+        def keeping(self, tokens, state=None):
+            if state is not None:
+                kept.append((state, state.h.copy(), state.c.copy()))
+            return forward(self, tokens, state)
+
+        monkeypatch.setattr(FrozenModel, "forward", keeping)
+        evaluate(model, rng.integers(0, 9, size=200), seq_len=8, batch=2)
+        assert len(kept) >= 10
+        for state, h, c in kept:
+            assert state.h.tobytes() == h.tobytes() and state.c.tobytes() == c.tobytes()
+
     def test_forward_only_refuses_an_rng(self):
         model, tokens, _ = random_model(36, vocab=4, d_x=2, d_s=2, d_h=2)
         with pytest.raises(ContractViolation, match="rng"):
@@ -530,10 +556,9 @@ class TestCompact:
             run = lambda: None if seed is None else make_rng(seed)
             got, caches, state = unroll_forward(model, tokens, train=True, rng=run())
             ref, ref_caches, ref_state = full_shape_forward(model, tokens, rng=run())
-            assert got.tobytes() == ref.tobytes() and len(caches) == 8
+            assert got.tobytes() == ref.tobytes() and len(caches.gate_in) == 8
             assert state.h.tobytes() == ref_state.h.tobytes()
-            assert all(np.array_equal(a.gate_in, b.gate_in)
-                       for a, b in zip(caches, ref_caches))
+            assert np.array_equal(caches.gate_in, ref_caches.gate_in)
 
 
 def edit_live_weights(model, rng):

@@ -223,6 +223,22 @@ class TestFlowConfig:
                                   profile_path=write_profile(tmp_path / "p.csv", 12)))
         SynthesisFlow(tiny_config(tiny_corpus, profile_grid=(2, 12, 2)))
 
+    @pytest.mark.parametrize("split,batch,seq_len,tokens", [("train", 40, 60, 2400),
+                                                           ("valid", 1, 75, 300)])
+    def test_a_split_without_a_window_is_refused_before_training(
+            self, tiny_corpus, tmp_path, monkeypatch, split, batch, seq_len, tokens):
+        # a valid window has VALID_BATCH = 4 lanes: in each case the other split has one
+        assert len(getattr(SynthesisFlow(tiny_config(tiny_corpus)).corpus, split)) == tokens
+        lanes = batch if split == "train" else synthflow.VALID_BATCH
+        epochs = count_calls(monkeypatch, Trainer, "epoch")
+        out = tmp_path / "flow"
+        with pytest.raises(ConfigError, match=f"^{split} split of .*tiny.txt has {tokens} "
+                                              f"tokens; .* needs {lanes * seq_len + 1}$"):
+            run_flow(tiny_config(tiny_corpus, batch=batch, seq_len=seq_len), out,
+                     log=lambda *a, **k: None)
+        assert epochs == [] and not out.exists()
+        SynthesisFlow(tiny_config(tiny_corpus, batch=batch, seq_len=seq_len - 1))
+
     @pytest.mark.parametrize("top", [0, 11])
     def test_loaded_profile_must_reach_d_s(self, tiny_corpus, tmp_path, top):
         # no rows, or a largest dim below d_s = 12: refused before any training
