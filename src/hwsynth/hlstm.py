@@ -15,21 +15,21 @@ w[mask == 0] == 0 always holds.
 The language model is one such cell (`LMModel.cell`) between an embedding
 and a softmax head. Every input is a batch: tokens are (B, T) and a step's
 state (B, d_s); other shapes raise ContractViolation. Training and
-forward-only passes share one recurrence, `cell_forward`: one call and one
-step body per pass, whose steps write into the pass's recording, arrays
-made once per pass with a slot per step for `bptt` to reverse (a
-forward-only pass reuses one slot). A step does only the work that depends
-on h_{t-1}: it gathers the x part of H, bias included, from a per-symbol
-table (4, V, d_h) made before the loop, then runs one batched matmul per
-layer kind and one tanh for all four gates, with sigmoid(v) = (1 +
-tanh(v/2)) / 2; the head runs once on the (T, B, d_s) h stack after the
-loop. This matches the per-step, per-gate computation to rounding, not bit
+forward-only passes compute the same steps, in `cell_forward`: one call and
+one step body per pass, whose steps write into the pass's recording (the
+relu output, gates and cell state), a slot per step for `bptt` to reverse
+(a forward-only pass reuses one slot). A step does only the work that
+depends on h_{t-1}: it gathers the x part of H, bias included, from a
+per-symbol table (4, V, d_h) made before the loop, then runs one batched
+matmul per layer kind and one tanh for all four gates, with sigmoid(v) =
+(1 + tanh(v/2)) / 2; the head runs once on the (T, B, d_s) h stack after
+the loop. This matches the per-step, per-gate computation to rounding, not bit
 for bit. `bptt` reverses the table per symbol: one one-hot GEMM sums each
 symbol's steps, then the V-row embedding projects them back; its step
-derives all four gates by one formula. Each pass (in training, each
-window) lays out what its steps read once and contiguous, as OpenBLAS runs
-transposed views slower: `_layout`, and `_BackwardPass` with the
-backward's buffers and gradient sums.
+derives all four gates by one formula. Each pass (in training, each window)
+lays out what its steps read once and contiguous, as OpenBLAS runs
+transposed views slower: `_layout`, and `_BackwardPass` with the backward's
+buffers and gradient sums.
 
 Pruned units cost no time in any pass that feeds no growth. Inference
 runs `freeze(model)`: the read units' table, step operands and head, laid
@@ -152,16 +152,13 @@ class HLSTMCellParams:
 @dataclass
 class _Recording:
     """A pass's step arrays, one slot per step (a forward-only pass reuses
-    one): `act`, the H layers' relu output, and `gate_in`, the O layers'
-    input (`act` itself unless the pass drops units, by `keep`), (slots, 4,
-    B, d_h); the `gates` (slots, 4, B, d_s); `c` and `tanh_c` (slots, B,
+    one): `act`, the H layers' relu output and the O layers' input, (slots,
+    4, B, d_h); the `gates` (slots, 4, B, d_s); `c` and `tanh_c` (slots, B,
     d_s). `init` is the state before step 0, `hs` the (T, B, d_s) h stack."""
 
     init: HLSTMState
     hs: np.ndarray
     act: np.ndarray
-    gate_in: np.ndarray
-    keep: np.ndarray | None
     gates: np.ndarray
     c: np.ndarray
     tanh_c: np.ndarray
@@ -208,8 +205,7 @@ def _project_input_backward(params: HLSTMCellParams, x: np.ndarray,
 
 
 def cell_forward(operands: tuple[np.ndarray, ...], table: np.ndarray, ids: np.ndarray,
-                 init: HLSTMState, hs: np.ndarray, rng: np.random.Generator | None = None,
-                 dropout_h: float = 0.0, record: bool = True
+                 init: HLSTMState, hs: np.ndarray, record: bool = True
                  ) -> tuple[HLSTMState, _Recording]:
     """A pass's T steps, all four gates at once, given the pass's step
     operands and table (4, V, d_h), the x part of the H layers'
@@ -219,11 +215,11 @@ def cell_forward(operands: tuple[np.ndarray, ...], table: np.ndarray, ids: np.nd
     part, another that runs the O layers, and one tanh that computes every
     gate. The ids are checked against V once here, so the steps gather
     without a bounds check. Step t's h goes into hs[t] (hs is (T, B, d_s)).
-    Dropout runs iff an rng is given and dropout_h > 0. The operands read w
-    as W*Msk, relying on w[mask == 0] == 0. Every step writes into the
-    pass's _Recording, made here: a slot per step when `record`, else one
-    slot that every step reuses. Returns the final state (h is hs[T-1];
-    `init` is left as it was) and the recording."""
+    The operands read w as W*Msk, relying on w[mask == 0] == 0. Every step
+    writes into the pass's _Recording, made here: a slot per step when
+    `record`, else one slot that every step reuses; the O layers read the
+    relu output `act` itself. Returns the final state (h is hs[T-1]; `init`
+    is left as it was) and the recording."""
     h_rec, o_w, o_b = operands
     batch, d_h = len(init.h), h_rec.shape[2]
     if table.ndim != 3 or table.shape[::2] != (len(GATES), d_h) or ids.shape[1:] != (batch,):
@@ -235,25 +231,19 @@ def cell_forward(operands: tuple[np.ndarray, ...], table: np.ndarray, ids: np.nd
     x_t, scratch = np.empty((len(GATES), batch, d_h)), np.empty(gate_shape[1:])
     # a same-shape add runs as one inner loop, a (4, 1, d_s) one as 4 B loops of d_s
     o_b = np.broadcast_to(o_b, gate_shape).copy()
-    act = np.empty((slots, len(GATES), batch, d_h))
-    drop = rng is not None and dropout_h > 0.0
-    rec = _Recording(init, hs, act, np.empty_like(act) if drop else act,
-                     np.empty_like(act) if drop else None, np.empty((slots, *gate_shape)),
-                     *np.empty((2, slots, *gate_shape[1:])))
+    rec = _Recording(init, hs, np.empty((slots, len(GATES), batch, d_h)),
+                     np.empty((slots, *gate_shape)), *np.empty((2, slots, *gate_shape[1:])))
     # each slot's views, made once per pass: slicing per step outweighs a small step
-    views = [(rec.act[k], rec.gate_in[k], rec.keep[k] if drop else None, rec.gates[k],
-              rec.gates[k, :3], *rec.gates[k], rec.c[k], rec.tanh_c[k]) for k in range(slots)]
+    views = [(rec.act[k], rec.gates[k], rec.gates[k, :3], *rec.gates[k], rec.c[k],
+              rec.tanh_c[k]) for k in range(slots)]
     h, c = init.h, init.c
-    for step_ids, h_t, (act, gate_in, keep, gates, sigmoids, f, i, o, g, c_t, tanh_c) \
+    for step_ids, h_t, (act, gates, sigmoids, f, i, o, g, c_t, tanh_c) \
             in zip(ids, hs, cycle(views)):
         np.matmul(h, h_rec, out=act)
         # "clip" skips the bounds check, which with "raise" also buffers out
         act += table.take(step_ids, axis=1, out=x_t, mode="clip")
         np.maximum(act, 0.0, out=act)
-        if drop:
-            np.divide(rng.random(act.shape) >= dropout_h, 1.0 - dropout_h, out=keep)
-            np.multiply(act, keep, out=gate_in)
-        np.matmul(gate_in, o_w, out=gates)
+        np.matmul(act, o_w, out=gates)
         gates += o_b
         np.tanh(gates, out=gates)
         sigmoids += 1.0
@@ -305,11 +295,9 @@ def cell_backward(bwd: _BackwardPass, rec: _Recording, t: int, d_h_t: np.ndarray
         np.multiply(u, v, out=d_gates[k])
     np.multiply(np.subtract(_DERIV_A, gates, out=bwd.deriv), gates, out=bwd.deriv)
     d_gates *= np.add(bwd.deriv, _DERIV_B, out=bwd.deriv)
-    bwd.grad_o += np.matmul(d_gates.transpose(0, 2, 1), rec.gate_in[t], out=bwd.step_o)
+    bwd.grad_o += np.matmul(d_gates.transpose(0, 2, 1), rec.act[t], out=bwd.step_o)
     bwd.grad_o_b += d_gates.sum(axis=1)
     d_in = np.matmul(d_gates, bwd.o_w, out=bwd.d_in)
-    if rec.keep is not None:
-        d_in *= rec.keep[t]
     d_pre = np.multiply(d_in, rec.act[t] > 0.0, out=out)
     bwd.grad_h += np.matmul(d_pre.transpose(0, 2, 1), h_prev, out=bwd.step_h)
     # d_gates is spent: its buffer takes the four gates' terms of dL/dh_prev
@@ -324,7 +312,6 @@ class LMModel:
     embedding: np.ndarray          # (V, d_x)
     cell: HLSTMCellParams
     head: MaskedLinear             # (V, d_s)
-    dropout_h: float = 0.0
     embedding_grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -354,13 +341,13 @@ class LMModel:
 
     @classmethod
     def create(cls, vocab_size: int, d_x: int, d_s: int, d_h: int,
-               rng: np.random.Generator, dropout_h: float = 0.0) -> "LMModel":
+               rng: np.random.Generator) -> "LMModel":
         if vocab_size < 2:
             raise ContractViolation("vocabulary must have at least 2 symbols")
         emb = rng.uniform(-0.1, 0.1, size=(vocab_size, d_x))
         cell = HLSTMCellParams.create(d_x, d_s, d_h, rng, name="cell0")
         head = MaskedLinear.dense(vocab_size, d_s, rng, name="head")
-        return cls(embedding=emb, cell=cell, head=head, dropout_h=dropout_h)
+        return cls(embedding=emb, cell=cell, head=head)
 
 
 def _read_units(model: LMModel) -> tuple[np.ndarray, np.ndarray]:
@@ -390,7 +377,7 @@ def _take_units(model: LMModel, s: np.ndarray, h: np.ndarray) -> LMModel:
     small.H.b[...] = cell.H.b[:, h]
     small.O.b[...] = cell.O.b[:, s]
     small_head = MaskedLinear(head.w[:, s], head.mask[:, s], head.b.copy(), head.name)
-    return LMModel(model.embedding.copy(), small, small_head, model.dropout_h)
+    return LMModel(model.embedding.copy(), small, small_head)
 
 
 def _put_units(model: LMModel, small: LMModel, s: np.ndarray, h: np.ndarray) -> None:
@@ -408,25 +395,12 @@ def _put_units(model: LMModel, small: LMModel, s: np.ndarray, h: np.ndarray) -> 
     model.embedding[...] = small.embedding
 
 
-class _FullWidthDraws:
-    """The rng of a training copy: each dropout draw is made at the full
-    model's d_h and cut to the copy's d_h units, so the rng stream and every
-    kept unit's mask are those of a full-shape pass."""
-
-    def __init__(self, rng: np.random.Generator, d_h: int, h: np.ndarray):
-        self.rng, self.d_h, self.h = rng, d_h, h
-
-    def random(self, shape: tuple[int, ...]) -> np.ndarray:
-        return self.rng.random(shape[:-1] + (self.d_h,))[..., self.h]
-
-
 @contextmanager
-def training_copy(model: LMModel, rng: np.random.Generator):
-    """Yields (model, rng) to train in place of the given pair: a dense copy
-    holding only the units that are read (see freeze) or written
-    (`active_units()`), and an rng whose dropout draws match a full-shape
-    pass. On a normal exit the copy's weights, biases and embedding are
-    written back into `model`. With no unit to drop, the pair itself.
+def training_copy(model: LMModel):
+    """Yields a model to train in place of `model`: a dense copy holding
+    only the units that are read (see freeze) or written (`active_units()`).
+    On a normal exit the copy's weights, biases and embedding are written
+    back into `model`. With no unit to drop, `model` itself.
 
     Training the copy matches training the model up to BLAS summation
     order. A dropped unit is unread and has no live entry, so it only adds
@@ -437,11 +411,11 @@ def training_copy(model: LMModel, rng: np.random.Generator):
     active_s, active_h = model.cell.active_units()
     keep_s, keep_h = read_s | active_s, read_h | active_h
     if keep_s.all() and keep_h.all():
-        yield model, rng
+        yield model
         return
     s, h = np.flatnonzero(keep_s), np.flatnonzero(keep_h)
     small = _take_units(model, s, h)
-    yield small, _FullWidthDraws(rng, model.cell.d_h, h)
+    yield small
     _put_units(model, small, s, h)
 
 
@@ -484,7 +458,6 @@ def freeze(model: LMModel) -> FrozenModel:
 
 
 def _unroll(frozen: FrozenModel, tokens: np.ndarray, state: HLSTMState | None,
-            rng: np.random.Generator | None = None, dropout_h: float = 0.0,
             record: bool = False):
     """One pass: one cell_forward call, then the head once on the h stack.
     Returns (logits, a (B, T, V) view of the head's (T, B, V), recording, state)."""
@@ -499,7 +472,7 @@ def _unroll(frozen: FrozenModel, tokens: np.ndarray, state: HLSTMState | None,
     # step-major, so each step reads and writes a contiguous h
     hs = np.empty((T, batch, d_s), dtype=FLOAT)
     state, rec = cell_forward(operands, table, np.ascontiguousarray(tokens.T), state, hs,
-                              rng, dropout_h, record)
+                              record)
     # a non-finite c stays non-finite through f * c + i * g
     if not np.all(np.isfinite(state.c)):
         raise NumericAbort("non-finite value in cell state")
@@ -508,24 +481,21 @@ def _unroll(frozen: FrozenModel, tokens: np.ndarray, state: HLSTMState | None,
 
 
 def unroll_forward(model: LMModel, tokens: np.ndarray,
-                   init: HLSTMState | None = None, train: bool = False,
-                   rng: np.random.Generator | None = None):
+                   init: HLSTMState | None = None, train: bool = False):
     """Run T steps from `init` (None: zero state); returns (logits,
     recording, final state). tokens has shape (B, T) and logits (B, T, V).
 
     train=True keeps every step's arrays for `bptt` (see cell_forward), at
-    the shape of the model given; dropout is on iff an rng is given, and the
-    final state (full-shape) continues the next window. train=False runs
-    `freeze(model).forward(tokens)` from a zero state: it takes no init and
-    no rng, and returns an empty list for the recording. Stateful
+    the shape of the model given, and the final state (full-shape) continues
+    the next window. train=False runs `freeze(model).forward(tokens)` from a
+    zero state and takes no init; its recording is an empty list. Stateful
     forward-only windows run on a frozen model, as in `evaluate`.
     """
     if train:
         layout = FrozenModel(*_layout(model.cell, model.embedding), model.head)
-        return _unroll(layout, tokens, init, rng, model.dropout_h, record=True)
-    if rng is not None or init is not None:
-        raise ContractViolation("a forward-only pass takes no init or rng: evaluate runs "
-                                "stateful windows, and dropout is for training")
+        return _unroll(layout, tokens, init, record=True)
+    if init is not None:
+        raise ContractViolation("a forward-only pass takes no init (see evaluate)")
     logits, state = freeze(model).forward(tokens)
     return logits, [], state
 

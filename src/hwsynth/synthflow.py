@@ -50,12 +50,10 @@ class OptimizerConfig:
     lr_decay: float = 0.1
     lr_patience: int = 4          # epochs without validation improvement
     weight_decay: float = 1.2e-6
-    dropout_h: float = 0.0
 
     def __post_init__(self):
         for name, ok, rule in (
                 ("lr", math.isfinite(self.lr) and self.lr > 0, "finite and positive"),
-                ("dropout_h", 0.0 <= self.dropout_h < 1.0, "in [0, 1)"),
                 ("weight_decay", self.weight_decay >= 0, "non-negative"),
                 ("lr_decay", 0.0 < self.lr_decay <= 1.0, "in (0, 1]"),
                 ("lr_patience", self.lr_patience >= 0, "non-negative")):
@@ -216,8 +214,7 @@ def param_count(model: LMModel) -> tuple[int, int]:
 def make_seed(cfg: FlowConfig, vocab_size: int, rng: np.random.Generator) -> LMModel:
     """Partially connected seed model: each masked layer keeps exactly
     ceil((1 - seed_sparsity) * size) randomly chosen active entries."""
-    model = LMModel.create(vocab_size, cfg.d_x, cfg.d_s, cfg.d_h, rng,
-                           dropout_h=cfg.optimizer.dropout_h)
+    model = LMModel.create(vocab_size, cfg.d_x, cfg.d_s, cfg.d_h, rng)
     for layer in model.masked_layers():
         n = layer.w.size
         keep = int(math.ceil((1.0 - cfg.seed_sparsity) * n))
@@ -232,18 +229,16 @@ def make_seed(cfg: FlowConfig, vocab_size: int, rng: np.random.Generator) -> LMM
 # --- training loop -------------------------------------------------------------
 
 def _window_pass(model: LMModel, ids: np.ndarray, batch: int, seq_len: int,
-                 rng: np.random.Generator | None = None, step=None,
-                 collect: bool = False) -> tuple[float, dict | None]:
+                 step=None, collect: bool = False) -> tuple[float, dict | None]:
     """Stateful forward + BPTT over every window of `ids`.
 
-    With `step`, a training pass: dropout is on (from `rng`) and step()
-    applies each window's gradients. Without, a bridging pass: no rng, so
-    no dropout, and the gradients are cleared after each window. Both run
-    at the shape of the model given: the bridging pass and growth epochs
-    get the full model, so a dead unit's dormant entries get gradients;
-    other epochs get a training copy (see `Trainer.epoch`). Returns the
-    mean NLL and, with `collect`, the window-averaged full gradient
-    (dormant entries included) of every masked layer, keyed by id(layer).
+    With `step`, a training pass that applies each window's gradients;
+    without, a bridging pass that clears them after each window. Both run
+    at the shape of the model given: the bridging pass and growth epochs get
+    the full model, so a dead unit's dormant entries get gradients; other
+    epochs get a training copy (see `Trainer.epoch`). Returns the mean NLL
+    and, with `collect`, the window-averaged full gradient (dormant entries
+    included) of every masked layer, keyed by id(layer).
     """
     layers = model.masked_layers()
     sums = {id(l): np.zeros_like(l.w) for l in layers} if collect else None
@@ -251,7 +246,7 @@ def _window_pass(model: LMModel, ids: np.ndarray, batch: int, seq_len: int,
     count = windows = 0
     states = None
     for xs, ys in batch_windows(ids, batch, seq_len):
-        logits, rec, states = unroll_forward(model, xs, init=states, train=True, rng=rng)
+        logits, rec, states = unroll_forward(model, xs, init=states, train=True)
         total_nll += bptt(model, logits, rec, xs, ys, grad_scale=1.0 / xs.size)
         count += xs.size
         windows += 1
@@ -279,7 +274,7 @@ class Trainer:
         self.trained: tuple[int, int] | None = None
 
     def epoch(self, model: LMModel, train_ids: np.ndarray, batch: int,
-              seq_len: int, rng: np.random.Generator,
+              seq_len: int, rng: np.random.Generator | None = None,
               grad_sink: dict | None = None) -> float:
         """One pass over the training stream; returns mean training NLL.
 
@@ -290,10 +285,13 @@ class Trainer:
         `training_copy(model)`, only the units that are read or written,
         and writes it back: the same result up to BLAS summation order.
         `self.trained` is the (d_s, d_h) the last epoch ran at.
+
+        `rng` is ignored, as an epoch draws nothing at random; it stays while
+        the benchmark script passes one positionally, ahead of grad_sink.
         """
         growth = grad_sink is not None
-        run = nullcontext((model, rng)) if growth else training_copy(model, rng)
-        with run as (live, live_rng):
+        run = nullcontext(model) if growth else training_copy(model)
+        with run as live:
             def step():
                 for layer in live.masked_layers():
                     sgd_step(layer, self.lr, self.cfg.weight_decay)
@@ -302,8 +300,7 @@ class Trainer:
                 live.embedding_grad[...] = 0.0
 
             self.trained = (live.cell.d_s, live.cell.d_h)
-            mean_nll, grads = _window_pass(live, train_ids, batch, seq_len, live_rng,
-                                           step, collect=growth)
+            mean_nll, grads = _window_pass(live, train_ids, batch, seq_len, step, collect=growth)
         if growth:
             grad_sink.update(grads)
         return mean_nll
@@ -350,24 +347,21 @@ def checkpoint_save(model: LMModel, meta: dict, path: str | Path) -> None:
     """Lossless npz snapshot: all matrices, masks (as uint8), dims, and
     metadata."""
     arrays = {"embedding": model.embedding}
-    layer_names = []
     for i, layer in enumerate(model.masked_layers()):
         arrays[f"w_{i}"] = layer.w
         arrays[f"mask_{i}"] = layer.mask.astype(np.uint8)
         arrays[f"b_{i}"] = layer.b
-        layer_names.append(layer.name)
-    meta_full = dict(meta)
-    meta_full.update({
+    meta_full = {
+        **meta,
         "version": CHECKPOINT_VERSION,
-        "layer_names": layer_names,
+        "layer_names": [layer.name for layer in model.masked_layers()],
         "d_x": model.d_x,
         "d_s": model.cell.d_s,
         "d_h": model.cell.d_h,
         "depth": 1,
         "hidden_depth": 1,
         "vocab_size": model.vocab_size,
-        "dropout_h": model.dropout_h,
-    })
+    }
     arrays["meta_json"] = np.frombuffer(
         json.dumps(meta_full).encode("utf-8"), dtype=np.uint8)
     write_atomic(Path(path), lambda fh: np.savez(fh, **arrays))
@@ -379,24 +373,34 @@ def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
         meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
     except Exception as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {meta.get('version')} != supported {CHECKPOINT_VERSION}")
-    if meta.get("depth") != 1 or meta.get("hidden_depth") != 1:
-        raise CheckpointError(
-            f"checkpoint has depth {meta.get('depth')}, hidden_depth "
-            f"{meta.get('hidden_depth')}; only 1 and 1 are supported")
-    model = LMModel.create(meta["vocab_size"], meta["d_x"], meta["d_s"],
-                           meta["d_h"], make_rng(0), dropout_h=meta["dropout_h"])
-    model.embedding[...] = data["embedding"]
+    for key, supported in (("version", CHECKPOINT_VERSION), ("depth", 1), ("hidden_depth", 1)):
+        if meta.get(key) != supported:
+            raise CheckpointError(f"checkpoint {path} has {key} {meta.get(key)}; only "
+                                  f"{supported} is supported")
+    try:
+        dims = [meta[key] for key in ("vocab_size", "d_x", "d_s", "d_h")]
+        names = meta["layer_names"]
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint {path}: its meta has no {exc} key") from None
+    model = LMModel.create(*dims, make_rng(0))
+
+    def array(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        found = data.get(name)
+        if found is None or found.shape != shape:
+            raise CheckpointError(f"checkpoint {path}: {name} is "
+                                  f"{'missing' if found is None else found.shape}, and its "
+                                  f"meta's dims make it {shape}")
+        return found
+
+    model.embedding[...] = array("embedding", model.embedding.shape)
     for i, layer in enumerate(model.masked_layers()):
-        mask = data[f"mask_{i}"]
+        mask = array(f"mask_{i}", layer.w.shape)
         if not np.all((mask == 0) | (mask == 1)):
             raise CheckpointError(f"checkpoint {path}: mask_{i} has entries other than 0 and 1")
         layer.mask[...] = mask
-        layer.w[...] = data[f"w_{i}"]
-        layer.b[...] = data[f"b_{i}"]
-        layer.name = meta["layer_names"][i]
+        layer.w[...] = array(f"w_{i}", layer.w.shape)
+        layer.b[...] = array(f"b_{i}", layer.b.shape)
+        layer.name = names[i]
         layer.apply_mask()
     return model, meta
 
@@ -435,7 +439,6 @@ class SynthesisFlow:
         self.out_dir = Path(out_dir) if out_dir is not None else None
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.rng = make_rng(cfg.seed)
         self.state = FlowState()
         self.report = FlowReport()
         self.gp = cfg.growprune
@@ -471,8 +474,8 @@ class SynthesisFlow:
         checkpoint_save(self.model, {"phase": tag, **meta},
                         self.out_dir / f"checkpoint_{tag}.npz")
 
-    def _fit(self, label: str, model: LMModel, trainer: Trainer,
-             rng: np.random.Generator, epochs: int, growth_epochs: int = 0) -> float:
+    def _fit(self, label: str, model: LMModel, trainer: Trainer, epochs: int,
+             growth_epochs: int = 0) -> float:
         """Train `epochs` epochs, each followed by a validation pass that
         feeds the lr schedule; weight growth runs between the epoch and the
         validation pass of the first `growth_epochs` epochs. Returns the
@@ -482,8 +485,8 @@ class SynthesisFlow:
                                        seq_len=self.cfg.seq_len, batch=VALID_BATCH))
         for ep in range(epochs):
             sink: dict | None = {} if ep < growth_epochs else None
-            trainer.epoch(model, self.corpus.train, self.cfg.batch,
-                          self.cfg.seq_len, rng, grad_sink=sink)
+            trainer.epoch(model, self.corpus.train, self.cfg.batch, self.cfg.seq_len,
+                          grad_sink=sink)
             if sink is not None:
                 for layer in model.masked_layers():
                     growprune.weight_grow(layer, sink[id(layer)], self.gp.g_w,
@@ -502,11 +505,9 @@ class SynthesisFlow:
     def train_baseline(self) -> float:
         """Dense model with the same dims; its validation perplexity is the
         default accuracy threshold and the baseline report row."""
-        rng = make_rng(self.cfg.seed + 1)
-        baseline = LMModel.create(self.corpus.vocab_size, self.cfg.d_x,
-                                  self.cfg.d_s, self.cfg.d_h, rng,
-                                  dropout_h=self.cfg.optimizer.dropout_h)
-        ppl = self._fit("baseline", baseline, Trainer(self.cfg.optimizer), rng,
+        baseline = LMModel.create(self.corpus.vocab_size, self.cfg.d_x, self.cfg.d_s,
+                                  self.cfg.d_h, make_rng(self.cfg.seed + 1))
+        ppl = self._fit("baseline", baseline, Trainer(self.cfg.optimizer),
                         self.cfg.baseline_epochs)
         self.report.rows.append(self._row("baseline", baseline, ppl))
         if math.isinf(self.gp.accuracy_threshold):
@@ -516,9 +517,9 @@ class SynthesisFlow:
 
     def step_weight_growth(self) -> None:
         self.state.advance("wg")
-        self.model = make_seed(self.cfg, self.corpus.vocab_size, self.rng)
+        self.model = make_seed(self.cfg, self.corpus.vocab_size, make_rng(self.cfg.seed))
         self.trainer = Trainer(self.cfg.optimizer)
-        ppl = self._fit("wg", self.model, self.trainer, self.rng, self.cfg.wg_epochs,
+        ppl = self._fit("wg", self.model, self.trainer, self.cfg.wg_epochs,
                         self.cfg.growth_epochs)
         self.report.rows.append(self._row("wg", self.model, ppl))
         self._save_phase_artifacts("wg")
@@ -538,8 +539,7 @@ class SynthesisFlow:
                 break
             if not pruned:
                 break
-            ppl = self._fit(label, self.model, self.trainer, self.rng,
-                            gp.retrain_patience)
+            ppl = self._fit(label, self.model, self.trainer, gp.retrain_patience)
             gp, decision = halve(gp, ppl, single_mode)
             if decision is HalveDecision.CONTINUE:
                 last_ppl = ppl
@@ -590,7 +590,7 @@ class SynthesisFlow:
             self.log(f"[rcg] grew tied dim {tied} -> {target}")
         else:
             self.log(f"[rcg] no LHP in [{tied}, {self.cfg.d_s}]; no growth")
-        ppl = self._fit("rcg", self.model, self.trainer, self.rng, self.cfg.rcg_epochs)
+        ppl = self._fit("rcg", self.model, self.trainer, self.cfg.rcg_epochs)
         self.report.rows.append(self._row("rcg", self.model, ppl))
         self._save_phase_artifacts("rcg")
 

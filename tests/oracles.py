@@ -178,23 +178,18 @@ def _sigmoid_split(v):
     return out
 
 
-def per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c, rng=None, dropout=0.0):
+def per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c):
     """Forward then backward of one step of a (B, width) batch.
 
-    With dropout > 0 each gate's keep mask is drawn from rng, gate by gate
-    in f, i, o, g order. Returns a dict: h, c, gate_out (per gate), d_x,
-    d_h_prev, d_c_prev and grads {layer name: (grad_w, grad_b)}.
+    Returns a dict: h, c, gate_out (per gate), d_x, d_h_prev, d_c_prev and
+    grads {layer name: (grad_w, grad_b)}.
     """
     z = np.concatenate([x, h_prev], axis=1)
-    hid, keep, gin, out = {}, {}, {}, {}
+    hid, out = {}, {}
     for g in "fiog":
         hl, ol = cell.h_layers[g], cell.o_layers[g]
         hid[g] = np.maximum(z @ (hl.w * hl.mask).T + hl.b, 0.0)
-        gin[g] = hid[g]
-        if dropout > 0.0:
-            keep[g] = (rng.random(hid[g].shape) >= dropout) / (1.0 - dropout)
-            gin[g] = hid[g] * keep[g]
-        pre = gin[g] @ (ol.w * ol.mask).T + ol.b
+        pre = hid[g] @ (ol.w * ol.mask).T + ol.b
         out[g] = np.tanh(pre) if g == "g" else _sigmoid_split(pre)
     c = out["f"] * c_prev + out["i"] * out["g"]
     tanh_c = np.tanh(c)
@@ -212,11 +207,8 @@ def per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c, rng=None, dropout=0.0)
             d_pre_out = d_gate[g] * (1.0 - y * y)
         else:
             d_pre_out = d_gate[g] * y * (1.0 - y)
-        d_in = d_pre_out @ (ol.w * ol.mask)
-        if g in keep:
-            d_in = d_in * keep[g]
-        d_pre = d_in * (hid[g] > 0.0)
-        for layer, d_y, inp in ((ol, d_pre_out, gin[g]), (hl, d_pre, z)):
+        d_pre = d_pre_out @ (ol.w * ol.mask) * (hid[g] > 0.0)
+        for layer, d_y, inp in ((ol, d_pre_out, hid[g]), (hl, d_pre, z)):
             grads[layer.name] = (d_y.T @ inp, d_y.sum(axis=0))
         d_z += d_pre @ (hl.w * hl.mask)
     d_x_width = x.shape[1]
@@ -235,14 +227,14 @@ def per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c, rng=None, dropout=0.0)
 # (B, d_x) input through the library's own layout: its B rows are the
 # table, and row b is batch row b's symbol.
 
-def cell_step(cell, x, prev, **kwargs):
+def cell_step(cell, x, prev):
     """One cell_forward step on a (B, d_x) input: (state, its one-step
-    recording); kwargs as for cell_forward."""
+    recording)."""
     from hwsynth.hlstm import _layout, cell_forward
 
     table, operands = _layout(cell, np.asarray(x, dtype=float))
     hs = np.empty((1, *prev.h.shape))
-    return cell_forward(operands, table, np.arange(len(x))[None], prev, hs, **kwargs)
+    return cell_forward(operands, table, np.arange(len(x))[None], prev, hs)
 
 
 def cell_step_backward(cell, rec, x, d_h, d_c):
@@ -261,14 +253,13 @@ def cell_step_backward(cell, rec, x, d_h, d_c):
 #
 # The unroll every pass ran before forward-only passes were compacted: all
 # d_s and d_h units of the masked model, dead ones included, one recorded
-# step at a time, dropout iff an rng is given. It projects the input, lays
-# out the step operands and applies the head step by step where the library
-# does each once per pass, so a
-# training pass matches it bit for bit only while the BLAS rounds a GEMM
+# step at a time. It projects the input, lays out the step operands and
+# applies the head step by step where the library does each once per pass,
+# so a training pass matches it bit for bit only while the BLAS rounds a GEMM
 # row the same whatever the row count (as OpenBLAS does for B > 1);
 # forward-only passes match it up to BLAS summation order.
 
-def full_shape_forward(model, tokens, init=None, rng=None):
+def full_shape_forward(model, tokens, init=None):
     """(logits (B, T, V), recording, final full-shape state) of the masked
     model. The recording is one bptt accepts: the steps' one-step
     recordings joined along their slot axis."""
@@ -279,16 +270,14 @@ def full_shape_forward(model, tokens, init=None, rng=None):
     logits = np.zeros((batch, T, model.vocab_size))
     steps = []
     for t in range(T):
-        state, step = cell_step(model.cell, model.embedding[tokens[:, t]], state,
-                                rng=rng, dropout_h=model.dropout_h)
+        state, step = cell_step(model.cell, model.embedding[tokens[:, t]], state)
         logits[:, t] = model.head.forward(state.h)
         steps.append(step)
 
     def joined(name):
-        arrays = [getattr(step, name) for step in steps]
-        return None if arrays[0] is None else np.concatenate(arrays)
+        return np.concatenate([getattr(step, name) for step in steps])
 
-    names = ("hs", "act", "gate_in", "keep", "gates", "c", "tanh_c")
+    names = ("hs", "act", "gates", "c", "tanh_c")
     return logits, _Recording(steps[0].init, *map(joined, names)), state
 
 
@@ -350,12 +339,9 @@ def reference_cell_backward(cell, rec, t, d_h_t, d_c_t):
     sig = gate_out[:3]
     d_pre_out[:3] = d_pre_out[:3] * sig * (1.0 - sig)
     d_pre_out[3] = d_pre_out[3] * (1.0 - g * g)
-    O.grad_w += np.matmul(d_pre_out.transpose(0, 2, 1), rec.gate_in[t])
+    O.grad_w += np.matmul(d_pre_out.transpose(0, 2, 1), rec.act[t])
     O.grad_b += d_pre_out.sum(axis=1)
-    d_in = np.matmul(d_pre_out, O.w)
-    if rec.keep is not None:
-        d_in = d_in * rec.keep[t]
-    d_pre = d_in * (rec.act[t] > 0.0)
+    d_pre = np.matmul(d_pre_out, O.w) * (rec.act[t] > 0.0)
     H.grad_w[:, :, d_x:] += np.matmul(d_pre.transpose(0, 2, 1), h_prev)
     return d_pre, np.matmul(d_pre, H.w[:, :, d_x:]).sum(axis=0), d_c * f
 

@@ -142,8 +142,9 @@ class TestExitCodes:
         {"max_prune_iters": -3},
         {"optimizer": {"lr": 0.5, "weight_decay": -5.0}},
         {"optimizer": {"lr": 0.5, "lr_decay": -1.0}},
-        {"optimizer": {"lr": 0.5, "dropout_h": 1.0}},
-        {"optimizer": {"lr": 0.5, "dropout_h": -0.5}},
+        # the optimizer has no hidden-layer dropout, not even at the old default 0
+        {"optimizer": {"lr": 0.5, "dropout_h": 0.0}},
+        {"optimizer": {"lr": 0.5, "momentum": 0.9}},
         {"optimizer": {"lr": -1.0}},
         # 2 growth epochs in a 1-epoch wg used to grow once, silently
         {"wg_epochs": 1, "growth_epochs": 2}])
@@ -157,6 +158,21 @@ class TestExitCodes:
         assert main(["synthesize", "--config", str(bad), "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_dropout_config_fails_before_training(self, workdir, flow_config, monkeypatch,
+                                                  capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a config naming dropout_h reached training")
+        monkeypatch.setattr(synthflow.Trainer, "epoch", no_training)
+        data = json.loads(open(flow_config, encoding="utf-8").read())
+        data["optimizer"]["dropout_h"] = 0.1
+        bad = workdir / "dropout_flow.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        out = workdir / "dropout_flow_out"
+        assert main(["synthesize", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dropout_h" in err
+        assert not out.exists()
 
     def test_flow_above_its_threshold_exits_1(self, workdir, flow_config, capsys):
         # every model of this config scores about 9 ppl
@@ -327,6 +343,23 @@ class TestSynthesizeEvalReportBench:
         want = perplexity(evaluate(model, load_corpus(tiny_corpus, 0.8, 0.1).valid,
                                    seq_len=64, batch=4))
         assert f"valid_perplexity={want!r}" in capsys.readouterr().out
+
+    def test_eval_ignores_an_old_dropout_key(self, flow_out, tiny_corpus, tmp_path, capsys):
+        # checkpoints of models that had a dropout_h field carry it in their meta
+        path = flow_out / "checkpoint_wp.npz"
+        data = dict(np.load(path))
+        meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+        assert "dropout_h" not in meta
+        data["meta_json"] = np.frombuffer(json.dumps(dict(meta, dropout_h=0.0)).encode("utf-8"),
+                                          dtype=np.uint8)
+        old = tmp_path / "dropout_key.npz"
+        with open(old, "wb") as fh:
+            np.savez(fh, **data)
+        scores = []
+        for checkpoint in (path, old):
+            assert main(["eval", "--checkpoint", str(checkpoint), "--corpus", tiny_corpus]) == 0
+            scores.append(re.findall(r"(?:valid|test)_perplexity=\S+", capsys.readouterr().out))
+        assert len(scores[0]) == 2 and scores[0] == scores[1]
 
     def test_eval_vocab_mismatch(self, flow_out, tmp_path, capsys):
         other = tmp_path / "other.txt"

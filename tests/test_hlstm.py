@@ -160,7 +160,6 @@ class TestCellForward:
 
     def test_eval_mode_bitwise_reproducible(self):
         model, tokens, _ = random_model(6, vocab=5, d_x=2, d_s=3, d_h=3)
-        model.dropout_h = 0.5  # must be ignored when train=False
         l1, _, _ = unroll_forward(model, tokens, train=False)
         l2, _, _ = unroll_forward(model, tokens, train=False)
         assert l1.tobytes() == l2.tobytes()
@@ -236,16 +235,14 @@ class TestStackedKernelsMatchPerGate:
         return [rng.standard_normal((batch, n)) * 0.7
                 for n in (cell.d_x, cell.d_s, cell.d_s, cell.d_s, cell.d_s)]
 
-    def run_both(self, batch, dropout, seed):
+    def run_both(self, batch, seed):
         """(key, library array, reference array) for every compared output."""
         cell, rng = pruned_cell(seed)
         assert cell.active_dims() == (35, 32)
         x, h_prev, c_prev, d_h, d_c = self.step_inputs(rng, cell, batch)
-        state, rec = cell_step(cell, x, HLSTMState(h=h_prev, c=c_prev),
-                               rng=make_rng(seed + 1), dropout_h=dropout)
+        state, rec = cell_step(cell, x, HLSTMState(h=h_prev, c=c_prev))
         d_x, d_prev = cell_step_backward(cell, rec, x, d_h, d_c)
-        ref = per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c,
-                                 rng=make_rng(seed + 1), dropout=dropout)
+        ref = per_gate_cell_step(cell, x, h_prev, c_prev, d_h, d_c)
         out = [("h", state.h, ref["h"]), ("c", state.c, ref["c"]),
                ("d_x", d_x, ref["d_x"]), ("d_h_prev", d_prev.h, ref["d_h_prev"]),
                ("d_c_prev", d_prev.c, ref["d_c_prev"])]
@@ -258,10 +255,9 @@ class TestStackedKernelsMatchPerGate:
             out.append((f"{layer.name}.grad_b", layer.grad_b, grad_b))
         return out
 
-    @pytest.mark.parametrize("dropout", [0.0, 0.3])
     @pytest.mark.parametrize("batch", [1, 4, 16, 32])
-    def test_batched_bitwise(self, batch, dropout):
-        for key, got, want in self.run_both(batch, dropout, seed=20 + batch):
+    def test_batched_bitwise(self, batch):
+        for key, got, want in self.run_both(batch, seed=20 + batch):
             assert got.shape == want.shape and rel_max_diff(got, want) <= 1e-12, key
 
 
@@ -531,11 +527,6 @@ class TestCompact:
         for state, h, c in kept:
             assert state.h.tobytes() == h.tobytes() and state.c.tobytes() == c.tobytes()
 
-    def test_forward_only_refuses_an_rng(self):
-        model, tokens, _ = random_model(36, vocab=4, d_x=2, d_s=2, d_h=2)
-        with pytest.raises(ContractViolation, match="rng"):
-            unroll_forward(model, tokens, rng=make_rng(0))
-
     def test_forward_only_refuses_an_init(self):
         # stateful forward-only windows go through evaluate
         model, tokens, _ = random_model(36, vocab=4, d_x=2, d_s=2, d_h=2)
@@ -550,15 +541,12 @@ class TestCompact:
 
     def test_train_pass_is_the_full_shape_pass(self):
         model, rng = unread_model(38)
-        model.dropout_h = 0.3
         tokens = rng.integers(0, 9, size=(3, 8))
-        for seed in (None, 5):
-            run = lambda: None if seed is None else make_rng(seed)
-            got, caches, state = unroll_forward(model, tokens, train=True, rng=run())
-            ref, ref_caches, ref_state = full_shape_forward(model, tokens, rng=run())
-            assert got.tobytes() == ref.tobytes() and len(caches.gate_in) == 8
-            assert state.h.tobytes() == ref_state.h.tobytes()
-            assert np.array_equal(caches.gate_in, ref_caches.gate_in)
+        got, caches, state = unroll_forward(model, tokens, train=True)
+        ref, ref_caches, ref_state = full_shape_forward(model, tokens)
+        assert got.tobytes() == ref.tobytes() and len(caches.act) == 8
+        assert state.h.tobytes() == ref_state.h.tobytes()
+        assert np.array_equal(caches.act, ref_caches.act)
 
 
 def edit_live_weights(model, rng):
@@ -784,14 +772,13 @@ class TestBpttMatchesReference:
             grads[f"{layer.name}.grad_b"] = layer.grad_b
         return grads
 
-    def compare(self, model, tokens, targets, seed):
-        """Both backwards from one forward each of `model` and a deep copy,
-        with the same dropout draws; returns bptt's embedding gradient."""
+    def compare(self, model, tokens, targets):
+        """Both backwards from one forward each of `model` and a deep copy;
+        returns bptt's embedding gradient."""
         ref = copy.deepcopy(model)
         runs = []
         for m, backward in ((model, bptt), (ref, reference_bptt)):
-            rng = make_rng(seed) if m.dropout_h > 0.0 else None
-            logits, caches, _ = unroll_forward(m, tokens, train=True, rng=rng)
+            logits, caches, _ = unroll_forward(m, tokens, train=True)
             runs.append(backward(m, logits, caches, tokens, targets,
                                  grad_scale=1.0 / tokens.size))
         assert runs[0] == runs[1]
@@ -808,26 +795,22 @@ class TestBpttMatchesReference:
         return (rng.integers(0, self.SEEN, size=(batch, T)),
                 rng.integers(0, self.VOCAB, size=(batch, T)))
 
-    @pytest.mark.parametrize("dropout", [0.0, 0.3])
     @pytest.mark.parametrize("T", [1, 16])
     @pytest.mark.parametrize("batch", [1, 4, 32])
-    def test_matches_reference(self, batch, T, dropout):
+    def test_matches_reference(self, batch, T):
         model = random_model(50 + batch + T, vocab=self.VOCAB, d_x=6, d_s=20, d_h=16)[0]
-        model.dropout_h = dropout
         tokens, targets = self.tokens(make_rng(batch * T), batch, T)
-        emb_grad = self.compare(model, tokens, targets, seed=batch + T)
+        emb_grad = self.compare(model, tokens, targets)
         unseen = np.setdiff1d(np.arange(self.VOCAB), tokens)
         assert unseen.size >= self.VOCAB - self.SEEN
         assert not emb_grad[unseen].any()
 
-    @pytest.mark.parametrize("dropout", [0.0, 0.3])
-    def test_compacted_training_copy(self, dropout):
+    def test_compacted_training_copy(self):
         model, rng = unread_model(51, vocab=self.VOCAB)
-        model.dropout_h = dropout
-        with training_copy(model, rng) as (small, _):
+        with training_copy(model) as small:
             assert (small.cell.d_s, small.cell.d_h) == (14 - 3, 12 - 2)
             tokens, targets = self.tokens(rng, 8, 16)
-            self.compare(small, tokens, targets, seed=52)
+            self.compare(small, tokens, targets)
 
     def test_gradients_accumulate(self):
         """A second pass adds to the gradients the first left: every one doubles."""
