@@ -44,6 +44,14 @@ after the epoch. Only the passes whose gradients rank dormant entries for
 growth (grad_sink epochs, rcg's bridging pass) run
 `unroll_forward(train=True)` and `bptt` on the full model, since a dead
 unit's entries need gradients there.
+
+Precision: a model computes in the dtype of its arrays, which
+`LMModel.create` sets (`dtype`, default numkit.DTYPE); every array a pass
+makes, and every constant it applies, takes the dtype of the arrays it
+reads. Everything the flow, the CLI and the benchmark create is float32, the
+precision a deployed LSTM runs. float64 models serve only the oracle tests
+(finite differences, 1e-12 and bitwise references) and checkpoints written
+before models ran in float32, which load in float64.
 """
 
 from __future__ import annotations
@@ -57,8 +65,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .numkit import (
-    FLOAT,
     ARRAYS,
+    DTYPE,
     ContractViolation,
     MaskedLinear,
     NumericAbort,
@@ -74,9 +82,8 @@ class HLSTMState:
     c: np.ndarray
 
     @classmethod
-    def zeros(cls, d_s: int, batch: int) -> "HLSTMState":
-        return cls(h=np.zeros((batch, d_s), dtype=FLOAT),
-                   c=np.zeros((batch, d_s), dtype=FLOAT))
+    def zeros(cls, d_s: int, batch: int, dtype=DTYPE) -> "HLSTMState":
+        return cls(*np.zeros((2, batch, d_s), dtype))
 
 
 @dataclass
@@ -91,10 +98,11 @@ class GateBlock:
     grad_b: np.ndarray
 
     @classmethod
-    def zeros(cls, out_dim: int, in_dim: int) -> "GateBlock":
+    def zeros(cls, out_dim: int, in_dim: int, dtype) -> "GateBlock":
         shape = (len(GATES), out_dim, in_dim)
-        return cls(w=np.zeros(shape), mask=np.ones(shape), b=np.zeros(shape[:2]),
-                   grad_w=np.zeros(shape), grad_b=np.zeros(shape[:2]))
+        return cls(w=np.zeros(shape, dtype), mask=np.ones(shape, dtype),
+                   b=np.zeros(shape[:2], dtype), grad_w=np.zeros(shape, dtype),
+                   grad_b=np.zeros(shape[:2], dtype))
 
 
 class HLSTMCellParams:
@@ -106,10 +114,10 @@ class HLSTMCellParams:
     are MaskedLinear views of gate g's slice of each.
     """
 
-    def __init__(self, d_x: int, d_s: int, d_h: int, name: str = "cell"):
+    def __init__(self, d_x: int, d_s: int, d_h: int, name: str = "cell", dtype=DTYPE):
         self.d_x, self.d_s, self.d_h, self.name = d_x, d_s, d_h, name
-        self.H = GateBlock.zeros(d_h, d_x + d_s)
-        self.O = GateBlock.zeros(d_s, d_h)
+        self.H = GateBlock.zeros(d_h, d_x + d_s, dtype)
+        self.O = GateBlock.zeros(d_s, d_h, dtype)
         self.h_layers = {g: MaskedLinear.view(self.H, k, f"{name}.H{g}")
                          for k, g in enumerate(GATES)}
         self.o_layers = {g: MaskedLinear.view(self.O, k, f"{name}.O{g}")
@@ -117,8 +125,8 @@ class HLSTMCellParams:
 
     @classmethod
     def create(cls, d_x: int, d_s: int, d_h: int, rng: np.random.Generator,
-               name: str = "cell") -> "HLSTMCellParams":
-        cell = cls(d_x=d_x, d_s=d_s, d_h=d_h, name=name)
+               name: str = "cell", dtype=DTYPE) -> "HLSTMCellParams":
+        cell = cls(d_x=d_x, d_s=d_s, d_h=d_h, name=name, dtype=dtype)
         for layer in cell.layers():
             bound = 1.0 / math.sqrt(max(layer.in_dim, 1))
             layer.w[...] = rng.uniform(-bound, bound, size=layer.w.shape)
@@ -126,13 +134,17 @@ class HLSTMCellParams:
 
     def __deepcopy__(self, memo) -> "HLSTMCellParams":
         # a view copied on its own would detach from its block
-        dup = HLSTMCellParams(self.d_x, self.d_s, self.d_h, self.name)
+        dup = HLSTMCellParams(self.d_x, self.d_s, self.d_h, self.name, self.dtype)
         for old, new in zip(self.layers(), dup.layers()):
             for attr in ARRAYS:
                 getattr(new, attr)[...] = getattr(old, attr)
             new.name = old.name
             memo[id(old)] = new
         return dup
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.H.w.dtype
 
     def layers(self) -> list[MaskedLinear]:
         return [layer for gate in GATES
@@ -176,11 +188,11 @@ def _layout(params: HLSTMCellParams, x: np.ndarray,
     pre-activation, bias included: x (N, d_x) -> (4, N, d_h), on the
     embedding a per-symbol table. Then the step operands: H's recurrent part
     as a contiguous (4, d_s, d_h) array, O as a contiguous (4, d_h, d_s)
-    array and O's bias, both times _GATE_SCALE; scaling by 1/2 or 1 is
-    exact, so it changes no value. With units (s, h), index arrays, only
-    those d_s and d_h units: each block's rows are gathered once, then its
-    columns."""
-    H, O, d_x = params.H, params.O, params.d_x
+    array and O's bias, both times _GATE_SCALE in the cell's dtype; scaling
+    by 1/2 or 1 is exact, so it changes no value. With units (s, h), index
+    arrays, only those d_s and d_h units: each block's rows are gathered
+    once, then its columns."""
+    H, O, d_x, dtype = params.H, params.O, params.d_x, params.dtype
     h_w, h_b, o_w, o_b = H.w, H.b, O.w, O.b
     h_rec = h_w[:, :, d_x:]
     if units is not None:
@@ -190,8 +202,8 @@ def _layout(params: HLSTMCellParams, x: np.ndarray,
         o_w, o_b = o_w.take(s, axis=1).take(h, axis=2), o_b.take(s, axis=1)
     table = np.matmul(x, h_w[:, :, :d_x].transpose(0, 2, 1)) + h_b[:, None]
     return table, (np.ascontiguousarray(h_rec.transpose(0, 2, 1)),
-                   np.multiply(o_w.transpose(0, 2, 1), _GATE_SCALE, order="C"),
-                   o_b[:, None] * _GATE_SCALE)
+                   np.multiply(o_w.transpose(0, 2, 1), _GATE_SCALE, order="C", dtype=dtype),
+                   np.multiply(o_b[:, None], _GATE_SCALE, dtype=dtype))
 
 
 def _project_input_backward(params: HLSTMCellParams, x: np.ndarray,
@@ -228,11 +240,13 @@ def cell_forward(operands: tuple[np.ndarray, ...], table: np.ndarray, ids: np.nd
     if np.any(ids < 0) or np.any(ids >= table.shape[1]):
         raise ContractViolation("token id out of vocabulary range")
     slots, gate_shape = len(ids) if record else 1, (len(GATES), batch, o_w.shape[2])
-    x_t, scratch = np.empty((len(GATES), batch, d_h)), np.empty(gate_shape[1:])
+    dtype = table.dtype
+    x_t, scratch = np.empty((len(GATES), batch, d_h), dtype), np.empty(gate_shape[1:], dtype)
     # a same-shape add runs as one inner loop, a (4, 1, d_s) one as 4 B loops of d_s
     o_b = np.broadcast_to(o_b, gate_shape).copy()
-    rec = _Recording(init, hs, np.empty((slots, len(GATES), batch, d_h)),
-                     np.empty((slots, *gate_shape)), *np.empty((2, slots, *gate_shape[1:])))
+    rec = _Recording(init, hs, np.empty((slots, len(GATES), batch, d_h), dtype),
+                     np.empty((slots, *gate_shape), dtype),
+                     *np.empty((2, slots, *gate_shape[1:]), dtype))
     # each slot's views, made once per pass: slicing per step outweighs a small step
     views = [(rec.act[k], rec.gates[k], rec.gates[k, :3], *rec.gates[k], rec.c[k],
               rec.tanh_c[k]) for k in range(slots)]
@@ -259,13 +273,14 @@ class _BackwardPass:
     step buffers and gradient accumulators, which `flush` adds to the cell."""
 
     def __init__(self, params: HLSTMCellParams, batch: int):
+        dtype = params.dtype
         self.h_rec = np.ascontiguousarray(params.H.w[:, :, params.d_x:])
         self.o_w = params.O.w
-        self.grad_h, self.step_h = np.zeros((2, *self.h_rec.shape))
-        self.grad_o, self.step_o = np.zeros((2, *self.o_w.shape))
+        self.grad_h, self.step_h = np.zeros((2, *self.h_rec.shape), dtype)
+        self.grad_o, self.step_o = np.zeros((2, *self.o_w.shape), dtype)
         self.grad_o_b = np.zeros_like(params.O.b)
-        self.d_gates, self.deriv = np.empty((2, len(GATES), batch, params.d_s))
-        self.d_in = np.empty((len(GATES), batch, params.d_h))
+        self.d_gates, self.deriv = np.empty((2, len(GATES), batch, params.d_s), dtype)
+        self.d_in = np.empty((len(GATES), batch, params.d_h), dtype)
 
     def flush(self, params: HLSTMCellParams) -> None:
         params.H.grad_w[:, :, params.d_x:] += self.grad_h
@@ -274,6 +289,7 @@ class _BackwardPass:
 
 
 # A gate's derivative via its output y: y (A - y) + B, so y (1 - y) or 1 - y^2.
+# A and B are 0 or 1, exact in any dtype; the ufuncs take them in the pass's.
 _DERIV_A = np.array([1.0, 1.0, 1.0, 0.0])[:, None, None]
 _DERIV_B = np.array([0.0, 0.0, 0.0, 1.0])[:, None, None]
 
@@ -293,8 +309,9 @@ def cell_backward(bwd: _BackwardPass, rec: _Recording, t: int, d_h_t: np.ndarray
     d_c = d_c_t + d_h_t * o * (1.0 - tanh_c * tanh_c)
     for k, (u, v) in enumerate([(d_c, c_prev), (d_c, g), (d_h_t, tanh_c), (d_c, i)]):
         np.multiply(u, v, out=d_gates[k])
-    np.multiply(np.subtract(_DERIV_A, gates, out=bwd.deriv), gates, out=bwd.deriv)
-    d_gates *= np.add(bwd.deriv, _DERIV_B, out=bwd.deriv)
+    dtype = gates.dtype
+    np.multiply(np.subtract(_DERIV_A, gates, out=bwd.deriv, dtype=dtype), gates, out=bwd.deriv)
+    d_gates *= np.add(bwd.deriv, _DERIV_B, out=bwd.deriv, dtype=dtype)
     bwd.grad_o += np.matmul(d_gates.transpose(0, 2, 1), rec.act[t], out=bwd.step_o)
     bwd.grad_o_b += d_gates.sum(axis=1)
     d_in = np.matmul(d_gates, bwd.o_w, out=bwd.d_in)
@@ -315,7 +332,7 @@ class LMModel:
     embedding_grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.embedding = np.asarray(self.embedding, dtype=FLOAT)
+        self.embedding = np.asarray(self.embedding, dtype=self.cell.dtype)
         self.embedding_grad = np.zeros_like(self.embedding)
 
     @property
@@ -341,20 +358,24 @@ class LMModel:
 
     @classmethod
     def create(cls, vocab_size: int, d_x: int, d_s: int, d_h: int,
-               rng: np.random.Generator) -> "LMModel":
+               rng: np.random.Generator, dtype=DTYPE) -> "LMModel":
+        """A dense model whose every array has `dtype`. The draws are the same
+        for every dtype: float64 ones, rounded."""
         if vocab_size < 2:
             raise ContractViolation("vocabulary must have at least 2 symbols")
         emb = rng.uniform(-0.1, 0.1, size=(vocab_size, d_x))
-        cell = HLSTMCellParams.create(d_x, d_s, d_h, rng, name="cell0")
-        head = MaskedLinear.dense(vocab_size, d_s, rng, name="head")
+        cell = HLSTMCellParams.create(d_x, d_s, d_h, rng, name="cell0", dtype=dtype)
+        head = MaskedLinear.dense(vocab_size, d_s, rng, name="head", dtype=dtype)
         return cls(embedding=emb, cell=cell, head=head)
 
 
 def _read_units(model: LMModel) -> tuple[np.ndarray, np.ndarray]:
     """Flags of the d_s and d_h units something reads (see freeze): one GEMV
-    column sum per mask block, exact as its entries are 0 or 1."""
+    column sum per mask block, in the mask's dtype (a float64 vector would
+    cast the block per call), exact as its entries are 0 or 1 and its counts
+    stay below 2^24."""
     cell, d_x = model.cell, model.d_x
-    s_head, s_h, h_o = (np.ones(m.size // m.shape[-1]) @ m.reshape(-1, m.shape[-1])
+    s_head, s_h, h_o = (np.ones(m.size // m.shape[-1], m.dtype) @ m.reshape(-1, m.shape[-1])
                         for m in (model.head.mask, cell.H.mask[:, :, d_x:], cell.O.mask))
     return s_head + s_h > 0.0, h_o > 0.0
 
@@ -370,7 +391,7 @@ def _take_units(model: LMModel, s: np.ndarray, h: np.ndarray) -> LMModel:
     (sorted index arrays); the embedding and d_x stay whole."""
     cell, head, d_x = model.cell, model.head, model.d_x
     cols = np.concatenate([np.arange(d_x), d_x + s])
-    small = HLSTMCellParams(d_x, s.size, h.size, cell.name)
+    small = HLSTMCellParams(d_x, s.size, h.size, cell.name, cell.dtype)
     for attr in ("w", "mask"):
         getattr(small.H, attr)[...] = getattr(cell.H, attr).take(h, axis=1).take(cols, axis=2)
         getattr(small.O, attr)[...] = getattr(cell.O, attr).take(s, axis=1).take(h, axis=2)
@@ -468,9 +489,9 @@ def _unroll(frozen: FrozenModel, tokens: np.ndarray, state: HLSTMState | None,
     batch, T = tokens.shape
     d_s = head.in_dim
     if state is None:
-        state = HLSTMState.zeros(d_s, batch)
+        state = HLSTMState.zeros(d_s, batch, table.dtype)
     # step-major, so each step reads and writes a contiguous h
-    hs = np.empty((T, batch, d_s), dtype=FLOAT)
+    hs = np.empty((T, batch, d_s), table.dtype)
     state, rec = cell_forward(operands, table, np.ascontiguousarray(tokens.T), state, hs,
                               record)
     # a non-finite c stays non-finite through f * c + i * g
@@ -541,13 +562,13 @@ def bptt(model: LMModel, logits: np.ndarray, rec: _Recording, tokens: np.ndarray
     # in (B, T) order, so the head's gradient sums its rows as the logits run
     hs = rec.hs.transpose(1, 0, 2).reshape(batch * T, cell.d_s)
     d_hs = head.backward(hs, d_logits.reshape(batch * T, -1)).reshape(batch, T, -1)
-    d_xw = np.empty((len(GATES), T, batch, cell.d_h), dtype=FLOAT)
+    d_xw = np.empty((len(GATES), T, batch, cell.d_h), cell.dtype)
     bwd = _BackwardPass(cell, batch)
-    d_next = HLSTMState.zeros(cell.d_s, batch)
+    d_next = HLSTMState.zeros(cell.d_s, batch, cell.dtype)
     for t in range(T - 1, -1, -1):
         _, d_next = cell_backward(bwd, rec, t, d_hs[:, t] + d_next.h, d_next.c, out=d_xw[:, t])
     bwd.flush(cell)
-    one_hot = (np.arange(model.vocab_size)[:, None] == tokens.T.reshape(-1)).astype(FLOAT)
+    one_hot = (np.arange(model.vocab_size)[:, None] == tokens.T.reshape(-1)).astype(cell.dtype)
     d_table = np.matmul(one_hot, d_xw.reshape(len(GATES), T * batch, cell.d_h))
     model.embedding_grad += _project_input_backward(cell, model.embedding, d_table)
     return total_nll

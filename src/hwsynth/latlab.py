@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numkit import ContractViolation, make_rng, write_atomic
+from .numkit import DTYPE, ContractViolation, make_rng, write_atomic
 
 
 class MeasurementError(RuntimeError):
@@ -77,16 +77,17 @@ class HysteresisMap:
 # -> SampleStats: the latency of one square-weight x dense-input multiply.
 
 class NativeBackend:
-    """Times real numpy matmuls (dim x dim weight, batch x dim input)."""
+    """Times real numpy matmuls (dim x dim weight, batch x dim input) in the
+    dtype models are created in, so it times the GEMM kernel they run."""
 
     def __init__(self, seed: int = 0):
         self._rng = make_rng(seed)
 
     def measure(self, dim: int, batch: int, warmup_runs: int,
                 measured_runs: int) -> SampleStats:
-        w = self._rng.standard_normal((dim, dim))
-        x = self._rng.standard_normal((batch, dim))
-        out = np.empty((batch, dim))
+        w = self._rng.standard_normal((dim, dim), DTYPE)
+        x = self._rng.standard_normal((batch, dim), DTYPE)
+        out = np.empty((batch, dim), DTYPE)
         return time_task(lambda: np.matmul(x, w, out=out), warmup_runs, measured_runs)
 
 

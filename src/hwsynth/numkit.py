@@ -5,7 +5,7 @@ synthesis flow) is built on the primitives here: masked linear layers whose
 gradients are accumulated for *all* entries (dormant connections included,
 so growth can rank them later), a mask-respecting SGD step, and the atomic
 file write every artifact goes through. Layer gradients take batches only:
-(B, width).
+(B, width). A layer computes in the dtype of its weights.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-FLOAT = np.float64
+# the dtype of every model the library creates unless told otherwise
+DTYPE = np.float32
 
 
 class ContractViolation(ValueError):
@@ -50,9 +51,9 @@ class MaskedLinear:
     def __init__(self, w: np.ndarray, mask: np.ndarray, b: np.ndarray,
                  name: str = "layer"):
         self.name = name
-        w = np.asarray(w, dtype=FLOAT)
-        mask = np.asarray(mask, dtype=FLOAT)
-        b = np.asarray(b, dtype=FLOAT)
+        w = np.asarray(w)
+        mask = np.asarray(mask, dtype=w.dtype)
+        b = np.asarray(b, dtype=w.dtype)
         if w.ndim != 2 or w.shape != mask.shape:
             raise ContractViolation(
                 f"{name}: W{w.shape} and Msk{mask.shape} must be equal 2-D shapes")
@@ -91,10 +92,10 @@ class MaskedLinear:
 
     @classmethod
     def dense(cls, out_dim: int, in_dim: int, rng: np.random.Generator,
-              name: str = "layer") -> "MaskedLinear":
+              name: str = "layer", dtype=DTYPE) -> "MaskedLinear":
         bound = 1.0 / math.sqrt(max(in_dim, 1))
-        w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-        return cls(w=w, mask=np.ones((out_dim, in_dim)), b=np.zeros(out_dim), name=name)
+        w = rng.uniform(-bound, bound, size=(out_dim, in_dim)).astype(dtype)
+        return cls(w=w, mask=np.ones_like(w), b=np.zeros(out_dim, dtype), name=name)
 
     @property
     def out_dim(self) -> int:
@@ -116,7 +117,7 @@ class MaskedLinear:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """y = (W*Msk) x + b for a batch (B, in); a vector (in,) also works."""
-        x = np.asarray(x, dtype=FLOAT)
+        x = np.asarray(x, dtype=self.w.dtype)
         if x.shape[-1] != self.in_dim:
             raise ContractViolation(
                 f"{self.name}: input width {x.shape[-1]} != expected {self.in_dim}")
@@ -131,8 +132,8 @@ class MaskedLinear:
         grad_w is intentionally *not* masked: dormant-connection gradients
         must survive for growth ranking.
         """
-        x = np.asarray(x, dtype=FLOAT)
-        d_y = np.asarray(d_y, dtype=FLOAT)
+        x = np.asarray(x, dtype=self.w.dtype)
+        d_y = np.asarray(d_y, dtype=self.w.dtype)
         if x.ndim != 2 or x.shape[1] != self.in_dim or d_y.shape != (len(x), self.out_dim):
             raise ContractViolation(
                 f"{self.name}: backward shapes x{x.shape}, dy{d_y.shape} vs "

@@ -219,7 +219,7 @@ def make_seed(cfg: FlowConfig, vocab_size: int, rng: np.random.Generator) -> LMM
         n = layer.w.size
         keep = int(math.ceil((1.0 - cfg.seed_sparsity) * n))
         chosen = rng.choice(n, size=keep, replace=False)
-        mask = np.zeros(n)
+        mask = np.zeros(n, layer.mask.dtype)
         mask[chosen] = 1.0
         layer.mask[...] = mask.reshape(layer.w.shape)
         layer.apply_mask()
@@ -344,8 +344,8 @@ def measure_model_latency(model: LMModel, lat: LatencyConfig) -> latlab.SampleSt
 # --- checkpointing ----------------------------------------------------------------
 
 def checkpoint_save(model: LMModel, meta: dict, path: str | Path) -> None:
-    """Lossless npz snapshot: all matrices, masks (as uint8), dims, and
-    metadata."""
+    """Lossless npz snapshot: all matrices in the model's dtype, masks (as
+    uint8), dims, and metadata."""
     arrays = {"embedding": model.embedding}
     for i, layer in enumerate(model.masked_layers()):
         arrays[f"w_{i}"] = layer.w
@@ -368,6 +368,9 @@ def checkpoint_save(model: LMModel, meta: dict, path: str | Path) -> None:
 
 
 def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
+    """The model of a checkpoint_save file, in the dtype of its stored
+    embedding: float32, or float64 for checkpoints written before models
+    ran in float32."""
     try:
         data = np.load(path)
         meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
@@ -382,7 +385,6 @@ def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
         names = meta["layer_names"]
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path}: its meta has no {exc} key") from None
-    model = LMModel.create(*dims, make_rng(0))
 
     def array(name: str, shape: tuple[int, ...]) -> np.ndarray:
         found = data.get(name)
@@ -392,7 +394,11 @@ def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
                                   f"meta's dims make it {shape}")
         return found
 
-    model.embedding[...] = array("embedding", model.embedding.shape)
+    embedding = array("embedding", (dims[0], dims[1]))
+    if embedding.dtype.kind != "f":
+        raise CheckpointError(f"checkpoint {path}: embedding is {embedding.dtype}, not float")
+    model = LMModel.create(*dims, make_rng(0), dtype=embedding.dtype)
+    model.embedding[...] = embedding
     for i, layer in enumerate(model.masked_layers()):
         mask = array(f"mask_{i}", layer.w.shape)
         if not np.all((mask == 0) | (mask == 1)):

@@ -232,8 +232,8 @@ def cell_step(cell, x, prev):
     recording)."""
     from hwsynth.hlstm import _layout, cell_forward
 
-    table, operands = _layout(cell, np.asarray(x, dtype=float))
-    hs = np.empty((1, *prev.h.shape))
+    table, operands = _layout(cell, np.asarray(x, dtype=cell.dtype))
+    hs = np.empty((1, *prev.h.shape), cell.dtype)
     return cell_forward(operands, table, np.arange(len(x))[None], prev, hs)
 
 
@@ -247,6 +247,23 @@ def cell_step_backward(cell, rec, x, d_h, d_c):
     d_xw, d_prev = cell_backward(bwd, rec, 0, d_h, d_c)
     bwd.flush(cell)
     return _project_input_backward(cell, x, d_xw), d_prev
+
+
+def with_dtype(model, dtype):
+    """A copy of `model` with every array in `dtype`, names and masks kept:
+    a float64 oracle model from one the library made in float32."""
+    from hwsynth.hlstm import HLSTMCellParams, LMModel
+    from hwsynth.numkit import ARRAYS, MaskedLinear
+
+    cell, head = model.cell, model.head
+    dup = HLSTMCellParams(cell.d_x, cell.d_s, cell.d_h, cell.name, dtype)
+    for old, new in zip(cell.layers(), dup.layers()):
+        for attr in ARRAYS:
+            getattr(new, attr)[...] = getattr(old, attr)
+        new.name = old.name
+    dup_head = MaskedLinear(head.w.astype(dtype), head.mask.astype(dtype),
+                            head.b.astype(dtype), head.name)
+    return LMModel(model.embedding.astype(dtype), dup, dup_head)
 
 
 # --- full-shape forward ------------------------------------------------------------

@@ -46,8 +46,9 @@ from oracles import (
 # --- criterion 1: gradient fidelity -------------------------------------------
 
 def _fd_model(seed):
+    # float64: central differences at eps 1e-5 need it to resolve 1e-5
     rng = make_rng(seed)
-    model = LMModel.create(6, 3, 4, 5, rng)
+    model = LMModel.create(6, 3, 4, 5, rng, dtype=np.float64)
     for layer in model.masked_layers():
         layer.mask[...] = rng.random(layer.mask.shape) < 0.6
         # nonzero biases keep relu pre-activations off the kink at exactly 0,
@@ -126,9 +127,11 @@ def test_criterion_2_selection_oracles():
         expected = select_bottom_k(scores, active, k)
         assert np.flatnonzero((before - layer.mask).ravel()).tolist() == expected
 
+    # the cells are float64, as the oracles score in float64 and grown weights
+    # must equal lr * a float64 gradient exactly
     def sparse_cell(d_s, d_h):
-        cell = HLSTMCellParams.create(2, d_s, d_h, rng)
-        head = MaskedLinear.dense(4, d_s, rng, name="head")
+        cell = HLSTMCellParams.create(2, d_s, d_h, rng, dtype=np.float64)
+        head = MaskedLinear.dense(4, d_s, rng, name="head", dtype=np.float64)
         for layer in cell.layers() + [head]:
             layer.mask[...] = rng.random(layer.mask.shape) < rng.uniform(0.3, 1.0)
             layer.apply_mask()
@@ -173,8 +176,8 @@ def test_criterion_2_selection_oracles():
 
     for _ in range(1000):  # coordinated d_s pruning, dense cells
         d_x, d_s, d_h = 2, int(rng.integers(3, 7)), int(rng.integers(2, 6))
-        cell = HLSTMCellParams.create(d_x, d_s, d_h, rng)
-        head = MaskedLinear.dense(4, d_s, rng, name="head")
+        cell = HLSTMCellParams.create(d_x, d_s, d_h, rng, dtype=np.float64)
+        head = MaskedLinear.dense(4, d_s, rng, name="head", dtype=np.float64)
         k_s = int(rng.integers(1, d_s))
         # independent importance: |W| sums over each unit's rows and columns
         imp = np.zeros(d_s)

@@ -10,6 +10,7 @@ from hwsynth.cli import main
 from hwsynth.corpus import load_corpus
 from hwsynth.hlstm import evaluate, freeze, perplexity
 from hwsynth.synthflow import checkpoint_load, checkpoint_save
+from oracles import with_dtype
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +307,28 @@ class TestSynthesizeEvalReportBench:
         want = perplexity(evaluate(model, test, seq_len=meta["seq_len"],
                                    batch=synthflow.VALID_BATCH))
         assert f" test_perplexity={want!r}" in out
+
+    def test_eval_of_a_float64_checkpoint(self, flow_out, tiny_corpus, tmp_path, capsys):
+        """Checkpoints written before models ran in float32 hold float64
+        arrays. checkpoint_save writes a model's arrays as they are, so a
+        float64 model saves to the file such a run wrote. It loads in
+        float64, and `hwsynth eval` scores the NLL of the model it came from."""
+        model, meta = checkpoint_load(flow_out / "checkpoint_wp.npz")
+        old = with_dtype(model, np.float64)
+        path = tmp_path / "float64.npz"
+        checkpoint_save(old, meta, path)
+        data = np.load(path)
+        assert {data[k].dtype for k in data.files} == {
+            np.dtype(np.float64), np.dtype(np.uint8)}     # masks and meta are uint8
+        loaded, _ = checkpoint_load(path)
+        assert loaded.embedding.dtype == loaded.cell.dtype == loaded.head.w.dtype == np.float64
+        valid = load_corpus(tiny_corpus, meta["train_frac"], meta["valid_frac"]).valid
+        nll = evaluate(old, valid, seq_len=meta["seq_len"], batch=synthflow.VALID_BATCH)
+        assert evaluate(loaded, valid, seq_len=meta["seq_len"],
+                        batch=synthflow.VALID_BATCH) == nll
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path), "--corpus", tiny_corpus]) == 0
+        assert f"valid_perplexity={perplexity(nll)!r}" in capsys.readouterr().out
 
     def test_eval_of_a_test_split_shorter_than_a_window(self, flow_out, tiny_corpus,
                                                          tmp_path, capsys):

@@ -17,7 +17,7 @@ from hwsynth.growprune import (
     weight_prune,
 )
 from hwsynth.hlstm import GATES, HLSTMCellParams
-from hwsynth.numkit import ContractViolation, MaskedLinear, make_rng
+from hwsynth.numkit import DTYPE, ContractViolation, MaskedLinear, make_rng
 from oracles import (
     active_units,
     grown_masks,
@@ -138,13 +138,13 @@ class TestWeightPrune:
         assert np.array_equal(layer.mask, before)
 
 
-def make_cell(seed, d_x=3, d_s=5, d_h=4, density=0.8):
+def make_cell(seed, d_x=3, d_s=5, d_h=4, density=0.8, dtype=DTYPE):
     rng = make_rng(seed)
-    cell = HLSTMCellParams.create(d_x, d_s, d_h, rng)
+    cell = HLSTMCellParams.create(d_x, d_s, d_h, rng, dtype=dtype)
     for layer in cell.layers():
         layer.mask[...] = rng.random(layer.mask.shape) < density
         layer.apply_mask()
-    head = MaskedLinear.dense(7, d_s, rng, name="head")
+    head = MaskedLinear.dense(7, d_s, rng, name="head", dtype=dtype)
     return cell, head, rng
 
 
@@ -311,10 +311,11 @@ class TestCoordinatedGrow:
     def test_matches_sort_oracle(self):
         rng = make_rng(400)
         for trial in range(500):
+            # float64: new weights must equal lr * a float64 gradient exactly
             cell, head, _ = make_cell(int(rng.integers(1 << 30)),
                                       d_s=int(rng.integers(2, 8)),
                                       d_h=int(rng.integers(2, 8)),
-                                      density=float(rng.uniform(0.3, 1.0)))
+                                      density=float(rng.uniform(0.3, 1.0)), dtype=np.float64)
             s_act, h_act = active_units(cell)
             coordinated_rc_prune_counts(cell, head, int(rng.integers(0, max(len(s_act), 1))),
                                         int(rng.integers(0, max(len(h_act), 1))))

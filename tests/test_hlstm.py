@@ -26,7 +26,7 @@ from hwsynth.hlstm import (
     training_copy,
     unroll_forward,
 )
-from hwsynth.numkit import ARRAYS, ContractViolation, MaskedLinear, NumericAbort, make_rng
+from hwsynth.numkit import ARRAYS, DTYPE, ContractViolation, MaskedLinear, NumericAbort, make_rng
 from hwsynth.corpus import batch_windows
 from oracles import (
     cell_step,
@@ -39,7 +39,13 @@ from oracles import (
     reference_bptt,
     reference_forward_only,
     rel_max_diff,
+    with_dtype,
 )
+
+# Oracles that resolve finite differences at eps 1e-5, or compare within 1e-12
+# or bit for bit against a float64 reference, run on float64 models (F64); the
+# rest run in the dtype the library creates models in.
+F64 = np.float64
 
 
 def zeroed_cell(d_x=2, d_s=3, d_h=2):
@@ -51,11 +57,11 @@ def zeroed_cell(d_x=2, d_s=3, d_h=2):
     return cell
 
 
-def random_model(seed, vocab, d_x, d_s, d_h, density=0.7, T=4, batch=1):
+def random_model(seed, vocab, d_x, d_s, d_h, density=0.7, T=4, batch=1, dtype=DTYPE):
     """Sparse random model with nonzero biases (keeps relu pre-activations
     away from the kink at exactly zero, where fd oracles are undefined)."""
     rng = make_rng(seed)
-    model = LMModel.create(vocab, d_x, d_s, d_h, rng)
+    model = LMModel.create(vocab, d_x, d_s, d_h, rng, dtype=dtype)
     for layer in model.masked_layers():
         layer.mask[...] = rng.random(layer.mask.shape) < density
         layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
@@ -85,7 +91,7 @@ class TestCellForward:
 
     def test_scalar_cell_hand_trace(self):
         rng = make_rng(1)
-        cell = HLSTMCellParams.create(1, 1, 1, rng)
+        cell = HLSTMCellParams.create(1, 1, 1, rng, dtype=F64)
         vals = {"f": (0.3, -0.2, 0.5, 0.1), "i": (0.7, 0.4, -0.6, 0.2),
                 "o": (-0.5, 0.6, 0.8, -0.1), "g": (0.2, 0.9, -0.4, 0.3)}
         for gate, (wh1, wh2, wo, bo) in vals.items():
@@ -193,7 +199,7 @@ class TestCellBackward:
 
     def test_parameter_gradients_match_fd(self):
         rng = make_rng(9)
-        cell = HLSTMCellParams.create(3, 4, 5, rng)
+        cell = HLSTMCellParams.create(3, 4, 5, rng, dtype=F64)
         for layer in cell.layers():
             layer.mask[...] = rng.random(layer.mask.shape) < 0.7
             layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
@@ -215,15 +221,15 @@ class TestCellBackward:
             assert max_rel_err(layer.grad_w, fd) < 1e-5, layer.name
 
 
-def pruned_cell(seed, d_x=16, d_s=40, d_h=36):
+def pruned_cell(seed, d_x=16, d_s=40, d_h=36, dtype=DTYPE):
     """Sparse cell with nonzero biases and some whole units pruned."""
     rng = make_rng(seed)
-    cell = HLSTMCellParams.create(d_x, d_s, d_h, rng)
+    cell = HLSTMCellParams.create(d_x, d_s, d_h, rng, dtype=dtype)
     for layer in cell.layers():
         layer.mask[...] = rng.random(layer.mask.shape) < 0.7
         layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
         layer.apply_mask()
-    head = MaskedLinear.dense(9, d_s, rng, name="head")
+    head = MaskedLinear.dense(9, d_s, rng, name="head", dtype=dtype)
     coordinated_rc_prune_counts(cell, head, 5, 4)
     return cell, rng
 
@@ -237,7 +243,7 @@ class TestStackedKernelsMatchPerGate:
 
     def run_both(self, batch, seed):
         """(key, library array, reference array) for every compared output."""
-        cell, rng = pruned_cell(seed)
+        cell, rng = pruned_cell(seed, dtype=F64)
         assert cell.active_dims() == (35, 32)
         x, h_prev, c_prev, d_h, d_c = self.step_inputs(rng, cell, batch)
         state, rec = cell_step(cell, x, HLSTMState(h=h_prev, c=c_prev))
@@ -318,7 +324,7 @@ class TestUnrollAndBptt:
 
     def test_uniform_logits_nll_is_log_v(self):
         rng = make_rng(14)
-        model = LMModel.create(7, 2, 2, 2, rng)
+        model = LMModel.create(7, 2, 2, 2, rng, dtype=F64)
         model.embedding[...] = 0.0
         for layer in model.masked_layers():
             layer.w[...] = 0.0
@@ -344,7 +350,7 @@ class TestUnrollAndBptt:
         # at batch 3 tokens repeat across batch and time, so the head, the x
         # part of H and the embedding gradient each sum over repeated rows
         model, tokens, targets = random_model(16, vocab=4, d_x=2, d_s=3, d_h=3,
-                                              T=5, density=0.6, batch=batch)
+                                              T=5, density=0.6, batch=batch, dtype=F64)
         logits, caches, _ = unroll_forward(model, tokens, train=True)
         bptt(model, logits, caches, tokens, targets)
         loss_fn = lambda: total_nll(model, tokens, targets)
@@ -378,21 +384,21 @@ class TestUnrollAndBptt:
 
     def test_batched_matches_sum_of_streams(self):
         model, tokens, targets = random_model(17, vocab=5, d_x=2, d_s=3, d_h=3,
-                                              T=3, batch=2)
+                                              T=3, batch=2, dtype=F64)
         logits, caches, _ = unroll_forward(model, tokens, train=True)
         loss_b = bptt(model, logits, caches, tokens, targets)
         loss_s = sum(total_nll(model, tokens[b:b + 1], targets[b:b + 1]) for b in range(2))
         assert loss_b == pytest.approx(loss_s, rel=1e-12)
 
 
-def unread_model(seed, vocab=9, d_x=5, d_s=14, d_h=12):
+def unread_model(seed, vocab=9, d_x=5, d_s=14, d_h=12, dtype=DTYPE):
     """Sparse model with nonzero biases and units of three kinds:
     rc-pruned (cut out by coordinated_rc_prune_counts), emptied but read
     (all incoming connections gone, as wp leaves them, yet a nonzero bias
     and live outgoing columns), read by the head alone, and unread (live
     incoming connections, no live outgoing column)."""
     rng = make_rng(seed)
-    model = LMModel.create(vocab, d_x, d_s, d_h, rng)
+    model = LMModel.create(vocab, d_x, d_s, d_h, rng, dtype=dtype)
     cell = model.cell
     for layer in model.masked_layers():
         layer.mask[...] = rng.random(layer.mask.shape) < 0.7
@@ -426,7 +432,7 @@ class TestCompact:
 
     def test_rc_pruned_cell_is_sliced_to_its_active_units(self):
         rng = make_rng(30)
-        model = LMModel.create(9, 5, 20, 16, rng)
+        model = LMModel.create(9, 5, 20, 16, rng, dtype=F64)
         coordinated_rc_prune_counts(model.cell, model.head, 7, 4)
         frozen = freeze(model)
         assert frozen_dims(frozen) == (13, 12) == model.cell.active_dims()
@@ -438,7 +444,7 @@ class TestCompact:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_emptied_but_read_units_are_kept(self, seed):
-        model, rng = unread_model(seed)
+        model, rng = unread_model(seed, dtype=F64)
         # 3 and 2 units were rc-pruned, one of each kind is unread
         assert frozen_dims(freeze(model)) == (14 - 3 - 1, 12 - 2 - 1)
         assert model.cell.active_dims() == (14 - 3 - 1, 12 - 2 - 1)
@@ -448,7 +454,7 @@ class TestCompact:
 
     def test_dense_model_is_its_own_compaction(self):
         model, tokens, _ = random_model(31, vocab=6, d_x=3, d_s=5, d_h=4, batch=3, T=6,
-                                        density=1.0)
+                                        density=1.0, dtype=F64)
         frozen = freeze(model)
         assert frozen.head is model.head and frozen_dims(frozen) == (5, 4)
         got, caches, state = unroll_forward(model, tokens)
@@ -458,7 +464,7 @@ class TestCompact:
         assert np.array_equal(state.h, ref_state.h) and np.array_equal(state.c, ref_state.c)
 
     def test_stateful_evaluate_matches_full_shape(self):
-        model, rng = unread_model(33)
+        model, rng = unread_model(33, dtype=F64)
         ids = rng.integers(0, 9, size=400)
         total, count, state = 0.0, 0, None
         for xs, ys in batch_windows(ids, 3, 16):
@@ -540,7 +546,7 @@ class TestCompact:
             bptt(model, logits, caches, tokens, targets)
 
     def test_train_pass_is_the_full_shape_pass(self):
-        model, rng = unread_model(38)
+        model, rng = unread_model(38, dtype=F64)
         tokens = rng.integers(0, 9, size=(3, 8))
         got, caches, state = unroll_forward(model, tokens, train=True)
         ref, ref_caches, ref_state = full_shape_forward(model, tokens)
@@ -612,23 +618,36 @@ class TestReadUnits:
         read_s, read_h = (list(np.flatnonzero(f)) for f in self.by_definition(model))
         self.assert_flags(model, read_s, read_h)
 
+    @pytest.mark.parametrize("kind", [128, 32, "unread"])
+    def test_float32_sums_flag_what_float64_sums_flag(self, kind):
+        """The column sums run in the mask's dtype, not on a float64 cast of
+        each block: on a float32 model they flag exactly the units that the
+        float64 sums flag on its float64 copy."""
+        model = (unread_model(63) if kind == "unread" else bench_shape_model(kind, seed=63))[0]
+        assert model.cell.dtype == np.float32
+        got, want = _read_units(model), _read_units(with_dtype(model, F64))
+        for flags, ref, by_definition in zip(got, want, self.by_definition(model)):
+            assert flags.dtype == bool and np.array_equal(flags, ref)
+            assert np.array_equal(flags, by_definition)
+
 
 class TestStepOperands:
     """Each pass lays out its step operands (the recurrent part of H and the
     gate-scaled O and O bias) from the weights it is given."""
 
     @staticmethod
-    def model(dense, seed):
+    def model(dense, seed, dtype=DTYPE):
         """A dense model (frozen whole) or one freeze() slices."""
         if dense:
-            model = random_model(seed, vocab=9, d_x=5, d_s=6, d_h=5, density=1.0)[0]
+            model = random_model(seed, vocab=9, d_x=5, d_s=6, d_h=5, density=1.0,
+                                 dtype=dtype)[0]
             return model, make_rng(seed)
-        return unread_model(seed)
+        return unread_model(seed, dtype=dtype)
 
     @pytest.mark.parametrize("train", [False, True])
     @pytest.mark.parametrize("dense", [False, True])
     def test_weights_edited_between_calls_are_read(self, dense, train):
-        model, rng = self.model(dense, 40)
+        model, rng = self.model(dense, 40, dtype=F64)
         tokens = rng.integers(0, 9, size=(3, 9))
         before, _, _ = unroll_forward(model, tokens, train=train)
         edit_live_weights(model, rng)
@@ -652,7 +671,7 @@ class TestStepOperands:
         """The bench's infer shape: batch 16 on a dense d=128 model and on a
         d=128 model rc-pruned to a compact d=32."""
         rng = make_rng(42)
-        model = LMModel.create(49, 32, 128, 128, rng)
+        model = LMModel.create(49, 32, 128, 128, rng, dtype=F64)
         for layer in model.masked_layers():
             layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
         coordinated_rc_prune_counts(model.cell, model.head, 128 - d, 128 - d)
@@ -798,7 +817,8 @@ class TestBpttMatchesReference:
     @pytest.mark.parametrize("T", [1, 16])
     @pytest.mark.parametrize("batch", [1, 4, 32])
     def test_matches_reference(self, batch, T):
-        model = random_model(50 + batch + T, vocab=self.VOCAB, d_x=6, d_s=20, d_h=16)[0]
+        model = random_model(50 + batch + T, vocab=self.VOCAB, d_x=6, d_s=20, d_h=16,
+                             dtype=F64)[0]
         tokens, targets = self.tokens(make_rng(batch * T), batch, T)
         emb_grad = self.compare(model, tokens, targets)
         unseen = np.setdiff1d(np.arange(self.VOCAB), tokens)
@@ -806,7 +826,7 @@ class TestBpttMatchesReference:
         assert not emb_grad[unseen].any()
 
     def test_compacted_training_copy(self):
-        model, rng = unread_model(51, vocab=self.VOCAB)
+        model, rng = unread_model(51, vocab=self.VOCAB, dtype=F64)
         with training_copy(model) as small:
             assert (small.cell.d_s, small.cell.d_h) == (14 - 3, 12 - 2)
             tokens, targets = self.tokens(rng, 8, 16)
@@ -827,7 +847,7 @@ class TestBpttMatchesReference:
     def test_embedding_gradient_matches_fd(self):
         """Repeated tokens sum into their symbol's row; a symbol that never
         occurs gets an exactly zero row."""
-        model = random_model(53, vocab=6, d_x=2, d_s=3, d_h=3)[0]
+        model = random_model(53, vocab=6, d_x=2, d_s=3, d_h=3, dtype=F64)[0]
         rng = make_rng(54)
         tokens, targets = rng.integers(0, 3, size=(2, 5)), rng.integers(0, 6, size=(2, 5))
         logits, caches, _ = unroll_forward(model, tokens, train=True)

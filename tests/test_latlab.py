@@ -26,7 +26,7 @@ from hwsynth.latlab import (
     spearman,
     sweep,
 )
-from hwsynth.numkit import ContractViolation
+from hwsynth.numkit import DTYPE, ContractViolation
 from oracles import prefix_min_lhps
 
 
@@ -109,6 +109,19 @@ class TestMeasurePoint:
                               warmup_runs=2, measured_runs=5)
         assert stats.median_ns > 0.0
         assert stats.mean_ns >= stats.median_ns or stats.mean_ns > 0.0
+
+    def test_native_backend_times_the_model_dtype(self, monkeypatch):
+        # models are created in float32, so the profile times sgemm, not dgemm
+        seen, matmul = [], np.matmul
+
+        def spy(x, w, out):
+            seen.append((x.dtype, w.dtype, out.dtype))
+            return matmul(x, w, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        measure_point(NativeBackend(), 8, batch=4, warmup_runs=1, measured_runs=5)
+        assert len(seen) == 6 and set(seen) == {(np.dtype(DTYPE),) * 3}
+        assert DTYPE is np.float32
 
     def test_backend_failure_carries_dim(self):
         class Broken(NativeBackend):

@@ -33,7 +33,11 @@ from hwsynth.synthflow import (
     param_count,
     run_flow,
 )
-from oracles import full_shape_forward, rel_max_diff
+from oracles import full_shape_forward, rel_max_diff, with_dtype
+
+# oracles that compare bit for bit or within 1e-12 against a float64 reference
+# run on float64 copies of the seed models
+F64 = np.float64
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +416,31 @@ class TestCheckpoint:
             assert np.array_equal(l1.mask, l2.mask)
             assert l1.name == l2.name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_arrays_keep_the_model_dtype(self, tmp_path, dtype):
+        """The file holds the model's arrays as they are (float32 halves the
+        weights' bytes); the loaded model takes its stored embedding's dtype."""
+        model = with_dtype(self.model(), dtype)
+        path = tmp_path / "ck.npz"
+        checkpoint_save(model, {}, path)
+        data = np.load(path)
+        assert {data[k].dtype for k in data.files
+                if k.split("_")[0] in ("embedding", "w", "b")} == {np.dtype(dtype)}
+        loaded, _ = checkpoint_load(path)
+        assert loaded.embedding.dtype == dtype
+        assert loaded.embedding.tobytes() == model.embedding.tobytes()
+        for l1, l2 in zip(model.masked_layers(), loaded.masked_layers()):
+            for attr in ARRAYS:
+                assert getattr(l2, attr).dtype == dtype, (l2.name, attr)
+            for attr in ("w", "mask", "b"):
+                assert getattr(l1, attr).tobytes() == getattr(l2, attr).tobytes()
+
+    def test_non_float_embedding_refused(self, tmp_path):
+        def edit(data):
+            data["embedding"] = data["embedding"].astype(np.int64)
+        with pytest.raises(CheckpointError, match=r"edited\.npz: embedding is int64"):
+            checkpoint_load(self.resave(tmp_path, edit))
+
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "ck.npz"
         checkpoint_save(self.model(), {"phase": "wg"}, path)
@@ -598,7 +627,7 @@ class TestTrainingPassesKeepFullShape:
     def setup_model(self, tiny_corpus):
         cfg = tiny_config(tiny_corpus, optimizer=OptimizerConfig(lr=0.5))
         ids = load_corpus(tiny_corpus).train
-        model = make_seed(cfg, 9, make_rng(4))
+        model = with_dtype(make_seed(cfg, 9, make_rng(4)), F64)
         coordinated_rc_prune_counts(model.cell, model.head, 4, 3)
         assert read_dims(model) != (12, 12)    # forward-only passes would slice it
         return model, ids
@@ -658,10 +687,11 @@ class TestCompactedTraining:
 
     cfg = OptimizerConfig(lr=0.5)
 
-    def setup_model(self, tiny_corpus):
+    def setup_model(self, tiny_corpus, dtype=None):
+        """The seed model, as made or as a `dtype` copy, and the train ids."""
         ids = load_corpus(tiny_corpus).train
         model = make_seed(tiny_config(tiny_corpus, optimizer=self.cfg), 9, make_rng(4))
-        return model, ids
+        return (model if dtype is None else with_dtype(model, dtype)), ids
 
     def assert_matches(self, model, ref):
         """Masks equal to the oracle's (which never changes them); w, b and
@@ -674,7 +704,7 @@ class TestCompactedTraining:
         assert rel_max_diff(model.embedding, ref.embedding) <= 1e-12
 
     def test_rc_pruned_units_stay_empty(self, tiny_corpus):
-        model, ids = self.setup_model(tiny_corpus)
+        model, ids = self.setup_model(tiny_corpus, F64)
         s_live, h_live = model.cell.active_units()
         coordinated_rc_prune_counts(model.cell, model.head, 4, 3)
         s_now, h_now = model.cell.active_units()
@@ -695,7 +725,7 @@ class TestCompactedTraining:
     def test_emptied_units_are_kept(self, tiny_corpus):
         # d_s unit u is written but unread; d_h unit k is read but unwritten,
         # and the relu of its bias still feeds the O layers
-        model, ids = self.setup_model(tiny_corpus)
+        model, ids = self.setup_model(tiny_corpus, F64)
         Trainer(self.cfg).epoch(model, ids, 8, 16)
         coordinated_rc_prune_counts(model.cell, model.head, 4, 3)
         cell, d_x = model.cell, model.d_x
@@ -751,8 +781,8 @@ class TestCompactedTraining:
         def no_copy(*args):
             raise AssertionError("a model with no unit to drop was copied")
         monkeypatch.setattr(hlstm, "_take_units", no_copy)
-        seed, ids = self.setup_model(tiny_corpus)
-        for model in (seed, LMModel.create(9, 4, 12, 12, make_rng(0))):
+        seed, ids = self.setup_model(tiny_corpus, F64)
+        for model in (seed, LMModel.create(9, 4, 12, 12, make_rng(0), dtype=F64)):
             with training_copy(model) as live:
                 assert live is model
             ref = copy.deepcopy(model)
