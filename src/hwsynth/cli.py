@@ -3,7 +3,7 @@
 Commands: profile (latency sweep), analyze (hysteresis report + plot),
 synthesize (run the four-step flow), eval (perplexity of a checkpoint),
 report (print a flow's report table), bench (forward latency of the
-checkpoint's frozen model, whose d_s/d_h it prints as compact_d_s/_d_h).
+checkpoint's model, whose d_s/d_h it prints as compact_d_s/_d_h).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage, config or profile-file error.
 """
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import latlab, synthflow
 from .corpus import batch_windows, bundled_corpus_path, load_corpus
-from .hlstm import evaluate, perplexity, read_dims
+from .hlstm import evaluate, perplexity
 from .numkit import ContractViolation, write_atomic
 
 
@@ -116,10 +116,9 @@ def cmd_bench(args) -> int:
         mode="virtual" if args.virtual else "real",
         measure_batch=args.batch, runs=args.reps)
     stats = synthflow.measure_model_latency(model, lat_cfg)
-    d_s, d_h = read_dims(model)   # the dims of freeze(model), which real mode times
     print(f"median_ns={stats.median_ns!r} p95_ns={stats.p95_ns!r} "
           f"mean_ns={stats.mean_ns!r} runs={stats.runs} "
-          f"compact_d_s={d_s} compact_d_h={d_h}")
+          f"compact_d_s={model.cell.d_s} compact_d_h={model.cell.d_h}")
     return 0
 
 

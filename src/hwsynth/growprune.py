@@ -2,14 +2,18 @@
 growth/pruning coordinated across the four gates of a cell, and the
 ratio-halving schedule.
 
-Growth and pruning are one rule read in two directions: growth activates
-the dormant connections or units with the largest gradient magnitudes,
-pruning removes the active ones with the smallest weight magnitudes. A
-unit scores the sum over the connections it owns (`unit_importance`).
-Selection counts use ceil(ratio * n) with ties broken by lower index
-(`_pick`), so every decision is deterministic and checkable against a
-full-sort oracle. Grown weights are initialized to lr * gradient
-(sign-carrying), for both single-weight and unit growth.
+Weight growth activates the dormant connections with the largest gradient
+magnitudes, at lr * gradient (sign-carrying); pruning removes the active
+connections or units with the smallest weight magnitudes, a unit scoring
+the sum over the connections it owns (`unit_importance`). Selection counts
+use ceil(ratio * n) with ties broken by lower index (`_pick`), so every
+decision is deterministic and checkable against a full-sort oracle.
+
+A cell is stored at its live dims. A unit cut (`coordinated_rc_prune_counts`)
+leaves the arrays, and so, after that cut, each of the flow's weight prunes
+and a checkpoint load, does each unit that nothing reads or writes
+(`sweep`). Unit growth appends units with zero weights
+(`coordinated_rc_grow_counts`).
 """
 
 from __future__ import annotations
@@ -78,8 +82,9 @@ def weight_grow(layer: MaskedLinear, grad: np.ndarray, g_w: float, lr: float) ->
     dormant = np.flatnonzero(layer.mask.ravel() == 0.0)
     chosen = _pick(dormant, np.abs(grad.ravel()), _ceil_count(g_w, layer.w.size),
                    largest=True)
-    layer.mask.ravel()[chosen] = 1.0
-    layer.w.ravel()[chosen] = lr * grad.ravel()[chosen]
+    # .flat writes in place whatever the layout; ravel() copies a column-major array
+    layer.mask.flat[chosen] = 1.0
+    layer.w.flat[chosen] = lr * grad.ravel()[chosen]
     return chosen.size
 
 
@@ -90,32 +95,22 @@ def weight_prune(layer: MaskedLinear, p_w: float) -> int:
     active = np.flatnonzero(layer.mask.ravel() == 1.0)
     chosen = _pick(active, np.abs(layer.w.ravel()), _ceil_count(p_w, active.size),
                    largest=False)
-    layer.mask.ravel()[chosen] = 0.0
-    layer.w.ravel()[chosen] = 0.0
+    layer.mask.flat[chosen] = 0.0
+    layer.w.flat[chosen] = 0.0
     return chosen.size
 
 
 # --- coordinated multi-gate structured operations ---------------------------
 
-def unit_importance(cell: HLSTMCellParams, head: MaskedLinear,
-                    grads: dict[int, np.ndarray] | None = None):
-    """Importance of every d_s and d_h unit, one rule for both directions:
-    a unit's rows summed over their layer's active columns plus its columns
-    summed over their layer's active rows, across the four gates and the
-    head (a d_s unit owns a head column). The summand is |W| to prune and
-    |G| to grow; grads maps id(layer) -> gradient matrix. For pruning this
-    is the sum over every entry the unit owns, since w[mask == 0] == 0; for
-    growth it is the |G| of the connections the unit would gain.
-
-    Growth ranks the units rcp cut out by index alone: `_apply_unit_prune`
-    zeroes all their weights and biases, so their state and hidden outputs
-    are 0 and nothing reads them, every gradient growth reads for them is
-    exactly 0, and their scores tie.
-    """
-    read = (lambda layer: layer.w) if grads is None else (lambda layer: grads[id(layer)])
+def unit_importance(cell: HLSTMCellParams, head: MaskedLinear):
+    """Importance of every d_s and d_h unit: |W| of a unit's rows summed
+    over their layer's active columns plus of its columns summed over their
+    layer's active rows, across the four gates and the head (a d_s unit owns
+    a head column); since w[mask == 0] == 0, the sum over every entry the
+    unit owns."""
 
     def add(layer, row_imp, col_imp, col0=0):
-        m = np.abs(read(layer))
+        m = np.abs(layer.w)
         row_imp += m[:, layer.active_cols()].sum(axis=1)
         col_imp += m[layer.mask.any(axis=1), col0:].sum(axis=0)
 
@@ -128,19 +123,31 @@ def unit_importance(cell: HLSTMCellParams, head: MaskedLinear,
     return s_imp, h_imp
 
 
-def _apply_unit_prune(cell: HLSTMCellParams, head: MaskedLinear,
-                      s_idx: np.ndarray, h_idx: np.ndarray) -> None:
-    """Cut the units out of every gate at once: a d_s unit is row s of each
-    O layer, column d_x+s of each H layer and column s of the head; a d_h
-    unit is row h of each H layer and column h of each O layer."""
-    H, O = cell.H, cell.O
-    O.mask[:, s_idx, :] = O.w[:, s_idx, :] = 0.0
-    O.b[:, s_idx] = 0.0
-    O.mask[:, :, h_idx] = O.w[:, :, h_idx] = 0.0
-    H.mask[:, :, cell.d_x + s_idx] = H.w[:, :, cell.d_x + s_idx] = 0.0
-    H.mask[:, h_idx, :] = H.w[:, h_idx, :] = 0.0
-    H.b[:, h_idx] = 0.0
-    head.mask[:, s_idx] = head.w[:, s_idx] = 0.0
+def _resize(cell: HLSTMCellParams, head: MaskedLinear, s: np.ndarray, h: np.ndarray,
+            new_s: int = 0, new_h: int = 0) -> None:
+    """Resize the cell and the head in place to the d_s units s and d_h
+    units h, then new_s and new_h unconnected units (see
+    HLSTMCellParams.resize): a d_s unit is row s of each O layer, column
+    d_x+s of each H layer and column s of the head; a d_h unit is row h of
+    each H layer and column h of each O layer."""
+    cell.resize(s, h, new_s, new_h)
+    head.resize_cols(s, new_s)
+
+
+def sweep(cell: HLSTMCellParams, head: MaskedLinear) -> None:
+    """Remove every d_s and d_h unit that is neither read nor written, in
+    place. A d_s unit is read while a head column or an H recurrent column
+    of it is live, a d_h unit while an O column of it is; a unit is written
+    while a row of it is live (`active_units`). Such a unit adds only zero
+    terms to every logit and gradient, and SGD moves none of its entries, so
+    its removal changes no logit, active count or live row. One pass finds
+    them all: a removal drops only columns that were already empty."""
+    written_s, written_h = cell.active_units()
+    keep_s = (written_s | head.mask.any(axis=0)
+              | cell.H.mask[:, :, cell.d_x:].any(axis=(0, 1)))
+    keep_h = written_h | cell.O.mask.any(axis=(0, 1))
+    if not (keep_s.all() and keep_h.all()):
+        _resize(cell, head, np.flatnonzero(keep_s), np.flatnonzero(keep_h))
 
 
 def coordinated_rc_prune(cell: HLSTMCellParams, head: MaskedLinear,
@@ -165,34 +172,36 @@ def coordinated_rc_prune_counts(cell: HLSTMCellParams, head: MaskedLinear,
     s_imp, h_imp = unit_importance(cell, head)
     s_idx = _pick(np.flatnonzero(s_active), s_imp, k_s, largest=False)
     h_idx = _pick(np.flatnonzero(h_active), h_imp, k_h, largest=False)
-    _apply_unit_prune(cell, head, s_idx, h_idx)
+    _resize(cell, head, np.setdiff1d(np.arange(cell.d_s), s_idx),
+                np.setdiff1d(np.arange(cell.d_h), h_idx))
+    sweep(cell, head)
     return cell.active_dims()
 
 
 def coordinated_rc_grow_counts(cell: HLSTMCellParams, head: MaskedLinear,
-                               grads: dict[int, np.ndarray], k_s: int, k_h: int,
-                               lr: float) -> tuple[int, int]:
-    """Reactivate the dormant d_s/d_h units with the largest |G| sums.
+                               k_s: int, k_h: int) -> tuple[int, int]:
+    """Append k_s d_s units and k_h d_h units across all gates at once.
 
-    Growth touches only the cross-connections into currently active units
-    (never the previously fully active region); new weights are lr * G.
+    Each new unit's rows join its layers' live columns and its columns join
+    their live rows, as they were before growth, so growth never touches the
+    previously active region and new units do not connect to one another.
+    New weights and biases are 0: the lr * G that growth into the units
+    rcp had cut gave, since every gradient of such a unit is exactly 0.
+    Returns the new active (d_s, d_h).
     """
-    s_active, h_active = cell.active_units()
-    s_imp, h_imp = unit_importance(cell, head, grads=grads)
-    s_idx = _pick(np.flatnonzero(~s_active), s_imp, k_s, largest=True)
-    h_idx = _pick(np.flatnonzero(~h_active), h_imp, k_h, largest=True)
+    d_s, d_h, d_x = cell.d_s, cell.d_h, cell.d_x
+    _resize(cell, head, np.arange(d_s), np.arange(d_h), k_s, k_h)
+    new_s, new_h = np.arange(d_s, d_s + k_s), np.arange(d_h, d_h + k_h)
 
-    def activate(layer, rows=(), cols=()):
-        g = np.asarray(grads[id(layer)])
+    def connect(layer, rows=(), cols=()):
         live_r, live_c = np.flatnonzero(layer.mask.any(axis=1)), layer.active_cols()
         for idx in (np.ix_(rows, live_c), np.ix_(live_r, cols)):
             layer.mask[idx] = 1.0
-            layer.w[idx] = lr * g[idx]
 
     for gate in GATES:
-        activate(cell.h_layers[gate], rows=h_idx, cols=cell.d_x + s_idx)
-        activate(cell.o_layers[gate], rows=s_idx, cols=h_idx)
-    activate(head, cols=s_idx)
+        connect(cell.h_layers[gate], rows=new_h, cols=d_x + new_s)
+        connect(cell.o_layers[gate], rows=new_s, cols=new_h)
+    connect(head, cols=new_s)
     return cell.active_dims()
 
 

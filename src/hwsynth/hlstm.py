@@ -31,19 +31,14 @@ lays out what its steps read once and contiguous, as OpenBLAS runs
 transposed views slower: `_layout`, and `_BackwardPass` with the backward's
 buffers and gradient sums.
 
-Pruned units cost no time in any pass that feeds no growth. Inference
-runs `freeze(model)`: the read units' table, step operands and head, laid
-out once, so each forward pays only for its steps and leaves the state it
-starts from as it was. `unroll_forward(train=False)` freezes the model per
-call; `evaluate` and real-mode latency (`synthflow.measure_model_latency`,
-`hwsynth bench`) freeze once and run every window on the frozen model, and
-the report reads its dims off `read_dims(model)`. Training epochs run on
-`training_copy(model)`, a dense copy that also keeps the units something
-writes (so weight decay reaches their live entries) and is written back
-after the epoch. Only the passes whose gradients rank dormant entries for
-growth (grad_sink epochs, rcg's bridging pass) run
-`unroll_forward(train=True)` and `bptt` on the full model, since a dead
-unit's entries need gradients there.
+A model is stored at its live dims: a prune removes from the arrays every
+unit that nothing reads or writes (`growprune.sweep`) and growth appends
+units, so every pass runs the model's own shape and a pruned unit costs no
+time. Inference runs `freeze(model)`: the table, step operands and head,
+laid out once, so each forward pays only for its steps and leaves the state
+it starts from as it was. `unroll_forward(train=False)` freezes the model
+per call; `evaluate` and real-mode latency (`synthflow.measure_model_latency`,
+`hwsynth bench`) freeze once and run every window on the frozen model.
 
 Precision: a model computes in the dtype of its arrays, which
 `LMModel.create` sets (`dtype`, default numkit.DTYPE); every array a pass
@@ -57,7 +52,6 @@ before models ran in float32, which load in float64.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import cycle
 from typing import NamedTuple
@@ -98,9 +92,10 @@ class GateBlock:
     grad_b: np.ndarray
 
     @classmethod
-    def zeros(cls, out_dim: int, in_dim: int, dtype) -> "GateBlock":
+    def zeros(cls, out_dim: int, in_dim: int, dtype, mask: float = 1.0) -> "GateBlock":
+        """Zero weights, biases and gradients; every mask entry is `mask`."""
         shape = (len(GATES), out_dim, in_dim)
-        return cls(w=np.zeros(shape, dtype), mask=np.ones(shape, dtype),
+        return cls(w=np.zeros(shape, dtype), mask=np.full(shape, mask, dtype),
                    b=np.zeros(shape[:2], dtype), grad_w=np.zeros(shape, dtype),
                    grad_b=np.zeros(shape[:2], dtype))
 
@@ -111,17 +106,23 @@ class HLSTMCellParams:
     All four gates share identical (d_x, d_s, d_h); coordinated structured
     pruning keeps them equal. The parameters live in two stacked blocks,
     H (4, d_h, d_x+d_s) and O (4, d_s, d_h); h_layers[g] and o_layers[g]
-    are MaskedLinear views of gate g's slice of each.
+    are MaskedLinear views of gate g's slice of each. `resize` makes new
+    blocks and rebinds the same views to them.
     """
 
     def __init__(self, d_x: int, d_s: int, d_h: int, name: str = "cell", dtype=DTYPE):
-        self.d_x, self.d_s, self.d_h, self.name = d_x, d_s, d_h, name
-        self.H = GateBlock.zeros(d_h, d_x + d_s, dtype)
-        self.O = GateBlock.zeros(d_s, d_h, dtype)
-        self.h_layers = {g: MaskedLinear.view(self.H, k, f"{name}.H{g}")
-                         for k, g in enumerate(GATES)}
-        self.o_layers = {g: MaskedLinear.view(self.O, k, f"{name}.O{g}")
-                         for k, g in enumerate(GATES)}
+        self.d_x, self.name = d_x, name
+        self.h_layers = {g: MaskedLinear.on_arrays(f"{name}.H{g}") for g in GATES}
+        self.o_layers = {g: MaskedLinear.on_arrays(f"{name}.O{g}") for g in GATES}
+        self._set_blocks(GateBlock.zeros(d_h, d_x + d_s, dtype),
+                         GateBlock.zeros(d_s, d_h, dtype))
+
+    def _set_blocks(self, H: GateBlock, O: GateBlock) -> None:
+        self.H, self.O = H, O
+        self.d_s, self.d_h = O.w.shape[1:]
+        for block, layers in ((H, self.h_layers), (O, self.o_layers)):
+            for k, gate in enumerate(GATES):
+                layers[gate].rebind(**{attr: getattr(block, attr)[k] for attr in ARRAYS})
 
     @classmethod
     def create(cls, d_x: int, d_s: int, d_h: int, rng: np.random.Generator,
@@ -160,6 +161,22 @@ class HLSTMCellParams:
         s_active, h_active = self.active_units()
         return int(s_active.sum()), int(h_active.sum())
 
+    def resize(self, s: np.ndarray, h: np.ndarray, new_s: int = 0, new_h: int = 0) -> None:
+        """Resize the cell in place to its d_s units s and d_h units h (index
+        arrays), then new_s and new_h units with nothing connected: zero
+        weights, masks and biases. The blocks and gradients are new."""
+        d_x, dtype = self.d_x, self.dtype
+        H = GateBlock.zeros(h.size + new_h, d_x + s.size + new_s, dtype, mask=0.0)
+        O = GateBlock.zeros(s.size + new_s, h.size + new_h, dtype, mask=0.0)
+        cols = np.concatenate([np.arange(d_x), d_x + s])
+        for attr in ("w", "mask"):
+            getattr(H, attr)[:, :h.size, :cols.size] = \
+                getattr(self.H, attr).take(h, axis=1).take(cols, axis=2)
+            getattr(O, attr)[:, :s.size, :h.size] = \
+                getattr(self.O, attr).take(s, axis=1).take(h, axis=2)
+        H.b[:, :h.size], O.b[:, :s.size] = self.H.b[:, h], self.O.b[:, s]
+        self._set_blocks(H, O)
+
 
 @dataclass
 class _Recording:
@@ -181,29 +198,19 @@ class _Recording:
 _GATE_SCALE = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
 
 
-def _layout(params: HLSTMCellParams, x: np.ndarray,
-            units: tuple[np.ndarray, np.ndarray] | None = None
+def _layout(params: HLSTMCellParams, x: np.ndarray
             ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """What a pass's steps read. First the x part of every H layer's
     pre-activation, bias included: x (N, d_x) -> (4, N, d_h), on the
     embedding a per-symbol table. Then the step operands: H's recurrent part
     as a contiguous (4, d_s, d_h) array, O as a contiguous (4, d_h, d_s)
     array and O's bias, both times _GATE_SCALE in the cell's dtype; scaling
-    by 1/2 or 1 is exact, so it changes no value. With units (s, h), index
-    arrays, only those d_s and d_h units: each block's rows are gathered
-    once, then its columns."""
+    by 1/2 or 1 is exact, so it changes no value."""
     H, O, d_x, dtype = params.H, params.O, params.d_x, params.dtype
-    h_w, h_b, o_w, o_b = H.w, H.b, O.w, O.b
-    h_rec = h_w[:, :, d_x:]
-    if units is not None:
-        s, h = units
-        h_w, h_b = h_w.take(h, axis=1), h_b.take(h, axis=1)
-        h_rec = h_w.take(d_x + s, axis=2)
-        o_w, o_b = o_w.take(s, axis=1).take(h, axis=2), o_b.take(s, axis=1)
-    table = np.matmul(x, h_w[:, :, :d_x].transpose(0, 2, 1)) + h_b[:, None]
-    return table, (np.ascontiguousarray(h_rec.transpose(0, 2, 1)),
-                   np.multiply(o_w.transpose(0, 2, 1), _GATE_SCALE, order="C", dtype=dtype),
-                   np.multiply(o_b[:, None], _GATE_SCALE, dtype=dtype))
+    table = np.matmul(x, H.w[:, :, :d_x].transpose(0, 2, 1)) + H.b[:, None]
+    return table, (np.ascontiguousarray(H.w[:, :, d_x:].transpose(0, 2, 1)),
+                   np.multiply(O.w.transpose(0, 2, 1), _GATE_SCALE, order="C", dtype=dtype),
+                   np.multiply(O.b[:, None], _GATE_SCALE, dtype=dtype))
 
 
 def _project_input_backward(params: HLSTMCellParams, x: np.ndarray,
@@ -369,77 +376,6 @@ class LMModel:
         return cls(embedding=emb, cell=cell, head=head)
 
 
-def _read_units(model: LMModel) -> tuple[np.ndarray, np.ndarray]:
-    """Flags of the d_s and d_h units something reads (see freeze): one GEMV
-    column sum per mask block, in the mask's dtype (a float64 vector would
-    cast the block per call), exact as its entries are 0 or 1 and its counts
-    stay below 2^24."""
-    cell, d_x = model.cell, model.d_x
-    s_head, s_h, h_o = (np.ones(m.size // m.shape[-1], m.dtype) @ m.reshape(-1, m.shape[-1])
-                        for m in (model.head.mask, cell.H.mask[:, :, d_x:], cell.O.mask))
-    return s_head + s_h > 0.0, h_o > 0.0
-
-
-def read_dims(model: LMModel) -> tuple[int, int]:
-    """(d_s, d_h) of freeze(model), without building it."""
-    read_s, read_h = _read_units(model)
-    return int(read_s.sum()), int(read_h.sum())
-
-
-def _take_units(model: LMModel, s: np.ndarray, h: np.ndarray) -> LMModel:
-    """A dense copy of `model` holding only its d_s units s and d_h units h
-    (sorted index arrays); the embedding and d_x stay whole."""
-    cell, head, d_x = model.cell, model.head, model.d_x
-    cols = np.concatenate([np.arange(d_x), d_x + s])
-    small = HLSTMCellParams(d_x, s.size, h.size, cell.name, cell.dtype)
-    for attr in ("w", "mask"):
-        getattr(small.H, attr)[...] = getattr(cell.H, attr).take(h, axis=1).take(cols, axis=2)
-        getattr(small.O, attr)[...] = getattr(cell.O, attr).take(s, axis=1).take(h, axis=2)
-    small.H.b[...] = cell.H.b[:, h]
-    small.O.b[...] = cell.O.b[:, s]
-    small_head = MaskedLinear(head.w[:, s], head.mask[:, s], head.b.copy(), head.name)
-    return LMModel(model.embedding.copy(), small, small_head)
-
-
-def _put_units(model: LMModel, small: LMModel, s: np.ndarray, h: np.ndarray) -> None:
-    """Write the weights, biases and embedding of `small`, a
-    `_take_units(model, s, h)` copy, back into `model`. Masks stay: training
-    does not change them."""
-    cell, head, d_x = model.cell, model.head, model.d_x
-    cols = np.concatenate([np.arange(d_x), d_x + s])
-    cell.H.w[:, h[:, None], cols] = small.cell.H.w
-    cell.O.w[:, s[:, None], h] = small.cell.O.w
-    cell.H.b[:, h] = small.cell.H.b
-    cell.O.b[:, s] = small.cell.O.b
-    head.w[:, s] = small.head.w
-    head.b[...] = small.head.b
-    model.embedding[...] = small.embedding
-
-
-@contextmanager
-def training_copy(model: LMModel):
-    """Yields a model to train in place of `model`: a dense copy holding
-    only the units that are read (see freeze) or written (`active_units()`).
-    On a normal exit the copy's weights, biases and embedding are written
-    back into `model`. With no unit to drop, `model` itself.
-
-    Training the copy matches training the model up to BLAS summation
-    order. A dropped unit is unread and has no live entry, so it only adds
-    zero terms and SGD never touches it; an unread unit with live entries
-    (wp leaves such units) stays, so weight decay still reaches them; the
-    masks and row liveness of the kept slice are unchanged."""
-    read_s, read_h = _read_units(model)
-    active_s, active_h = model.cell.active_units()
-    keep_s, keep_h = read_s | active_s, read_h | active_h
-    if keep_s.all() and keep_h.all():
-        yield model
-        return
-    s, h = np.flatnonzero(keep_s), np.flatnonzero(keep_h)
-    small = _take_units(model, s, h)
-    yield small
-    _put_units(model, small, s, h)
-
-
 class FrozenModel(NamedTuple):
     """An inference model, laid out once (see `freeze`): `table`, the x
     part of H per symbol (4, V, d_h), bias included; the step `operands`
@@ -459,23 +395,17 @@ class FrozenModel(NamedTuple):
 
 
 def freeze(model: LMModel) -> FrozenModel:
-    """`model` as an inference model of only the units something reads, laid
-    out once: the same logits up to BLAS summation order. A d_s unit is read
-    while a head column or an H column d_x+s of it is live, a d_h unit while
-    an O column of it is; an unread unit only adds zero terms, and a unit wp
-    emptied may still be read (its bias flows on). It shares the head's bias
-    with `model`, and the whole head when every unit is read; its other
-    arrays are new, so it keeps the weights it was frozen with."""
-    cell, head = model.cell, model.head
-    read_s, read_h = _read_units(model)
-    if read_s.all() and read_h.all():
-        return FrozenModel(*_layout(cell, model.embedding), head)
-    s, h = np.flatnonzero(read_s), np.flatnonzero(read_h)
-    # gathered from a valid layer, so it keeps the invariants unchecked; the bench
-    # counts MACs in MaskedLinear.forward. w[:, s] stays column-major: a row-major
-    # copy changes the head GEMM's rounding
-    head = MaskedLinear.on_arrays(head.name, w=head.w[:, s], mask=head.mask[:, s], b=head.b)
-    return FrozenModel(*_layout(cell, model.embedding, (s, h)), head)
+    """`model` as an inference model, laid out once: the same logits as a
+    recording pass up to BLAS summation order. It shares the head's bias
+    with `model`; its other arrays are new, so it keeps the weights and the
+    dims it was frozen with."""
+    head = model.head
+    # copies of a valid layer, so they keep the invariants unchecked (np.copy keeps
+    # the layout, which sets the head GEMM's rounding); the bench counts MACs in
+    # MaskedLinear.forward
+    head = MaskedLinear.on_arrays(head.name, w=np.copy(head.w), mask=np.copy(head.mask),
+                                  b=head.b)
+    return FrozenModel(*_layout(model.cell, model.embedding), head)
 
 
 def _unroll(frozen: FrozenModel, tokens: np.ndarray, state: HLSTMState | None,
@@ -506,11 +436,11 @@ def unroll_forward(model: LMModel, tokens: np.ndarray,
     """Run T steps from `init` (None: zero state); returns (logits,
     recording, final state). tokens has shape (B, T) and logits (B, T, V).
 
-    train=True keeps every step's arrays for `bptt` (see cell_forward), at
-    the shape of the model given, and the final state (full-shape) continues
-    the next window. train=False runs `freeze(model).forward(tokens)` from a
-    zero state and takes no init; its recording is an empty list. Stateful
-    forward-only windows run on a frozen model, as in `evaluate`.
+    train=True keeps every step's arrays for `bptt` (see cell_forward), and
+    the final state continues the next window. train=False runs
+    `freeze(model).forward(tokens)` from a zero state and takes no init; its
+    recording is an empty list. Stateful forward-only windows run on a
+    frozen model, as in `evaluate`.
     """
     if train:
         layout = FrozenModel(*_layout(model.cell, model.embedding), model.head)

@@ -45,7 +45,8 @@ class MaskedLinear:
 
     Every mask change zeroes the weights it masks, so w[mask == 0] == 0 and
     the forward reads w as W*Msk. The arrays may be views into a stacked
-    block (see `view`), so they are written in place, never rebound.
+    block (see hlstm.HLSTMCellParams), so they are written in place, and
+    rebound only by a resize (`rebind`).
     """
 
     def __init__(self, w: np.ndarray, mask: np.ndarray, b: np.ndarray,
@@ -67,21 +68,20 @@ class MaskedLinear:
         self.apply_mask()
 
     @classmethod
-    def view(cls, block, k: int, name: str) -> "MaskedLinear":
-        """Layer k of a stacked block: each array is `block.<array>[k]`, so
-        writes through the layer land in the block and vice versa."""
-        return cls.on_arrays(name, **{attr: getattr(block, attr)[k] for attr in ARRAYS})
-
-    @classmethod
     def on_arrays(cls, name: str, **arrays: np.ndarray) -> "MaskedLinear":
         """A layer on arrays that already keep its invariants, taken as they
         are: no check, copy or mask applied. A frozen model's head (see
         hlstm.freeze) has just w, mask and b."""
         layer = cls.__new__(cls)
         layer.name = name
-        for attr, value in arrays.items():
-            setattr(layer, attr, value)
+        layer.rebind(**arrays)
         return layer
+
+    def rebind(self, **arrays: np.ndarray) -> None:
+        """Resize the layer onto new arrays that keep its invariants, taken
+        as they are: the one way to rebind them (see `resize_cols`, and
+        HLSTMCellParams, which rebinds its gate views to resized blocks)."""
+        self.__dict__.update(arrays)
 
     def __setattr__(self, attr, value):
         # `layer.w -= ...` rebinds the same array, which is allowed
@@ -89,6 +89,16 @@ class MaskedLinear:
             raise ContractViolation(
                 f"{self.name}: write {attr} in place ({attr}[...] = ...), not by rebinding")
         object.__setattr__(self, attr, value)
+
+    def resize_cols(self, cols: np.ndarray, new: int = 0) -> None:
+        """Resize the layer to its columns `cols` (an index array), then
+        `new` columns with no connection. w, mask and grad_w are new,
+        column-major arrays, the layout a gather of columns gives (a
+        row-major one changes the layer's GEMM rounding); the bias stays."""
+        w, mask = (np.zeros((self.out_dim, cols.size + new), self.w.dtype, order="F")
+                   for _ in range(2))
+        w[:, :cols.size], mask[:, :cols.size] = self.w[:, cols], self.mask[:, cols]
+        self.rebind(w=w, mask=mask, grad_w=np.zeros_like(w))
 
     @classmethod
     def dense(cls, out_dim: int, in_dim: int, rng: np.random.Generator,

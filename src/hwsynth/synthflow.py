@@ -4,8 +4,8 @@ Order: seed -> weight growth (wg) -> row/column pruning (rcp) -> row/column
 growth back to the nearest latency hysteresis point (rcg) -> weight pruning
 (wp). CPU mode skips rcp and rcg to maximize weight sparsity. The flow
 builds rcg's LHP map once, before any training. Each step appends a report
-row (freeze(model)'s dims, parameter counts, validation perplexity,
-measured forward latency); prune phases restore the last passing checkpoint,
+row (the model's dims, parameter counts, validation perplexity, measured
+forward latency); prune phases restore the last passing checkpoint,
 and a flow is complete only if its final model meets the accuracy threshold.
 """
 
@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -25,9 +24,10 @@ import numpy as np
 from . import growprune, latlab
 from .corpus import Corpus, batch_windows, bundled_corpus_path, load_corpus
 from .growprune import GrowPruneConfig, HalveDecision
-from .hlstm import (LMModel, bptt, evaluate, freeze, perplexity, read_dims,
-                    training_copy, unroll_forward)
-from .numkit import ContractViolation, make_rng, sgd_step, sgd_update, write_atomic
+from .hlstm import (GATES, HLSTMCellParams, LMModel, bptt, evaluate, freeze, perplexity,
+                    unroll_forward)
+from .numkit import (ContractViolation, MaskedLinear, make_rng, sgd_step, sgd_update,
+                     write_atomic)
 
 CONFIG_VERSION = 1
 CHECKPOINT_VERSION = 1
@@ -228,41 +228,6 @@ def make_seed(cfg: FlowConfig, vocab_size: int, rng: np.random.Generator) -> LMM
 
 # --- training loop -------------------------------------------------------------
 
-def _window_pass(model: LMModel, ids: np.ndarray, batch: int, seq_len: int,
-                 step=None, collect: bool = False) -> tuple[float, dict | None]:
-    """Stateful forward + BPTT over every window of `ids`.
-
-    With `step`, a training pass that applies each window's gradients;
-    without, a bridging pass that clears them after each window. Both run
-    at the shape of the model given: the bridging pass and growth epochs get
-    the full model, so a dead unit's dormant entries get gradients; other
-    epochs get a training copy (see `Trainer.epoch`). Returns the mean NLL
-    and, with `collect`, the window-averaged full gradient (dormant entries
-    included) of every masked layer, keyed by id(layer).
-    """
-    layers = model.masked_layers()
-    sums = {id(l): np.zeros_like(l.w) for l in layers} if collect else None
-    total_nll = 0.0
-    count = windows = 0
-    states = None
-    for xs, ys in batch_windows(ids, batch, seq_len):
-        logits, rec, states = unroll_forward(model, xs, init=states, train=True)
-        total_nll += bptt(model, logits, rec, xs, ys, grad_scale=1.0 / xs.size)
-        count += xs.size
-        windows += 1
-        if collect:
-            for layer in layers:
-                sums[id(layer)] += layer.grad_w
-        if step is None:
-            model.zero_grads()
-        else:
-            step()
-    if count == 0:
-        raise ContractViolation("training stream shorter than one window")
-    grads = {key: acc / windows for key, acc in sums.items()} if collect else None
-    return total_nll / count, grads
-
-
 class Trainer:
     """SGD with validation-plateau learning-rate decay, shared across phases."""
 
@@ -271,39 +236,41 @@ class Trainer:
         self.lr = cfg.lr
         self.best_valid = math.inf
         self.stale = 0
-        self.trained: tuple[int, int] | None = None
 
     def epoch(self, model: LMModel, train_ids: np.ndarray, batch: int,
               seq_len: int, rng: np.random.Generator | None = None,
               grad_sink: dict | None = None) -> float:
-        """One pass over the training stream; returns mean training NLL.
+        """One pass over the training stream, stateful across windows, with
+        an SGD step per window; returns the mean training NLL.
 
         grad_sink, when given, receives the epoch-averaged full gradient
-        (dormant entries included) per masked layer, keyed by id(layer);
-        such a growth epoch runs at full shape, since growth ranks the
-        dormant entries of every unit. Any other epoch trains
-        `training_copy(model)`, only the units that are read or written,
-        and writes it back: the same result up to BLAS summation order.
-        `self.trained` is the (d_s, d_h) the last epoch ran at.
+        (dormant entries included) per masked layer, keyed by id(layer),
+        which weight growth ranks.
 
         `rng` is ignored, as an epoch draws nothing at random; it stays while
         the benchmark script passes one positionally, ahead of grad_sink.
         """
-        growth = grad_sink is not None
-        run = nullcontext(model) if growth else training_copy(model)
-        with run as live:
-            def step():
-                for layer in live.masked_layers():
-                    sgd_step(layer, self.lr, self.cfg.weight_decay)
-                sgd_update(live.embedding, live.embedding_grad, self.lr,
-                           self.cfg.weight_decay)
-                live.embedding_grad[...] = 0.0
-
-            self.trained = (live.cell.d_s, live.cell.d_h)
-            mean_nll, grads = _window_pass(live, train_ids, batch, seq_len, step, collect=growth)
-        if growth:
-            grad_sink.update(grads)
-        return mean_nll
+        layers = model.masked_layers()
+        sums = {id(l): np.zeros_like(l.w) for l in layers} if grad_sink is not None else None
+        total_nll = 0.0
+        count = windows = 0
+        states = None
+        for xs, ys in batch_windows(train_ids, batch, seq_len):
+            logits, rec, states = unroll_forward(model, xs, init=states, train=True)
+            total_nll += bptt(model, logits, rec, xs, ys, grad_scale=1.0 / xs.size)
+            count += xs.size
+            windows += 1
+            for layer in layers:
+                if sums is not None:
+                    sums[id(layer)] += layer.grad_w
+                sgd_step(layer, self.lr, self.cfg.weight_decay)
+            sgd_update(model.embedding, model.embedding_grad, self.lr, self.cfg.weight_decay)
+            model.embedding_grad[...] = 0.0
+        if count == 0:
+            raise ContractViolation("training stream shorter than one window")
+        if sums is not None:
+            grad_sink.update({key: acc / windows for key, acc in sums.items()})
+        return total_nll / count
 
     def note_valid(self, valid_nll: float) -> None:
         if valid_nll < self.best_valid - 1e-6:
@@ -368,9 +335,11 @@ def checkpoint_save(model: LMModel, meta: dict, path: str | Path) -> None:
 
 
 def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
-    """The model of a checkpoint_save file, in the dtype of its stored
-    embedding: float32, or float64 for checkpoints written before models
-    ran in float32."""
+    """The model of a checkpoint_save file, built from its arrays in the
+    dtype of its stored embedding (float32, or float64 for checkpoints
+    written before models ran in float32), then swept (`growprune.sweep`):
+    a checkpoint of a run that kept every layer at the seed's dims, with
+    zero masks on its cut units, loads at its read-or-written dims."""
     try:
         data = np.load(path)
         meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
@@ -381,10 +350,14 @@ def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
             raise CheckpointError(f"checkpoint {path} has {key} {meta.get(key)}; only "
                                   f"{supported} is supported")
     try:
-        dims = [meta[key] for key in ("vocab_size", "d_x", "d_s", "d_h")]
+        vocab, d_x, d_s, d_h = (meta[key] for key in ("vocab_size", "d_x", "d_s", "d_h"))
         names = meta["layer_names"]
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path}: its meta has no {exc} key") from None
+    n_layers = 2 * len(GATES) + 1
+    if not (isinstance(names, list) and len(names) == n_layers):
+        raise CheckpointError(f"checkpoint {path}: its meta's layer_names {names!r} is not "
+                              f"one name per masked layer ({n_layers})")
 
     def array(name: str, shape: tuple[int, ...]) -> np.ndarray:
         found = data.get(name)
@@ -394,20 +367,24 @@ def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
                                   f"meta's dims make it {shape}")
         return found
 
-    embedding = array("embedding", (dims[0], dims[1]))
-    if embedding.dtype.kind != "f":
-        raise CheckpointError(f"checkpoint {path}: embedding is {embedding.dtype}, not float")
-    model = LMModel.create(*dims, make_rng(0), dtype=embedding.dtype)
-    model.embedding[...] = embedding
-    for i, layer in enumerate(model.masked_layers()):
-        mask = array(f"mask_{i}", layer.w.shape)
+    embedding = array("embedding", (vocab, d_x))
+    dtype = embedding.dtype
+    if dtype.kind != "f":
+        raise CheckpointError(f"checkpoint {path}: embedding is {dtype}, not float")
+
+    def stored(i: int, out_dim: int, in_dim: int) -> tuple[np.ndarray, ...]:
+        """Masked layer i's (w * mask, mask, b), as stored."""
+        mask = array(f"mask_{i}", (out_dim, in_dim))
         if not np.all((mask == 0) | (mask == 1)):
             raise CheckpointError(f"checkpoint {path}: mask_{i} has entries other than 0 and 1")
-        layer.mask[...] = mask
-        layer.w[...] = array(f"w_{i}", layer.w.shape)
-        layer.b[...] = array(f"b_{i}", layer.b.shape)
-        layer.name = names[i]
-        layer.apply_mask()
+        return (array(f"w_{i}", mask.shape) * mask).astype(dtype), mask, array(f"b_{i}", (out_dim,))
+
+    cell = HLSTMCellParams(d_x, d_s, d_h, dtype=dtype)
+    for i, view in enumerate(cell.layers()):
+        view.w[...], view.mask[...], view.b[...] = stored(i, *view.w.shape)
+        view.name = names[i]
+    model = LMModel(embedding, cell, MaskedLinear(*stored(n_layers - 1, vocab, d_s), names[-1]))
+    growprune.sweep(model.cell, model.head)
     return model, meta
 
 
@@ -456,9 +433,8 @@ class SynthesisFlow:
 
     def _row(self, step: str, model: LMModel, ppl: float) -> ReportRow:
         total, active = param_count(model)
-        d_s, d_h = read_dims(model)    # what forward passes and real mode run
         lat = measure_model_latency(model, self.cfg.latency)
-        return ReportRow(step=step, d_s=d_s, d_h=d_h, d_x=model.d_x,
+        return ReportRow(step=step, d_s=model.cell.d_s, d_h=model.cell.d_h, d_x=model.d_x,
                          total_params=total, active_params=active,
                          valid_ppl=ppl, latency_median_ns=lat.median_ns,
                          latency_mean_ns=lat.mean_ns, latency_p95_ns=lat.p95_ns)
@@ -501,9 +477,8 @@ class SynthesisFlow:
                                  seq_len=self.cfg.seq_len, batch=VALID_BATCH)
             trainer.note_valid(valid_nll)
             ppl = perplexity(valid_nll)
-            d_s, d_h = trainer.trained
             self.log(f"[{label}] epoch {ep + 1}/{epochs} valid ppl {ppl:.3f} "
-                     f"active {param_count(model)[1]} trained {d_s}x{d_h}")
+                     f"active {param_count(model)[1]} trained {model.cell.d_s}x{model.cell.d_h}")
         return ppl
 
     # - steps -
@@ -580,19 +555,15 @@ class SynthesisFlow:
 
     def step_rc_grow(self) -> None:
         self.state.advance("rcg")
-        cur_s, cur_h = read_dims(self.model)
-        tied = max(cur_s, cur_h)
+        cell = self.model.cell
+        tied = max(cell.d_s, cell.d_h)
         target = latlab.nearest_lhp(self.hmap, tied)
         if target is not None and target > self.cfg.d_s:
             target = None       # a loaded profile may reach past d_s; growth cannot
         self.report.lhp_target = target
         if target is not None and target > tied:
-            # bridging gradients: epoch-averaged, no parameter updates
-            grads = _window_pass(self.model, self.corpus.train, self.cfg.batch,
-                                 self.cfg.seq_len, collect=True)[1]
-            growprune.coordinated_rc_grow_counts(
-                self.model.cell, self.model.head, grads,
-                target - cur_s, target - cur_h, self.trainer.lr)
+            growprune.coordinated_rc_grow_counts(cell, self.model.head, target - cell.d_s,
+                                                 target - cell.d_h)
             self.log(f"[rcg] grew tied dim {tied} -> {target}")
         else:
             self.log(f"[rcg] no LHP in [{tied}, {self.cfg.d_s}]; no growth")
@@ -607,6 +578,7 @@ class SynthesisFlow:
             total = 0
             for layer in self.model.masked_layers():
                 total += growprune.weight_prune(layer, gp.p_w)
+            growprune.sweep(self.model.cell, self.model.head)
             return total
 
         def halve(gp, ppl, _single_mode):

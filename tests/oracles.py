@@ -6,6 +6,8 @@ central finite differences through the public forward functions, and the
 H-LSTM step by eight separate per-gate layer products.
 """
 
+import copy
+
 import numpy as np
 
 
@@ -120,33 +122,45 @@ def pruned_masks(cell, head, s_idx, h_idx):
     return out
 
 
-def unit_grow_oracle(cell, head, grads, k_s, k_h):
-    """The k_s d_s units and k_h d_h units (fewer if fewer are dormant),
-    among the dormant ones, with the largest |G| sums over the connections
-    they would gain to active rows and columns."""
-    s_imp, h_imp = np.zeros(cell.d_s), np.zeros(cell.d_h)
+def kept_units(cell, head, masks):
+    """The d_s and d_h units of `cell` that something reads or writes, when
+    its layers and `head` have the masks `masks` (keyed by layer name, as
+    pruned_masks returns them): a d_s unit is kept while any of its O rows,
+    H recurrent columns or head column has a live entry, a d_h unit while
+    any of its H rows or O columns does."""
+    gates = [(masks[cell.h_layers[g].name], masks[cell.o_layers[g].name]) for g in "fiog"]
+    hd, d_x = masks[head.name], cell.d_x
+    s = [u for u in range(cell.d_s)
+         if hd[:, u].any() or any(o[u].any() or h[:, d_x + u].any() for h, o in gates)]
+    k = [k for k in range(cell.d_h) if any(h[k].any() or o[:, k].any() for h, o in gates)]
+    return s, k
+
+
+def compact_masks(cell, head, masks):
+    """`masks` (keyed by layer name) with only the rows and columns of the
+    kept_units: the masks of the cell once every unit that is neither read
+    nor written has left its arrays."""
+    s, k = kept_units(cell, head, masks)
+    cols = list(range(cell.d_x)) + [cell.d_x + u for u in s]
+    out = {head.name: masks[head.name][:, s]}
     for g in "fiog":
-        o, h = cell.o_layers[g], cell.h_layers[g]
-        go, gh = np.abs(grads[id(o)]), np.abs(grads[id(h)])
-        s_imp += go[:, o.mask.any(axis=0)].sum(axis=1)
-        s_imp += gh[h.mask.any(axis=1), cell.d_x:].sum(axis=0)
-        h_imp += gh[:, h.mask.any(axis=0)].sum(axis=1)
-        h_imp += go[o.mask.any(axis=1), :].sum(axis=0)
-    s_imp += np.abs(grads[id(head)])[head.mask.any(axis=1), :].sum(axis=0)
-    s_act, h_act = active_units(cell)
-    s_dormant = [u for u in range(cell.d_s) if u not in s_act]
-    h_dormant = [k for k in range(cell.d_h) if k not in h_act]
-    return (select_top_k(s_imp, s_dormant, min(k_s, len(s_dormant))),
-            select_top_k(h_imp, h_dormant, min(k_h, len(h_dormant))))
+        out[cell.h_layers[g].name] = masks[cell.h_layers[g].name][np.ix_(k, cols)]
+        out[cell.o_layers[g].name] = masks[cell.o_layers[g].name][np.ix_(s, k)]
+    return out
 
 
-def grown_masks(cell, head, s_idx, h_idx):
-    """Every gate mask and the head mask, keyed by layer name, with each
-    grown row joined to the layer's active columns and each grown column
-    to its active rows (both as they were before growth)."""
-    def grow(mask, rows, cols):
-        out = mask.copy()
-        live_r, live_c = mask.any(axis=1), mask.any(axis=0)
+def appended_masks(cell, head, k_s, k_h):
+    """Every gate mask and the head mask, keyed by layer name, after k_s
+    d_s units and k_h d_h units are appended: each new row joined to its
+    layer's active columns and each new column to its active rows (both as
+    they were before growth), and nothing else."""
+    d_x, d_s, d_h = cell.d_x, cell.d_s, cell.d_h
+    new_s, new_h = range(d_s, d_s + k_s), range(d_h, d_h + k_h)
+
+    def grow(mask, rows, cols, shape):
+        out = np.zeros(shape)
+        out[:mask.shape[0], :mask.shape[1]] = mask
+        live_r, live_c = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
         for r in rows:
             out[r, live_c] = 1.0
         for c in cols:
@@ -156,10 +170,25 @@ def grown_masks(cell, head, s_idx, h_idx):
     out = {}
     for g in "fiog":
         h, o = cell.h_layers[g], cell.o_layers[g]
-        out[h.name] = grow(h.mask, h_idx, [cell.d_x + u for u in s_idx])
-        out[o.name] = grow(o.mask, s_idx, h_idx)
-    out[head.name] = grow(head.mask, [], s_idx)
+        out[h.name] = grow(h.mask, new_h, [d_x + u for u in new_s], (d_h + k_h, d_x + d_s + k_s))
+        out[o.name] = grow(o.mask, new_s, new_h, (d_s + k_s, d_h + k_h))
+    out[head.name] = grow(head.mask, [], new_s, (head.out_dim, d_s + k_s))
     return out
+
+
+def cut_units(model, s_idx, h_idx):
+    """A copy of `model` at its full shape with the given d_s and d_h units
+    cut as pruned_masks cuts them, their weights and biases zeroed too: the
+    model the flow kept before a cut unit left the arrays."""
+    full = copy.deepcopy(model)
+    cell, head = full.cell, full.head
+    for name, mask in pruned_masks(cell, head, s_idx, h_idx).items():
+        layer = next(l for l in full.masked_layers() if l.name == name)
+        layer.mask[...] = mask
+        layer.apply_mask()
+    cell.O.b[:, list(s_idx)] = 0.0
+    cell.H.b[:, list(h_idx)] = 0.0
+    return full
 
 
 # --- per-gate reference H-LSTM step ---------------------------------------------
@@ -269,8 +298,9 @@ def with_dtype(model, dtype):
 # --- full-shape forward ------------------------------------------------------------
 #
 # The unroll every pass ran before forward-only passes were compacted: all
-# d_s and d_h units of the masked model, dead ones included, one recorded
-# step at a time. It projects the input, lays out the step operands and
+# d_s and d_h units of the masked model, dead ones included (a model kept at
+# its full shape, as `cut_units` makes one, has them), one recorded step at
+# a time. It projects the input, lays out the step operands and
 # applies the head step by step where the library does each once per pass,
 # so a training pass matches it bit for bit only while the BLAS rounds a GEMM
 # row the same whatever the row count (as OpenBLAS does for B > 1);
@@ -300,24 +330,19 @@ def full_shape_forward(model, tokens, init=None):
 
 # --- reference forward-only pass ----------------------------------------------------
 #
-# The forward-only pass before it gathered its operands from the read units
-# and ran its steps in one call on reused buffers: it builds a dense copy of
-# the read units (the model itself when every unit is read), lays out that
-# copy's table and step operands, and runs one step at a time
-# on fresh arrays, written out here in the order of operations cell_forward
-# keeps (O bias broadcast from (4, 1, d_s), sigmoids as (1 + tanh) / 2). The
-# library's forward-only passes match it bit for bit.
+# The forward-only pass before it ran its steps in one call on reused
+# buffers: it lays out the model's table and step operands, and runs one
+# step at a time on fresh arrays, written out here in the order of
+# operations cell_forward keeps (O bias broadcast from (4, 1, d_s), sigmoids
+# as (1 + tanh) / 2). The library's forward-only passes match it bit for bit.
 
 def reference_forward_only(model, tokens, init=None):
-    """(logits (B, T, V), final state) of the read units' dense copy from
-    `init` (None: zero state), each step on fresh arrays."""
-    from hwsynth.hlstm import HLSTMState, _layout, _read_units, _take_units
+    """(logits (B, T, V), final state) of `model` from `init` (None: zero
+    state), each step on fresh arrays."""
+    from hwsynth.hlstm import HLSTMState, _layout
 
-    read_s, read_h = _read_units(model)
-    small = model if read_s.all() and read_h.all() else _take_units(
-        model, np.flatnonzero(read_s), np.flatnonzero(read_h))
-    cell = small.cell
-    table, (h_rec, o_w, o_b) = _layout(cell, small.embedding)
+    cell = model.cell
+    table, (h_rec, o_w, o_b) = _layout(cell, model.embedding)
     batch, T = tokens.shape
     state = HLSTMState.zeros(cell.d_s, batch) if init is None else init
     h, c = state.h, state.c
@@ -330,8 +355,8 @@ def reference_forward_only(model, tokens, init=None):
         c = f * c + i * gates[3]
         h = o * np.tanh(c)
         hs[:, t] = h
-    logits = small.head.forward(hs.reshape(batch * T, cell.d_s))
-    return logits.reshape(batch, T, small.vocab_size), HLSTMState(h=h, c=c)
+    logits = model.head.forward(hs.reshape(batch * T, cell.d_s))
+    return logits.reshape(batch, T, model.vocab_size), HLSTMState(h=h, c=c)
 
 
 # --- reference backward ------------------------------------------------------------

@@ -5,6 +5,7 @@ tolerance it was held to. The toy synthesis flow (criteria 5 and 8) runs
 twice in a shared fixture; everything else is self-contained.
 """
 
+import copy
 import math
 import time
 
@@ -32,13 +33,13 @@ from oracles import (
     fd_dense_gradients,
     fd_layer_gradients,
     active_units,
-    grown_masks,
+    appended_masks,
+    compact_masks,
     max_rel_err,
     prefix_min_lhps,
     pruned_masks,
     select_bottom_k,
     select_top_k,
-    unit_grow_oracle,
     unit_prune_oracle,
 )
 
@@ -127,8 +128,7 @@ def test_criterion_2_selection_oracles():
         expected = select_bottom_k(scores, active, k)
         assert np.flatnonzero((before - layer.mask).ravel()).tolist() == expected
 
-    # the cells are float64, as the oracles score in float64 and grown weights
-    # must equal lr * a float64 gradient exactly
+    # the cells are float64, as the oracles score in float64
     def sparse_cell(d_s, d_h):
         cell = HLSTMCellParams.create(2, d_s, d_h, rng, dtype=np.float64)
         head = MaskedLinear.dense(4, d_s, rng, name="head", dtype=np.float64)
@@ -153,26 +153,30 @@ def test_criterion_2_selection_oracles():
         done += 1
         k_s = int(rng.integers(1, len(s_act)))
         k_h = int(rng.integers(1, len(h_act)))
-        expected = pruned_masks(cell, head, *unit_prune_oracle(cell, head, k_s, k_h))
+        # the cut units and every unit then neither read nor written leave the arrays
+        expected = compact_masks(cell, head, pruned_masks(
+            cell, head, *unit_prune_oracle(cell, head, k_s, k_h)))
         coordinated_rc_prune_counts(cell, head, k_s, k_h)
         got = masks_of(cell, head)
+        assert got.keys() == expected.keys()
         assert all(np.array_equal(got[n], expected[n]) for n in expected)
 
-    for _ in range(1000):  # coordinated unit growth into the pruned units
+    for _ in range(1000):  # coordinated unit growth: units appended after the pruned cell's
         cell, head = sparse_cell(int(rng.integers(2, 7)), int(rng.integers(2, 6)))
         s_act, h_act = active_units(cell)
         coordinated_rc_prune_counts(cell, head, int(rng.integers(0, max(len(s_act), 1))),
                                     int(rng.integers(0, max(len(h_act), 1))))
-        grads = {id(l): rng.standard_normal(l.w.shape) for l in cell.layers() + [head]}
-        k_s, k_h = int(rng.integers(0, cell.d_s + 1)), int(rng.integers(0, cell.d_h + 1))
-        s_idx, h_idx = unit_grow_oracle(cell, head, grads, k_s, k_h)
-        expected = grown_masks(cell, head, s_idx, h_idx)
-        before = {n: m.copy() for n, m in masks_of(cell, head).items()}
-        coordinated_rc_grow_counts(cell, head, grads, k_s, k_h, lr=0.1)
-        for layer in cell.layers() + [head]:
+        k_s, k_h = int(rng.integers(0, 7)), int(rng.integers(0, 6))
+        expected = appended_masks(cell, head, k_s, k_h)
+        before = copy.deepcopy(cell.layers() + [head])
+        coordinated_rc_grow_counts(cell, head, k_s, k_h)
+        for layer, old in zip(cell.layers() + [head], before):
+            # masks on exactly the cross-connections, weights 0, old entries unchanged
             assert np.array_equal(layer.mask, expected[layer.name])
-            new = (layer.mask - before[layer.name]) == 1.0
-            assert np.array_equal(layer.w[new], 0.1 * grads[id(layer)][new])
+            rows, cols = old.w.shape
+            assert np.array_equal(layer.w[:rows, :cols], old.w)
+            assert np.array_equal(layer.b[:rows], old.b)
+            assert not (layer.w[rows:].any() or layer.w[:, cols:].any() or layer.b[rows:].any())
 
     for _ in range(1000):  # coordinated d_s pruning, dense cells
         d_x, d_s, d_h = 2, int(rng.integers(3, 7)), int(rng.integers(2, 6))
@@ -186,11 +190,10 @@ def test_criterion_2_selection_oracles():
             imp += np.abs(cell.h_layers[gate].w * cell.h_layers[gate].mask)[:, d_x:].sum(axis=0)
         imp += np.abs(head.w * head.mask).sum(axis=0)
         expected = select_bottom_k(imp, list(range(d_s)), k_s)
+        cell.O.b[0] = np.arange(d_s)        # each unit's index, to find the ones kept
         coordinated_rc_prune_counts(cell, head, k_s=k_s, k_h=0)
-        s_active = np.zeros(d_s, dtype=bool)
-        for gate in GATES:
-            s_active |= cell.o_layers[gate].mask.any(axis=1)
-        assert np.flatnonzero(~s_active).tolist() == expected
+        kept = cell.O.b[0].astype(int).tolist()
+        assert sorted(set(range(d_s)) - set(kept)) == expected and kept == sorted(kept)
 
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0

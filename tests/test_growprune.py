@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -20,11 +21,11 @@ from hwsynth.hlstm import GATES, HLSTMCellParams
 from hwsynth.numkit import DTYPE, ContractViolation, MaskedLinear, make_rng
 from oracles import (
     active_units,
-    grown_masks,
+    appended_masks,
+    compact_masks,
     pruned_masks,
     select_bottom_k,
     select_top_k,
-    unit_grow_oracle,
     unit_prune_oracle,
 )
 
@@ -168,18 +169,26 @@ class TestCoordinatedPrune:
 
     def test_counts_and_structural_consequences(self):
         cell, head, _ = make_cell(7, d_s=5, d_h=4, density=1.0)
+        # each unit's index in its first O and H bias, to find the cut units
+        cell.O.b[0], cell.H.b[0] = np.arange(5), np.arange(4)
+        before = copy.deepcopy((cell, head))
         d_s, d_h = coordinated_rc_prune(cell, head, p_r=0.2, p_c=0.25)
-        assert (d_s, d_h) == (4, 3)
-        # find the pruned d_s unit and verify every structural consequence
-        s_active = np.zeros(5, dtype=bool)
-        for gate in GATES:
-            s_active |= cell.o_layers[gate].mask.any(axis=1)
-        (dead_s,) = np.flatnonzero(~s_active).reshape(1)
-        for gate in GATES:
-            assert not cell.o_layers[gate].mask[dead_s, :].any()
-            assert cell.o_layers[gate].b[dead_s] == 0.0
-            assert not cell.h_layers[gate].mask[:, cell.d_x + dead_s].any()
-        assert not head.mask[:, dead_s].any()
+        assert (d_s, d_h) == (4, 3) == (cell.d_s, cell.d_h)
+        # every row and column the cut units owned left the arrays, in every gate
+        s, h = cell.O.b[0].astype(int), cell.H.b[0].astype(int)
+        assert len(set(range(5)) - set(s)) == 1 and len(set(range(4)) - set(h)) == 1
+        old_cell, old_head = before
+        cols = np.concatenate([np.arange(cell.d_x), cell.d_x + s])
+        for block, old, rows, kept_cols in ((cell.H, old_cell.H, h, cols),
+                                            (cell.O, old_cell.O, s, h)):
+            for attr in ("w", "mask", "b"):
+                want = getattr(old, attr)[:, rows]
+                if attr != "b":
+                    want = want[:, :, kept_cols]
+                assert np.array_equal(getattr(block, attr), want), attr
+        assert np.array_equal(head.w, old_head.w[:, s])
+        assert head.in_dim == 4 and all(layer.in_dim == cell.d_x + 4 for layer in
+                                        cell.h_layers.values())
 
     def test_prune_importance_matches_manual_sums(self):
         cell, head, _ = make_cell(8, d_s=4, d_h=3, density=1.0)
@@ -200,8 +209,12 @@ class TestCoordinatedPrune:
         cell, head, _ = make_cell(9, density=1.0)
         with pytest.raises(DegenerateLayerError):
             coordinated_rc_prune_counts(cell, head, k_s=cell.d_s, k_h=0)
-        # the count is checked against the active units, not the allocation
+        # the count is checked against the active units, not the allocation: d_h
+        # unit 0 loses its H rows, yet its O columns keep it in the arrays
         coordinated_rc_prune_counts(cell, head, k_s=1, k_h=1)
+        for layer in cell.h_layers.values():
+            layer.mask[0] = layer.w[0] = 0.0
+        assert cell.active_dims()[1] == cell.d_h - 1
         with pytest.raises(DegenerateLayerError):
             coordinated_rc_prune_counts(cell, head, k_s=0, k_h=cell.d_h - 1)
 
@@ -214,10 +227,10 @@ class TestCoordinatedPrune:
             cell.h_layers[gate].w[:, cell.d_x] = 0.1
         head.w[:, 0] = 0.1
         assert coordinated_rc_prune(cell, head, p_r=1 / 3, p_c=0.0) == (2, 4)
-        for gate in GATES:
-            assert not cell.o_layers[gate].mask[0, :].any()
-            assert cell.o_layers[gate].b[0] == 0.0  # bias of a pruned unit is zeroed
-            assert cell.o_layers[gate].mask[1:, :].all()
+        # unit 0, the one with the light weights, left the arrays
+        assert (cell.d_s, cell.d_h) == (2, 4)
+        for layer in cell.layers() + [head]:
+            assert layer.mask.all() and np.all(layer.w == 1.0)
 
     def test_count_base_is_active_units(self):
         # ratios count against the units still active, not the allocation
@@ -245,7 +258,7 @@ class TestCoordinatedPrune:
             p_r, p_c = float(rng.uniform(0, 0.45)), float(rng.uniform(0, 0.45))
             k_s, k_h = math.ceil(p_r * len(s_act)), math.ceil(p_c * len(h_act))
             s_idx, h_idx = unit_prune_oracle(cell, head, k_s, k_h)
-            expected = pruned_masks(cell, head, s_idx, h_idx)
+            expected = compact_masks(cell, head, pruned_masks(cell, head, s_idx, h_idx))
             dims = coordinated_rc_prune(cell, head, p_r, p_c)
             assert layer_masks(cell, head).keys() == expected.keys()
             for name, mask in layer_masks(cell, head).items():
@@ -264,17 +277,15 @@ class TestCoordinatedGrow:
     def grown_cell(self, seed, k_s, k_h, d_s=6, d_h=5):
         cell, head, rng = make_cell(seed, d_s=d_s, d_h=d_h, density=1.0)
         coordinated_rc_prune_counts(cell, head, k_s=3, k_h=2)
-        grads = {id(layer): rng.standard_normal(layer.w.shape)
-                 for layer in cell.layers() + [head]}
-        dims = coordinated_rc_grow_counts(cell, head, grads, k_s, k_h, lr=0.2)
-        return cell, head, grads, dims
+        dims = coordinated_rc_grow_counts(cell, head, k_s, k_h)
+        return cell, head, dims
 
     def test_restores_requested_dims(self):
-        cell, head, _, dims = self.grown_cell(10, k_s=2, k_h=1)
-        assert dims == (5, 4)
+        cell, head, dims = self.grown_cell(10, k_s=2, k_h=1)
+        assert dims == (5, 4) == (cell.d_s, cell.d_h) and head.in_dim == 5
 
     def test_gates_identical_after_grow(self):
-        cell, _, _, _ = self.grown_cell(11, k_s=1, k_h=2)
+        cell, _, _ = self.grown_cell(11, k_s=1, k_h=2)
         ref = live_rows(cell.o_layers["f"])
         for gate in GATES:
             assert np.array_equal(live_rows(cell.o_layers[gate]), ref)
@@ -286,63 +297,58 @@ class TestCoordinatedGrow:
         for layer in cell.layers() + [head]:
             region = np.ix_(live_rows(layer), layer.active_cols())
             snaps.append((layer, region, layer.w[region].copy()))
-        grads = {id(layer): rng.standard_normal(layer.w.shape)
-                 for layer in cell.layers() + [head]}
-        coordinated_rc_grow_counts(cell, head, grads, k_s=2, k_h=2, lr=0.2)
+        coordinated_rc_grow_counts(cell, head, k_s=2, k_h=2)
         for layer, region, w_before in snaps:
             assert np.array_equal(layer.w[region], w_before)
 
-    def test_grows_highest_gradient_unit(self):
+    def test_appends_units_at_the_end(self):
         cell, head, _ = make_cell(16, d_s=4, d_h=3, density=1.0)
         coordinated_rc_prune_counts(cell, head, k_s=2, k_h=0)
-        dead = [u for u in range(4) if u not in active_units(cell)[0]]
-        grads = {id(layer): np.full(layer.w.shape, 0.01)
-                 for layer in cell.layers() + [head]}
-        for gate in GATES:  # the second dead unit carries the larger gradient
-            grads[id(cell.o_layers[gate])][dead[1], :] = 2.0
-        assert coordinated_rc_grow_counts(cell, head, grads, k_s=1, k_h=0,
-                                          lr=0.5) == (3, 3)
+        before = copy.deepcopy((cell, head))
+        assert coordinated_rc_grow_counts(cell, head, k_s=1, k_h=0) == (3, 3)
+        old_cell, old_head = before
         for gate in GATES:
-            o_layer = cell.o_layers[gate]
-            assert o_layer.mask[dead[1], :].all()
-            assert not o_layer.mask[dead[0], :].any()
-            assert np.array_equal(o_layer.w[dead[1], :], np.full(3, 1.0))  # lr * grad
+            o_layer, old = cell.o_layers[gate], old_cell.o_layers[gate]
+            assert o_layer.mask[2, :].all() and o_layer.b[2] == 0.0   # the new unit, last
+            assert np.array_equal(o_layer.w[:2], old.w)
+            h_layer, old = cell.h_layers[gate], old_cell.h_layers[gate]
+            assert h_layer.mask[:, -1].all()
+            assert np.array_equal(h_layer.w[:, :-1], old.w)
+        assert head.mask[:, 2].all() and np.array_equal(head.w[:, :2], old_head.w)
 
-    def test_matches_sort_oracle(self):
+    def test_matches_append_oracle(self):
         rng = make_rng(400)
         for trial in range(500):
-            # float64: new weights must equal lr * a float64 gradient exactly
             cell, head, _ = make_cell(int(rng.integers(1 << 30)),
                                       d_s=int(rng.integers(2, 8)),
                                       d_h=int(rng.integers(2, 8)),
-                                      density=float(rng.uniform(0.3, 1.0)), dtype=np.float64)
+                                      density=float(rng.uniform(0.3, 1.0)))
             s_act, h_act = active_units(cell)
             coordinated_rc_prune_counts(cell, head, int(rng.integers(0, max(len(s_act), 1))),
                                         int(rng.integers(0, max(len(h_act), 1))))
-            grads = {id(layer): rng.standard_normal(layer.w.shape)
-                     for layer in cell.layers() + [head]}
-            k_s = int(rng.integers(0, cell.d_s + 1))
-            k_h = int(rng.integers(0, cell.d_h + 1))
-            s_idx, h_idx = unit_grow_oracle(cell, head, grads, k_s, k_h)
-            expected = grown_masks(cell, head, s_idx, h_idx)
-            before = layer_masks(cell, head)
-            coordinated_rc_grow_counts(cell, head, grads, k_s, k_h, lr=0.1)
-            for layer in cell.layers() + [head]:
+            k_s, k_h = int(rng.integers(0, 7)), int(rng.integers(0, 7))
+            expected = appended_masks(cell, head, k_s, k_h)
+            before = copy.deepcopy(cell.layers() + [head])
+            coordinated_rc_grow_counts(cell, head, k_s, k_h)
+            for layer, old in zip(cell.layers() + [head], before):
                 assert np.array_equal(layer.mask, expected[layer.name]), \
                     f"trial {trial} {layer.name}"
-                new = (layer.mask - before[layer.name]) == 1.0
-                assert np.array_equal(layer.w[new], 0.1 * grads[id(layer)][new])
+                rows, cols = old.w.shape
+                assert np.array_equal(layer.w[:rows, :cols], old.w)
+                assert not layer.w[rows:].any() and not layer.w[:, cols:].any()
 
-    def test_new_weights_are_lr_times_gradient(self):
-        cell, head, rng = make_cell(13, d_s=6, d_h=5, density=1.0)
+    def test_new_weights_are_zero(self):
+        cell, head, _ = make_cell(13, d_s=6, d_h=5, density=1.0)
         coordinated_rc_prune_counts(cell, head, k_s=3, k_h=2)
-        before = {id(l): l.mask.copy() for l in cell.layers() + [head]}
-        grads = {id(layer): rng.standard_normal(layer.w.shape)
-                 for layer in cell.layers() + [head]}
-        coordinated_rc_grow_counts(cell, head, grads, k_s=1, k_h=1, lr=0.25)
-        for layer in cell.layers() + [head]:
-            new = (layer.mask - before[id(layer)]) == 1.0
-            assert np.allclose(layer.w[new], 0.25 * grads[id(layer)][new])
+        coordinated_rc_grow_counts(cell, head, k_s=1, k_h=1)
+        assert (cell.d_s, cell.d_h) == (4, 4)
+        for block in (cell.H, cell.O):
+            assert not block.b[:, -1].any()
+        for layer in cell.h_layers.values():
+            assert layer.mask[-1].any() and not layer.w[-1].any()
+            assert layer.mask[:, -1].any() and not layer.w[:, -1].any()
+        for layer in list(cell.o_layers.values()) + [head]:
+            assert layer.mask[:, -1].any() and not layer.w[:, -1].any()
 
 
 class TestRcPrune:
@@ -374,10 +380,8 @@ class TestRcGrow:
                 region = np.ix_(live_rows(layer), layer.active_cols())
                 snaps.append((layer, region, layer.w[region].copy(),
                               layer.mask[region].copy()))
-            grads = {id(layer): rng.standard_normal(layer.w.shape)
-                     for layer in cell.layers() + [head]}
-            coordinated_rc_grow_counts(cell, head, grads, k_s=int(rng.integers(0, 7)),
-                                       k_h=int(rng.integers(0, 6)), lr=0.2)
+            coordinated_rc_grow_counts(cell, head, k_s=int(rng.integers(0, 7)),
+                                       k_h=int(rng.integers(0, 6)))
             for layer, region, w_before, m_before in snaps:
                 assert np.array_equal(layer.w[region], w_before), f"seed {seed}"
                 assert np.array_equal(layer.mask[region], m_before), f"seed {seed}"

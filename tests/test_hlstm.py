@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hwsynth.growprune import coordinated_rc_prune_counts
+from hwsynth.growprune import coordinated_rc_prune_counts, sweep
 from hwsynth.hlstm import (
     GATES,
     FrozenModel,
@@ -14,16 +14,13 @@ from hwsynth.hlstm import (
     LMModel,
     _BackwardPass,
     _layout,
-    _read_units,
     bptt,
     cell_backward,
     cell_forward,
     evaluate,
     freeze,
     perplexity,
-    read_dims,
     softmax,
-    training_copy,
     unroll_forward,
 )
 from hwsynth.numkit import ARRAYS, DTYPE, ContractViolation, MaskedLinear, NumericAbort, make_rng
@@ -31,6 +28,7 @@ from hwsynth.corpus import batch_windows
 from oracles import (
     cell_step,
     cell_step_backward,
+    cut_units,
     fd_dense_gradients,
     fd_layer_gradients,
     full_shape_forward,
@@ -39,6 +37,7 @@ from oracles import (
     reference_bptt,
     reference_forward_only,
     rel_max_diff,
+    unit_prune_oracle,
     with_dtype,
 )
 
@@ -392,8 +391,9 @@ class TestUnrollAndBptt:
 
 
 def unread_model(seed, vocab=9, d_x=5, d_s=14, d_h=12, dtype=DTYPE):
-    """Sparse model with nonzero biases and units of three kinds:
-    rc-pruned (cut out by coordinated_rc_prune_counts), emptied but read
+    """Sparse model with nonzero biases, rc-pruned by
+    coordinated_rc_prune_counts (3 d_s and 2 d_h units leave its arrays),
+    then given units of three kinds, all still read or written: emptied but read
     (all incoming connections gone, as wp leaves them, yet a nonzero bias
     and live outgoing columns), read by the head alone, and unread (live
     incoming connections, no live outgoing column)."""
@@ -427,8 +427,9 @@ def frozen_dims(frozen):
 
 
 class TestCompact:
-    """Forward-only passes run the units freeze(model) keeps and match the
-    full-shape masked forward to 1e-12 (normwise relative)."""
+    """Forward-only passes run the model's own shape, what a prune left of
+    it, and match the full-shape masked forward to 1e-12 (normwise
+    relative)."""
 
     def test_rc_pruned_cell_is_sliced_to_its_active_units(self):
         rng = make_rng(30)
@@ -445,18 +446,23 @@ class TestCompact:
     @pytest.mark.parametrize("seed", range(5))
     def test_emptied_but_read_units_are_kept(self, seed):
         model, rng = unread_model(seed, dtype=F64)
-        # 3 and 2 units were rc-pruned, one of each kind is unread
-        assert frozen_dims(freeze(model)) == (14 - 3 - 1, 12 - 2 - 1)
-        assert model.cell.active_dims() == (14 - 3 - 1, 12 - 2 - 1)
         tokens = rng.integers(0, 9, size=(4, 13))
+        before, _, _ = unroll_forward(model, tokens)
+        # 3 and 2 units were rc-pruned; one of each kind is emptied (read, not
+        # written) and one unread (written): the sweep keeps all of them
+        sweep(model.cell, model.head)
+        assert frozen_dims(freeze(model)) == (14 - 3, 12 - 2)
+        assert model.cell.active_dims() == (14 - 3 - 1, 12 - 2 - 1)
         got, _, _ = unroll_forward(model, tokens)
+        assert got.tobytes() == before.tobytes()
         assert rel_max_diff(got, full_shape_forward(model, tokens)[0]) <= 1e-12
 
     def test_dense_model_is_its_own_compaction(self):
         model, tokens, _ = random_model(31, vocab=6, d_x=3, d_s=5, d_h=4, batch=3, T=6,
                                         density=1.0, dtype=F64)
         frozen = freeze(model)
-        assert frozen.head is model.head and frozen_dims(frozen) == (5, 4)
+        assert frozen_dims(frozen) == (5, 4)
+        assert frozen.head.w.tobytes() == model.head.w.tobytes()
         got, caches, state = unroll_forward(model, tokens)
         ref, _, ref_state = full_shape_forward(model, tokens)
         assert caches == []
@@ -564,47 +570,61 @@ def edit_live_weights(model, rng):
 
 
 class TestReadUnits:
-    """_read_units (a GEMV column sum per mask block) against the definition:
-    a d_s unit is read while any head column or H recurrent column of it is
-    nonzero, a d_h unit while any O column of it is."""
+    """growprune.sweep keeps exactly the units that are read or written, by
+    definition: a d_s unit is read while any head column or H recurrent
+    column of it is nonzero, a d_h unit while any O column of it is; a unit
+    is written while any O row (d_s) or H row (d_h) of it is."""
 
     D_X, D_S, D_H = 3, 6, 5
 
     @staticmethod
     def by_definition(model):
         cell = model.cell
-        return ((model.head.mask != 0).any(axis=0)
-                | (cell.H.mask[:, :, model.d_x:] != 0).any(axis=(0, 1)),
-                (cell.O.mask != 0).any(axis=(0, 1)))
+        read_s = ((model.head.mask != 0).any(axis=0)
+                  | (cell.H.mask[:, :, model.d_x:] != 0).any(axis=(0, 1)))
+        read_h = (cell.O.mask != 0).any(axis=(0, 1))
+        written_s = (cell.O.mask != 0).any(axis=(0, 2))
+        written_h = (cell.H.mask != 0).any(axis=(0, 2))
+        return list(np.flatnonzero(read_s | written_s)), list(np.flatnonzero(read_h | written_h))
 
-    def empty_model(self):
-        model = LMModel.create(7, self.D_X, self.D_S, self.D_H, make_rng(70))
+    def empty_model(self, dtype=DTYPE):
+        model = LMModel.create(7, self.D_X, self.D_S, self.D_H, make_rng(70), dtype=dtype)
         for layer in model.masked_layers():
             layer.mask[...] = 0.0
         return model
 
-    def assert_flags(self, model, read_s, read_h):
-        got, want = _read_units(model), self.by_definition(model)
-        for flags, ref, expected in zip(got, want, (read_s, read_h)):
-            assert flags.dtype == bool and np.array_equal(flags, ref)
-            assert list(np.flatnonzero(flags)) == expected
-        assert read_dims(model) == frozen_dims(freeze(model)) == (len(read_s), len(read_h))
+    def assert_kept(self, model, kept_s, kept_h):
+        """The sweep of a copy of `model` keeps the units kept_s and kept_h,
+        each with its own rows and columns, and freeze runs those dims."""
+        cell = model.cell
+        # each unit's index in its first bias, to find the units kept
+        cell.O.b[0], cell.H.b[0] = np.arange(self.D_S), np.arange(self.D_H)
+        assert self.by_definition(model) == (kept_s, kept_h)
+        swept = copy.deepcopy(model)
+        sweep(swept.cell, swept.head)
+        assert list(swept.cell.O.b[0].astype(int)) == kept_s
+        assert list(swept.cell.H.b[0].astype(int)) == kept_h
+        cols = np.concatenate([np.arange(self.D_X), self.D_X + np.array(kept_s, int)])
+        assert np.array_equal(swept.cell.H.mask, cell.H.mask[:, kept_h][:, :, cols])
+        assert np.array_equal(swept.cell.O.mask, cell.O.mask[:, kept_s][:, :, kept_h])
+        assert np.array_equal(swept.head.mask, model.head.mask[:, kept_s])
+        assert frozen_dims(freeze(swept)) == (len(kept_s), len(kept_h))
 
     @pytest.mark.parametrize("gate", range(len(GATES)))
     def test_a_single_live_entry(self, gate):
         model, D_X = self.empty_model(), self.D_X
-        self.assert_flags(model, [], [])
-        model.cell.H.mask[gate, 2, D_X - 1] = 1.0      # an x column reads no unit
-        self.assert_flags(model, [], [])
+        self.assert_kept(model, [], [])
+        model.cell.H.mask[gate, 2, D_X - 1] = 1.0      # an x column: h 2 written, nothing read
+        self.assert_kept(model, [], [2])
         model.cell.H.mask[gate, 2, D_X - 1] = 0.0
-        model.cell.H.mask[gate, 4, D_X + 3] = 1.0      # only H's recurrent column 3
-        self.assert_flags(model, [3], [])
+        model.cell.H.mask[gate, 4, D_X + 3] = 1.0      # H's recurrent column 3 reads s 3
+        self.assert_kept(model, [3], [4])
         model.cell.H.mask[gate, 4, D_X + 3] = 0.0
-        model.cell.O.mask[gate, 0, 4] = 1.0            # only O's column 4
-        self.assert_flags(model, [], [4])
+        model.cell.O.mask[gate, 0, 4] = 1.0            # O's column 4 reads h 4, writes s 0
+        self.assert_kept(model, [0], [4])
         model.cell.O.mask[gate, 0, 4] = 0.0
         model.head.mask[6, 5] = 1.0                    # only the head's column 5
-        self.assert_flags(model, [5], [])
+        self.assert_kept(model, [5], [])
 
     @pytest.mark.parametrize("gate", range(len(GATES)))
     @pytest.mark.parametrize("seed", range(3))
@@ -615,20 +635,26 @@ class TestReadUnits:
             layer.mask[...] = rng.random(layer.mask.shape) < 0.15
         model.cell.H.mask[gate] = 0.0
         model.cell.O.mask[gate] = 0.0
-        read_s, read_h = (list(np.flatnonzero(f)) for f in self.by_definition(model))
-        self.assert_flags(model, read_s, read_h)
+        self.assert_kept(model, *self.by_definition(model))
 
     @pytest.mark.parametrize("kind", [128, 32, "unread"])
-    def test_float32_sums_flag_what_float64_sums_flag(self, kind):
-        """The column sums run in the mask's dtype, not on a float64 cast of
-        each block: on a float32 model they flag exactly the units that the
-        float64 sums flag on its float64 copy."""
+    def test_float32_sweep_keeps_what_float64_keeps(self, kind):
+        """A float32 model with units cut at its full shape and its float64
+        copy keep the same units, and a second sweep removes nothing."""
         model = (unread_model(63) if kind == "unread" else bench_shape_model(kind, seed=63))[0]
+        d_s, d_h = model.cell.d_s, model.cell.d_h
+        model = cut_units(model, [0, 2, 3], [1, 4])
         assert model.cell.dtype == np.float32
-        got, want = _read_units(model), _read_units(with_dtype(model, F64))
-        for flags, ref, by_definition in zip(got, want, self.by_definition(model)):
-            assert flags.dtype == bool and np.array_equal(flags, ref)
-            assert np.array_equal(flags, by_definition)
+        wide = with_dtype(model, F64)
+        for m in (model, wide):
+            sweep(m.cell, m.head)
+        assert (model.cell.d_s, model.cell.d_h) == (wide.cell.d_s, wide.cell.d_h)
+        assert model.cell.d_s <= d_s - 3 and model.cell.d_h <= d_h - 2
+        for a, b in zip(model.masked_layers(), wide.masked_layers()):
+            assert np.array_equal(a.mask, b.mask)
+        shape = model.cell.H.w.shape
+        sweep(model.cell, model.head)
+        assert model.cell.H.w.shape == shape
 
 
 class TestStepOperands:
@@ -674,14 +700,16 @@ class TestStepOperands:
         model = LMModel.create(49, 32, 128, 128, rng, dtype=F64)
         for layer in model.masked_layers():
             layer.b[...] = rng.uniform(-0.3, 0.3, size=layer.b.shape)
+        s_cut, h_cut = unit_prune_oracle(model.cell, model.head, 128 - d, 128 - d)
+        full = cut_units(model, s_cut, h_cut)      # the cut kept at full shape
         coordinated_rc_prune_counts(model.cell, model.head, 128 - d, 128 - d)
-        assert read_dims(model) == (d, d)
+        assert (model.cell.d_s, model.cell.d_h) == (d, d)
         tokens = rng.integers(0, 49, size=(16, 12))
         got, _, state = unroll_forward(model, tokens)
-        ref, _, ref_state = full_shape_forward(model, tokens)
+        ref, _, ref_state = full_shape_forward(full, tokens)
         assert rel_max_diff(got, ref) <= 1e-12
-        # the forward-only state is freeze(model)'s: the rc-pruned units drop out
-        kept = np.flatnonzero(model.cell.active_units()[0])
+        # the rc-pruned units left the model, and so its state
+        kept = np.setdiff1d(np.arange(128), s_cut)
         assert state.c.shape == (16, d)
         assert rel_max_diff(state.c, ref_state.c[:, kept]) <= 1e-12
 
@@ -702,18 +730,18 @@ def bench_shape_model(d, seed=60):
 def oracle_model(kind, seed):
     """A forward-only oracle input: the bench's d=128 model (every unit read),
     the bench model rc-pruned to d=32 (kind 128 or 32), or unread_model. Each
-    read d_s unit has a nonzero O bias in all four gates, which the bench's
-    seed models (O.b == 0) lack, so a wrongly broadcast bias shows."""
+    d_s unit has a nonzero O bias in all four gates, which the bench's seed
+    models (O.b == 0) lack, so a wrongly broadcast bias shows."""
     model, rng = unread_model(seed) if kind == "unread" else bench_shape_model(kind, seed)
-    assert np.all(model.cell.O.b[:, _read_units(model)[0]] != 0.0)
+    assert np.all(model.cell.O.b != 0.0)
     return model, rng
 
 
 class TestForwardOnlyMatchesReference:
-    """The forward-only passes (operands gathered from the read units, all
-    steps in one call on buffers made once per pass) against
-    `oracles.reference_forward_only`, the read units' dense copy stepped on
-    fresh arrays: equal bit for bit."""
+    """The forward-only passes (operands laid out once, all steps in one
+    call on buffers made once per pass) against
+    `oracles.reference_forward_only`, the model stepped on fresh arrays:
+    equal bit for bit."""
 
     @staticmethod
     def assert_same(got, ref):
@@ -726,7 +754,7 @@ class TestForwardOnlyMatchesReference:
     def test_bench_infer_shapes(self, d):
         model, rng = bench_shape_model(d)
         frozen = freeze(model)
-        assert read_dims(model) == (d, d) and (frozen.head is model.head) == (d == 128)
+        assert (model.cell.d_s, model.cell.d_h) == frozen_dims(frozen) == (d, d)
         tokens = rng.integers(0, 49, size=(16, 64))
         ref = reference_forward_only(model, tokens)
         self.assert_same(unroll_forward(model, tokens), ref)
@@ -825,12 +853,11 @@ class TestBpttMatchesReference:
         assert unseen.size >= self.VOCAB - self.SEEN
         assert not emb_grad[unseen].any()
 
-    def test_compacted_training_copy(self):
+    def test_rc_pruned_model(self):
         model, rng = unread_model(51, vocab=self.VOCAB, dtype=F64)
-        with training_copy(model) as small:
-            assert (small.cell.d_s, small.cell.d_h) == (14 - 3, 12 - 2)
-            tokens, targets = self.tokens(rng, 8, 16)
-            self.compare(small, tokens, targets)
+        assert (model.cell.d_s, model.cell.d_h) == (14 - 3, 12 - 2)
+        tokens, targets = self.tokens(rng, 8, 16)
+        self.compare(model, tokens, targets)
 
     def test_gradients_accumulate(self):
         """A second pass adds to the gradients the first left: every one doubles."""

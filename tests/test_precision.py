@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from hwsynth import growprune, hlstm, synthflow
+from hwsynth import growprune, hlstm
 from hwsynth.corpus import bundled_corpus_path, load_corpus
 from hwsynth.hlstm import LMModel, bptt, evaluate, freeze, unroll_forward
 from hwsynth.numkit import ARRAYS, DTYPE, make_rng
@@ -84,7 +84,7 @@ class TestNoFloat64Leak:
         model = make_seed(cfg, corpus.vocab_size, make_rng(0))
         trainer = Trainer(OptimizerConfig())
 
-        # growth epoch, at full shape, then an epoch on a training copy
+        # growth epoch, then an epoch of the rc-pruned model
         sink = {}
         trainer.epoch(model, ids, 8, 16, grad_sink=sink)
         self.assert_float32((f"grad_sink {k}", g) for k, g in sink.items())
@@ -92,15 +92,15 @@ class TestNoFloat64Leak:
             growprune.weight_grow(layer, sink[id(layer)], 0.1, trainer.lr)
         growprune.coordinated_rc_prune_counts(model.cell, model.head, 3, 3)
         trainer.epoch(model, ids, 8, 16)
-        assert trainer.trained == (9, 9)
+        assert (model.cell.d_s, model.cell.d_h) == (9, 9)
         self.assert_float32(model_arrays(model))
 
-        # rcg: bridging gradients, then unit growth
-        grads = synthflow._window_pass(model, ids, 8, 16, collect=True)[1]
-        self.assert_float32((f"bridging {k}", g) for k, g in grads.items())
-        growprune.coordinated_rc_grow_counts(model.cell, model.head, grads, 2, 2, trainer.lr)
+        # rcg's unit growth, then wp's prune and sweep
+        growprune.coordinated_rc_grow_counts(model.cell, model.head, 2, 2)
+        self.assert_float32(model_arrays(model))
         for layer in model.masked_layers():
             growprune.weight_prune(layer, 0.5)
+        growprune.sweep(model.cell, model.head)
         self.assert_float32(model_arrays(model))
 
         frozen = freeze(model)
