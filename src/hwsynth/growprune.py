@@ -13,7 +13,8 @@ A cell is stored at its live dims. A unit cut (`coordinated_rc_prune_counts`)
 leaves the arrays, and so, after that cut, each of the flow's weight prunes
 and a checkpoint load, does each unit that nothing reads or writes
 (`sweep`). Unit growth appends units with zero weights
-(`coordinated_rc_grow_counts`).
+(`coordinated_rc_grow_counts`). All three resize the cell and the head
+through `_resize`, the one place that knows where a unit lives in them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hlstm import GATES, HLSTMCellParams
+from .hlstm import GateBlock, HLSTMCellParams
 from .numkit import ContractViolation, MaskedLinear
 
 
@@ -116,9 +117,9 @@ def unit_importance(cell: HLSTMCellParams, head: MaskedLinear):
 
     s_imp = np.zeros(cell.d_s)
     h_imp = np.zeros(cell.d_h)
-    for gate in GATES:
-        add(cell.o_layers[gate], s_imp, h_imp)
-        add(cell.h_layers[gate], h_imp, s_imp, col0=cell.d_x)
+    for h_layer, o_layer in zip(cell.h_layers.values(), cell.o_layers.values()):
+        add(o_layer, s_imp, h_imp)
+        add(h_layer, h_imp, s_imp, col0=cell.d_x)
     add(head, np.zeros(head.out_dim), s_imp)   # head rows are outputs, not units
     return s_imp, h_imp
 
@@ -126,12 +127,28 @@ def unit_importance(cell: HLSTMCellParams, head: MaskedLinear):
 def _resize(cell: HLSTMCellParams, head: MaskedLinear, s: np.ndarray, h: np.ndarray,
             new_s: int = 0, new_h: int = 0) -> None:
     """Resize the cell and the head in place to the d_s units s and d_h
-    units h, then new_s and new_h unconnected units (see
-    HLSTMCellParams.resize): a d_s unit is row s of each O layer, column
-    d_x+s of each H layer and column s of the head; a d_h unit is row h of
-    each H layer and column h of each O layer."""
-    cell.resize(s, h, new_s, new_h)
-    head.resize_cols(s, new_s)
+    units h (index arrays), then new_s and new_h units with nothing
+    connected: zero weights, masks and biases. A d_s unit is row s of each
+    O layer, column d_x+s of each H layer and column s of the head; a d_h
+    unit is row h of each H layer and column h of each O layer. The blocks,
+    the head's w and mask and every resized gradient are new arrays; the
+    head's are column-major, the layout a gather of columns gives (a
+    row-major one changes the head GEMM's rounding), and its bias stays."""
+    d_x, dtype = cell.d_x, cell.dtype
+    H = GateBlock.zeros(h.size + new_h, d_x + s.size + new_s, dtype, mask=0.0)
+    O = GateBlock.zeros(s.size + new_s, h.size + new_h, dtype, mask=0.0)
+    cols = np.concatenate([np.arange(d_x), d_x + s])
+    resized = {}
+    for attr in ("w", "mask"):
+        getattr(H, attr)[:, :h.size, :cols.size] = \
+            getattr(cell.H, attr).take(h, axis=1).take(cols, axis=2)
+        getattr(O, attr)[:, :s.size, :h.size] = \
+            getattr(cell.O, attr).take(s, axis=1).take(h, axis=2)
+        resized[attr] = np.zeros((head.out_dim, s.size + new_s), dtype, order="F")
+        resized[attr][:, :s.size] = getattr(head, attr)[:, s]
+    H.b[:, :h.size], O.b[:, :s.size] = cell.H.b[:, h], cell.O.b[:, s]
+    cell.H, cell.O = H, O
+    head.rebind(**resized, grad_w=np.zeros_like(resized["w"]))
 
 
 def sweep(cell: HLSTMCellParams, head: MaskedLinear) -> None:
@@ -198,9 +215,9 @@ def coordinated_rc_grow_counts(cell: HLSTMCellParams, head: MaskedLinear,
         for idx in (np.ix_(rows, live_c), np.ix_(live_r, cols)):
             layer.mask[idx] = 1.0
 
-    for gate in GATES:
-        connect(cell.h_layers[gate], rows=new_h, cols=d_x + new_s)
-        connect(cell.o_layers[gate], rows=new_s, cols=new_h)
+    for h_layer, o_layer in zip(cell.h_layers.values(), cell.o_layers.values()):
+        connect(h_layer, rows=new_h, cols=d_x + new_s)
+        connect(o_layer, rows=new_s, cols=new_h)
     connect(head, cols=new_s)
     return cell.active_dims()
 

@@ -8,9 +8,9 @@ masked output layer. Gate equations per step, with z = [x_t, h_{t-1}]:
     c_t   = f * c_{t-1} + i * g                 h_t = o * tanh(c_t)
 
 The gates' layers live in two stacked blocks, H (4, d_h, d_x+d_s) and O
-(4, d_s, d_h); each gate's H and O layer (what grow/prune and SGD work on)
-is a MaskedLinear view of its slice. The kernels read w as W*Msk:
-w[mask == 0] == 0 always holds.
+(4, d_s, d_h), the cell's only state; each gate's H and O layer (what
+grow/prune and SGD work on) is a MaskedLinear view of its slice, made when
+asked for. The kernels read w as W*Msk: w[mask == 0] == 0 always holds.
 
 The language model is one such cell (`LMModel.cell`) between an embedding
 and a softmax head. Every input is a batch: tokens are (B, T) and a step's
@@ -101,28 +101,19 @@ class GateBlock:
 
 
 class HLSTMCellParams:
-    """Parameters of one H-LSTM cell.
-
-    All four gates share identical (d_x, d_s, d_h); coordinated structured
-    pruning keeps them equal. The parameters live in two stacked blocks,
-    H (4, d_h, d_x+d_s) and O (4, d_s, d_h); h_layers[g] and o_layers[g]
-    are MaskedLinear views of gate g's slice of each. `resize` makes new
-    blocks and rebinds the same views to them.
+    """Parameters of one H-LSTM cell: its two stacked blocks, H (4, d_h,
+    d_x+d_s) and O (4, d_s, d_h), and nothing else; d_s, d_h and the dtype
+    are read off them. All four gates share identical (d_x, d_s, d_h);
+    coordinated structured pruning keeps them equal. h_layers[g] and
+    o_layers[g] are MaskedLinear views of gate g's slice of each block,
+    made on each access, so a view made before a resize (`growprune._resize`
+    assigns new blocks) reads the old blocks.
     """
 
     def __init__(self, d_x: int, d_s: int, d_h: int, name: str = "cell", dtype=DTYPE):
         self.d_x, self.name = d_x, name
-        self.h_layers = {g: MaskedLinear.on_arrays(f"{name}.H{g}") for g in GATES}
-        self.o_layers = {g: MaskedLinear.on_arrays(f"{name}.O{g}") for g in GATES}
-        self._set_blocks(GateBlock.zeros(d_h, d_x + d_s, dtype),
-                         GateBlock.zeros(d_s, d_h, dtype))
-
-    def _set_blocks(self, H: GateBlock, O: GateBlock) -> None:
-        self.H, self.O = H, O
-        self.d_s, self.d_h = O.w.shape[1:]
-        for block, layers in ((H, self.h_layers), (O, self.o_layers)):
-            for k, gate in enumerate(GATES):
-                layers[gate].rebind(**{attr: getattr(block, attr)[k] for attr in ARRAYS})
+        self.H = GateBlock.zeros(d_h, d_x + d_s, dtype)
+        self.O = GateBlock.zeros(d_s, d_h, dtype)
 
     @classmethod
     def create(cls, d_x: int, d_s: int, d_h: int, rng: np.random.Generator,
@@ -133,23 +124,31 @@ class HLSTMCellParams:
             layer.w[...] = rng.uniform(-bound, bound, size=layer.w.shape)
         return cell
 
-    def __deepcopy__(self, memo) -> "HLSTMCellParams":
-        # a view copied on its own would detach from its block
-        dup = HLSTMCellParams(self.d_x, self.d_s, self.d_h, self.name, self.dtype)
-        for old, new in zip(self.layers(), dup.layers()):
-            for attr in ARRAYS:
-                getattr(new, attr)[...] = getattr(old, attr)
-            new.name = old.name
-            memo[id(old)] = new
-        return dup
+    @property
+    def d_s(self) -> int:
+        return self.O.w.shape[1]
+
+    @property
+    def d_h(self) -> int:
+        return self.O.w.shape[2]
 
     @property
     def dtype(self) -> np.dtype:
         return self.H.w.dtype
 
+    def _views(self, kind: str) -> dict[str, MaskedLinear]:
+        """Each gate's new MaskedLinear view of its slice of block `kind`."""
+        block = getattr(self, kind)
+        return {gate: MaskedLinear.on_arrays(f"{self.name}.{kind}{gate}",
+                                             **{attr: getattr(block, attr)[k] for attr in ARRAYS})
+                for k, gate in enumerate(GATES)}
+
+    h_layers = property(lambda self: self._views("H"))
+    o_layers = property(lambda self: self._views("O"))
+
     def layers(self) -> list[MaskedLinear]:
-        return [layer for gate in GATES
-                for layer in (self.h_layers[gate], self.o_layers[gate])]
+        h_layers, o_layers = self.h_layers, self.o_layers
+        return [layer for gate in GATES for layer in (h_layers[gate], o_layers[gate])]
 
     def active_units(self) -> tuple[np.ndarray, np.ndarray]:
         """Active flags of the d_s and d_h units: a unit is active while any
@@ -160,22 +159,6 @@ class HLSTMCellParams:
         """(active d_s units, active d_h units) read off the gate masks."""
         s_active, h_active = self.active_units()
         return int(s_active.sum()), int(h_active.sum())
-
-    def resize(self, s: np.ndarray, h: np.ndarray, new_s: int = 0, new_h: int = 0) -> None:
-        """Resize the cell in place to its d_s units s and d_h units h (index
-        arrays), then new_s and new_h units with nothing connected: zero
-        weights, masks and biases. The blocks and gradients are new."""
-        d_x, dtype = self.d_x, self.dtype
-        H = GateBlock.zeros(h.size + new_h, d_x + s.size + new_s, dtype, mask=0.0)
-        O = GateBlock.zeros(s.size + new_s, h.size + new_h, dtype, mask=0.0)
-        cols = np.concatenate([np.arange(d_x), d_x + s])
-        for attr in ("w", "mask"):
-            getattr(H, attr)[:, :h.size, :cols.size] = \
-                getattr(self.H, attr).take(h, axis=1).take(cols, axis=2)
-            getattr(O, attr)[:, :s.size, :h.size] = \
-                getattr(self.O, attr).take(s, axis=1).take(h, axis=2)
-        H.b[:, :h.size], O.b[:, :s.size] = self.H.b[:, h], self.O.b[:, s]
-        self._set_blocks(H, O)
 
 
 @dataclass

@@ -110,8 +110,14 @@ class SyntheticCurveSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.period < 1:
-            raise ContractViolation(f"period must be at least 1, got {self.period}")
+        for name, ok, rule in (("period", self.period >= 1, "at least 1"),
+                               ("base_ns", math.isfinite(self.base_ns), "finite"),
+                               ("slope_ns", math.isfinite(self.slope_ns), "finite"),
+                               ("jump_ns", math.isfinite(self.jump_ns), "finite"),
+                               ("noise_ns", 0.0 <= self.noise_ns < math.inf,
+                                "finite and non-negative")):
+            if not ok:
+                raise ContractViolation(f"{name} must be {rule}, got {getattr(self, name)}")
 
     def latency_ns(self, dim: int) -> float:
         phase = dim % self.period / self.period

@@ -45,8 +45,8 @@ class MaskedLinear:
 
     Every mask change zeroes the weights it masks, so w[mask == 0] == 0 and
     the forward reads w as W*Msk. The arrays may be views into a stacked
-    block (see hlstm.HLSTMCellParams), so they are written in place, and
-    rebound only by a resize (`rebind`).
+    block (a cell's gate layers, see hlstm.HLSTMCellParams), so they are
+    written in place, and rebound only by a resize (`rebind`).
     """
 
     def __init__(self, w: np.ndarray, mask: np.ndarray, b: np.ndarray,
@@ -79,8 +79,8 @@ class MaskedLinear:
 
     def rebind(self, **arrays: np.ndarray) -> None:
         """Resize the layer onto new arrays that keep its invariants, taken
-        as they are: the one way to rebind them (see `resize_cols`, and
-        HLSTMCellParams, which rebinds its gate views to resized blocks)."""
+        as they are: the one way to rebind them (`growprune._resize`
+        resizes the head's columns)."""
         self.__dict__.update(arrays)
 
     def __setattr__(self, attr, value):
@@ -89,16 +89,6 @@ class MaskedLinear:
             raise ContractViolation(
                 f"{self.name}: write {attr} in place ({attr}[...] = ...), not by rebinding")
         object.__setattr__(self, attr, value)
-
-    def resize_cols(self, cols: np.ndarray, new: int = 0) -> None:
-        """Resize the layer to its columns `cols` (an index array), then
-        `new` columns with no connection. w, mask and grad_w are new,
-        column-major arrays, the layout a gather of columns gives (a
-        row-major one changes the layer's GEMM rounding); the bias stays."""
-        w, mask = (np.zeros((self.out_dim, cols.size + new), self.w.dtype, order="F")
-                   for _ in range(2))
-        w[:, :cols.size], mask[:, :cols.size] = self.w[:, cols], self.mask[:, cols]
-        self.rebind(w=w, mask=mask, grad_w=np.zeros_like(w))
 
     @classmethod
     def dense(cls, out_dim: int, in_dim: int, rng: np.random.Generator,

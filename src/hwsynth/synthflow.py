@@ -103,7 +103,7 @@ class FlowConfig:
         if self.d_s != self.d_h:
             raise ConfigError("the flow ties d_s and d_h; set them equal")
         for name in ("baseline_epochs", "wg_epochs", "growth_epochs", "rcg_epochs",
-                     "max_prune_iters"):
+                     "max_prune_iters", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if self.growth_epochs > self.wg_epochs:
@@ -239,19 +239,19 @@ class Trainer:
 
     def epoch(self, model: LMModel, train_ids: np.ndarray, batch: int,
               seq_len: int, rng: np.random.Generator | None = None,
-              grad_sink: dict | None = None) -> float:
+              grad_sink: list | None = None) -> float:
         """One pass over the training stream, stateful across windows, with
         an SGD step per window; returns the mean training NLL.
 
         grad_sink, when given, receives the epoch-averaged full gradient
-        (dormant entries included) per masked layer, keyed by id(layer),
-        which weight growth ranks.
+        (dormant entries included) of each masked layer, in masked_layers()
+        order, which weight growth ranks.
 
         `rng` is ignored, as an epoch draws nothing at random; it stays while
         the benchmark script passes one positionally, ahead of grad_sink.
         """
         layers = model.masked_layers()
-        sums = {id(l): np.zeros_like(l.w) for l in layers} if grad_sink is not None else None
+        sums = [np.zeros_like(l.w) for l in layers] if grad_sink is not None else None
         total_nll = 0.0
         count = windows = 0
         states = None
@@ -260,16 +260,16 @@ class Trainer:
             total_nll += bptt(model, logits, rec, xs, ys, grad_scale=1.0 / xs.size)
             count += xs.size
             windows += 1
-            for layer in layers:
+            for k, layer in enumerate(layers):
                 if sums is not None:
-                    sums[id(layer)] += layer.grad_w
+                    sums[k] += layer.grad_w
                 sgd_step(layer, self.lr, self.cfg.weight_decay)
             sgd_update(model.embedding, model.embedding_grad, self.lr, self.cfg.weight_decay)
             model.embedding_grad[...] = 0.0
         if count == 0:
             raise ContractViolation("training stream shorter than one window")
         if sums is not None:
-            grad_sink.update({key: acc / windows for key, acc in sums.items()})
+            grad_sink[:] = [acc / windows for acc in sums]
         return total_nll / count
 
     def note_valid(self, valid_nll: float) -> None:
@@ -345,6 +345,8 @@ def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
         meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
     except Exception as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"checkpoint {path}: its meta_json is not a JSON object")
     for key, supported in (("version", CHECKPOINT_VERSION), ("depth", 1), ("hidden_depth", 1)):
         if meta.get(key) != supported:
             raise CheckpointError(f"checkpoint {path} has {key} {meta.get(key)}; only "
@@ -379,10 +381,9 @@ def checkpoint_load(path: str | Path) -> tuple[LMModel, dict]:
             raise CheckpointError(f"checkpoint {path}: mask_{i} has entries other than 0 and 1")
         return (array(f"w_{i}", mask.shape) * mask).astype(dtype), mask, array(f"b_{i}", (out_dim,))
 
-    cell = HLSTMCellParams(d_x, d_s, d_h, dtype=dtype)
+    cell = HLSTMCellParams(d_x, d_s, d_h, name="cell0", dtype=dtype)
     for i, view in enumerate(cell.layers()):
         view.w[...], view.mask[...], view.b[...] = stored(i, *view.w.shape)
-        view.name = names[i]
     model = LMModel(embedding, cell, MaskedLinear(*stored(n_layers - 1, vocab, d_s), names[-1]))
     growprune.sweep(model.cell, model.head)
     return model, meta
@@ -466,13 +467,11 @@ class SynthesisFlow:
             return perplexity(evaluate(model, self.corpus.valid,
                                        seq_len=self.cfg.seq_len, batch=VALID_BATCH))
         for ep in range(epochs):
-            sink: dict | None = {} if ep < growth_epochs else None
+            sink: list | None = [] if ep < growth_epochs else None
             trainer.epoch(model, self.corpus.train, self.cfg.batch, self.cfg.seq_len,
                           grad_sink=sink)
-            if sink is not None:
-                for layer in model.masked_layers():
-                    growprune.weight_grow(layer, sink[id(layer)], self.gp.g_w,
-                                          trainer.lr)
+            for layer, grad in zip(model.masked_layers(), sink or ()):
+                growprune.weight_grow(layer, grad, self.gp.g_w, trainer.lr)
             valid_nll = evaluate(model, self.corpus.valid,
                                  seq_len=self.cfg.seq_len, batch=VALID_BATCH)
             trainer.note_valid(valid_nll)

@@ -289,7 +289,6 @@ def with_dtype(model, dtype):
     for old, new in zip(cell.layers(), dup.layers()):
         for attr in ARRAYS:
             getattr(new, attr)[...] = getattr(old, attr)
-        new.name = old.name
     dup_head = MaskedLinear(head.w.astype(dtype), head.mask.astype(dtype),
                             head.b.astype(dtype), head.name)
     return LMModel(model.embedding.astype(dtype), dup, dup_head)

@@ -175,6 +175,32 @@ class TestExitCodes:
         assert err.startswith("error:") and "dropout_h" in err
         assert not out.exists()
 
+    # each used to pass the config check: a negative seed failed after the
+    # baseline had trained (exit 1), a NaN curve in detect_lhps, a negative
+    # noise mid-sweep
+    @pytest.mark.parametrize("field,value", [
+        ("seed", -1), ("latency.curve.base_ns", float("nan")),
+        ("latency.curve.slope_ns", float("inf")), ("latency.curve.jump_ns", float("nan")),
+        ("latency.curve.noise_ns", float("nan")), ("latency.curve.noise_ns", -5.0)])
+    def test_bad_value_fails_before_training_naming_its_field(
+            self, workdir, flow_config, monkeypatch, field, value, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a bad config reached the sweep or training")
+        monkeypatch.setattr(synthflow.Trainer, "epoch", no_work)
+        monkeypatch.setattr(latlab, "sweep", no_work)
+        data = json.loads(open(flow_config, encoding="utf-8").read())
+        *parents, key = field.split(".")
+        section = data
+        for parent in parents:
+            section = section[parent]
+        section[key] = value
+        bad = workdir / "bad_value_flow.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        out = workdir / "bad_value_flow_out"
+        assert main(["synthesize", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not out.exists()
+
     def test_flow_above_its_threshold_exits_1(self, workdir, flow_config, capsys):
         # every model of this config scores about 9 ppl
         data = json.loads(open(flow_config, encoding="utf-8").read())
@@ -437,12 +463,20 @@ class TestSynthesizeEvalReportBench:
         assert bad[0] in capsys.readouterr().err
         assert swept == [] and not out.exists()
 
-    # a usage error (exit 2) that names the spec file, like a bad --config
+    # a usage error (exit 2) that names the spec file, like a bad --config; a NaN
+    # base used to write a profile hwsynth analyze refused, a negative noise to
+    # fail mid-sweep
     @pytest.mark.parametrize("text, named", [
         ('{"period": 0}', "period"), ('{"period": -16}', "period"),
         ('period: 4', "Expecting value"), ('[4]', "mapping"),
-        ('{"period": 4, "bogus": 1}', "bogus")],
-        ids=["0", "-16", "not-json", "not-an-object", "unknown-field"])
+        ('{"period": 4, "bogus": 1}', "bogus"),
+        ('{"base_ns": NaN}', "base_ns must be finite"),
+        ('{"slope_ns": -Infinity}', "slope_ns must be finite"),
+        ('{"jump_ns": Infinity}', "jump_ns must be finite"),
+        ('{"noise_ns": NaN}', "noise_ns must be finite and non-negative"),
+        ('{"noise_ns": -5}', "noise_ns must be finite and non-negative")],
+        ids=["0", "-16", "not-json", "not-an-object", "unknown-field", "nan-base",
+             "inf-slope", "inf-jump", "nan-noise", "negative-noise"])
     def test_profile_rejects_a_bad_curve_period(self, tmp_path, text, named, capsys):
         spec = tmp_path / "curve.json"
         spec.write_text(text, encoding="utf-8")

@@ -85,11 +85,12 @@ class TestNoFloat64Leak:
         trainer = Trainer(OptimizerConfig())
 
         # growth epoch, then an epoch of the rc-pruned model
-        sink = {}
+        sink = []
         trainer.epoch(model, ids, 8, 16, grad_sink=sink)
-        self.assert_float32((f"grad_sink {k}", g) for k, g in sink.items())
-        for layer in model.masked_layers():
-            growprune.weight_grow(layer, sink[id(layer)], 0.1, trainer.lr)
+        assert len(sink) == len(model.masked_layers())
+        self.assert_float32((f"grad_sink {k}", g) for k, g in enumerate(sink))
+        for layer, grad in zip(model.masked_layers(), sink):
+            growprune.weight_grow(layer, grad, 0.1, trainer.lr)
         growprune.coordinated_rc_prune_counts(model.cell, model.head, 3, 3)
         trainer.epoch(model, ids, 8, 16)
         assert (model.cell.d_s, model.cell.d_h) == (9, 9)

@@ -15,7 +15,8 @@ from hwsynth.growprune import (
     weight_prune,
 )
 from hwsynth.hlstm import GATES, LMModel, bptt, freeze, unroll_forward
-from hwsynth.numkit import ARRAYS, ContractViolation, make_rng, sgd_step, sgd_update
+from hwsynth.numkit import (ARRAYS, ContractViolation, MaskedLinear, make_rng, sgd_step,
+                            sgd_update)
 from hwsynth.synthflow import (
     CheckpointError,
     ConfigError,
@@ -161,6 +162,15 @@ class TestFlowConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(sizes), encoding="utf-8")
         with pytest.raises(ConfigError, match=f"^{key} must be at least 1"):
+            FlowConfig.from_json(path)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        # it used to train the baseline, then fail in make_rng with exit 1
+        with pytest.raises(ConfigError, match="^seed must be non-negative"):
+            FlowConfig(seed=-1)
+        path = tmp_path / "cfg.json"
+        path.write_text('{"seed": -1}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="^seed must be non-negative"):
             FlowConfig.from_json(path)
 
     @pytest.mark.parametrize("period", [0, -16])
@@ -355,6 +365,51 @@ class TestGateViews:
         # the restored model is the snapshot's own copy, detached from `before`
         assert flow.model is snap[0]
         assert_views_own_blocks(flow.model, others=[before])
+
+    def test_views_follow_every_resize(self, tiny_corpus):
+        """After an rcp cut, an rcg append and a sweep, every view made then
+        shares memory with the cell's new blocks and writes through to them;
+        a view made before the resize still reads the old blocks."""
+        model = make_seed(tiny_config(tiny_corpus), 9, make_rng(0))
+        cell = model.cell
+
+        def kill_d_h_unit():
+            # d_h unit 0 neither read (O column) nor written (H row): sweep drops it
+            for arr in (cell.H.mask, cell.H.w):
+                arr[:, 0] = 0.0
+            for arr in (cell.O.mask, cell.O.w):
+                arr[:, :, 0] = 0.0
+            growprune.sweep(cell, model.head)
+
+        for resize, dims in (
+                (lambda: coordinated_rc_prune_counts(cell, model.head, 3, 2), (9, 10)),
+                (lambda: growprune.coordinated_rc_grow_counts(cell, model.head, 2, 1), (11, 11)),
+                (kill_d_h_unit, (11, 10))):
+            old, stale = (cell.H, cell.O), cell.h_layers["f"]
+            resize()
+            assert (cell.d_s, cell.d_h) == dims
+            assert cell.H is not old[0] and cell.O is not old[1]
+            assert_views_own_blocks(model)
+            assert not np.shares_memory(stale.w, cell.H.w)
+            for block, layers in ((cell.H, cell.h_layers), (cell.O, cell.o_layers)):
+                for k, gate in enumerate(GATES):
+                    for attr in ARRAYS:
+                        view = getattr(layers[gate], attr)
+                        kept = view.flat[-1]
+                        view.flat[-1] = 7.0
+                        assert getattr(block, attr)[k].flat[-1] == 7.0, (gate, attr)
+                        view.flat[-1] = kept
+
+    def test_cell_stores_only_its_blocks(self, tiny_corpus):
+        model = make_seed(tiny_config(tiny_corpus), 9, make_rng(0))
+        cells = [model.cell]
+        coordinated_rc_prune_counts(model.cell, model.head, 3, 2)
+        cells += [model.cell, copy.deepcopy(model).cell]
+        for cell in cells:
+            assert sorted(vars(cell)) == ["H", "O", "d_x", "name"]
+            assert not any(isinstance(v, (MaskedLinear, dict, list)) for v in vars(cell).values())
+        assert [l.name for l in cells[-1].layers()] == \
+            [f"cell0.{kind}{g}" for g in GATES for kind in "HO"]
 
     def test_rebinding_refused(self):
         layer = LMModel.create(9, 4, 6, 5, make_rng(0)).cell.o_layers["f"]
@@ -564,6 +619,18 @@ class TestCheckpoint:
         assert main(["bench", "--checkpoint", str(path), "--virtual"]) == 1
         assert "edited.npz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("meta", [["phase", "wp"], "wp", 3, None])
+    def test_meta_not_an_object_refused(self, tmp_path, capsys, meta):
+        # a list used to escape as AttributeError: 'list' object has no attribute 'get'
+        def edit(data):
+            data["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        path = self.resave(tmp_path, edit)
+        with pytest.raises(CheckpointError,
+                           match=r"edited\.npz: its meta_json is not a JSON object"):
+            checkpoint_load(path)
+        assert main(["bench", "--checkpoint", str(path), "--virtual"]) == 1
+        assert "edited.npz" in capsys.readouterr().err
+
     def test_load_draws_no_weights(self, tmp_path, monkeypatch):
         """The model is built from the stored arrays; nothing is drawn only
         to be overwritten."""
@@ -762,15 +829,17 @@ class TestTrainingPassesKeepFullShape:
     def test_growth_epoch_gradients_bitwise(self, tiny_corpus):
         model, ids = self.setup_model(tiny_corpus)
         ref = copy.deepcopy(model)
-        sink = {}
+        sink = []
         nll = Trainer(OptimizerConfig(lr=0.5)).epoch(model, ids, 8, 16, grad_sink=sink)
-        sums = {id(l): np.zeros_like(l.w) for l in ref.masked_layers()}
+        sums = [np.zeros_like(l.w) for l in ref.masked_layers()]
         assert nll == oracle_epoch(ref, ids, 0.5, OptimizerConfig().weight_decay, sums)
         windows = sum(1 for _ in batch_windows(ids, 8, 16))
-        for got, want in zip(model.masked_layers(), ref.masked_layers()):
-            assert np.array_equal(sink[id(got)], sums[id(want)] / windows), got.name
+        layers = model.masked_layers()
+        assert len(sink) == len(sums) == len(layers)
+        for got, grad, want in zip(layers, sink, sums):
+            assert np.array_equal(grad, want / windows), got.name
             assert not got.grad_w.any()
-        assert any(sink[id(l)][l.mask == 0].any() for l in model.masked_layers())
+        assert any(grad[l.mask == 0].any() for l, grad in zip(layers, sink))
 
     def test_training_epoch_nll_bitwise(self, tiny_corpus):
         model, ids = self.setup_model(tiny_corpus)
@@ -785,16 +854,16 @@ class TestTrainingPassesKeepFullShape:
 def oracle_epoch(ref, ids, lr, weight_decay, sums=None):
     """One training epoch of `ref` at its shape: full_shape_forward, bptt
     and sgd_step per window, adding each window's weight gradients into
-    `sums` (keyed by id(layer)) when given. Returns the mean NLL."""
+    `sums` (a list in masked_layers() order) when given. Returns the mean NLL."""
     total = count = 0
     state = None
     for xs, ys in batch_windows(ids, 8, 16):
         logits, caches, state = full_shape_forward(ref, xs, init=state)
         total += bptt(ref, logits, caches, xs, ys, grad_scale=1.0 / xs.size)
         count += xs.size
-        for layer in ref.masked_layers():
+        for k, layer in enumerate(ref.masked_layers()):
             if sums is not None:
-                sums[id(layer)] += layer.grad_w
+                sums[k] += layer.grad_w
             sgd_step(layer, lr, weight_decay)
         sgd_update(ref.embedding, ref.embedding_grad, lr, weight_decay)
         ref.embedding_grad[...] = 0.0
@@ -951,11 +1020,12 @@ class TestCompactedTraining:
             arr[:, k] = 0.0
             arr[:, :, d_x + u] = 0.0
         model.head.mask[:, u] = model.head.w[:, u] = 0.0
-        sink = {}
+        sink = []
         Trainer(self.cfg).epoch(model, ids, 8, 16, grad_sink=sink)
-        assert sink[id(model.head)][:, u].any()
-        assert any(sink[id(cell.h_layers[g])][:, d_x + u].any() for g in GATES)
-        assert any(sink[id(cell.o_layers[g])][:, k].any() for g in GATES)
+        grads = dict(zip((layer.name for layer in model.masked_layers()), sink))
+        assert grads["head"][:, u].any()
+        assert any(grads[f"{cell.name}.H{g}"][:, d_x + u].any() for g in GATES)
+        assert any(grads[f"{cell.name}.O{g}"][:, k].any() for g in GATES)
 
     def test_epoch_log_names_the_trained_shape(self, tiny_corpus):
         lines = []
@@ -1064,6 +1134,16 @@ class TestFullFlow:
         assert meta["phase"] == "wp"
         for layer in model.masked_layers():
             assert np.all(layer.w[layer.mask == 0.0] == 0.0)
+
+    def test_checkpoint_round_trip_keeps_layer_names(self, flow_result, tmp_path):
+        _, _, out = flow_result
+        names = [f"cell0.{kind}{g}" for g in GATES for kind in "HO"] + ["head"]
+        for path in sorted(out.glob("checkpoint_*.npz")):
+            model, meta = checkpoint_load(path)
+            assert meta["layer_names"] == [l.name for l in model.masked_layers()] == names
+            checkpoint_save(model, meta, tmp_path / path.name)
+            again, meta = checkpoint_load(tmp_path / path.name)
+            assert meta["layer_names"] == [l.name for l in again.masked_layers()] == names
 
     def test_report_csv_header(self, flow_result):
         _, report, out = flow_result
