@@ -7,6 +7,14 @@ builds rcg's LHP map once, before any training. Each step appends a report
 row (the model's dims, parameter counts, validation perplexity, measured
 forward latency); prune phases restore the last passing checkpoint,
 and a flow is complete only if its final model meets the accuracy threshold.
+
+The dense baseline, which sets the default threshold, shares nothing with
+the seed model, so `SynthesisFlow.run` trains it in a child process forked
+before wg, beside wg's training. The parent joins the child once wg's epochs
+end and before wg's row is measured, so no latency is measured while the
+child trains. The baseline's row stays the report's first; its epoch log
+lines are logged at the join, after wg's. The flow forks with the `fork`
+start method, so it needs a POSIX host.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -95,6 +104,13 @@ class FlowConfig:
     max_prune_iters: int = 40
 
     def __post_init__(self):
+        # annotations are strings here (from __future__ import annotations)
+        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "int"]
+        ints += [(f"latency.{f.name}", getattr(self.latency, f.name))
+                 for f in fields(self.latency) if f.type == "int"]
+        for name, value in ints:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("d_x", "d_s", "d_h", "batch", "seq_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -429,6 +445,8 @@ class SynthesisFlow:
         self.model: LMModel | None = None
         self.trainer: Trainer | None = None
         self.log = print
+        # the forked baseline's process and the read end of its pipe, while it trains
+        self._baseline: tuple | None = None
 
     # - helpers -
 
@@ -482,13 +500,68 @@ class SynthesisFlow:
 
     # - steps -
 
+    def _fork_baseline(self) -> None:
+        """Start training the dense baseline in a forked child process;
+        `train_baseline` joins it."""
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=self._train_dense, args=(sender,), daemon=True)
+        child.start()
+        sender.close()      # the child holds the write end, so its exit ends recv()
+        self._baseline = (child, receiver)
+
+    def _train_dense(self, sender) -> None:
+        """The child's work: a dense model with the flow's dims, trained
+        baseline_epochs. Sends back (model, last valid ppl, log lines), or
+        the exception that stopped the training."""
+        lines: list[str] = []
+        self.log = lines.append
+        try:
+            model = LMModel.create(self.corpus.vocab_size, self.cfg.d_x, self.cfg.d_s,
+                                   self.cfg.d_h, make_rng(self.cfg.seed + 1))
+            ppl = self._fit("baseline", model, Trainer(self.cfg.optimizer),
+                            self.cfg.baseline_epochs)
+            reply = (model, ppl, lines)
+        except Exception as exc:
+            reply = exc
+        sender.send(reply)
+
+    def _stop_baseline(self) -> None:
+        """Terminate and join the baseline child, if there is one: once its
+        reply is read (only its exit is left), or when the flow failed first."""
+        if self._baseline is not None:
+            child, receiver = self._baseline
+            self._baseline = None
+            child.terminate()
+            child.join()
+            receiver.close()
+
     def train_baseline(self) -> float:
         """Dense model with the same dims; its validation perplexity is the
-        default accuracy threshold and the baseline report row."""
-        baseline = LMModel.create(self.corpus.vocab_size, self.cfg.d_x, self.cfg.d_s,
-                                  self.cfg.d_h, make_rng(self.cfg.seed + 1))
-        ppl = self._fit("baseline", baseline, Trainer(self.cfg.optimizer),
-                        self.cfg.baseline_epochs)
+        default accuracy threshold and the baseline report row.
+
+        The model trains in a forked child process: `run` forks it before wg
+        and calls this once wg's epochs end; called alone, this forks it and
+        waits. Here, in the parent, the child's log lines are logged, its
+        row is measured, and an exception that stopped it is raised.
+        """
+        if self._baseline is None:
+            self._fork_baseline()
+        child, receiver = self._baseline
+        try:
+            reply = receiver.recv()
+        except EOFError:
+            reply = None
+        finally:
+            self._stop_baseline()
+        if reply is None:
+            raise RuntimeError(f"baseline: its training process exited with code "
+                               f"{child.exitcode} and sent no model")
+        if isinstance(reply, Exception):
+            raise reply
+        baseline, ppl, lines = reply
+        for line in lines:
+            self.log(line)
         self.report.rows.append(self._row("baseline", baseline, ppl))
         if math.isinf(self.gp.accuracy_threshold):
             self.gp = replace(self.gp, accuracy_threshold=ppl)
@@ -501,6 +574,8 @@ class SynthesisFlow:
         self.trainer = Trainer(self.cfg.optimizer)
         ppl = self._fit("wg", self.model, self.trainer, self.cfg.wg_epochs,
                         self.cfg.growth_epochs)
+        if self._baseline is not None:      # forked by run(), beside wg's epochs
+            self.train_baseline()
         self.report.rows.append(self._row("wg", self.model, ppl))
         self._save_phase_artifacts("wg")
 
@@ -590,7 +665,7 @@ class SynthesisFlow:
 
     def run(self) -> FlowReport:
         try:
-            self.train_baseline()
+            self._fork_baseline()
             self.step_weight_growth()
             if not self.cfg.cpu_mode:
                 self.step_rc_prune()
@@ -601,6 +676,7 @@ class SynthesisFlow:
             if not self.report.complete:
                 self.log(f"[flow] final valid ppl {final:.3f} above threshold {threshold:.3f}")
         finally:
+            self._stop_baseline()
             if self.out_dir is not None:
                 for name, text in (("report.csv", self.report.to_csv()),
                                    ("report.json", self.report.to_json())):

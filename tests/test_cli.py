@@ -177,9 +177,11 @@ class TestExitCodes:
 
     # each used to pass the config check: a negative seed failed after the
     # baseline had trained (exit 1), a NaN curve in detect_lhps, a negative
-    # noise mid-sweep
+    # noise mid-sweep, a fractional seed after the sweep and the corpus load
+    # (exit 1), and a fractional batch or a bool seed ran
     @pytest.mark.parametrize("field,value", [
-        ("seed", -1), ("latency.curve.base_ns", float("nan")),
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("batch", 2.5), ("latency.runs", 9.5),
+        ("latency.curve.base_ns", float("nan")),
         ("latency.curve.slope_ns", float("inf")), ("latency.curve.jump_ns", float("nan")),
         ("latency.curve.noise_ns", float("nan")), ("latency.curve.noise_ns", -5.0)])
     def test_bad_value_fails_before_training_naming_its_field(

@@ -1,7 +1,12 @@
 import copy
 import json
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +20,8 @@ from hwsynth.growprune import (
     weight_prune,
 )
 from hwsynth.hlstm import GATES, LMModel, bptt, freeze, unroll_forward
-from hwsynth.numkit import (ARRAYS, ContractViolation, MaskedLinear, make_rng, sgd_step,
-                            sgd_update)
+from hwsynth.numkit import (ARRAYS, ContractViolation, MaskedLinear, NumericAbort, make_rng,
+                            sgd_step, sgd_update)
 from hwsynth.synthflow import (
     CheckpointError,
     ConfigError,
@@ -172,6 +177,21 @@ class TestFlowConfig:
         path.write_text('{"seed": -1}', encoding="utf-8")
         with pytest.raises(ConfigError, match="^seed must be non-negative"):
             FlowConfig.from_json(path)
+
+    @pytest.mark.parametrize("key", [
+        "d_x", "d_s", "d_h", "baseline_epochs", "wg_epochs", "growth_epochs", "rcg_epochs",
+        "batch", "seq_len", "seed", "max_prune_iters",
+        "latency.measure_batch", "latency.measure_seq", "latency.runs"])
+    @pytest.mark.parametrize("kind", ["fraction", "bool"])
+    def test_integer_field_refuses_other_values(self, key, kind):
+        # seed=1.5 used to pass, then fail with a TypeError after the LHP sweep and
+        # the corpus load; batch=2.5 or seed=True ran
+        *section, name = key.split(".")
+        value = getattr(LatencyConfig() if section else FlowConfig(), name) + 0.5 \
+            if kind == "fraction" else True
+        kwargs = {"latency": LatencyConfig(**{name: value})} if section else {name: value}
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {value!r}$"):
+            FlowConfig(**kwargs)
 
     @pytest.mark.parametrize("period", [0, -16])
     def test_bad_curve_period_rejected(self, period, tmp_path):
@@ -1228,7 +1248,9 @@ class TestZeroEpochs:
 
 class TestValidationPasses:
     def test_one_validation_pass_per_epoch(self, tiny_corpus, monkeypatch):
-        # the prune phases start from the score the previous phase reported
+        """The prune phases start from the score the previous phase reported.
+        The counts are this process's: the baseline's epochs and validation
+        passes run in its forked child, so they are not counted here."""
         events = []
         evaluate, epoch = synthflow.evaluate, Trainer.epoch
 
@@ -1250,12 +1272,134 @@ class TestValidationPasses:
 
 class TestDeterminism:
     def test_identical_reports_across_runs(self, tiny_corpus):
-        cfg1 = tiny_config(tiny_corpus)
-        cfg2 = tiny_config(tiny_corpus)
-        r1 = run_flow(cfg1, log=lambda *a, **k: None)
-        r2 = run_flow(cfg2, log=lambda *a, **k: None)
+        cfg = tiny_config(tiny_corpus, baseline_epochs=2)
+        logs = [], []
+        r1 = run_flow(cfg, log=logs[0].append)
+        r2 = run_flow(copy.deepcopy(cfg), log=logs[1].append)
         assert r1.to_csv() == r2.to_csv()
         assert r1.to_json() == r2.to_json()
+        assert logs[0] == logs[1]
+        # the baseline's lines, each once, directly after wg's last epoch line
+        labels = [line.split("]")[0][1:] for line in logs[0]]
+        first = labels.index("baseline")
+        assert labels.count("baseline") == 2 and "wg" not in labels[first:]
+        assert [line.split(" valid")[0] for line in logs[0][first - 1:first + 2]] == \
+            ["[wg] epoch 2/2", "[baseline] epoch 1/2", "[baseline] epoch 2/2"]
+
+    @pytest.mark.parametrize("cpu_mode", [False, True])
+    def test_run_writes_what_the_steps_write_with_the_baseline_first(
+            self, tiny_corpus, tmp_path, cpu_mode):
+        # run() trains the baseline beside wg; trained first and alone, it gives
+        # the same reports and checkpoints byte for byte
+        cfg = tiny_config(tiny_corpus, cpu_mode=cpu_mode)
+        run_flow(cfg, tmp_path / "run", log=lambda *a, **k: None)
+        flow = SynthesisFlow(copy.deepcopy(cfg), tmp_path / "steps")
+        flow.log = lambda *a, **k: None
+        flow.train_baseline()
+        steps = [flow.step_weight_growth, flow.step_weight_prune]
+        if not cpu_mode:
+            steps[1:1] = [flow.step_rc_prune, flow.step_rc_grow]
+        for step in steps:
+            step()
+        flow.report.complete = flow.report.rows[-1].valid_ppl <= flow.report.threshold
+        (tmp_path / "steps" / "report.csv").write_text(flow.report.to_csv(), encoding="utf-8")
+        (tmp_path / "steps" / "report.json").write_text(flow.report.to_json(),
+                                                        encoding="utf-8")
+        names = sorted(path.name for path in (tmp_path / "run").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "steps").iterdir())
+        assert len(names) == (4 if cpu_mode else 6)
+        for name in names:
+            assert (tmp_path / "run" / name).read_bytes() == \
+                (tmp_path / "steps" / name).read_bytes(), name
+
+
+def patch_epochs(monkeypatch, in_child=None, in_parent=None):
+    """Call in_child() before each Trainer.epoch run in a forked child of this
+    process, and in_parent() before each one run in this process."""
+    pid, epoch = os.getpid(), Trainer.epoch
+
+    def patched(self, *args, **kwargs):
+        action = in_parent if os.getpid() == pid else in_child
+        if action is not None:
+            action()
+        return epoch(self, *args, **kwargs)
+
+    monkeypatch.setattr(Trainer, "epoch", patched)
+
+
+def raising(exc):
+    def action():
+        raise exc
+    return action
+
+
+class TestBaselineProcess:
+    """The baseline trains in a child forked by run(); no run leaves it behind,
+    and every way it can end reaches the caller."""
+
+    def read_report(self, out):
+        return json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+    def test_complete_flow(self, tiny_corpus, tmp_path):
+        report = run_flow(tiny_config(tiny_corpus), tmp_path, log=lambda *a, **k: None)
+        assert report.complete and report.rows[0].step == "baseline"
+        assert multiprocessing.active_children() == []
+
+    def test_numeric_abort_in_the_baseline(self, tiny_corpus, tmp_path, monkeypatch):
+        patch_epochs(monkeypatch, in_child=raising(
+            NumericAbort("non-finite gradient in layer 'cell0.H'")))
+        with pytest.raises(NumericAbort, match="^non-finite gradient in layer 'cell0.H'$"):
+            run_flow(tiny_config(tiny_corpus), tmp_path, log=lambda *a, **k: None)
+        assert multiprocessing.active_children() == []
+        data = self.read_report(tmp_path)    # it surfaced when wg's epochs ended
+        assert (data["complete"], data["rows"]) == (False, [])
+
+    def test_wg_failure_stops_the_training_baseline(self, tiny_corpus, tmp_path,
+                                                    monkeypatch):
+        patch_epochs(monkeypatch, in_child=lambda: time.sleep(60),
+                     in_parent=raising(RuntimeError("wg failed")))
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="^wg failed$"):
+            run_flow(tiny_config(tiny_corpus), tmp_path, log=lambda *a, **k: None)
+        assert time.monotonic() - t0 < 30       # terminated, not awaited
+        assert multiprocessing.active_children() == []
+        assert self.read_report(tmp_path)["rows"] == []
+
+    @pytest.mark.parametrize("via_run", [True, False])
+    def test_a_child_that_dies_without_a_reply(self, tiny_corpus, tmp_path, monkeypatch,
+                                               via_run):
+        patch_epochs(monkeypatch, in_child=lambda: os._exit(3))
+        flow = SynthesisFlow(tiny_config(tiny_corpus), tmp_path)
+        flow.log = lambda *a, **k: None
+        with pytest.raises(RuntimeError, match="^baseline: its training process exited "
+                                               "with code 3 and sent no model$"):
+            flow.run() if via_run else flow.train_baseline()
+        assert multiprocessing.active_children() == []
+
+    def test_fork_with_a_running_blas_thread_pool(self, tiny_corpus, tmp_path):
+        # two BLAS threads, busy with a GEMM before the flow forks: the child
+        # must not hang on a lock a pool thread held at the fork
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "corpus_path": tiny_corpus, "d_x": 4, "d_s": 12, "d_h": 12,
+            "baseline_epochs": 1, "wg_epochs": 1, "growth_epochs": 1, "rcg_epochs": 1,
+            "batch": 8, "seq_len": 16, "profile_grid": [1, 12, 1], "max_prune_iters": 2,
+            "growprune": {"accuracy_threshold": 1e9, "retrain_patience": 1},
+            "latency": {"curve": {"period": 4}}}), encoding="utf-8")
+        code = ("import sys, numpy as np\n"
+                "a = np.ones((512, 512), np.float32)\n"
+                "assert (a @ a)[0, 0] == 512\n"
+                "from hwsynth.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(synthflow.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code, "synthesize", "--config", str(cfg),
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "[baseline] epoch 1/1" in proc.stdout
+        assert self.read_report(tmp_path / "out")["complete"] is True
 
 
 class TestPartialReport:
