@@ -26,10 +26,10 @@ matmul per layer kind and one tanh for all four gates, with sigmoid(v) =
 the loop. This matches the per-step, per-gate computation to rounding, not bit
 for bit. `bptt` reverses the table per symbol: one one-hot GEMM sums each
 symbol's steps, then the V-row embedding projects them back; its step
-derives all four gates by one formula. Each pass (in training, each window)
-lays out what its steps read once and contiguous, as OpenBLAS runs
-transposed views slower: `_layout`, and `_BackwardPass` with the backward's
-buffers and gradient sums.
+derives the three sigmoid gates at once and the tanh gate apart. Each pass
+(in training, each window) lays out what its steps read once and
+contiguous, as OpenBLAS runs transposed views slower: `_layout`, and
+`_BackwardPass` with the backward's buffers and gradient sums.
 
 A model is stored at its live dims: a prune removes from the arrays every
 unit that nothing reads or writes (`growprune.sweep`) and growth appends
@@ -42,11 +42,13 @@ per call; `evaluate` and real-mode latency (`synthflow.measure_model_latency`,
 
 Precision: a model computes in the dtype of its arrays, which
 `LMModel.create` sets (`dtype`, default numkit.DTYPE); every array a pass
-makes, and every constant it applies, takes the dtype of the arrays it
-reads. Everything the flow, the CLI and the benchmark create is float32, the
-precision a deployed LSTM runs. float64 models serve only the oracle tests
-(finite differences, 1e-12 and bitwise references) and checkpoints written
-before models ran in float32, which load in float64.
+makes takes the dtype of the arrays it reads. A constant a pass applies is a
+Python scalar or an array made in that dtype, never a float64 array, which
+numpy would cast through a buffered loop on every call. Everything the
+flow, the CLI and the benchmark create is float32, the precision a deployed
+LSTM runs. float64 models serve only the oracle tests (finite differences,
+1e-12 and bitwise references) and checkpoints written before models ran in
+float32, which load in float64.
 """
 
 from __future__ import annotations
@@ -177,23 +179,22 @@ class _Recording:
     consumed: bool = False
 
 
-# One tanh serves all four gates: sigmoid(v) = (1 + tanh(v/2)) / 2 for f, i, o.
-_GATE_SCALE = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
-
-
 def _layout(params: HLSTMCellParams, x: np.ndarray
             ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """What a pass's steps read. First the x part of every H layer's
     pre-activation, bias included: x (N, d_x) -> (4, N, d_h), on the
     embedding a per-symbol table. Then the step operands: H's recurrent part
     as a contiguous (4, d_s, d_h) array, O as a contiguous (4, d_h, d_s)
-    array and O's bias, both times _GATE_SCALE in the cell's dtype; scaling
-    by 1/2 or 1 is exact, so it changes no value."""
-    H, O, d_x, dtype = params.H, params.O, params.d_x, params.dtype
+    array and O's bias, both scaled per gate in the cell's dtype, by 1/2 for
+    f, i and o and by 1 for g: one tanh then serves all four gates, as
+    sigmoid(v) = (1 + tanh(v/2)) / 2. Scaling by 1/2 or 1 is exact, so it
+    changes no value."""
+    H, O, d_x = params.H, params.O, params.d_x
+    scale = np.array([0.5, 0.5, 0.5, 1.0], params.dtype)[:, None, None]
     table = np.matmul(x, H.w[:, :, :d_x].transpose(0, 2, 1)) + H.b[:, None]
     return table, (np.ascontiguousarray(H.w[:, :, d_x:].transpose(0, 2, 1)),
-                   np.multiply(O.w.transpose(0, 2, 1), _GATE_SCALE, order="C", dtype=dtype),
-                   np.multiply(O.b[:, None], _GATE_SCALE, dtype=dtype))
+                   np.multiply(O.w.transpose(0, 2, 1), scale, order="C"),
+                   O.b[:, None] * scale)
 
 
 def _project_input_backward(params: HLSTMCellParams, x: np.ndarray,
@@ -268,7 +269,7 @@ class _BackwardPass:
         self.o_w = params.O.w
         self.grad_h, self.step_h = np.zeros((2, *self.h_rec.shape), dtype)
         self.grad_o, self.step_o = np.zeros((2, *self.o_w.shape), dtype)
-        self.grad_o_b = np.zeros_like(params.O.b)
+        self.grad_o_b, self.step_o_b = np.zeros((2, *params.O.b.shape), dtype)
         self.d_gates, self.deriv = np.empty((2, len(GATES), batch, params.d_s), dtype)
         self.d_in = np.empty((len(GATES), batch, params.d_h), dtype)
 
@@ -276,12 +277,6 @@ class _BackwardPass:
         params.H.grad_w[:, :, params.d_x:] += self.grad_h
         params.O.grad_w += self.grad_o
         params.O.grad_b += self.grad_o_b
-
-
-# A gate's derivative via its output y: y (A - y) + B, so y (1 - y) or 1 - y^2.
-# A and B are 0 or 1, exact in any dtype; the ufuncs take them in the pass's.
-_DERIV_A = np.array([1.0, 1.0, 1.0, 0.0])[:, None, None]
-_DERIV_B = np.array([0.0, 0.0, 0.0, 1.0])[:, None, None]
 
 
 def cell_backward(bwd: _BackwardPass, rec: _Recording, t: int, d_h_t: np.ndarray,
@@ -292,18 +287,23 @@ def cell_backward(bwd: _BackwardPass, rec: _Recording, t: int, d_h_t: np.ndarray
     gathered table rows, into `out` if given, dL/d previous state) and sums
     the O blocks' and H's recurrent gradients in `bwd` (see `flush`). The x
     part of H.grad_w and H.grad_b belong to the table's projection (see
-    _project_input_backward)."""
+    _project_input_backward). Each gate's derivative comes from its recorded
+    output y, (1 - y) y for f, i and o and 1 - y^2 for g, in the recording's
+    dtype with Python-scalar constants, so a step casts nothing."""
     h_prev, c_prev = (rec.hs[t - 1], rec.c[t - 1]) if t else (rec.init.h, rec.init.c)
     gates, tanh_c, d_gates = rec.gates[t], rec.tanh_c[t], bwd.d_gates
     f, i, o, g = gates
     d_c = d_c_t + d_h_t * o * (1.0 - tanh_c * tanh_c)
-    for k, (u, v) in enumerate([(d_c, c_prev), (d_c, g), (d_h_t, tanh_c), (d_c, i)]):
-        np.multiply(u, v, out=d_gates[k])
-    dtype = gates.dtype
-    np.multiply(np.subtract(_DERIV_A, gates, out=bwd.deriv, dtype=dtype), gates, out=bwd.deriv)
-    d_gates *= np.add(bwd.deriv, _DERIV_B, out=bwd.deriv, dtype=dtype)
+    np.multiply(d_c, c_prev, out=d_gates[0])
+    np.multiply(d_c, g, out=d_gates[1])
+    np.multiply(d_h_t, tanh_c, out=d_gates[2])
+    np.multiply(d_c, i, out=d_gates[3])
+    deriv, sigmoids = bwd.deriv, gates[:3]
+    np.multiply(np.subtract(1.0, sigmoids, out=deriv[:3]), sigmoids, out=deriv[:3])
+    np.subtract(1.0, np.multiply(g, g, out=deriv[3]), out=deriv[3])
+    d_gates *= deriv
     bwd.grad_o += np.matmul(d_gates.transpose(0, 2, 1), rec.act[t], out=bwd.step_o)
-    bwd.grad_o_b += d_gates.sum(axis=1)
+    bwd.grad_o_b += d_gates.sum(axis=1, out=bwd.step_o_b)
     d_in = np.matmul(d_gates, bwd.o_w, out=bwd.d_in)
     d_pre = np.multiply(d_in, rec.act[t] > 0.0, out=out)
     bwd.grad_h += np.matmul(d_pre.transpose(0, 2, 1), h_prev, out=bwd.step_h)
@@ -475,13 +475,17 @@ def bptt(model: LMModel, logits: np.ndarray, rec: _Recording, tokens: np.ndarray
     # in (B, T) order, so the head's gradient sums its rows as the logits run
     hs = rec.hs.transpose(1, 0, 2).reshape(batch * T, cell.d_s)
     d_hs = head.backward(hs, d_logits.reshape(batch * T, -1)).reshape(batch, T, -1)
+    # step-major, so each step reads a contiguous d_hs[t]
+    d_hs = np.ascontiguousarray(d_hs.transpose(1, 0, 2))
     d_xw = np.empty((len(GATES), T, batch, cell.d_h), cell.dtype)
     bwd = _BackwardPass(cell, batch)
     d_next = HLSTMState.zeros(cell.d_s, batch, cell.dtype)
     for t in range(T - 1, -1, -1):
-        _, d_next = cell_backward(bwd, rec, t, d_hs[:, t] + d_next.h, d_next.c, out=d_xw[:, t])
+        d_hs[t] += d_next.h
+        _, d_next = cell_backward(bwd, rec, t, d_hs[t], d_next.c, out=d_xw[:, t])
     bwd.flush(cell)
-    one_hot = (np.arange(model.vocab_size)[:, None] == tokens.T.reshape(-1)).astype(cell.dtype)
+    one_hot = np.zeros((model.vocab_size, T * batch), cell.dtype)
+    one_hot[tokens.T.reshape(-1), np.arange(T * batch)] = 1.0
     d_table = np.matmul(one_hot, d_xw.reshape(len(GATES), T * batch, cell.d_h))
     model.embedding_grad += _project_input_backward(cell, model.embedding, d_table)
     return total_nll

@@ -108,6 +108,7 @@ class FlowConfig:
         ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "int"]
         ints += [(f"latency.{f.name}", getattr(self.latency, f.name))
                  for f in fields(self.latency) if f.type == "int"]
+        ints += [(f"profile_grid[{k}]", v) for k, v in enumerate(self.profile_grid)]
         for name, value in ints:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -418,6 +418,68 @@ def reference_bptt(model, logits, rec, tokens, targets, grad_scale=1.0):
     return nll
 
 
+# --- backward with cast constants ---------------------------------------------------
+#
+# bptt and cell_backward as they ran before a training pass stopped casting:
+# each step derives its gates as y (A - y) + B, with A and B float64 (4, 1, 1)
+# constants that the ufuncs cast to the pass's dtype on every call, and
+# writes its four gate terms in a loop; bptt reads each step's d_hs[:, t] out
+# of a (B, T, d_s) array and builds the one-hot by comparing int64 ids, then
+# casting. It is the same IEEE arithmetic in the same order, so the library
+# matches it bit for bit in float32 and float64.
+
+_DERIV_A = np.array([1.0, 1.0, 1.0, 0.0])[:, None, None]
+_DERIV_B = np.array([0.0, 0.0, 0.0, 1.0])[:, None, None]
+
+
+def cast_cell_backward(bwd, rec, t, d_h_t, d_c_t, out=None):
+    """cell_backward's contract, through the cast derivative."""
+    from hwsynth.hlstm import HLSTMState
+
+    h_prev, c_prev = (rec.hs[t - 1], rec.c[t - 1]) if t else (rec.init.h, rec.init.c)
+    gates, tanh_c, d_gates = rec.gates[t], rec.tanh_c[t], bwd.d_gates
+    f, i, o, g = gates
+    d_c = d_c_t + d_h_t * o * (1.0 - tanh_c * tanh_c)
+    for k, (u, v) in enumerate([(d_c, c_prev), (d_c, g), (d_h_t, tanh_c), (d_c, i)]):
+        np.multiply(u, v, out=d_gates[k])
+    dtype = gates.dtype
+    np.multiply(np.subtract(_DERIV_A, gates, out=bwd.deriv, dtype=dtype), gates, out=bwd.deriv)
+    d_gates *= np.add(bwd.deriv, _DERIV_B, out=bwd.deriv, dtype=dtype)
+    bwd.grad_o += np.matmul(d_gates.transpose(0, 2, 1), rec.act[t], out=bwd.step_o)
+    bwd.grad_o_b += d_gates.sum(axis=1)
+    d_in = np.matmul(d_gates, bwd.o_w, out=bwd.d_in)
+    d_pre = np.multiply(d_in, rec.act[t] > 0.0, out=out)
+    bwd.grad_h += np.matmul(d_pre.transpose(0, 2, 1), h_prev, out=bwd.step_h)
+    d_h_prev = np.matmul(d_pre, bwd.h_rec, out=d_gates).sum(axis=0)
+    return d_pre, HLSTMState(h=d_h_prev, c=d_c * f)
+
+
+def cast_bptt(model, logits, rec, tokens, targets, grad_scale=1.0):
+    """bptt's contract through cast_cell_backward; returns (summed NLL,
+    d_xw (4, T, B, d_h))."""
+    from hwsynth.hlstm import HLSTMState, _BackwardPass, _project_input_backward, _softmax_nll
+
+    probs, idx, total_nll = _softmax_nll(logits, targets)
+    d_logits = probs.copy()
+    d_logits[idx] -= 1.0
+    d_logits *= grad_scale
+    batch, T = tokens.shape
+    cell, head = model.cell, model.head
+    hs = rec.hs.transpose(1, 0, 2).reshape(batch * T, cell.d_s)
+    d_hs = head.backward(hs, d_logits.reshape(batch * T, -1)).reshape(batch, T, -1)
+    d_xw = np.empty((4, T, batch, cell.d_h), cell.dtype)
+    bwd = _BackwardPass(cell, batch)
+    d_next = HLSTMState.zeros(cell.d_s, batch, cell.dtype)
+    for t in range(T - 1, -1, -1):
+        _, d_next = cast_cell_backward(bwd, rec, t, d_hs[:, t] + d_next.h, d_next.c,
+                                       out=d_xw[:, t])
+    bwd.flush(cell)
+    one_hot = (np.arange(model.vocab_size)[:, None] == tokens.T.reshape(-1)).astype(cell.dtype)
+    d_table = np.matmul(one_hot, d_xw.reshape(4, T * batch, cell.d_h))
+    model.embedding_grad += _project_input_backward(cell, model.embedding, d_table)
+    return total_nll, d_xw
+
+
 def rel_max_diff(got, ref):
     """max |got - ref| over max |ref|: a normwise relative error that stays
     meaningful on logits near zero."""

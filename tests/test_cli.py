@@ -203,6 +203,21 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
         assert not out.exists()
 
+    # a fractional entry used to fail with range()'s TypeError, which does not name
+    # the field, and a bool one ran, as the dim 1
+    @pytest.mark.parametrize("entry", [12.5, True])
+    def test_non_integer_profile_grid_entry_fails_naming_it(self, workdir, flow_config,
+                                                             entry, capsys):
+        data = json.loads(open(flow_config, encoding="utf-8").read())
+        data.update(d_s=1, d_h=1, profile_grid=[1, entry, 1])
+        bad = workdir / "bad_grid_flow.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        out = workdir / "bad_grid_flow_out"
+        assert main(["synthesize", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: profile_grid[1] must be an integer, got {entry!r}")
+        assert not out.exists()
+
     def test_flow_above_its_threshold_exits_1(self, workdir, flow_config, capsys):
         # every model of this config scores about 9 ppl
         data = json.loads(open(flow_config, encoding="utf-8").read())

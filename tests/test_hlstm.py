@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hwsynth import hlstm
 from hwsynth.growprune import coordinated_rc_prune_counts, sweep
 from hwsynth.hlstm import (
     GATES,
@@ -26,6 +27,8 @@ from hwsynth.hlstm import (
 from hwsynth.numkit import ARRAYS, DTYPE, ContractViolation, MaskedLinear, NumericAbort, make_rng
 from hwsynth.corpus import batch_windows
 from oracles import (
+    cast_bptt,
+    cast_cell_backward,
     cell_step,
     cell_step_backward,
     cut_units,
@@ -882,6 +885,76 @@ class TestBpttMatchesReference:
         fd = fd_dense_gradients(model.embedding, lambda: total_nll(model, tokens, targets))
         assert max_rel_err(model.embedding_grad, fd) < 1e-5
         assert not model.embedding_grad[3:].any() and model.embedding_grad[:3].all()
+
+
+class TestBackwardMatchesCastOracle:
+    """On float32 models, cell_backward and bptt give bit for bit what the
+    formulation they replaced gives (`oracles.cast_bptt`): gate derivatives
+    through float64 constants cast on every call, a (B, T, d_s) d_hs and a
+    compared-and-cast one-hot. Both run the same IEEE operations in the same
+    order, so every gradient, d_xw and the NLL repeat exactly."""
+
+    VOCAB, T = 12, 10
+
+    def case(self, name):
+        """(float32 model, tokens, targets): B=1, d_s != d_h, or a model after
+        an rc cut (11 d_s and 10 d_h units left in its arrays)."""
+        if name == "rc_cut":
+            model, rng = unread_model(62, vocab=self.VOCAB)
+            tokens, targets = (rng.integers(0, self.VOCAB, size=(4, self.T)) for _ in range(2))
+        else:
+            d_h, batch = {"batch_1": (16, 1), "d_s_ne_d_h": (13, 8)}[name]
+            model, tokens, targets = random_model(60 + d_h, self.VOCAB, 6, 16, d_h,
+                                                  T=self.T, batch=batch)
+        assert model.cell.dtype == np.float32
+        return model, tokens, targets
+
+    @staticmethod
+    def assert_same_bytes(got, want):
+        for key in want:
+            assert got[key].dtype == want[key].dtype, key
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+    @pytest.mark.parametrize("name", ["batch_1", "d_s_ne_d_h", "rc_cut"])
+    def test_step(self, name):
+        model, tokens, _ = self.case(name)
+        _, rec, _ = unroll_forward(model, tokens, train=True)
+        rng, cell, batch = make_rng(63), model.cell, len(tokens)
+        for t in (self.T - 1, 0):        # step 0 reads the recording's init state
+            d_h, d_c = rng.standard_normal((2, batch, cell.d_s)).astype(np.float32)
+            runs = []
+            for backward in (cell_backward, cast_cell_backward):
+                bwd = _BackwardPass(cell, batch)
+                d_xw, d_prev = backward(bwd, rec, t, d_h, d_c)
+                runs.append({"d_xw": d_xw, "d_h_prev": d_prev.h, "d_c_prev": d_prev.c,
+                             "grad_h": bwd.grad_h, "grad_o": bwd.grad_o,
+                             "grad_o_b": bwd.grad_o_b})
+            self.assert_same_bytes(*runs)
+
+    @pytest.mark.parametrize("name", ["batch_1", "d_s_ne_d_h", "rc_cut"])
+    def test_window(self, name, monkeypatch):
+        model, tokens, targets = self.case(name)
+        ref = copy.deepcopy(model)
+        steps = {}
+
+        def recording_backward(bwd, rec, t, d_h_t, d_c_t, out=None):
+            d_xw, d_prev = cell_backward(bwd, rec, t, d_h_t, d_c_t, out=out)
+            steps[t] = d_xw.copy()
+            return d_xw, d_prev
+
+        monkeypatch.setattr(hlstm, "cell_backward", recording_backward)
+        logits, rec, _ = unroll_forward(model, tokens, train=True)
+        nll = bptt(model, logits, rec, tokens, targets, grad_scale=1.0 / tokens.size)
+        logits, rec, _ = unroll_forward(ref, tokens, train=True)
+        ref_nll, ref_d_xw = cast_bptt(ref, logits, rec, tokens, targets,
+                                      grad_scale=1.0 / tokens.size)
+        assert nll == ref_nll and sorted(steps) == list(range(self.T))
+        got = TestBpttMatchesReference.gradients(model)
+        got["d_xw"] = np.stack([steps[t] for t in range(self.T)], axis=1)
+        want = TestBpttMatchesReference.gradients(ref)
+        want["d_xw"] = ref_d_xw
+        assert all(grad.any() for grad in want.values())
+        self.assert_same_bytes(got, want)
 
 
 class TestPerplexity:

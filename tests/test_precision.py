@@ -77,6 +77,12 @@ class TestNoFloat64Leak:
         leaks = [(name, a.dtype) for name, a in named if a.dtype != F32]
         assert not leaks
 
+    def test_no_module_level_float64_constant(self):
+        """A pass's constants are Python scalars or arrays made in its dtype: a
+        float64 array held by the module is cast on every call that applies it."""
+        assert not [name for name, value in vars(hlstm).items()
+                    if isinstance(value, np.ndarray) and value.dtype == np.float64]
+
     def test_every_flow_operation(self, watched):
         cfg = FlowConfig(d_x=4, d_s=12, d_h=12)
         corpus = load_corpus(bundled_corpus_path())

@@ -241,10 +241,15 @@ class TestFlowConfig:
         with pytest.raises(ConfigError, match="depth"):
             FlowConfig.from_json(path)
 
-    @pytest.mark.parametrize("grid", [(0, 12, 1), (1, 12, 0), (5, 4, 1), (1, 12)])
+    # a fractional entry used to raise range()'s bare TypeError, and a bool one
+    # counted as 0 or 1, so (1, True, 1) passed
+    @pytest.mark.parametrize("grid", [(0, 12, 1), (1, 12, 0), (5, 4, 1), (1, 12),
+                                      (1, 12.5, 1), (1, True, 1), (False, 12, 1)])
     def test_malformed_profile_grid_rejected(self, grid):
         with pytest.raises(ConfigError, match="profile_grid"):
             FlowConfig(d_s=12, d_h=12, profile_grid=grid)
+        with pytest.raises(ConfigError, match="profile_grid"):
+            FlowConfig(d_s=1, d_h=1, profile_grid=grid)
 
     def test_profile_grid_must_reach_d_s_when_sweeping(self, tiny_corpus, tmp_path):
         # (1, 12, 2) stops at 11 < d_s: refused before the corpus is even read
