@@ -51,7 +51,7 @@ def cmd_analyze(args) -> int:
     hmap = latlab.detect_lhps(profile)
     latlab.save_hysteresis_report(hmap, args.out)
     if args.svg:
-        svg = latlab.profile_svg(profile, hmap).encode("utf-8")
+        svg = latlab.profile_svg(hmap).encode("utf-8")
         write_atomic(args.svg, lambda fh: fh.write(svg))
     print(f"{len(hmap.lhp_set)} LHPs over {len(profile.grid)} grid points; "
           f"redundancy {hmap.redundancy * 100:.1f}%")

@@ -341,11 +341,6 @@ class LMModel:
     def masked_layers(self) -> list[MaskedLinear]:
         return self.cell.layers() + [self.head]
 
-    def zero_grads(self) -> None:
-        self.embedding_grad[...] = 0.0
-        for layer in self.masked_layers():
-            layer.zero_grads()
-
     @classmethod
     def create(cls, vocab_size: int, d_x: int, d_s: int, d_h: int,
                rng: np.random.Generator, dtype=DTYPE) -> "LMModel":
@@ -379,15 +374,14 @@ class FrozenModel(NamedTuple):
 
 def freeze(model: LMModel) -> FrozenModel:
     """`model` as an inference model, laid out once: the same logits as a
-    recording pass up to BLAS summation order. It shares the head's bias
-    with `model`; its other arrays are new, so it keeps the weights and the
-    dims it was frozen with."""
+    recording pass up to BLAS summation order. It shares no array with
+    `model`, so it keeps the weights, biases and dims it was frozen with."""
     head = model.head
     # copies of a valid layer, so they keep the invariants unchecked (np.copy keeps
     # the layout, which sets the head GEMM's rounding); the bench counts MACs in
     # MaskedLinear.forward
     head = MaskedLinear.on_arrays(head.name, w=np.copy(head.w), mask=np.copy(head.mask),
-                                  b=head.b)
+                                  b=np.copy(head.b))
     return FrozenModel(*_layout(model.cell, model.embedding), head)
 
 

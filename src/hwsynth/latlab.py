@@ -4,8 +4,9 @@ testing.
 
 A latency hysteresis point (LHP) is a dimension whose central latency is a
 prefix minimum of the measured curve: no smaller grid dimension is faster.
-Growing a pruned dimension up to its nearest LHP therefore never lands on
-a point slower than any smaller design point.
+A pruned dimension d recovers to the smallest LHP at or above it
+(`nearest_lhp`), so growth never lands on a point slower than any smaller
+design point.
 """
 
 from __future__ import annotations
@@ -57,17 +58,9 @@ class LatencyProfile:
 
 
 @dataclass
-class HysteresisBin:
-    lower: int          # exclusive
-    upper: int          # inclusive
-    lhp: int            # recovery target; the prefix minimum of the bin
-
-
-@dataclass
 class HysteresisMap:
     profile: LatencyProfile
     lhp_set: list[int]
-    bins: list[HysteresisBin]
     redundancy: float   # architecture-space redundancy: 1 - #LHPs / #grid points
 
 
@@ -240,8 +233,6 @@ def detect_lhps(profile: LatencyProfile) -> HysteresisMap:
     """Prefix-minimum scan: dim d is an LHP iff no smaller grid dim is faster.
 
     In a tie run, the smallest dimension achieving the minimum is the LHP.
-    Bins are maximal intervals (previous_lhp, lhp]; grid points above the
-    last LHP fall into a trailing bin whose recovery target is the last LHP.
     """
     if not profile.samples:
         raise ContractViolation("profile has no samples")
@@ -252,26 +243,17 @@ def detect_lhps(profile: LatencyProfile) -> HysteresisMap:
         if lat < best:
             best = lat
             lhps.append(dim)
-    bins: list[HysteresisBin] = []
-    lower = 0
-    for lhp in lhps:
-        bins.append(HysteresisBin(lower=lower, upper=lhp, lhp=lhp))
-        lower = lhp
-    if profile.grid[-1] > lhps[-1]:
-        bins.append(HysteresisBin(lower=lhps[-1], upper=profile.grid[-1],
-                                  lhp=lhps[-1]))
-    redundancy_val = 1.0 - len(lhps) / len(profile.grid)
-    return HysteresisMap(profile=profile, lhp_set=lhps, bins=bins,
-                         redundancy=redundancy_val)
+    return HysteresisMap(profile=profile, lhp_set=lhps,
+                         redundancy=1.0 - len(lhps) / len(profile.grid))
 
 
-def nearest_lhp(hmap: HysteresisMap, d: int) -> int | None:
-    """Smallest LHP >= d, the recovery target for a pruned dimension; None
-    when every LHP lies below d."""
+def nearest_lhp(hmap: HysteresisMap, d: int, top: float = math.inf) -> int | None:
+    """The recovery target of a pruned dimension d: the smallest LHP in
+    [d, top], or None if there is none (top caps growth, e.g. at d_s)."""
     if d > hmap.profile.grid[-1]:
         raise ContractViolation(
             f"query dim {d} above profiled grid max {hmap.profile.grid[-1]}")
-    return next((lhp for lhp in hmap.lhp_set if lhp >= d), None)
+    return next((lhp for lhp in hmap.lhp_set if d <= lhp <= top), None)
 
 
 def spearman(x, y) -> float:
@@ -362,8 +344,6 @@ def save_hysteresis_report(hmap: HysteresisMap, path: str | Path) -> None:
         "batch": hmap.profile.batch,
         "grid_points": len(hmap.profile.grid),
         "lhp_set": hmap.lhp_set,
-        "bins": [{"lower": b.lower, "upper": b.upper, "lhp": b.lhp}
-                 for b in hmap.bins],
         "redundancy": hmap.redundancy,
         "redundancy_pct": f"{hmap.redundancy * 100:.1f}%",
     }
@@ -371,8 +351,10 @@ def save_hysteresis_report(hmap: HysteresisMap, path: str | Path) -> None:
     write_atomic(path, lambda fh: fh.write(text))
 
 
-def profile_svg(profile: LatencyProfile, hmap: HysteresisMap) -> str:
-    """Self-contained SVG line chart: dimension vs. median latency, LHPs marked."""
+def profile_svg(hmap: HysteresisMap) -> str:
+    """Self-contained SVG line chart of the map's profile: dimension vs.
+    median latency, LHPs marked."""
+    profile = hmap.profile
     width, height = 720, 360
     med = profile.medians()
     dims = np.array(profile.grid, dtype=float)

@@ -104,10 +104,12 @@ class FlowConfig:
     max_prune_iters: int = 40
 
     def __post_init__(self):
-        # annotations are strings here (from __future__ import annotations)
-        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "int"]
-        ints += [(f"latency.{f.name}", getattr(self.latency, f.name))
-                 for f in fields(self.latency) if f.type == "int"]
+        # annotations are strings in these modules (from __future__ import annotations)
+        ints = [(f"{prefix}{f.name}", getattr(obj, f.name))
+                for prefix, obj in (("", self), ("growprune.", self.growprune),
+                                    ("optimizer.", self.optimizer), ("latency.", self.latency),
+                                    ("latency.curve.", self.latency.curve))
+                for f in fields(obj) if f.type == "int"]
         ints += [(f"profile_grid[{k}]", v) for k, v in enumerate(self.profile_grid)]
         for name, value in ints:
             if not isinstance(value, int) or isinstance(value, bool):
@@ -632,9 +634,8 @@ class SynthesisFlow:
         self.state.advance("rcg")
         cell = self.model.cell
         tied = max(cell.d_s, cell.d_h)
-        target = latlab.nearest_lhp(self.hmap, tied)
-        if target is not None and target > self.cfg.d_s:
-            target = None       # a loaded profile may reach past d_s; growth cannot
+        # a loaded profile may reach past d_s; growth cannot
+        target = latlab.nearest_lhp(self.hmap, tied, self.cfg.d_s)
         self.report.lhp_target = target
         if target is not None and target > tied:
             growprune.coordinated_rc_grow_counts(cell, self.model.head, target - cell.d_s,

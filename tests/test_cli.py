@@ -218,6 +218,28 @@ class TestExitCodes:
         assert err.startswith(f"error: profile_grid[1] must be an integer, got {entry!r}")
         assert not out.exists()
 
+    # retrain_patience=1.5 used to fail after training, curve.seed=1.5 at the
+    # sweep; lr_patience=0.5 and period=2.5 or true ran
+    @pytest.mark.parametrize("key, value", [
+        ("growprune.retrain_patience", 1.5), ("optimizer.lr_patience", 0.5),
+        ("latency.curve.period", 2.5), ("latency.curve.period", True),
+        ("latency.curve.seed", 1.5)])
+    def test_non_integer_nested_field_fails_naming_it(self, workdir, flow_config, key,
+                                                      value, capsys):
+        data = json.loads(open(flow_config, encoding="utf-8").read())
+        *sections, name = key.split(".")
+        section = data
+        for part in sections:
+            section = section.setdefault(part, {})
+        section[name] = value
+        bad = workdir / "bad_nested_flow.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        out = workdir / "bad_nested_flow_out"
+        assert main(["synthesize", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {key} must be an integer, got {value!r}")
+        assert not out.exists()
+
     def test_flow_above_its_threshold_exits_1(self, workdir, flow_config, capsys):
         # every model of this config scores about 9 ppl
         data = json.loads(open(flow_config, encoding="utf-8").read())

@@ -5,7 +5,6 @@ import pytest
 
 from hwsynth.latlab import (
     CSV_HEADER,
-    HysteresisBin,
     LatencyProfile,
     MeasurementError,
     NativeBackend,
@@ -202,18 +201,6 @@ class TestDetectLhps:
         profile = profile_from([5, 6, 7], [99.0, 98.0, 100.0])
         assert detect_lhps(profile).lhp_set[0] == 5
 
-    def test_bins_partition_grid(self):
-        profile = profile_from([1, 2, 3, 4, 5, 6],
-                               [50.0, 40.0, 45.0, 30.0, 35.0, 33.0])
-        hmap = detect_lhps(profile)
-        assert hmap.lhp_set == [1, 2, 4]
-        assert hmap.bins == [HysteresisBin(0, 1, 1), HysteresisBin(1, 2, 2),
-                             HysteresisBin(2, 4, 4), HysteresisBin(4, 6, 4)]
-        # every grid dim falls in exactly one (lower, upper] interval
-        for d in profile.grid:
-            hits = [b for b in hmap.bins if b.lower < d <= b.upper]
-            assert len(hits) == 1
-
     def test_empty_profile_rejected(self):
         profile = profile_from([], [])
         with pytest.raises(ContractViolation):
@@ -256,6 +243,30 @@ class TestNearestLhp:
     def test_above_all_lhps_not_found(self):
         profile = profile_from([1, 2, 3], [10.0, 20.0, 30.0])
         assert nearest_lhp(detect_lhps(profile), 3) is None
+
+    def test_top_caps_the_target(self):
+        # LHPs 1, 2, 4: no LHP lies at or above 5 or 6, and none in [3, 3] or [4, 3]
+        profile = profile_from([1, 2, 3, 4, 5, 6],
+                               [50.0, 40.0, 45.0, 30.0, 35.0, 33.0])
+        hmap = detect_lhps(profile)
+        assert hmap.lhp_set == [1, 2, 4]
+        assert [nearest_lhp(hmap, d) for d in profile.grid] == [1, 2, 4, 4, None, None]
+        assert [nearest_lhp(hmap, d, 3) for d in profile.grid] == [1, 2, None, None, None, None]
+
+    def test_matches_smallest_lhp_in_range_oracle(self):
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            grid = np.sort(rng.choice(np.arange(1, 300), size=n, replace=False)).tolist()
+            hmap = detect_lhps(profile_from(grid, rng.uniform(1.0, 100.0, size=n).tolist()))
+            for d in rng.integers(1, grid[-1] + 1, size=5).tolist():
+                # tops below d, inside and above the grid, and none
+                for top in [d - 1, *rng.integers(1, 400, size=3).tolist(), math.inf]:
+                    in_range = [lhp for lhp in hmap.lhp_set if d <= lhp <= top]
+                    expect = min(in_range) if in_range else None
+                    assert nearest_lhp(hmap, d, top) == expect, (grid, d, top)
+                    if top < d:
+                        assert expect is None
 
     def test_query_above_grid_rejected(self):
         with pytest.raises(ContractViolation):
@@ -394,7 +405,7 @@ class TestPersistence:
     def test_svg_marks_lhps(self):
         profile = profile_from([1, 2, 3], [30.0, 10.0, 20.0])
         hmap = detect_lhps(profile)
-        svg = profile_svg(profile, hmap)
+        svg = profile_svg(hmap)
         assert svg.startswith("<svg ")
         assert svg.count("<circle") == len(hmap.lhp_set) == 2
         assert "polyline" in svg

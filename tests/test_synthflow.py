@@ -181,15 +181,23 @@ class TestFlowConfig:
     @pytest.mark.parametrize("key", [
         "d_x", "d_s", "d_h", "baseline_epochs", "wg_epochs", "growth_epochs", "rcg_epochs",
         "batch", "seq_len", "seed", "max_prune_iters",
-        "latency.measure_batch", "latency.measure_seq", "latency.runs"])
+        "latency.measure_batch", "latency.measure_seq", "latency.runs",
+        "growprune.retrain_patience", "optimizer.lr_patience", "latency.curve.period",
+        "latency.curve.seed"])
     @pytest.mark.parametrize("kind", ["fraction", "bool"])
     def test_integer_field_refuses_other_values(self, key, kind):
         # seed=1.5 used to pass, then fail with a TypeError after the LHP sweep and
-        # the corpus load; batch=2.5 or seed=True ran
-        *section, name = key.split(".")
-        value = getattr(LatencyConfig() if section else FlowConfig(), name) + 0.5 \
-            if kind == "fraction" else True
-        kwargs = {"latency": LatencyConfig(**{name: value})} if section else {name: value}
+        # the corpus load; batch=2.5 or seed=True ran. retrain_patience=1.5 failed
+        # after training, curve.seed=1.5 at the sweep; lr_patience=0.5 and
+        # period=2.5 ran
+        *sections, name = key.split(".")
+        chain = [FlowConfig()]
+        for section in sections:
+            chain.append(getattr(chain[-1], section))
+        value = getattr(chain[-1], name) + 0.5 if kind == "fraction" else True
+        kwargs = {name: value}
+        for section, default in zip(reversed(sections), reversed(chain[1:])):
+            kwargs = {section: type(default)(**kwargs)}
         with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {value!r}$"):
             FlowConfig(**kwargs)
 
@@ -1410,7 +1418,7 @@ class TestBaselineProcess:
 class TestPartialReport:
     def test_failure_still_writes_partial_report(self, tiny_corpus, tmp_path,
                                                  monkeypatch):
-        def fail(_hmap, _d):
+        def fail(*_args):
             raise RuntimeError("LHP analysis failed")
         monkeypatch.setattr(latlab, "nearest_lhp", fail)
         with pytest.raises(RuntimeError, match="LHP"):
