@@ -111,10 +111,18 @@ def cmd_report(args) -> int:
 def cmd_bench(args) -> int:
     if args.batch < 1 or args.reps < 5:
         raise UsageError(f"need --batch >= 1 and --reps >= 5, got {args.batch}, {args.reps}")
-    model, _ = synthflow.checkpoint_load(args.checkpoint)
+    model, meta = synthflow.checkpoint_load(args.checkpoint)
     lat_cfg = synthflow.LatencyConfig(
         mode="virtual" if args.virtual else "real",
         measure_batch=args.batch, runs=args.reps)
+    # the flow's curve; a checkpoint written before the meta kept it gets the default
+    curve = meta.get("latency_curve")
+    if args.virtual and curve is not None:
+        try:
+            lat_cfg.curve = latlab.SyntheticCurveSpec(**curve)
+        except (TypeError, ContractViolation) as exc:
+            raise synthflow.CheckpointError(f"checkpoint {args.checkpoint}: its meta's "
+                                            f"latency_curve {curve!r}: {exc}") from None
     stats = synthflow.measure_model_latency(model, lat_cfg)
     print(f"median_ns={stats.median_ns!r} p95_ns={stats.p95_ns!r} "
           f"mean_ns={stats.mean_ns!r} runs={stats.runs} "

@@ -31,6 +31,11 @@ derives the three sigmoid gates at once and the tanh gate apart. Each pass
 contiguous, as OpenBLAS runs transposed views slower: `_layout`, and
 `_BackwardPass` with the backward's buffers and gradient sums.
 
+Given a `GradHelper` (Trainer.epoch forks one per epoch on a large enough
+pass), bptt runs on two cores: a helper process sums the two weight
+gradients no later step reads, in the same order with the same operations,
+so every gradient is bit for bit an in-process backward's.
+
 A model is stored at its live dims: a prune removes from the arrays every
 unit that nothing reads or writes (`growprune.sweep`) and growth appends
 units, so every pass runs the model's own shape and a pruned unit costs no
@@ -53,7 +58,12 @@ float32, which load in float64.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
+import signal
+import traceback
 from dataclasses import dataclass, field
 from itertools import cycle
 from typing import NamedTuple
@@ -259,24 +269,181 @@ def cell_forward(operands: tuple[np.ndarray, ...], table: np.ndarray, ids: np.nd
     return HLSTMState(h=h, c=c), rec
 
 
+def _add_weight_grads(sums, d_gates: np.ndarray, act: np.ndarray, d_pre: np.ndarray,
+                      h_prev: np.ndarray) -> None:
+    """A step's two weight-gradient GEMMs, each into its step buffer, then
+    added to its sum: grad_o += d_gates^T act (the O blocks) and grad_h +=
+    d_pre^T h_prev (H's recurrent part). `sums` is a _BackwardPass or a
+    GradHelper; both sum a window's steps in the order t = T-1 ... 0."""
+    sums.grad_o += np.matmul(d_gates.transpose(0, 2, 1), act, out=sums.step_o)
+    sums.grad_h += np.matmul(d_pre.transpose(0, 2, 1), h_prev, out=sums.step_h)
+
+
 class _BackwardPass:
     """A bptt pass's step operands (H's recurrent part, contiguous; O.w is),
-    step buffers and gradient accumulators, which `flush` adds to the cell."""
+    step buffers and gradient sums, which `flush` adds to the cell. Without
+    a `helper`, cell_backward sums the two weight gradients here (grad_o,
+    grad_h); with one, a step writes its d_gates into the helper's slot for
+    the step, and the helper's process sums them (see GradHelper)."""
 
-    def __init__(self, params: HLSTMCellParams, batch: int):
+    def __init__(self, params: HLSTMCellParams, batch: int, helper: GradHelper | None = None):
         dtype = params.dtype
         self.h_rec = np.ascontiguousarray(params.H.w[:, :, params.d_x:])
         self.o_w = params.O.w
-        self.grad_h, self.step_h = np.zeros((2, *self.h_rec.shape), dtype)
-        self.grad_o, self.step_o = np.zeros((2, *self.o_w.shape), dtype)
+        self.helper = helper
+        if helper is None:
+            self.grad_h, self.step_h = np.zeros((2, *self.h_rec.shape), dtype)
+            self.grad_o, self.step_o = np.zeros((2, *self.o_w.shape), dtype)
         self.grad_o_b, self.step_o_b = np.zeros((2, *params.O.b.shape), dtype)
-        self.d_gates, self.deriv = np.empty((2, len(GATES), batch, params.d_s), dtype)
+        self.d_gates, self.deriv, self.d_prev = np.empty((3, len(GATES), batch, params.d_s),
+                                                         dtype)
         self.d_in = np.empty((len(GATES), batch, params.d_h), dtype)
 
     def flush(self, params: HLSTMCellParams) -> None:
-        params.H.grad_w[:, :, params.d_x:] += self.grad_h
-        params.O.grad_w += self.grad_o
+        """Add the pass's sums to the cell; with a helper, once it has
+        finished the window's."""
+        sums = self if self.helper is None else self.helper.wait()
+        params.H.grad_w[:, :, params.d_x:] += sums.grad_h
+        params.O.grad_w += sums.grad_o
         params.O.grad_b += self.grad_o_b
+
+
+class GradHelper:
+    """bptt's two weight-gradient sums, grad_o (d_gates^T act) and grad_h
+    (d_pre^T h_prev), run in a helper process beside the recurrence: nothing
+    on the recurrence reads them before the window's SGD step (Appleyard,
+    Kocisky, Blunsom, arXiv 1604.01946, overlap these GEMMs).
+
+    Making one forks the helper; `close`, which leaving a `with` block calls
+    also on error, kills and reaps it. Trainer.epoch makes one per epoch
+    (`for_pass`), as dims, B and T are fixed within one. The helper reads an
+    anonymous shared mmap made before the fork: the window's relu output
+    `act` (T, 4, B, d_h), h stack `hs` (T, B, d_s) and initial h, which
+    `load` copies in; the `d_gates` (T, 4, B, d_s) and `d_xw` (4, T, B, d_h)
+    that bptt's steps write, d_xw[:, t] holding step t's d_pre; and the two
+    sums. bptt hands it steps through a pipe, CHUNK at a time (`submit`).
+    Each step runs as cell_backward runs it without a helper
+    (`_add_weight_grads`), in the same order t = T-1 ... 0 on operands of
+    the same layout, so every sum is bit for bit the same. `wait` returns
+    once the window's sums are done, and raises, naming the helper and its
+    exit code, if the helper died. The helper closes every descriptor it
+    inherited except its two pipe ends, so a pipe that another process
+    waits on still reaches EOF."""
+
+    CHUNK = 8      # steps per message
+    # d_s * d_h * B below which `for_pass` forks no helper: the fork and the
+    # copy-on-write faults it leaves the parent cost more than the helper saves
+    # (at B = 32 it pays at d = 128 and breaks even near d = 90)
+    MIN_WORK = 1 << 18
+
+    @classmethod
+    def for_pass(cls, cell: HLSTMCellParams, batch: int, seq_len: int
+                 ) -> GradHelper | contextlib.nullcontext:
+        """A helper for passes of this shape, or, below MIN_WORK, a null
+        context whose `with` target is None: bptt then sums in-process."""
+        if cell.d_s * cell.d_h * batch < cls.MIN_WORK:
+            return contextlib.nullcontext()
+        return cls(cell, batch, seq_len)
+
+    def __init__(self, cell: HLSTMCellParams, batch: int, seq_len: int):
+        T, d_s, d_h, gates = seq_len, cell.d_s, cell.d_h, len(GATES)
+        shapes = {"act": (T, gates, batch, d_h), "hs": (T, batch, d_s), "init_h": (batch, d_s),
+                  "d_gates": (T, gates, batch, d_s), "d_xw": (gates, T, batch, d_h),
+                  "grad_o": (gates, d_s, d_h), "grad_h": (gates, d_h, d_s)}
+        # each array starts on a cache line
+        sizes = [-(-math.prod(shape) * cell.dtype.itemsize // 64) * 64
+                 for shape in shapes.values()]
+        memory, offset = mmap.mmap(-1, sum(sizes)), 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            setattr(self, name, np.ndarray(shape, cell.dtype, memory, offset))
+            offset += size
+        self.step_o, self.step_h = np.empty_like(self.grad_o), np.empty_like(self.grad_h)
+        cmd, self._cmd = os.pipe()
+        self._done, done = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (cmd, self._cmd, self._done, done):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            self._serve(cmd, done)
+        os.close(cmd)
+        os.close(done)
+
+    def _serve(self, cmd: int, done: int) -> None:
+        """The helper process: sums each chunk of steps read from `cmd`,
+        writes a byte to `done` after a window's step 0, and exits at EOF."""
+        code = 1
+        try:
+            # the parent stops it; a terminal's Ctrl-C reaches the parent too
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            low, high = sorted((cmd, done))
+            os.closerange(3, low)
+            os.closerange(low + 1, high)
+            os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+            top = len(self.act)
+            while message := os.read(cmd, 4):
+                last = int.from_bytes(message, "little")
+                for t in range(top - 1, last - 1, -1):
+                    _add_weight_grads(self, self.d_gates[t], self.act[t], self.d_xw[:, t],
+                                      self.hs[t - 1] if t else self.init_h)
+                top = last or len(self.act)
+                if last == 0:
+                    os.write(done, b"\0")
+            code = 0
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+
+    def load(self, rec: _Recording) -> None:
+        """Copy a window's recording where the helper reads it, and zero the
+        sums; the helper is idle between windows."""
+        if rec.act.shape != self.act.shape or rec.hs.shape != self.hs.shape:
+            raise ContractViolation(f"recording act {rec.act.shape} and hs {rec.hs.shape} do not "
+                                    f"fit the helper's {self.act.shape} and {self.hs.shape}")
+        np.copyto(self.act, rec.act)
+        np.copyto(self.hs, rec.hs)
+        np.copyto(self.init_h, rec.init.h)
+        self.grad_o[...] = 0.0
+        self.grad_h[...] = 0.0
+
+    def submit(self, t: int) -> None:
+        """Hand the helper every written step down to step t."""
+        try:
+            os.write(self._cmd, t.to_bytes(4, "little"))
+        except BrokenPipeError:
+            self._died()
+
+    def wait(self) -> GradHelper:
+        """Block until the window's sums are done; returns self."""
+        if os.read(self._done, 1) != b"\0":
+            self._died()
+        return self
+
+    def _died(self):
+        pid, (_, status) = self.pid, os.waitpid(self.pid, 0)
+        self.pid = None
+        raise RuntimeError(f"bptt: its weight-gradient helper process {pid} exited with "
+                           f"code {os.waitstatus_to_exitcode(status)}")
+
+    def close(self) -> None:
+        """Kill and reap the helper, and close the parent's pipe ends."""
+        if self._cmd is not None:
+            os.close(self._cmd)
+            os.close(self._done)
+            self._cmd = self._done = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+    def __enter__(self) -> GradHelper:
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
 
 def cell_backward(bwd: _BackwardPass, rec: _Recording, t: int, d_h_t: np.ndarray,
@@ -285,13 +452,17 @@ def cell_backward(bwd: _BackwardPass, rec: _Recording, t: int, d_h_t: np.ndarray
     """Exact reverse of step t of the recording `rec` (at t = 0 the previous
     state is rec.init): returns (dL/dxw_t, the gradient of the step's
     gathered table rows, into `out` if given, dL/d previous state) and sums
-    the O blocks' and H's recurrent gradients in `bwd` (see `flush`). The x
-    part of H.grad_w and H.grad_b belong to the table's projection (see
+    O.grad_b in `bwd` (see `flush`). The O blocks' and H's recurrent weight
+    gradients are summed here too, unless `bwd` has a helper: then this step
+    leaves its d_gates in the helper's slot for step t, and `out` must be
+    the helper's d_xw[:, t], for the helper to sum both. The x part of
+    H.grad_w and H.grad_b belong to the table's projection (see
     _project_input_backward). Each gate's derivative comes from its recorded
     output y, (1 - y) y for f, i and o and 1 - y^2 for g, in the recording's
     dtype with Python-scalar constants, so a step casts nothing."""
     h_prev, c_prev = (rec.hs[t - 1], rec.c[t - 1]) if t else (rec.init.h, rec.init.c)
-    gates, tanh_c, d_gates = rec.gates[t], rec.tanh_c[t], bwd.d_gates
+    gates, tanh_c, helper = rec.gates[t], rec.tanh_c[t], bwd.helper
+    d_gates = bwd.d_gates if helper is None else helper.d_gates[t]
     f, i, o, g = gates
     d_c = d_c_t + d_h_t * o * (1.0 - tanh_c * tanh_c)
     np.multiply(d_c, c_prev, out=d_gates[0])
@@ -302,13 +473,12 @@ def cell_backward(bwd: _BackwardPass, rec: _Recording, t: int, d_h_t: np.ndarray
     np.multiply(np.subtract(1.0, sigmoids, out=deriv[:3]), sigmoids, out=deriv[:3])
     np.subtract(1.0, np.multiply(g, g, out=deriv[3]), out=deriv[3])
     d_gates *= deriv
-    bwd.grad_o += np.matmul(d_gates.transpose(0, 2, 1), rec.act[t], out=bwd.step_o)
     bwd.grad_o_b += d_gates.sum(axis=1, out=bwd.step_o_b)
     d_in = np.matmul(d_gates, bwd.o_w, out=bwd.d_in)
     d_pre = np.multiply(d_in, rec.act[t] > 0.0, out=out)
-    bwd.grad_h += np.matmul(d_pre.transpose(0, 2, 1), h_prev, out=bwd.step_h)
-    # d_gates is spent: its buffer takes the four gates' terms of dL/dh_prev
-    d_h_prev = np.matmul(d_pre, bwd.h_rec, out=d_gates).sum(axis=0)
+    if helper is None:
+        _add_weight_grads(bwd, d_gates, rec.act[t], d_pre, h_prev)
+    d_h_prev = np.matmul(d_pre, bwd.h_rec, out=bwd.d_prev).sum(axis=0)
     return d_pre, HLSTMState(h=d_h_prev, c=d_c * f)
 
 
@@ -443,13 +613,20 @@ def _softmax_nll(logits: np.ndarray, targets: np.ndarray):
 
 
 def bptt(model: LMModel, logits: np.ndarray, rec: _Recording, tokens: np.ndarray,
-         targets: np.ndarray, grad_scale: float = 1.0) -> float:
+         targets: np.ndarray, grad_scale: float = 1.0,
+         helper: GradHelper | None = None) -> float:
     """Cross-entropy over all steps; accumulates every parameter gradient.
 
     Returns the summed NLL (not the mean). grad_scale rescales accumulated
     gradients (training uses 1/(B*T); the finite-difference oracle uses 1).
     `rec` is the recording of a train=True unroll_forward, consumed here:
     a second bptt on it raises ContractViolation.
+
+    With a `helper` (a GradHelper sized for the window), its process sums
+    the O blocks' and H's recurrent weight gradients, CHUNK steps at a time,
+    while this one runs the recurrence, then the one-hot table and the
+    embedding backward; `flush` waits for it. The gradients are bit for bit
+    those of a pass without a helper.
     """
     tokens, targets = np.asarray(tokens), np.asarray(targets)
     if targets.shape != tokens.shape:
@@ -459,6 +636,8 @@ def bptt(model: LMModel, logits: np.ndarray, rec: _Recording, tokens: np.ndarray
     if rec.consumed:
         raise ContractViolation("recording already consumed by a backward pass")
     rec.consumed = True
+    if helper is not None:
+        helper.load(rec)
     probs, idx, total_nll = _softmax_nll(logits, targets)
     d_logits = probs.copy()
     d_logits[idx] -= 1.0
@@ -471,17 +650,20 @@ def bptt(model: LMModel, logits: np.ndarray, rec: _Recording, tokens: np.ndarray
     d_hs = head.backward(hs, d_logits.reshape(batch * T, -1)).reshape(batch, T, -1)
     # step-major, so each step reads a contiguous d_hs[t]
     d_hs = np.ascontiguousarray(d_hs.transpose(1, 0, 2))
-    d_xw = np.empty((len(GATES), T, batch, cell.d_h), cell.dtype)
-    bwd = _BackwardPass(cell, batch)
+    d_xw = (np.empty((len(GATES), T, batch, cell.d_h), cell.dtype) if helper is None
+            else helper.d_xw)
+    bwd = _BackwardPass(cell, batch, helper)
     d_next = HLSTMState.zeros(cell.d_s, batch, cell.dtype)
     for t in range(T - 1, -1, -1):
         d_hs[t] += d_next.h
         _, d_next = cell_backward(bwd, rec, t, d_hs[t], d_next.c, out=d_xw[:, t])
-    bwd.flush(cell)
+        if helper is not None and t % helper.CHUNK == 0:
+            helper.submit(t)
     one_hot = np.zeros((model.vocab_size, T * batch), cell.dtype)
     one_hot[tokens.T.reshape(-1), np.arange(T * batch)] = 1.0
     d_table = np.matmul(one_hot, d_xw.reshape(len(GATES), T * batch, cell.d_h))
     model.embedding_grad += _project_input_backward(cell, model.embedding, d_table)
+    bwd.flush(cell)
     return total_nll
 
 

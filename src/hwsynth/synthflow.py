@@ -25,7 +25,9 @@ import io
 import json
 import math
 import multiprocessing
-from dataclasses import astuple, dataclass, field, fields, replace
+import signal
+import sys
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +35,8 @@ import numpy as np
 from . import growprune, latlab
 from .corpus import Corpus, batch_windows, bundled_corpus_path, load_corpus
 from .growprune import GrowPruneConfig, HalveDecision
-from .hlstm import (GATES, HLSTMCellParams, LMModel, bptt, evaluate, freeze, perplexity,
-                    unroll_forward)
+from .hlstm import (GATES, GradHelper, HLSTMCellParams, LMModel, bptt, evaluate, freeze,
+                    perplexity, unroll_forward)
 from .numkit import (ContractViolation, MaskedLinear, make_rng, sgd_step, sgd_update,
                      write_atomic)
 
@@ -266,6 +268,10 @@ class Trainer:
         (dormant entries included) of each masked layer, in masked_layers()
         order, which weight growth ranks.
 
+        On a large enough model, bptt's weight-gradient sums run in a helper
+        process (GradHelper.for_pass) forked here and killed and reaped
+        before this returns or raises.
+
         `rng` is ignored, as an epoch draws nothing at random; it stays while
         the benchmark script passes one positionally, ahead of grad_sink.
         """
@@ -274,17 +280,20 @@ class Trainer:
         total_nll = 0.0
         count = windows = 0
         states = None
-        for xs, ys in batch_windows(train_ids, batch, seq_len):
-            logits, rec, states = unroll_forward(model, xs, init=states, train=True)
-            total_nll += bptt(model, logits, rec, xs, ys, grad_scale=1.0 / xs.size)
-            count += xs.size
-            windows += 1
-            for k, layer in enumerate(layers):
-                if sums is not None:
-                    sums[k] += layer.grad_w
-                sgd_step(layer, self.lr, self.cfg.weight_decay)
-            sgd_update(model.embedding, model.embedding_grad, self.lr, self.cfg.weight_decay)
-            model.embedding_grad[...] = 0.0
+        with GradHelper.for_pass(model.cell, batch, seq_len) as helper:
+            for xs, ys in batch_windows(train_ids, batch, seq_len):
+                logits, rec, states = unroll_forward(model, xs, init=states, train=True)
+                total_nll += bptt(model, logits, rec, xs, ys, grad_scale=1.0 / xs.size,
+                                  helper=helper)
+                count += xs.size
+                windows += 1
+                for k, layer in enumerate(layers):
+                    if sums is not None:
+                        sums[k] += layer.grad_w
+                    sgd_step(layer, self.lr, self.cfg.weight_decay)
+                sgd_update(model.embedding, model.embedding_grad, self.lr,
+                           self.cfg.weight_decay)
+                model.embedding_grad[...] = 0.0
         if count == 0:
             raise ContractViolation("training stream shorter than one window")
         if sums is not None:
@@ -473,9 +482,11 @@ class SynthesisFlow:
     def _save_phase_artifacts(self, tag: str) -> None:
         if self.out_dir is None:
             return
-        # the split and window length `hwsynth eval` scores the checkpoint with
+        # the split and window length `hwsynth eval` scores the checkpoint with, and
+        # the curve `hwsynth bench --virtual` times it on
         meta = {k: getattr(self.cfg, k) for k in ("seed", "seq_len", "train_frac", "valid_frac")}
-        checkpoint_save(self.model, {"phase": tag, **meta},
+        checkpoint_save(self.model, {"phase": tag, **meta,
+                                     "latency_curve": asdict(self.cfg.latency.curve)},
                         self.out_dir / f"checkpoint_{tag}.npz")
 
     def _fit(self, label: str, model: LMModel, trainer: Trainer, epochs: int,
@@ -519,6 +530,9 @@ class SynthesisFlow:
         the exception that stopped the training."""
         lines: list[str] = []
         self.log = lines.append
+        # `_stop_baseline` terminates a child that is still training: unwind, so the
+        # epoch it is in stops and reaps its helper process before the child exits
+        signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
         try:
             model = LMModel.create(self.corpus.vocab_size, self.cfg.d_x, self.cfg.d_s,
                                    self.cfg.d_h, make_rng(self.cfg.seed + 1))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from hwsynth import latlab
+from hwsynth.cli import main
 from hwsynth.growprune import (
     GrowPruneConfig,
     coordinated_rc_grow_counts,
@@ -272,6 +273,15 @@ def toy_flow_runs(tmp_path_factory):
     elapsed = time.monotonic() - t0
     r2 = run_flow(toy_flow_config(), out2, log=quiet)
     return r1, r2, out1, out2, elapsed
+
+
+def test_bench_virtual_reads_the_toy_flows_curve(toy_flow_runs, capsys):
+    """`hwsynth bench --virtual` times the toy's checkpoint_wp.npz on the
+    flow's period-16 curve, so it prints the report's wp latency."""
+    report, _, out, _, _ = toy_flow_runs
+    assert main(["bench", "--checkpoint", str(out / "checkpoint_wp.npz"), "--virtual"]) == 0
+    printed = capsys.readouterr().out
+    assert f"median_ns={report.rows[-1].latency_median_ns!r} " in printed
 
 
 def test_criterion_5_end_to_end_toy_synthesis(toy_flow_runs):

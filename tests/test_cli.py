@@ -467,6 +467,36 @@ class TestSynthesizeEvalReportBench:
         assert "median_ns=" in first
 
 
+    @staticmethod
+    def bench_median_ns(path, capsys):
+        assert main(["bench", "--checkpoint", str(path), "--virtual"]) == 0
+        return float(re.search(r"median_ns=(\S+)", capsys.readouterr().out)[1])
+
+    def test_bench_virtual_times_the_flows_curve(self, flow_out, capsys):
+        rows = json.loads((flow_out / "report.json").read_text(encoding="utf-8"))["rows"]
+        for row in rows[1:]:      # every phase's checkpoint (the baseline writes none)
+            path = flow_out / f"checkpoint_{row['step']}.npz"
+            assert checkpoint_load(path)[1]["latency_curve"]["period"] == 4
+            assert self.bench_median_ns(path, capsys) == row["latency_median_ns"]
+
+    def test_bench_virtual_of_a_checkpoint_without_a_curve(self, flow_out, workdir, capsys):
+        # written before checkpoints kept the flow's curve: timed on LatencyConfig()'s
+        model, meta = checkpoint_load(flow_out / "checkpoint_wp.npz")
+        del meta["latency_curve"]
+        path = workdir / "no_curve.npz"
+        checkpoint_save(model, meta, path)
+        want = synthflow.measure_model_latency(model, synthflow.LatencyConfig()).median_ns
+        assert want != self.bench_median_ns(flow_out / "checkpoint_wp.npz", capsys)
+        assert self.bench_median_ns(path, capsys) == want
+
+    @pytest.mark.parametrize("curve", [{"period": 0}, {"knee": 3}, [4]])
+    def test_bench_virtual_refuses_a_bad_curve(self, flow_out, workdir, curve, capsys):
+        model, meta = checkpoint_load(flow_out / "checkpoint_wp.npz")
+        path = workdir / "bad_curve.npz"
+        checkpoint_save(model, {**meta, "latency_curve": curve}, path)
+        assert main(["bench", "--checkpoint", str(path), "--virtual"]) == 1
+        assert "latency_curve" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", [["--virtual"], ["--reps", "5", "--batch", "2"]])
     def test_bench_names_the_timed_shape(self, flow_out, mode, capsys):
         path = flow_out / "checkpoint_rcp.npz"

@@ -65,11 +65,17 @@ class TestNoFloat64Leak:
             return state, rec
 
         def watch_flush(bwd, params):
-            seen.extend((f"backward.{k}", v) for k, v in vars(bwd).items())
+            # with a helper, the arrays it sums into and reads from too
+            for owner, value in (("backward", bwd), ("helper", bwd.helper)):
+                if value is not None:
+                    seen.extend((f"{owner}.{k}", v) for k, v in vars(value).items()
+                                if isinstance(v, np.ndarray))
             return flush(bwd, params)
 
         monkeypatch.setattr(hlstm, "cell_forward", watch_forward)
         monkeypatch.setattr(hlstm._BackwardPass, "flush", watch_flush)
+        # every epoch forks its weight-gradient helper, however small the model
+        monkeypatch.setattr(hlstm.GradHelper, "MIN_WORK", 0)
         return seen
 
     @staticmethod
@@ -119,7 +125,7 @@ class TestNoFloat64Leak:
                              ("logits", logits), ("state.h", state.h), ("state.c", state.c)])
         assert math.isfinite(evaluate(model, corpus.valid[:1000], seq_len=16, batch=4))
         assert {name.split(".")[0] for name, _ in watched} >= {
-            "table", "operand", "recording", "backward", "init", "state"}
+            "table", "operand", "recording", "backward", "helper", "init", "state"}
         self.assert_float32(watched)
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import select
 import subprocess
 import sys
 import time
@@ -19,7 +20,7 @@ from hwsynth.growprune import (
     weight_grow,
     weight_prune,
 )
-from hwsynth.hlstm import GATES, LMModel, bptt, freeze, unroll_forward
+from hwsynth.hlstm import GATES, GradHelper, LMModel, bptt, freeze, unroll_forward
 from hwsynth.numkit import (ARRAYS, ContractViolation, MaskedLinear, NumericAbort, make_rng,
                             sgd_step, sgd_update)
 from hwsynth.synthflow import (
@@ -39,8 +40,9 @@ from hwsynth.synthflow import (
     run_flow,
 )
 from hwsynth.cli import main
-from oracles import (cut_units, full_shape_forward, kept_units, rel_max_diff,
+from oracles import (cast_bptt, cut_units, full_shape_forward, kept_units, rel_max_diff,
                      unit_prune_oracle, with_dtype)
+from test_hlstm import random_model, unread_model
 
 # oracles that compare bit for bit or within 1e-12 against a float64 reference
 # run on float64 copies of the seed models
@@ -1346,9 +1348,162 @@ def raising(exc):
     return action
 
 
+def assert_no_child_process():
+    """This process has no child left, running or exited and unreaped; unlike
+    multiprocessing.active_children(), this sees a bare os.fork's child too."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def every_epoch_forks_a_helper(monkeypatch):
+    """Trainer.epoch forks its weight-gradient helper even for a tiny model
+    (here and in a child forked from this process)."""
+    monkeypatch.setattr(GradHelper, "MIN_WORK", 0)
+
+
+def tiny_epoch_case(seed=5):
+    """A float32 model with d_s != d_h and a stream of 3 windows at B=32, T=10."""
+    model, _, _ = random_model(seed, 9, 4, 10, 7)
+    return model, make_rng(seed).integers(0, 9, size=32 * 10 * 3 + 1)
+
+
+@pytest.mark.usefixtures("every_epoch_forks_a_helper")
+class TestHelperProcess:
+    """Trainer.epoch forks bptt's weight-gradient helper; however the epoch
+    ends, the caller gets its exception within 30 s and no process is left."""
+
+    def run_epoch(self, model, ids):
+        t0 = time.monotonic()
+        try:
+            return Trainer(OptimizerConfig(lr=0.5)).epoch(model, ids, 32, 10)
+        finally:
+            assert time.monotonic() - t0 < 30
+            assert_no_child_process()
+
+    def test_epoch_returns(self):
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        model, ids = tiny_epoch_case()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "fork", counting_fork)
+            assert math.isfinite(self.run_epoch(model, ids))
+        assert len(forks) == 1
+
+    def test_non_finite_gradient(self):
+        model, ids = tiny_epoch_case()
+        model.head.b[0] = np.nan        # NaN logits: every gradient of the window is NaN
+        with pytest.raises(NumericAbort, match="^non-finite gradient in layer"):
+            self.run_epoch(model, ids)
+
+    def test_window_raises_while_the_helper_sums(self, monkeypatch):
+        # after the first chunk went to the helper, in the second window
+        steps, cell_backward = [], hlstm.cell_backward
+
+        def failing_backward(bwd, rec, t, *args, **kwargs):
+            steps.append(t)
+            if len(steps) == 10 + GradHelper.CHUNK + 1:
+                raise NumericAbort("stopped mid-window")
+            return cell_backward(bwd, rec, t, *args, **kwargs)
+
+        monkeypatch.setattr(hlstm, "cell_backward", failing_backward)
+        with pytest.raises(NumericAbort, match="^stopped mid-window$"):
+            self.run_epoch(*tiny_epoch_case())
+
+    def test_helper_that_dies(self, monkeypatch):
+        parent, add = os.getpid(), hlstm._add_weight_grads
+
+        def dying_in_the_helper(*args):
+            if os.getpid() != parent:
+                os._exit(5)
+            add(*args)
+
+        monkeypatch.setattr(hlstm, "_add_weight_grads", dying_in_the_helper)
+        with pytest.raises(RuntimeError, match=r"^bptt: its weight-gradient helper process "
+                                               r"\d+ exited with code 5$"):
+            self.run_epoch(*tiny_epoch_case())
+
+    def test_helper_holds_no_inherited_descriptor(self):
+        # a pipe's write end this process held at the fork: once this process
+        # closes it, the read end reaches EOF while the helper still runs
+        read_end, write_end = os.pipe()
+        try:
+            with GradHelper(tiny_epoch_case()[0].cell, 32, 10) as helper:
+                os.close(write_end)
+                assert select.select([read_end], [], [], 30)[0] == [read_end]
+                assert os.read(read_end, 1) == b""
+                assert os.waitpid(helper.pid, os.WNOHANG) == (0, 0)
+        finally:
+            os.close(read_end)
+        assert_no_child_process()
+
+    def test_small_pass_forks_no_helper(self, monkeypatch):
+        monkeypatch.setattr(GradHelper, "MIN_WORK", 10 * 7 * 32 + 1)
+        monkeypatch.setattr(os, "fork", raising(AssertionError("forked")))
+        model, ids = tiny_epoch_case()
+        assert math.isfinite(self.run_epoch(model, ids))
+
+
+class TestEpochMatchesCastOracle:
+    """A multi-window Trainer.epoch, with its helper process summing bptt's
+    weight gradients, gives byte for byte what an epoch loop over
+    oracles.cast_bptt gives (no helper, the cast formulation): NLL, weights,
+    biases, the embedding and the grad_sink entries."""
+
+    @staticmethod
+    def cast_epoch(model, ids, batch, seq_len, cfg, sums=None):
+        total = count = windows = 0
+        state = None
+        for xs, ys in batch_windows(ids, batch, seq_len):
+            logits, rec, state = unroll_forward(model, xs, init=state, train=True)
+            total += cast_bptt(model, logits, rec, xs, ys, grad_scale=1.0 / xs.size)[0]
+            count += xs.size
+            windows += 1
+            for k, layer in enumerate(model.masked_layers()):
+                if sums is not None:
+                    sums[k] += layer.grad_w
+                sgd_step(layer, cfg.lr, cfg.weight_decay)
+            sgd_update(model.embedding, model.embedding_grad, cfg.lr, cfg.weight_decay)
+            model.embedding_grad[...] = 0.0
+        return total / count, None if sums is None else [acc / windows for acc in sums]
+
+    @pytest.mark.parametrize("name", ["d_s_ne_d_h", "rc_cut"])
+    def test_epoch(self, name, every_epoch_forks_a_helper):
+        if name == "rc_cut":
+            model, rng = unread_model(81)
+            ids = rng.integers(0, model.vocab_size, size=32 * 12 * 3 + 5)
+        else:
+            model, _, _ = random_model(82, 11, 6, 16, 13)
+            ids = make_rng(83).integers(0, 11, size=32 * 12 * 3 + 5)
+        assert model.cell.dtype == np.float32
+        ref, cfg = copy.deepcopy(model), OptimizerConfig(lr=0.5)
+        sink = [] if name == "rc_cut" else None
+        nll = Trainer(cfg).epoch(model, ids, 32, 12, grad_sink=sink)
+        want_nll, want_sink = self.cast_epoch(
+            ref, ids, 32, 12, cfg, [np.zeros_like(l.w) for l in ref.masked_layers()]
+            if sink is not None else None)
+        assert np.float64(nll).tobytes() == np.float64(want_nll).tobytes()
+        got = [model.embedding] + [getattr(l, attr) for l in model.masked_layers()
+                                   for attr in ("w", "b")]
+        want = [ref.embedding] + [getattr(l, attr) for l in ref.masked_layers()
+                                  for attr in ("w", "b")]
+        for a, b in zip(got + (sink or []), want + (want_sink or [])):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert_no_child_process()
+
+
+@pytest.mark.usefixtures("every_epoch_forks_a_helper")
 class TestBaselineProcess:
     """The baseline trains in a child forked by run(); no run leaves it behind,
-    and every way it can end reaches the caller."""
+    or a helper of its epochs or of the flow's, and every way it can end
+    reaches the caller."""
 
     def read_report(self, out):
         return json.loads((out / "report.json").read_text(encoding="utf-8"))
@@ -1357,6 +1512,7 @@ class TestBaselineProcess:
         report = run_flow(tiny_config(tiny_corpus), tmp_path, log=lambda *a, **k: None)
         assert report.complete and report.rows[0].step == "baseline"
         assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
     def test_numeric_abort_in_the_baseline(self, tiny_corpus, tmp_path, monkeypatch):
         patch_epochs(monkeypatch, in_child=raising(
@@ -1364,6 +1520,7 @@ class TestBaselineProcess:
         with pytest.raises(NumericAbort, match="^non-finite gradient in layer 'cell0.H'$"):
             run_flow(tiny_config(tiny_corpus), tmp_path, log=lambda *a, **k: None)
         assert multiprocessing.active_children() == []
+        assert_no_child_process()
         data = self.read_report(tmp_path)    # it surfaced when wg's epochs ended
         assert (data["complete"], data["rows"]) == (False, [])
 
@@ -1376,7 +1533,37 @@ class TestBaselineProcess:
             run_flow(tiny_config(tiny_corpus), tmp_path, log=lambda *a, **k: None)
         assert time.monotonic() - t0 < 30       # terminated, not awaited
         assert multiprocessing.active_children() == []
+        assert_no_child_process()
         assert self.read_report(tmp_path)["rows"] == []
+
+    def test_terminated_baseline_reaps_its_helper(self, tiny_corpus, tmp_path, monkeypatch):
+        # the flow fails while the child is inside an epoch whose helper is alive
+        noted, parent, real_bptt = tmp_path / "helper_pid", os.getpid(), synthflow.bptt
+
+        def bptt_in_child(*args, helper, **kwargs):
+            if os.getpid() != parent:
+                (tmp_path / "pid.tmp").write_text(str(helper.pid), encoding="utf-8")
+                os.replace(tmp_path / "pid.tmp", noted)
+                time.sleep(60)
+            return real_bptt(*args, helper=helper, **kwargs)
+
+        def fail_once_the_helper_runs():
+            deadline = time.monotonic() + 30
+            while not noted.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise RuntimeError("wg failed")
+
+        monkeypatch.setattr(synthflow, "bptt", bptt_in_child)
+        patch_epochs(monkeypatch, in_parent=fail_once_the_helper_runs)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="^wg failed$"):
+            run_flow(tiny_config(tiny_corpus), tmp_path / "out", log=lambda *a, **k: None)
+        assert time.monotonic() - t0 < 30
+        # reaped by the child before it exited: not even a zombie is left
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(noted.read_text(encoding="utf-8")), 0)
+        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
     @pytest.mark.parametrize("via_run", [True, False])
     def test_a_child_that_dies_without_a_reply(self, tiny_corpus, tmp_path, monkeypatch,
@@ -1388,10 +1575,13 @@ class TestBaselineProcess:
                                                "with code 3 and sent no model$"):
             flow.run() if via_run else flow.train_baseline()
         assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
     def test_fork_with_a_running_blas_thread_pool(self, tiny_corpus, tmp_path):
         # two BLAS threads, busy with a GEMM before the flow forks: the child
-        # must not hang on a lock a pool thread held at the fork
+        # must not hang on a lock a pool thread held at the fork. Nor may a
+        # weight-gradient helper, forked by an epoch at d = 128 and B = 32
+        # (above GradHelper.MIN_WORK, as no monkeypatch reaches the subprocess)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "corpus_path": tiny_corpus, "d_x": 4, "d_s": 12, "d_h": 12,
@@ -1402,6 +1592,13 @@ class TestBaselineProcess:
         code = ("import sys, numpy as np\n"
                 "a = np.ones((512, 512), np.float32)\n"
                 "assert (a @ a)[0, 0] == 512\n"
+                "from hwsynth.hlstm import GradHelper, LMModel\n"
+                "from hwsynth.numkit import make_rng\n"
+                "from hwsynth.synthflow import OptimizerConfig, Trainer\n"
+                "model = LMModel.create(9, 4, 128, 128, make_rng(0))\n"
+                "assert GradHelper.MIN_WORK <= 128 * 128 * 32\n"
+                "ids = make_rng(1).integers(0, 9, size=32 * 16 * 2 + 1)\n"
+                "print('epoch nll', Trainer(OptimizerConfig()).epoch(model, ids, 32, 16))\n"
                 "from hwsynth.cli import main\n"
                 "sys.exit(main(sys.argv[1:]))\n")
         src = str(Path(synthflow.__file__).parents[1])
@@ -1411,6 +1608,7 @@ class TestBaselineProcess:
                                "--out", str(tmp_path / "out")],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+        assert "epoch nll " in proc.stdout
         assert "[baseline] epoch 1/1" in proc.stdout
         assert self.read_report(tmp_path / "out")["complete"] is True
 
