@@ -32,9 +32,10 @@ contiguous, as OpenBLAS runs transposed views slower: `_layout`, and
 `_BackwardPass` with the backward's buffers and gradient sums.
 
 Given a `GradHelper` (Trainer.epoch forks one per epoch on a large enough
-pass), bptt runs on two cores: a helper process sums the two weight
-gradients no later step reads, in the same order with the same operations,
-so every gradient is bit for bit an in-process backward's.
+pass, in a process that may run on two cores), bptt runs on two cores: a
+helper process sums the two weight gradients no later step reads, in the
+same order with the same operations, so every gradient is bit for bit an
+in-process backward's.
 
 A model is stored at its live dims: a prune removes from the arrays every
 unit that nothing reads or writes (`growprune.sweep`) and growth appends
@@ -308,6 +309,13 @@ class _BackwardPass:
         params.O.grad_b += self.grad_o_b
 
 
+def usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class GradHelper:
     """bptt's two weight-gradient sums, grad_o (d_gates^T act) and grad_h
     (d_pre^T h_prev), run in a helper process beside the recurrence: nothing
@@ -332,16 +340,20 @@ class GradHelper:
 
     CHUNK = 8      # steps per message
     # d_s * d_h * B below which `for_pass` forks no helper: the fork and the
-    # copy-on-write faults it leaves the parent cost more than the helper saves
-    # (at B = 32 it pays at d = 128 and breaks even near d = 90)
+    # copy-on-write faults it leaves the parent cost more than the helper saves.
+    # Measured at B = 32: with a helper the bench's d = 64 (2^17) flows ran
+    # 10-19 % slower, and at d = 128 (2^19) a T = 64 window's backward fell
+    # from about 29 to 20 ms; the break-even between the two is unmeasured
     MIN_WORK = 1 << 18
 
     @classmethod
     def for_pass(cls, cell: HLSTMCellParams, batch: int, seq_len: int
                  ) -> GradHelper | contextlib.nullcontext:
-        """A helper for passes of this shape, or, below MIN_WORK, a null
-        context whose `with` target is None: bptt then sums in-process."""
-        if cell.d_s * cell.d_h * batch < cls.MIN_WORK:
+        """A helper for passes of this shape, or a null context whose `with`
+        target is None, so that bptt sums in-process: below MIN_WORK, or when
+        this process may run on one core only (`usable_cores`), where the
+        helper would overlap nothing."""
+        if cell.d_s * cell.d_h * batch < cls.MIN_WORK or usable_cores() < 2:
             return contextlib.nullcontext()
         return cls(cell, batch, seq_len)
 
@@ -378,10 +390,13 @@ class GradHelper:
         try:
             # the parent stops it; a terminal's Ctrl-C reaches the parent too
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            low, high = sorted((cmd, done))
-            os.closerange(3, low)
-            os.closerange(low + 1, high)
-            os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+            # only the open ones: without the close_range syscall, closerange
+            # up to SC_OPEN_MAX calls close() once for every possible number
+            fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+            for fd in map(int, os.listdir(fd_dir)):
+                if fd > 2 and fd not in (cmd, done):
+                    with contextlib.suppress(OSError):      # listdir's own, closed by now
+                        os.close(fd)
             top = len(self.act)
             while message := os.read(cmd, 4):
                 last = int.from_bytes(message, "little")

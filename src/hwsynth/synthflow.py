@@ -268,9 +268,10 @@ class Trainer:
         (dormant entries included) of each masked layer, in masked_layers()
         order, which weight growth ranks.
 
-        On a large enough model, bptt's weight-gradient sums run in a helper
-        process (GradHelper.for_pass) forked here and killed and reaped
-        before this returns or raises.
+        On a large enough model, in a process that may run on two cores,
+        bptt's weight-gradient sums run in a helper process
+        (GradHelper.for_pass) forked here and killed and reaped before this
+        returns or raises.
 
         `rng` is ignored, as an epoch draws nothing at random; it stays while
         the benchmark script passes one positionally, ahead of grad_sink.

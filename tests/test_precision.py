@@ -74,8 +74,6 @@ class TestNoFloat64Leak:
 
         monkeypatch.setattr(hlstm, "cell_forward", watch_forward)
         monkeypatch.setattr(hlstm._BackwardPass, "flush", watch_flush)
-        # every epoch forks its weight-gradient helper, however small the model
-        monkeypatch.setattr(hlstm.GradHelper, "MIN_WORK", 0)
         return seen
 
     @staticmethod
@@ -90,6 +88,26 @@ class TestNoFloat64Leak:
                     if isinstance(value, np.ndarray) and value.dtype == np.float64]
 
     def test_every_flow_operation(self, watched):
+        """At this size bptt sums its weight gradients in-process."""
+        self.flow_operations(watched)
+        names = {name for name, _ in watched}
+        assert {"backward.grad_h", "backward.grad_o", "backward.step_h",
+                "backward.step_o"} <= names
+        assert not any(name.startswith("helper.") for name in names)
+
+    def test_every_flow_operation_with_helper(self, watched, monkeypatch):
+        """Every epoch forks its weight-gradient helper, however small the
+        model: the arrays it reads and sums into are watched instead."""
+        monkeypatch.setattr(hlstm.GradHelper, "MIN_WORK", 0)
+        monkeypatch.setattr(hlstm, "usable_cores", lambda: 2)
+        self.flow_operations(watched)
+        names = {name for name, _ in watched}
+        assert {"helper.grad_h", "helper.grad_o", "helper.act", "helper.hs",
+                "helper.d_gates", "helper.d_xw"} <= names
+
+    def flow_operations(self, watched):
+        """Runs each operation of the flow on a small float32 model and checks
+        that every array it made or watched is float32."""
         cfg = FlowConfig(d_x=4, d_s=12, d_h=12)
         corpus = load_corpus(bundled_corpus_path())
         ids = corpus.train[:3000]
@@ -125,7 +143,7 @@ class TestNoFloat64Leak:
                              ("logits", logits), ("state.h", state.h), ("state.c", state.c)])
         assert math.isfinite(evaluate(model, corpus.valid[:1000], seq_len=16, batch=4))
         assert {name.split(".")[0] for name, _ in watched} >= {
-            "table", "operand", "recording", "backward", "helper", "init", "state"}
+            "table", "operand", "recording", "backward", "init", "state"}
         self.assert_float32(watched)
 
 

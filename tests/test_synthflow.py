@@ -1358,8 +1358,9 @@ def assert_no_child_process():
 @pytest.fixture
 def every_epoch_forks_a_helper(monkeypatch):
     """Trainer.epoch forks its weight-gradient helper even for a tiny model
-    (here and in a child forked from this process)."""
+    (here and in a child forked from this process), on any number of cores."""
     monkeypatch.setattr(GradHelper, "MIN_WORK", 0)
+    monkeypatch.setattr(hlstm, "usable_cores", lambda: 2)
 
 
 def tiny_epoch_case(seed=5):
@@ -1449,6 +1450,21 @@ class TestHelperProcess:
         monkeypatch.setattr(os, "fork", raising(AssertionError("forked")))
         model, ids = tiny_epoch_case()
         assert math.isfinite(self.run_epoch(model, ids))
+
+    def test_one_core_forks_no_helper(self, monkeypatch):
+        # a process pinned to one core, as by `taskset -c 0`
+        monkeypatch.setattr(hlstm, "usable_cores", lambda: 1)
+        monkeypatch.setattr(os, "fork", raising(AssertionError("forked")))
+        model, ids = tiny_epoch_case()
+        assert math.isfinite(self.run_epoch(model, ids))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no sched_getaffinity")
+def test_usable_cores_follows_the_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert hlstm.usable_cores() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5})
+    assert hlstm.usable_cores() == 2
 
 
 class TestEpochMatchesCastOracle:
