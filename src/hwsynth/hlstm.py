@@ -31,11 +31,11 @@ derives the three sigmoid gates at once and the tanh gate apart. Each pass
 contiguous, as OpenBLAS runs transposed views slower: `_layout`, and
 `_BackwardPass` with the backward's buffers and gradient sums.
 
-Given a `GradHelper` (Trainer.epoch forks one per epoch on a large enough
-pass, in a process that may run on two cores), bptt runs on two cores: a
-helper process sums the two weight gradients no later step reads, in the
-same order with the same operations, so every gradient is bit for bit an
-in-process backward's.
+Given a `GradHelper` (a numkit.Child; Trainer.epoch forks one per epoch on
+a large enough pass, in a process that may run on two cores), bptt runs on
+two cores: a helper process sums the two weight gradients no later step
+reads, in the same order with the same operations, so every gradient is bit
+for bit an in-process backward's.
 
 A model is stored at its live dims: a prune removes from the arrays every
 unit that nothing reads or writes (`growprune.sweep`) and growth appends
@@ -63,8 +63,6 @@ import contextlib
 import math
 import mmap
 import os
-import signal
-import traceback
 from dataclasses import dataclass, field
 from itertools import cycle
 from typing import NamedTuple
@@ -74,6 +72,7 @@ import numpy as np
 from .numkit import (
     ARRAYS,
     DTYPE,
+    Child,
     ContractViolation,
     MaskedLinear,
     NumericAbort,
@@ -316,27 +315,25 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-class GradHelper:
+class GradHelper(Child):
     """bptt's two weight-gradient sums, grad_o (d_gates^T act) and grad_h
     (d_pre^T h_prev), run in a helper process beside the recurrence: nothing
     on the recurrence reads them before the window's SGD step (Appleyard,
     Kocisky, Blunsom, arXiv 1604.01946, overlap these GEMMs).
 
-    Making one forks the helper; `close`, which leaving a `with` block calls
-    also on error, kills and reaps it. Trainer.epoch makes one per epoch
-    (`for_pass`), as dims, B and T are fixed within one. The helper reads an
-    anonymous shared mmap made before the fork: the window's relu output
-    `act` (T, 4, B, d_h), h stack `hs` (T, B, d_s) and initial h, which
-    `load` copies in; the `d_gates` (T, 4, B, d_s) and `d_xw` (4, T, B, d_h)
-    that bptt's steps write, d_xw[:, t] holding step t's d_pre; and the two
-    sums. bptt hands it steps through a pipe, CHUNK at a time (`submit`).
-    Each step runs as cell_backward runs it without a helper
-    (`_add_weight_grads`), in the same order t = T-1 ... 0 on operands of
-    the same layout, so every sum is bit for bit the same. `wait` returns
-    once the window's sums are done, and raises, naming the helper and its
-    exit code, if the helper died. The helper closes every descriptor it
-    inherited except its two pipe ends, so a pipe that another process
-    waits on still reaches EOF."""
+    A numkit.Child whose work is `_serve`: making one forks the helper, and
+    `stop`, which leaving a `with` block calls also on error, stops and
+    reaps it. Trainer.epoch makes one per epoch (`for_pass`), as dims, B and
+    T are fixed within one. The helper reads an anonymous shared mmap made
+    before the fork: the window's relu output `act` (T, 4, B, d_h), h stack
+    `hs` (T, B, d_s) and initial h, which `load` copies in; the `d_gates`
+    (T, 4, B, d_s) and `d_xw` (4, T, B, d_h) that bptt's steps write,
+    d_xw[:, t] holding step t's d_pre; and the two sums. bptt hands it steps
+    through the `cmd` pipe, CHUNK at a time (`submit`). Each step runs as
+    cell_backward runs it without a helper (`_add_weight_grads`), in the
+    same order t = T-1 ... 0 on operands of the same layout, so every sum is
+    bit for bit the same. `wait` returns once the window's sums are done,
+    and raises, naming the helper and its exit code, if the helper died."""
 
     CHUNK = 8      # steps per message
     # d_s * d_h * B below which `for_pass` forks no helper: the fork and the
@@ -370,47 +367,20 @@ class GradHelper:
             setattr(self, name, np.ndarray(shape, cell.dtype, memory, offset))
             offset += size
         self.step_o, self.step_h = np.empty_like(self.grad_o), np.empty_like(self.grad_h)
-        cmd, self._cmd = os.pipe()
-        self._done, done = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (cmd, self._cmd, self._done, done):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            self._serve(cmd, done)
-        os.close(cmd)
-        os.close(done)
+        super().__init__(self._serve)
 
     def _serve(self, cmd: int, done: int) -> None:
-        """The helper process: sums each chunk of steps read from `cmd`,
-        writes a byte to `done` after a window's step 0, and exits at EOF."""
-        code = 1
-        try:
-            # the parent stops it; a terminal's Ctrl-C reaches the parent too
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            # only the open ones: without the close_range syscall, closerange
-            # up to SC_OPEN_MAX calls close() once for every possible number
-            fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
-            for fd in map(int, os.listdir(fd_dir)):
-                if fd > 2 and fd not in (cmd, done):
-                    with contextlib.suppress(OSError):      # listdir's own, closed by now
-                        os.close(fd)
-            top = len(self.act)
-            while message := os.read(cmd, 4):
-                last = int.from_bytes(message, "little")
-                for t in range(top - 1, last - 1, -1):
-                    _add_weight_grads(self, self.d_gates[t], self.act[t], self.d_xw[:, t],
-                                      self.hs[t - 1] if t else self.init_h)
-                top = last or len(self.act)
-                if last == 0:
-                    os.write(done, b"\0")
-            code = 0
-        except Exception:
-            traceback.print_exc()
-        finally:
-            os._exit(code)
+        """The helper's work: sums each chunk of steps read from `cmd`,
+        writes a byte to `done` after a window's step 0, and returns at EOF."""
+        top = len(self.act)
+        while message := os.read(cmd, 4):
+            last = int.from_bytes(message, "little")
+            for t in range(top - 1, last - 1, -1):
+                _add_weight_grads(self, self.d_gates[t], self.act[t], self.d_xw[:, t],
+                                  self.hs[t - 1] if t else self.init_h)
+            top = last or len(self.act)
+            if last == 0:
+                os.write(done, b"\0")
 
     def load(self, rec: _Recording) -> None:
         """Copy a window's recording where the helper reads it, and zero the
@@ -427,38 +397,19 @@ class GradHelper:
     def submit(self, t: int) -> None:
         """Hand the helper every written step down to step t."""
         try:
-            os.write(self._cmd, t.to_bytes(4, "little"))
+            os.write(self.cmd, t.to_bytes(4, "little"))
         except BrokenPipeError:
             self._died()
 
     def wait(self) -> GradHelper:
         """Block until the window's sums are done; returns self."""
-        if os.read(self._done, 1) != b"\0":
+        if os.read(self.reply, 1) != b"\0":
             self._died()
         return self
 
     def _died(self):
-        pid, (_, status) = self.pid, os.waitpid(self.pid, 0)
-        self.pid = None
-        raise RuntimeError(f"bptt: its weight-gradient helper process {pid} exited with "
-                           f"code {os.waitstatus_to_exitcode(status)}")
-
-    def close(self) -> None:
-        """Kill and reap the helper, and close the parent's pipe ends."""
-        if self._cmd is not None:
-            os.close(self._cmd)
-            os.close(self._done)
-            self._cmd = self._done = None
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-
-    def __enter__(self) -> GradHelper:
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        raise RuntimeError(f"bptt: its weight-gradient helper process {self.pid} exited with "
+                           f"code {self.stop()}")
 
 
 def cell_backward(bwd: _BackwardPass, rec: _Recording, t: int, d_h_t: np.ndarray,

@@ -3,15 +3,21 @@
 Everything downstream (the H-LSTM cell, the grow/prune algorithms, the
 synthesis flow) is built on the primitives here: masked linear layers whose
 gradients are accumulated for *all* entries (dormant connections included,
-so growth can rank them later), a mask-respecting SGD step, and the atomic
-file write every artifact goes through. Layer gradients take batches only:
-(B, width). A layer computes in the dtype of its weights.
+so growth can rank them later), a mask-respecting SGD step, the atomic
+file write every artifact goes through, and `Child`, the one way the flow
+runs work in a forked process (the dense baseline's training, and bptt's
+weight-gradient sums in hlstm.GradHelper). Layer gradients take batches
+only: (B, width). A layer computes in the dtype of its weights.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import signal
+import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -179,3 +185,64 @@ def write_atomic(path: str | Path, write) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+class Child:
+    """A forked child process that runs `work(cmd, reply)` (POSIX only).
+
+    Making one makes two pipes and forks; the parent writes `self.cmd` and
+    reads `self.reply`. The child ignores SIGINT (a terminal's Ctrl-C
+    reaches the parent too, which stops it), turns SIGTERM into SystemExit
+    so its `with` blocks unwind, and closes every descriptor but 0-2 and its
+    pipe ends `cmd` and `reply`, so a pipe that another process waits on
+    still reaches EOF. It exits 0 if `work` returns, else 1 (with the
+    traceback on stderr, unless SIGTERM stopped it). `stop`, also the `with`
+    exit, closes the parent's ends, sends SIGTERM (an exited child ignores
+    it), reaps the child and returns its exit code; it is idempotent."""
+
+    def __init__(self, work):
+        cmd, self.cmd = os.pipe()
+        self.reply, reply = os.pipe()
+        self.code: int | None = None
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (cmd, self.cmd, self.reply, reply):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
+                # only the open ones: without the close_range syscall, closerange
+                # up to SC_OPEN_MAX calls close() once for every possible number
+                fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+                for fd in map(int, os.listdir(fd_dir)):
+                    if fd > 2 and fd not in (cmd, reply):
+                        with contextlib.suppress(OSError):      # listdir's own, closed by now
+                            os.close(fd)
+                work(cmd, reply)
+                code = 0
+            except Exception:
+                traceback.print_exc()
+            finally:
+                os._exit(code)
+        os.close(cmd)
+        os.close(reply)
+
+    def stop(self) -> int:
+        if self.cmd is not None:
+            fds, self.cmd, self.reply = (self.cmd, self.reply), None, None
+            for fd in fds:
+                os.close(fd)
+        if self.code is None:
+            os.kill(self.pid, signal.SIGTERM)
+            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.code
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.stop()

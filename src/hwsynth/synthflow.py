@@ -13,8 +13,8 @@ the seed model, so `SynthesisFlow.run` trains it in a child process forked
 before wg, beside wg's training. The parent joins the child once wg's epochs
 end and before wg's row is measured, so no latency is measured while the
 child trains. The baseline's row stays the report's first; its epoch log
-lines are logged at the join, after wg's. The flow forks with the `fork`
-start method, so it needs a POSIX host.
+lines are logged at the join, after wg's. The child is a numkit.Child, made
+by `os.fork`, so the flow needs a POSIX host.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ import csv
 import io
 import json
 import math
-import multiprocessing
-import signal
-import sys
+import pickle
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -37,8 +35,8 @@ from .corpus import Corpus, batch_windows, bundled_corpus_path, load_corpus
 from .growprune import GrowPruneConfig, HalveDecision
 from .hlstm import (GATES, GradHelper, HLSTMCellParams, LMModel, bptt, evaluate, freeze,
                     perplexity, unroll_forward)
-from .numkit import (ContractViolation, MaskedLinear, make_rng, sgd_step, sgd_update,
-                     write_atomic)
+from .numkit import (Child, ContractViolation, MaskedLinear, make_rng, sgd_step,
+                     sgd_update, write_atomic)
 
 CONFIG_VERSION = 1
 CHECKPOINT_VERSION = 1
@@ -270,7 +268,7 @@ class Trainer:
 
         On a large enough model, in a process that may run on two cores,
         bptt's weight-gradient sums run in a helper process
-        (GradHelper.for_pass) forked here and killed and reaped before this
+        (GradHelper.for_pass) forked here and stopped and reaped before this
         returns or raises.
 
         `rng` is ignored, as an epoch draws nothing at random; it stays while
@@ -458,8 +456,8 @@ class SynthesisFlow:
         self.model: LMModel | None = None
         self.trainer: Trainer | None = None
         self.log = print
-        # the forked baseline's process and the read end of its pipe, while it trains
-        self._baseline: tuple | None = None
+        # the baseline's child process, from run()'s fork until train_baseline takes it
+        self._baseline: Child | None = None
 
     # - helpers -
 
@@ -515,44 +513,23 @@ class SynthesisFlow:
 
     # - steps -
 
-    def _fork_baseline(self) -> None:
-        """Start training the dense baseline in a forked child process;
-        `train_baseline` joins it."""
-        ctx = multiprocessing.get_context("fork")
-        receiver, sender = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=self._train_dense, args=(sender,), daemon=True)
-        child.start()
-        sender.close()      # the child holds the write end, so its exit ends recv()
-        self._baseline = (child, receiver)
-
-    def _train_dense(self, sender) -> None:
-        """The child's work: a dense model with the flow's dims, trained
-        baseline_epochs. Sends back (model, last valid ppl, log lines), or
-        the exception that stopped the training."""
+    def _train_dense(self, _cmd: int, reply: int) -> None:
+        """The baseline child's work: a dense model with the flow's dims,
+        trained baseline_epochs. Pickles (model, last valid ppl, log lines),
+        or the exception that stopped the training, into `reply`, and leaves
+        it open: it closes as the child exits, so EOF means the child has."""
         lines: list[str] = []
         self.log = lines.append
-        # `_stop_baseline` terminates a child that is still training: unwind, so the
-        # epoch it is in stops and reaps its helper process before the child exits
-        signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
         try:
             model = LMModel.create(self.corpus.vocab_size, self.cfg.d_x, self.cfg.d_s,
                                    self.cfg.d_h, make_rng(self.cfg.seed + 1))
             ppl = self._fit("baseline", model, Trainer(self.cfg.optimizer),
                             self.cfg.baseline_epochs)
-            reply = (model, ppl, lines)
+            result = (model, ppl, lines)
         except Exception as exc:
-            reply = exc
-        sender.send(reply)
-
-    def _stop_baseline(self) -> None:
-        """Terminate and join the baseline child, if there is one: once its
-        reply is read (only its exit is left), or when the flow failed first."""
-        if self._baseline is not None:
-            child, receiver = self._baseline
-            self._baseline = None
-            child.terminate()
-            child.join()
-            receiver.close()
+            result = exc
+        with open(reply, "wb", closefd=False) as fh:
+            pickle.dump(result, fh)
 
     def train_baseline(self) -> float:
         """Dense model with the same dims; its validation perplexity is the
@@ -560,21 +537,17 @@ class SynthesisFlow:
 
         The model trains in a forked child process: `run` forks it before wg
         and calls this once wg's epochs end; called alone, this forks it and
-        waits. Here, in the parent, the child's log lines are logged, its
-        row is measured, and an exception that stopped it is raised.
+        waits. Here, in the parent, the child's reply is read and the child
+        reaped, its log lines logged, its row measured, and an exception
+        that stopped it raised.
         """
-        if self._baseline is None:
-            self._fork_baseline()
-        child, receiver = self._baseline
-        try:
-            reply = receiver.recv()
-        except EOFError:
-            reply = None
-        finally:
-            self._stop_baseline()
-        if reply is None:
+        child, self._baseline = self._baseline or Child(self._train_dense), None
+        with child, open(child.reply, "rb", closefd=False) as fh:
+            data = fh.read()
+        if child.code != 0:
             raise RuntimeError(f"baseline: its training process exited with code "
-                               f"{child.exitcode} and sent no model")
+                               f"{child.code} and sent no model")
+        reply = pickle.loads(data)
         if isinstance(reply, Exception):
             raise reply
         baseline, ppl, lines = reply
@@ -682,18 +655,18 @@ class SynthesisFlow:
 
     def run(self) -> FlowReport:
         try:
-            self._fork_baseline()
-            self.step_weight_growth()
-            if not self.cfg.cpu_mode:
-                self.step_rc_prune()
-                self.step_rc_grow()
-            self.step_weight_prune()
+            # stopped here only if the flow fails before train_baseline takes it
+            with Child(self._train_dense) as self._baseline:
+                self.step_weight_growth()
+                if not self.cfg.cpu_mode:
+                    self.step_rc_prune()
+                    self.step_rc_grow()
+                self.step_weight_prune()
             final, threshold = self.report.rows[-1].valid_ppl, self.report.threshold
             self.report.complete = final <= threshold
             if not self.report.complete:
                 self.log(f"[flow] final valid ppl {final:.3f} above threshold {threshold:.3f}")
         finally:
-            self._stop_baseline()
             if self.out_dir is not None:
                 for name, text in (("report.csv", self.report.to_csv()),
                                    ("report.json", self.report.to_json())):

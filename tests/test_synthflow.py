@@ -1,9 +1,9 @@
 import copy
 import json
 import math
-import multiprocessing
 import os
 import select
+import signal
 import subprocess
 import sys
 import time
@@ -21,8 +21,8 @@ from hwsynth.growprune import (
     weight_prune,
 )
 from hwsynth.hlstm import GATES, GradHelper, LMModel, bptt, freeze, unroll_forward
-from hwsynth.numkit import (ARRAYS, ContractViolation, MaskedLinear, NumericAbort, make_rng,
-                            sgd_step, sgd_update)
+from hwsynth.numkit import (ARRAYS, Child, ContractViolation, MaskedLinear, NumericAbort,
+                            make_rng, sgd_step, sgd_update)
 from hwsynth.synthflow import (
     CheckpointError,
     ConfigError,
@@ -1349,8 +1349,7 @@ def raising(exc):
 
 
 def assert_no_child_process():
-    """This process has no child left, running or exited and unreaped; unlike
-    multiprocessing.active_children(), this sees a bare os.fork's child too."""
+    """This process has no child left, running or exited and unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1431,16 +1430,23 @@ class TestHelperProcess:
                                                r"\d+ exited with code 5$"):
             self.run_epoch(*tiny_epoch_case())
 
-    def test_helper_holds_no_inherited_descriptor(self):
+    @pytest.mark.parametrize("kind", ["helper", "baseline"])
+    def test_helper_holds_no_inherited_descriptor(self, kind, tiny_corpus, tmp_path,
+                                                  monkeypatch):
         # a pipe's write end this process held at the fork: once this process
-        # closes it, the read end reaches EOF while the helper still runs
+        # closes it, the read end reaches EOF while the child still runs (an
+        # idle helper, or the baseline's child, held in its epoch until stopped)
+        if kind == "baseline":
+            patch_epochs(monkeypatch, in_child=lambda: time.sleep(60))
+            flow = SynthesisFlow(tiny_config(tiny_corpus), tmp_path)
         read_end, write_end = os.pipe()
         try:
-            with GradHelper(tiny_epoch_case()[0].cell, 32, 10) as helper:
+            with (GradHelper(tiny_epoch_case()[0].cell, 32, 10) if kind == "helper"
+                  else Child(flow._train_dense)) as child:
                 os.close(write_end)
                 assert select.select([read_end], [], [], 30)[0] == [read_end]
                 assert os.read(read_end, 1) == b""
-                assert os.waitpid(helper.pid, os.WNOHANG) == (0, 0)
+                assert os.waitpid(child.pid, os.WNOHANG) == (0, 0)
         finally:
             os.close(read_end)
         assert_no_child_process()
@@ -1527,7 +1533,6 @@ class TestBaselineProcess:
     def test_complete_flow(self, tiny_corpus, tmp_path):
         report = run_flow(tiny_config(tiny_corpus), tmp_path, log=lambda *a, **k: None)
         assert report.complete and report.rows[0].step == "baseline"
-        assert multiprocessing.active_children() == []
         assert_no_child_process()
 
     def test_numeric_abort_in_the_baseline(self, tiny_corpus, tmp_path, monkeypatch):
@@ -1535,7 +1540,6 @@ class TestBaselineProcess:
             NumericAbort("non-finite gradient in layer 'cell0.H'")))
         with pytest.raises(NumericAbort, match="^non-finite gradient in layer 'cell0.H'$"):
             run_flow(tiny_config(tiny_corpus), tmp_path, log=lambda *a, **k: None)
-        assert multiprocessing.active_children() == []
         assert_no_child_process()
         data = self.read_report(tmp_path)    # it surfaced when wg's epochs ended
         assert (data["complete"], data["rows"]) == (False, [])
@@ -1548,7 +1552,6 @@ class TestBaselineProcess:
         with pytest.raises(RuntimeError, match="^wg failed$"):
             run_flow(tiny_config(tiny_corpus), tmp_path, log=lambda *a, **k: None)
         assert time.monotonic() - t0 < 30       # terminated, not awaited
-        assert multiprocessing.active_children() == []
         assert_no_child_process()
         assert self.read_report(tmp_path)["rows"] == []
 
@@ -1578,7 +1581,6 @@ class TestBaselineProcess:
         # reaped by the child before it exited: not even a zombie is left
         with pytest.raises(ProcessLookupError):
             os.kill(int(noted.read_text(encoding="utf-8")), 0)
-        assert multiprocessing.active_children() == []
         assert_no_child_process()
 
     @pytest.mark.parametrize("via_run", [True, False])
@@ -1590,7 +1592,6 @@ class TestBaselineProcess:
         with pytest.raises(RuntimeError, match="^baseline: its training process exited "
                                                "with code 3 and sent no model$"):
             flow.run() if via_run else flow.train_baseline()
-        assert multiprocessing.active_children() == []
         assert_no_child_process()
 
     def test_fork_with_a_running_blas_thread_pool(self, tiny_corpus, tmp_path):
@@ -1627,6 +1628,42 @@ class TestBaselineProcess:
         assert "epoch nll " in proc.stdout
         assert "[baseline] epoch 1/1" in proc.stdout
         assert self.read_report(tmp_path / "out")["complete"] is True
+
+
+@pytest.mark.usefixtures("every_epoch_forks_a_helper")
+@pytest.mark.parametrize("kind", ["baseline", "helper"])
+def test_a_child_ignores_sigint(kind, tiny_corpus, tmp_path, monkeypatch):
+    # a terminal's Ctrl-C signals every process of its group; the parent acts
+    # on it, and a child works on until the parent stops it
+    def interrupt(pid):
+        os.kill(pid, signal.SIGINT)
+        time.sleep(0.2)             # delivered before the child works on
+
+    if kind == "baseline":          # sent while the child trains
+        ready = tmp_path / "ready"
+        patch_epochs(monkeypatch, in_child=lambda: (ready.touch(), time.sleep(0.5)))
+        flow = SynthesisFlow(tiny_config(tiny_corpus), tmp_path)
+        flow.log = lambda *a, **k: None
+        flow._baseline = Child(flow._train_dense)      # as run() forks it
+        deadline = time.monotonic() + 30
+        while not ready.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        interrupt(flow._baseline.pid)
+        assert math.isfinite(flow.train_baseline())
+    else:                           # sent once the helper has summed a window
+        calls, real_bptt = [], synthflow.bptt
+
+        def interrupting_bptt(*args, helper, **kwargs):
+            calls.append(helper.pid)
+            if len(calls) == 2:
+                interrupt(helper.pid)
+            return real_bptt(*args, helper=helper, **kwargs)
+
+        monkeypatch.setattr(synthflow, "bptt", interrupting_bptt)
+        model, ids = tiny_epoch_case()
+        assert math.isfinite(Trainer(OptimizerConfig(lr=0.5)).epoch(model, ids, 32, 10))
+        assert len(calls) == 3
+    assert_no_child_process()
 
 
 class TestPartialReport:
