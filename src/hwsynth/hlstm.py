@@ -29,13 +29,13 @@ symbol's steps, then the V-row embedding projects them back; its step
 derives the three sigmoid gates at once and the tanh gate apart. Each pass
 (in training, each window) lays out what its steps read once and
 contiguous, as OpenBLAS runs transposed views slower: `_layout`, and
-`_BackwardPass` with the backward's buffers and gradient sums.
+`Backward.load`.
 
-Given a `GradHelper` (a numkit.Child; Trainer.epoch forks one per epoch on
-a large enough pass, in a process that may run on two cores), bptt runs on
-two cores: a helper process sums the two weight gradients no later step
-reads, in the same order with the same operations, so every gradient is bit
-for bit an in-process backward's.
+One `Backward` per epoch owns bptt's buffers and two weight-gradient sums:
+cell_backward writes each step's terms into it, bptt hands it steps to sum.
+Its subclass `GradHelper` (a numkit.Child; Trainer.epoch forks one on a large
+enough pass, in a process that may run on two cores) sums them in a helper
+process beside the recurrence, bit for bit as an in-process one does.
 
 A model is stored at its live dims: a prune removes from the arrays every
 unit that nothing reads or writes (`growprune.sweep`) and growth appends
@@ -59,7 +59,6 @@ float32, which load in float64.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import mmap
 import os
@@ -269,45 +268,6 @@ def cell_forward(operands: tuple[np.ndarray, ...], table: np.ndarray, ids: np.nd
     return HLSTMState(h=h, c=c), rec
 
 
-def _add_weight_grads(sums, d_gates: np.ndarray, act: np.ndarray, d_pre: np.ndarray,
-                      h_prev: np.ndarray) -> None:
-    """A step's two weight-gradient GEMMs, each into its step buffer, then
-    added to its sum: grad_o += d_gates^T act (the O blocks) and grad_h +=
-    d_pre^T h_prev (H's recurrent part). `sums` is a _BackwardPass or a
-    GradHelper; both sum a window's steps in the order t = T-1 ... 0."""
-    sums.grad_o += np.matmul(d_gates.transpose(0, 2, 1), act, out=sums.step_o)
-    sums.grad_h += np.matmul(d_pre.transpose(0, 2, 1), h_prev, out=sums.step_h)
-
-
-class _BackwardPass:
-    """A bptt pass's step operands (H's recurrent part, contiguous; O.w is),
-    step buffers and gradient sums, which `flush` adds to the cell. Without
-    a `helper`, cell_backward sums the two weight gradients here (grad_o,
-    grad_h); with one, a step writes its d_gates into the helper's slot for
-    the step, and the helper's process sums them (see GradHelper)."""
-
-    def __init__(self, params: HLSTMCellParams, batch: int, helper: GradHelper | None = None):
-        dtype = params.dtype
-        self.h_rec = np.ascontiguousarray(params.H.w[:, :, params.d_x:])
-        self.o_w = params.O.w
-        self.helper = helper
-        if helper is None:
-            self.grad_h, self.step_h = np.zeros((2, *self.h_rec.shape), dtype)
-            self.grad_o, self.step_o = np.zeros((2, *self.o_w.shape), dtype)
-        self.grad_o_b, self.step_o_b = np.zeros((2, *params.O.b.shape), dtype)
-        self.d_gates, self.deriv, self.d_prev = np.empty((3, len(GATES), batch, params.d_s),
-                                                         dtype)
-        self.d_in = np.empty((len(GATES), batch, params.d_h), dtype)
-
-    def flush(self, params: HLSTMCellParams) -> None:
-        """Add the pass's sums to the cell; with a helper, once it has
-        finished the window's."""
-        sums = self if self.helper is None else self.helper.wait()
-        params.H.grad_w[:, :, params.d_x:] += sums.grad_h
-        params.O.grad_w += sums.grad_o
-        params.O.grad_b += self.grad_o_b
-
-
 def usable_cores() -> int:
     """The number of cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -315,120 +275,162 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-class GradHelper(Child):
-    """bptt's two weight-gradient sums, grad_o (d_gates^T act) and grad_h
-    (d_pre^T h_prev), run in a helper process beside the recurrence: nothing
-    on the recurrence reads them before the window's SGD step (Appleyard,
-    Kocisky, Blunsom, arXiv 1604.01946, overlap these GEMMs).
+class Backward:
+    """The buffers and weight-gradient sums of bptt's passes of one shape
+    (Trainer.epoch makes one per epoch, `for_pass`, as dims, B and T are
+    fixed within one). `load` starts a window; cell_backward writes each
+    step's d_gates into its slot and its d_pre into `d_xw[:, t]`; `submit`
+    sums the weight gradients no later step reads, grad_o += d_gates^T act
+    (the O blocks) and grad_h += d_pre^T h_prev (H's recurrent part); `flush`
+    adds the sums to the cell. In-process, CHUNK is 1: each step's sums run
+    right after it, on one reused d_gates slot, reading the recording in place."""
 
-    A numkit.Child whose work is `_serve`: making one forks the helper, and
-    `stop`, which leaving a `with` block calls also on error, stops and
-    reaps it. Trainer.epoch makes one per epoch (`for_pass`), as dims, B and
-    T are fixed within one. The helper reads an anonymous shared mmap made
-    before the fork: the window's relu output `act` (T, 4, B, d_h), h stack
-    `hs` (T, B, d_s) and initial h, which `load` copies in; the `d_gates`
-    (T, 4, B, d_s) and `d_xw` (4, T, B, d_h) that bptt's steps write,
-    d_xw[:, t] holding step t's d_pre; and the two sums. bptt hands it steps
-    through the `cmd` pipe, CHUNK at a time (`submit`). Each step runs as
-    cell_backward runs it without a helper (`_add_weight_grads`), in the
-    same order t = T-1 ... 0 on operands of the same layout, so every sum is
-    bit for bit the same. `wait` returns once the window's sums are done,
-    and raises, naming the helper and its exit code, if the helper died."""
+    CHUNK = 1       # steps per `submit`
 
-    CHUNK = 8      # steps per message
-    # d_s * d_h * B below which `for_pass` forks no helper: the fork and the
-    # copy-on-write faults it leaves the parent cost more than the helper saves.
-    # Measured at B = 32: with a helper the bench's d = 64 (2^17) flows ran
-    # 10-19 % slower, and at d = 128 (2^19) a T = 64 window's backward fell
-    # from about 29 to 20 ms; the break-even between the two is unmeasured
-    MIN_WORK = 1 << 18
-
-    @classmethod
-    def for_pass(cls, cell: HLSTMCellParams, batch: int, seq_len: int
-                 ) -> GradHelper | contextlib.nullcontext:
-        """A helper for passes of this shape, or a null context whose `with`
-        target is None, so that bptt sums in-process: below MIN_WORK, or when
-        this process may run on one core only (`usable_cores`), where the
-        helper would overlap nothing."""
-        if cell.d_s * cell.d_h * batch < cls.MIN_WORK or usable_cores() < 2:
-            return contextlib.nullcontext()
-        return cls(cell, batch, seq_len)
+    @staticmethod
+    def for_pass(cell: HLSTMCellParams, batch: int, seq_len: int) -> Backward:
+        """A GradHelper for passes of this shape, or an in-process Backward
+        below GradHelper.MIN_WORK or when this process may run on one core
+        only (`usable_cores`), where the helper would overlap nothing."""
+        if cell.d_s * cell.d_h * batch < GradHelper.MIN_WORK or usable_cores() < 2:
+            return Backward(cell, batch, seq_len)
+        return GradHelper(cell, batch, seq_len)
 
     def __init__(self, cell: HLSTMCellParams, batch: int, seq_len: int):
-        T, d_s, d_h, gates = seq_len, cell.d_s, cell.d_h, len(GATES)
-        shapes = {"act": (T, gates, batch, d_h), "hs": (T, batch, d_s), "init_h": (batch, d_s),
-                  "d_gates": (T, gates, batch, d_s), "d_xw": (gates, T, batch, d_h),
-                  "grad_o": (gates, d_s, d_h), "grad_h": (gates, d_h, d_s)}
-        # each array starts on a cache line
-        sizes = [-(-math.prod(shape) * cell.dtype.itemsize // 64) * 64
-                 for shape in shapes.values()]
-        memory, offset = mmap.mmap(-1, sum(sizes)), 0
+        T, d_s, d_h, gates, dtype = seq_len, cell.d_s, cell.d_h, len(GATES), cell.dtype
+        self.rec_shapes = ((T, gates, batch, d_h), (T, batch, d_s))
+        step, o, h, o_b = (gates, batch, d_s), (gates, d_s, d_h), (gates, d_h, d_s), (gates, d_s)
+        vars(self).update(self._arrays(
+            dtype, d_gates=(1, *step), d_xw=(gates, T, batch, d_h), grad_o=o, grad_h=h,
+            step_o=o, step_h=h, h_rec=h, grad_o_b=o_b, step_o_b=o_b, deriv=step, d_prev=step,
+            d_in=(gates, batch, d_h)))
+
+    def _arrays(self, dtype: np.dtype, **shapes) -> dict[str, np.ndarray]:
+        """Arrays of these shapes in one `_block`, each on a cache line: a step's
+        weight-gradient GEMMs ran 5-11 % slower 16 bytes past one (d = 64, 128)."""
+        sizes = [-(-math.prod(shape) * dtype.itemsize // 64) * 64 for shape in shapes.values()]
+        memory, offset, arrays = self._block(sum(sizes)), 0, {}
         for (name, shape), size in zip(shapes.items(), sizes):
-            setattr(self, name, np.ndarray(shape, cell.dtype, memory, offset))
+            arrays[name] = np.ndarray(shape, dtype, memory, offset)
             offset += size
-        self.step_o, self.step_h = np.empty_like(self.grad_o), np.empty_like(self.grad_h)
-        super().__init__(self._serve)
+        return arrays
+
+    def _block(self, size: int):
+        raw = np.empty(size + 64, np.uint8)
+        return raw[-raw.ctypes.data % 64:][:size]        # from its first cache line
+
+    # a `with` target, as a GradHelper is
+    __enter__, __exit__ = (lambda self: self), (lambda self, *_exc: None)
+
+    def load(self, cell: HLSTMCellParams, rec: _Recording) -> None:
+        """Start a window: take its recording (`_read`) and the cell's step
+        operands (H's recurrent part, made contiguous; O.w is); zero the sums."""
+        if (rec.act.shape, rec.hs.shape) != self.rec_shapes:
+            raise ContractViolation(f"recording act {rec.act.shape} and hs {rec.hs.shape} do not "
+                                    f"fit the backward's {self.rec_shapes}")
+        self._read(rec)
+        np.copyto(self.h_rec, cell.H.w[:, :, cell.d_x:])
+        self.o_w = cell.O.w
+        for sums in (self.grad_o, self.grad_h, self.grad_o_b):
+            sums[...] = 0.0
+
+    def _read(self, rec: _Recording) -> None:
+        self.act, self.hs, self.init_h = rec.act, rec.hs, rec.init.h
+
+    def submit(self, t: int) -> None:
+        """Sum steps min(t + CHUNK, T) - 1 down to t, in that order: bptt
+        calls this at every t that CHUNK divides, once those steps are
+        written."""
+        for step in range(min(t + self.CHUNK, len(self.act)) - 1, t - 1, -1):
+            d_gates = self.d_gates[step % len(self.d_gates)]
+            self.grad_o += np.matmul(d_gates.transpose(0, 2, 1), self.act[step], out=self.step_o)
+            self.grad_h += np.matmul(self.d_xw[:, step].transpose(0, 2, 1),
+                                     self.hs[step - 1] if step else self.init_h, out=self.step_h)
+
+    def flush(self, cell: HLSTMCellParams) -> None:
+        """Add the window's sums to the cell."""
+        cell.H.grad_w[:, :, cell.d_x:] += self.grad_h
+        cell.O.grad_w += self.grad_o
+        cell.O.grad_b += self.grad_o_b
+
+
+class GradHelper(Child, Backward):
+    """A Backward whose two weight-gradient sums run in a helper process
+    beside the recurrence, as nothing reads them before the window's SGD
+    step (Appleyard, Kocisky, Blunsom, arXiv 1604.01946, overlap these GEMMs).
+
+    A numkit.Child whose work is `_serve`: making one forks the helper;
+    `stop`, also on leaving a `with` block, stops and reaps it. Its arrays
+    live in a shared mmap made before the fork, into which `load` copies the
+    window's recording. `submit` hands the helper steps through the `cmd`
+    pipe, CHUNK at a time, which it sums as an in-process Backward does, bit
+    for bit. `flush` waits for the window's sums, and raises, naming the
+    helper and its exit code, if the helper died."""
+
+    CHUNK = 8
+    # d_s * d_h * B below which `for_pass` forks no helper, whose fork and copy-on-write
+    # faults cost more than it saves: at B = 32 the bench's d = 64 (2^17) flows ran 10-19 %
+    # slower with one, at d = 128 (2^19) a T = 64 window's backward fell from 29 to 20 ms
+    MIN_WORK = 1 << 18
+
+    def __init__(self, cell: HLSTMCellParams, batch: int, seq_len: int):
+        Backward.__init__(self, cell, batch, seq_len)
+        Child.__init__(self, self._serve)
+
+    def _arrays(self, dtype: np.dtype, **shapes) -> dict[str, np.ndarray]:
+        # the recording's arrays the helper reads, and a d_gates slot per step
+        act, hs = self.rec_shapes
+        shapes = {"act": act, "hs": hs, "init_h": hs[1:], **shapes}
+        shapes["d_gates"] = (act[0], *shapes["d_gates"][1:])
+        return super()._arrays(dtype, **shapes)
+
+    def _block(self, size: int) -> mmap.mmap:
+        return mmap.mmap(-1, size)          # shared with the helper once it forks
 
     def _serve(self, cmd: int, done: int) -> None:
-        """The helper's work: sums each chunk of steps read from `cmd`,
+        """The helper's work: sums the steps each message from `cmd` hands it,
         writes a byte to `done` after a window's step 0, and returns at EOF."""
-        top = len(self.act)
         while message := os.read(cmd, 4):
-            last = int.from_bytes(message, "little")
-            for t in range(top - 1, last - 1, -1):
-                _add_weight_grads(self, self.d_gates[t], self.act[t], self.d_xw[:, t],
-                                  self.hs[t - 1] if t else self.init_h)
-            top = last or len(self.act)
-            if last == 0:
+            t = int.from_bytes(message, "little")
+            super().submit(t)
+            if t == 0:
                 os.write(done, b"\0")
 
-    def load(self, rec: _Recording) -> None:
-        """Copy a window's recording where the helper reads it, and zero the
-        sums; the helper is idle between windows."""
-        if rec.act.shape != self.act.shape or rec.hs.shape != self.hs.shape:
-            raise ContractViolation(f"recording act {rec.act.shape} and hs {rec.hs.shape} do not "
-                                    f"fit the helper's {self.act.shape} and {self.hs.shape}")
+    def _read(self, rec: _Recording) -> None:
+        # copied while the helper idles between windows
         np.copyto(self.act, rec.act)
         np.copyto(self.hs, rec.hs)
         np.copyto(self.init_h, rec.init.h)
-        self.grad_o[...] = 0.0
-        self.grad_h[...] = 0.0
 
     def submit(self, t: int) -> None:
-        """Hand the helper every written step down to step t."""
         try:
             os.write(self.cmd, t.to_bytes(4, "little"))
         except BrokenPipeError:
             self._died()
 
-    def wait(self) -> GradHelper:
-        """Block until the window's sums are done; returns self."""
-        if os.read(self.reply, 1) != b"\0":
+    def flush(self, cell: HLSTMCellParams) -> None:
+        if os.read(self.reply, 1) != b"\0":      # the window's sums are done
             self._died()
-        return self
+        super().flush(cell)
 
     def _died(self):
         raise RuntimeError(f"bptt: its weight-gradient helper process {self.pid} exited with "
                            f"code {self.stop()}")
 
 
-def cell_backward(bwd: _BackwardPass, rec: _Recording, t: int, d_h_t: np.ndarray,
-                  d_c_t: np.ndarray, out: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, HLSTMState]:
+def cell_backward(bwd: Backward, rec: _Recording, t: int, d_h_t: np.ndarray,
+                  d_c_t: np.ndarray) -> tuple[np.ndarray, HLSTMState]:
     """Exact reverse of step t of the recording `rec` (at t = 0 the previous
     state is rec.init): returns (dL/dxw_t, the gradient of the step's
-    gathered table rows, into `out` if given, dL/d previous state) and sums
-    O.grad_b in `bwd` (see `flush`). The O blocks' and H's recurrent weight
-    gradients are summed here too, unless `bwd` has a helper: then this step
-    leaves its d_gates in the helper's slot for step t, and `out` must be
-    the helper's d_xw[:, t], for the helper to sum both. The x part of
-    H.grad_w and H.grad_b belong to the table's projection (see
-    _project_input_backward). Each gate's derivative comes from its recorded
-    output y, (1 - y) y for f, i and o and 1 - y^2 for g, in the recording's
-    dtype with Python-scalar constants, so a step casts nothing."""
-    h_prev, c_prev = (rec.hs[t - 1], rec.c[t - 1]) if t else (rec.init.h, rec.init.c)
-    gates, tanh_c, helper = rec.gates[t], rec.tanh_c[t], bwd.helper
-    d_gates = bwd.d_gates if helper is None else helper.d_gates[t]
+    gathered table rows, written into bwd.d_xw[:, t], dL/d previous state),
+    leaves the step's d_gates in bwd's slot for `bwd.submit` to sum the
+    weight gradients from, and sums O.grad_b in `bwd`. The x part of H.grad_w
+    and H.grad_b belong to the table's projection (_project_input_backward).
+    Each gate's derivative comes from its recorded output y, (1 - y) y for f,
+    i and o and 1 - y^2 for g, in the recording's dtype with Python-scalar
+    constants, so a step casts nothing."""
+    c_prev = rec.c[t - 1] if t else rec.init.c
+    gates, tanh_c, d_gates = rec.gates[t], rec.tanh_c[t], bwd.d_gates[t % len(bwd.d_gates)]
     f, i, o, g = gates
     d_c = d_c_t + d_h_t * o * (1.0 - tanh_c * tanh_c)
     np.multiply(d_c, c_prev, out=d_gates[0])
@@ -441,9 +443,7 @@ def cell_backward(bwd: _BackwardPass, rec: _Recording, t: int, d_h_t: np.ndarray
     d_gates *= deriv
     bwd.grad_o_b += d_gates.sum(axis=1, out=bwd.step_o_b)
     d_in = np.matmul(d_gates, bwd.o_w, out=bwd.d_in)
-    d_pre = np.multiply(d_in, rec.act[t] > 0.0, out=out)
-    if helper is None:
-        _add_weight_grads(bwd, d_gates, rec.act[t], d_pre, h_prev)
+    d_pre = np.multiply(d_in, rec.act[t] > 0.0, out=bwd.d_xw[:, t])
     d_h_prev = np.matmul(d_pre, bwd.h_rec, out=bwd.d_prev).sum(axis=0)
     return d_pre, HLSTMState(h=d_h_prev, c=d_c * f)
 
@@ -580,7 +580,7 @@ def _softmax_nll(logits: np.ndarray, targets: np.ndarray):
 
 def bptt(model: LMModel, logits: np.ndarray, rec: _Recording, tokens: np.ndarray,
          targets: np.ndarray, grad_scale: float = 1.0,
-         helper: GradHelper | None = None) -> float:
+         backward: Backward | None = None) -> float:
     """Cross-entropy over all steps; accumulates every parameter gradient.
 
     Returns the summed NLL (not the mean). grad_scale rescales accumulated
@@ -588,11 +588,11 @@ def bptt(model: LMModel, logits: np.ndarray, rec: _Recording, tokens: np.ndarray
     `rec` is the recording of a train=True unroll_forward, consumed here:
     a second bptt on it raises ContractViolation.
 
-    With a `helper` (a GradHelper sized for the window), its process sums
-    the O blocks' and H's recurrent weight gradients, CHUNK steps at a time,
-    while this one runs the recurrence, then the one-hot table and the
-    embedding backward; `flush` waits for it. The gradients are bit for bit
-    those of a pass without a helper.
+    `backward` (a Backward sized for the window; None: an in-process one)
+    holds the pass's buffers and sums the O blocks' and H's recurrent weight
+    gradients, CHUNK steps at a time (`submit`), while this runs the
+    recurrence, then the one-hot table and the embedding backward; `flush`
+    adds its sums to the cell.
     """
     tokens, targets = np.asarray(tokens), np.asarray(targets)
     if targets.shape != tokens.shape:
@@ -602,32 +602,29 @@ def bptt(model: LMModel, logits: np.ndarray, rec: _Recording, tokens: np.ndarray
     if rec.consumed:
         raise ContractViolation("recording already consumed by a backward pass")
     rec.consumed = True
-    if helper is not None:
-        helper.load(rec)
+    batch, T = tokens.shape
+    cell, head = model.cell, model.head
+    bwd = Backward(cell, batch, T) if backward is None else backward
+    bwd.load(cell, rec)
     probs, idx, total_nll = _softmax_nll(logits, targets)
     d_logits = probs.copy()
     d_logits[idx] -= 1.0
     d_logits *= grad_scale
 
-    batch, T = tokens.shape
-    cell, head = model.cell, model.head
     # in (B, T) order, so the head's gradient sums its rows as the logits run
     hs = rec.hs.transpose(1, 0, 2).reshape(batch * T, cell.d_s)
     d_hs = head.backward(hs, d_logits.reshape(batch * T, -1)).reshape(batch, T, -1)
     # step-major, so each step reads a contiguous d_hs[t]
     d_hs = np.ascontiguousarray(d_hs.transpose(1, 0, 2))
-    d_xw = (np.empty((len(GATES), T, batch, cell.d_h), cell.dtype) if helper is None
-            else helper.d_xw)
-    bwd = _BackwardPass(cell, batch, helper)
     d_next = HLSTMState.zeros(cell.d_s, batch, cell.dtype)
     for t in range(T - 1, -1, -1):
         d_hs[t] += d_next.h
-        _, d_next = cell_backward(bwd, rec, t, d_hs[t], d_next.c, out=d_xw[:, t])
-        if helper is not None and t % helper.CHUNK == 0:
-            helper.submit(t)
+        _, d_next = cell_backward(bwd, rec, t, d_hs[t], d_next.c)
+        if t % bwd.CHUNK == 0:
+            bwd.submit(t)
     one_hot = np.zeros((model.vocab_size, T * batch), cell.dtype)
     one_hot[tokens.T.reshape(-1), np.arange(T * batch)] = 1.0
-    d_table = np.matmul(one_hot, d_xw.reshape(len(GATES), T * batch, cell.d_h))
+    d_table = np.matmul(one_hot, bwd.d_xw.reshape(len(GATES), T * batch, cell.d_h))
     model.embedding_grad += _project_input_backward(cell, model.embedding, d_table)
     bwd.flush(cell)
     return total_nll

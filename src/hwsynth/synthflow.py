@@ -33,7 +33,7 @@ import numpy as np
 from . import growprune, latlab
 from .corpus import Corpus, batch_windows, bundled_corpus_path, load_corpus
 from .growprune import GrowPruneConfig, HalveDecision
-from .hlstm import (GATES, GradHelper, HLSTMCellParams, LMModel, bptt, evaluate, freeze,
+from .hlstm import (GATES, Backward, HLSTMCellParams, LMModel, bptt, evaluate, freeze,
                     perplexity, unroll_forward)
 from .numkit import (Child, ContractViolation, MaskedLinear, make_rng, sgd_step,
                      sgd_update, write_atomic)
@@ -198,7 +198,7 @@ class ReportRow:
 class FlowReport:
     rows: list[ReportRow] = field(default_factory=list)
     complete: bool = False
-    threshold: float = math.inf
+    threshold: float | None = None      # set by the baseline
     lhp_target: int | None = None
 
     CSV_HEADER = [f.name for f in fields(ReportRow)]
@@ -266,10 +266,10 @@ class Trainer:
         (dormant entries included) of each masked layer, in masked_layers()
         order, which weight growth ranks.
 
-        On a large enough model, in a process that may run on two cores,
-        bptt's weight-gradient sums run in a helper process
-        (GradHelper.for_pass) forked here and stopped and reaped before this
-        returns or raises.
+        Every window's bptt runs on one Backward (`Backward.for_pass`): on
+        a large enough model, in a process that may run on two cores, a
+        GradHelper, whose process is stopped and reaped before this returns
+        or raises.
 
         `rng` is ignored, as an epoch draws nothing at random; it stays while
         the benchmark script passes one positionally, ahead of grad_sink.
@@ -279,11 +279,11 @@ class Trainer:
         total_nll = 0.0
         count = windows = 0
         states = None
-        with GradHelper.for_pass(model.cell, batch, seq_len) as helper:
+        with Backward.for_pass(model.cell, batch, seq_len) as backward:
             for xs, ys in batch_windows(train_ids, batch, seq_len):
                 logits, rec, states = unroll_forward(model, xs, init=states, train=True)
                 total_nll += bptt(model, logits, rec, xs, ys, grad_scale=1.0 / xs.size,
-                                  helper=helper)
+                                  backward=backward)
                 count += xs.size
                 windows += 1
                 for k, layer in enumerate(layers):
@@ -625,7 +625,9 @@ class SynthesisFlow:
         # a loaded profile may reach past d_s; growth cannot
         target = latlab.nearest_lhp(self.hmap, tied, self.cfg.d_s)
         self.report.lhp_target = target
-        if target is not None and target > tied:
+        if target == tied:
+            self.log(f"[rcg] tied dim {tied} is already an LHP; no growth")
+        elif target is not None:
             growprune.coordinated_rc_grow_counts(cell, self.model.head, target - cell.d_s,
                                                  target - cell.d_h)
             self.log(f"[rcg] grew tied dim {tied} -> {target}")

@@ -270,10 +270,12 @@ def cell_step_backward(cell, rec, x, d_h, d_c):
     """cell_backward of a cell_step's recording on input x, with its
     gradients added into the cell and the x part of H.grad_w and H.grad_b.
     Returns (dL/dx, dL/d previous state)."""
-    from hwsynth.hlstm import _BackwardPass, _project_input_backward, cell_backward
+    from hwsynth.hlstm import Backward, _project_input_backward, cell_backward
 
-    bwd = _BackwardPass(cell, len(d_h))
+    bwd = Backward(cell, len(d_h), 1)
+    bwd.load(cell, rec)
     d_xw, d_prev = cell_backward(bwd, rec, 0, d_h, d_c)
+    bwd.submit(0)
     bwd.flush(cell)
     return _project_input_backward(cell, x, d_xw), d_prev
 
@@ -432,12 +434,14 @@ _DERIV_A = np.array([1.0, 1.0, 1.0, 0.0])[:, None, None]
 _DERIV_B = np.array([0.0, 0.0, 0.0, 1.0])[:, None, None]
 
 
-def cast_cell_backward(bwd, rec, t, d_h_t, d_c_t, out=None):
-    """cell_backward's contract, through the cast derivative."""
+def cast_cell_backward(bwd, rec, t, d_h_t, d_c_t):
+    """cell_backward's contract on an in-process Backward, through the cast
+    derivative; the step sums its weight gradients itself, so no `submit`
+    follows it."""
     from hwsynth.hlstm import HLSTMState
 
     h_prev, c_prev = (rec.hs[t - 1], rec.c[t - 1]) if t else (rec.init.h, rec.init.c)
-    gates, tanh_c, d_gates = rec.gates[t], rec.tanh_c[t], bwd.d_gates
+    gates, tanh_c, d_gates = rec.gates[t], rec.tanh_c[t], bwd.d_gates[0]
     f, i, o, g = gates
     d_c = d_c_t + d_h_t * o * (1.0 - tanh_c * tanh_c)
     for k, (u, v) in enumerate([(d_c, c_prev), (d_c, g), (d_h_t, tanh_c), (d_c, i)]):
@@ -448,7 +452,7 @@ def cast_cell_backward(bwd, rec, t, d_h_t, d_c_t, out=None):
     bwd.grad_o += np.matmul(d_gates.transpose(0, 2, 1), rec.act[t], out=bwd.step_o)
     bwd.grad_o_b += d_gates.sum(axis=1)
     d_in = np.matmul(d_gates, bwd.o_w, out=bwd.d_in)
-    d_pre = np.multiply(d_in, rec.act[t] > 0.0, out=out)
+    d_pre = np.multiply(d_in, rec.act[t] > 0.0, out=bwd.d_xw[:, t])
     bwd.grad_h += np.matmul(d_pre.transpose(0, 2, 1), h_prev, out=bwd.step_h)
     d_h_prev = np.matmul(d_pre, bwd.h_rec, out=d_gates).sum(axis=0)
     return d_pre, HLSTMState(h=d_h_prev, c=d_c * f)
@@ -457,7 +461,7 @@ def cast_cell_backward(bwd, rec, t, d_h_t, d_c_t, out=None):
 def cast_bptt(model, logits, rec, tokens, targets, grad_scale=1.0):
     """bptt's contract through cast_cell_backward; returns (summed NLL,
     d_xw (4, T, B, d_h))."""
-    from hwsynth.hlstm import HLSTMState, _BackwardPass, _project_input_backward, _softmax_nll
+    from hwsynth.hlstm import Backward, HLSTMState, _project_input_backward, _softmax_nll
 
     probs, idx, total_nll = _softmax_nll(logits, targets)
     d_logits = probs.copy()
@@ -467,13 +471,13 @@ def cast_bptt(model, logits, rec, tokens, targets, grad_scale=1.0):
     cell, head = model.cell, model.head
     hs = rec.hs.transpose(1, 0, 2).reshape(batch * T, cell.d_s)
     d_hs = head.backward(hs, d_logits.reshape(batch * T, -1)).reshape(batch, T, -1)
-    d_xw = np.empty((4, T, batch, cell.d_h), cell.dtype)
-    bwd = _BackwardPass(cell, batch)
+    bwd = Backward(cell, batch, T)
+    bwd.load(cell, rec)
     d_next = HLSTMState.zeros(cell.d_s, batch, cell.dtype)
     for t in range(T - 1, -1, -1):
-        _, d_next = cast_cell_backward(bwd, rec, t, d_hs[:, t] + d_next.h, d_next.c,
-                                       out=d_xw[:, t])
+        _, d_next = cast_cell_backward(bwd, rec, t, d_hs[:, t] + d_next.h, d_next.c)
     bwd.flush(cell)
+    d_xw = bwd.d_xw
     one_hot = (np.arange(model.vocab_size)[:, None] == tokens.T.reshape(-1)).astype(cell.dtype)
     d_table = np.matmul(one_hot, d_xw.reshape(4, T * batch, cell.d_h))
     model.embedding_grad += _project_input_backward(cell, model.embedding, d_table)

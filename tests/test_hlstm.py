@@ -9,11 +9,11 @@ from hwsynth import hlstm
 from hwsynth.growprune import coordinated_rc_prune_counts, sweep
 from hwsynth.hlstm import (
     GATES,
+    Backward,
     FrozenModel,
     HLSTMCellParams,
     HLSTMState,
     LMModel,
-    _BackwardPass,
     _layout,
     bptt,
     cell_backward,
@@ -197,7 +197,9 @@ class TestCellBackward:
         _, rec = cell_step(cell, np.ones((1, 2)),
                            HLSTMState(h=np.zeros((1, 3)), c=c_prev))
         d_c = np.array([[1.0, -2.0, 0.5]])
-        _, d_prev = cell_backward(_BackwardPass(cell, 1), rec, 0, np.zeros((1, 3)), d_c)
+        bwd = Backward(cell, 1, 1)
+        bwd.load(cell, rec)
+        _, d_prev = cell_backward(bwd, rec, 0, np.zeros((1, 3)), d_c)
         assert np.allclose(d_prev.c, 0.5 * d_c)  # c_t = 0.5 * c_prev
 
     def test_parameter_gradients_match_fd(self):
@@ -936,8 +938,11 @@ class TestBackwardMatchesCastOracle:
             d_h, d_c = rng.standard_normal((2, batch, cell.d_s)).astype(np.float32)
             runs = []
             for backward in (cell_backward, cast_cell_backward):
-                bwd = _BackwardPass(cell, batch)
+                bwd = Backward(cell, batch, self.T)
+                bwd.load(cell, rec)
                 d_xw, d_prev = backward(bwd, rec, t, d_h, d_c)
+                if backward is cell_backward:       # the cast step sums in-step
+                    bwd.submit(t)
                 runs.append({"d_xw": d_xw, "d_h_prev": d_prev.h, "d_c_prev": d_prev.c,
                              "grad_h": bwd.grad_h, "grad_o": bwd.grad_o,
                              "grad_o_b": bwd.grad_o_b})
@@ -949,8 +954,8 @@ class TestBackwardMatchesCastOracle:
         ref = copy.deepcopy(model)
         steps = {}
 
-        def recording_backward(bwd, rec, t, d_h_t, d_c_t, out=None):
-            d_xw, d_prev = cell_backward(bwd, rec, t, d_h_t, d_c_t, out=out)
+        def recording_backward(bwd, rec, t, d_h_t, d_c_t):
+            d_xw, d_prev = cell_backward(bwd, rec, t, d_h_t, d_c_t)
             steps[t] = d_xw.copy()
             return d_xw, d_prev
 

@@ -53,7 +53,7 @@ class TestNoFloat64Leak:
     def watched(self, monkeypatch):
         """Arrays the passes made, by where they were seen."""
         seen = []
-        cell_forward, flush = hlstm.cell_forward, hlstm._BackwardPass.flush
+        cell_forward, flush = hlstm.cell_forward, hlstm.Backward.flush
 
         def watch_forward(operands, table, ids, init, hs, record=True):
             state, rec = cell_forward(operands, table, ids, init, hs, record)
@@ -64,16 +64,15 @@ class TestNoFloat64Leak:
                                                            "tanh_c"))])
             return state, rec
 
-        def watch_flush(bwd, params):
-            # with a helper, the arrays it sums into and reads from too
-            for owner, value in (("backward", bwd), ("helper", bwd.helper)):
-                if value is not None:
-                    seen.extend((f"{owner}.{k}", v) for k, v in vars(value).items()
-                                if isinstance(v, np.ndarray))
-            return flush(bwd, params)
+        def watch_flush(bwd, cell):
+            # a GradHelper's arrays are also those its process sums into and reads
+            owners = ["backward"] + ["helper"] * isinstance(bwd, hlstm.GradHelper)
+            seen.extend((f"{owner}.{k}", v) for owner in owners for k, v in vars(bwd).items()
+                        if isinstance(v, np.ndarray))
+            return flush(bwd, cell)
 
         monkeypatch.setattr(hlstm, "cell_forward", watch_forward)
-        monkeypatch.setattr(hlstm._BackwardPass, "flush", watch_flush)
+        monkeypatch.setattr(hlstm.Backward, "flush", watch_flush)
         return seen
 
     @staticmethod

@@ -20,7 +20,7 @@ from hwsynth.growprune import (
     weight_grow,
     weight_prune,
 )
-from hwsynth.hlstm import GATES, GradHelper, LMModel, bptt, freeze, unroll_forward
+from hwsynth.hlstm import GATES, Backward, GradHelper, LMModel, bptt, freeze, unroll_forward
 from hwsynth.numkit import (ARRAYS, Child, ContractViolation, MaskedLinear, NumericAbort,
                             make_rng, sgd_step, sgd_update)
 from hwsynth.synthflow import (
@@ -1231,6 +1231,24 @@ class TestLhpTarget:
         data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert data["lhp_target"] is None
 
+    def test_a_tied_dim_that_is_an_lhp_is_the_target(self, tiny_corpus, tmp_path):
+        # latency falls over the whole grid, so every dim is an LHP
+        curve = latlab.SyntheticCurveSpec(slope_ns=-10.0, period=1000)
+        flow = SynthesisFlow(tiny_config(tiny_corpus, latency=LatencyConfig(curve=curve)),
+                             tmp_path)
+        lines = []
+        flow.log = lines.append
+        report = flow.run()
+        assert flow.hmap.lhp_set == list(range(1, 13))
+        rows = {r.step: r for r in report.rows}
+        tied = max(rows["rcp"].d_s, rows["rcp"].d_h)
+        assert report.lhp_target == tied
+        assert f"[rcg] tied dim {tied} is already an LHP; no growth" in lines
+        assert not [line for line in lines if line.startswith("[rcg] no LHP")]
+        assert (rows["rcg"].d_s, rows["rcg"].d_h) == (rows["rcp"].d_s, rows["rcp"].d_h)
+        data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert data["lhp_target"] == tied
+
 
 class TestCompletion:
     @pytest.mark.parametrize("cpu_mode", [False, True])
@@ -1418,14 +1436,15 @@ class TestHelperProcess:
             self.run_epoch(*tiny_epoch_case())
 
     def test_helper_that_dies(self, monkeypatch):
-        parent, add = os.getpid(), hlstm._add_weight_grads
+        # the helper sums its steps through Backward.submit, the parent never does
+        parent, submit = os.getpid(), hlstm.Backward.submit
 
         def dying_in_the_helper(*args):
             if os.getpid() != parent:
                 os._exit(5)
-            add(*args)
+            submit(*args)
 
-        monkeypatch.setattr(hlstm, "_add_weight_grads", dying_in_the_helper)
+        monkeypatch.setattr(hlstm.Backward, "submit", dying_in_the_helper)
         with pytest.raises(RuntimeError, match=r"^bptt: its weight-gradient helper process "
                                                r"\d+ exited with code 5$"):
             self.run_epoch(*tiny_epoch_case())
@@ -1474,10 +1493,11 @@ def test_usable_cores_follows_the_affinity(monkeypatch):
 
 
 class TestEpochMatchesCastOracle:
-    """A multi-window Trainer.epoch, with its helper process summing bptt's
-    weight gradients, gives byte for byte what an epoch loop over
-    oracles.cast_bptt gives (no helper, the cast formulation): NLL, weights,
-    biases, the embedding and the grad_sink entries."""
+    """A multi-window Trainer.epoch, whose Backward sums bptt's weight
+    gradients in-process or in its helper process, reusing its buffers
+    across windows, gives byte for byte what an epoch loop over
+    oracles.cast_bptt gives (in-process, the cast formulation): NLL,
+    weights, biases, the embedding and the grad_sink entries."""
 
     @staticmethod
     def cast_epoch(model, ids, batch, seq_len, cfg, sums=None):
@@ -1498,6 +1518,15 @@ class TestEpochMatchesCastOracle:
 
     @pytest.mark.parametrize("name", ["d_s_ne_d_h", "rc_cut"])
     def test_epoch(self, name, every_epoch_forks_a_helper):
+        self.check_epoch(name)
+
+    @pytest.mark.parametrize("name", ["d_s_ne_d_h", "rc_cut"])
+    def test_epoch_in_process(self, name, monkeypatch):
+        # below GradHelper.MIN_WORK
+        monkeypatch.setattr(os, "fork", raising(AssertionError("forked")))
+        self.check_epoch(name)
+
+    def check_epoch(self, name):
         if name == "rc_cut":
             model, rng = unread_model(81)
             ids = rng.integers(0, model.vocab_size, size=32 * 12 * 3 + 5)
@@ -1519,6 +1548,18 @@ class TestEpochMatchesCastOracle:
         for a, b in zip(got + (sink or []), want + (want_sink or [])):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert_no_child_process()
+
+
+@pytest.mark.parametrize("kind", [Backward, GradHelper])
+def test_a_backward_refuses_a_recording_of_another_shape(kind):
+    model, ids = tiny_epoch_case()
+    tokens = ids[:32 * 10].reshape(32, 10)
+    with kind(model.cell, 32, 10) as backward:
+        for xs in (tokens[:, :9], tokens[:16]):         # another T, another B
+            logits, rec, _ = unroll_forward(model, xs, train=True)
+            with pytest.raises(ContractViolation, match="do not fit the backward's"):
+                bptt(model, logits, rec, xs, xs, backward=backward)
+    assert_no_child_process()
 
 
 @pytest.mark.usefixtures("every_epoch_forks_a_helper")
@@ -1559,12 +1600,12 @@ class TestBaselineProcess:
         # the flow fails while the child is inside an epoch whose helper is alive
         noted, parent, real_bptt = tmp_path / "helper_pid", os.getpid(), synthflow.bptt
 
-        def bptt_in_child(*args, helper, **kwargs):
+        def bptt_in_child(*args, backward, **kwargs):
             if os.getpid() != parent:
-                (tmp_path / "pid.tmp").write_text(str(helper.pid), encoding="utf-8")
+                (tmp_path / "pid.tmp").write_text(str(backward.pid), encoding="utf-8")
                 os.replace(tmp_path / "pid.tmp", noted)
                 time.sleep(60)
-            return real_bptt(*args, helper=helper, **kwargs)
+            return real_bptt(*args, backward=backward, **kwargs)
 
         def fail_once_the_helper_runs():
             deadline = time.monotonic() + 30
@@ -1653,11 +1694,11 @@ def test_a_child_ignores_sigint(kind, tiny_corpus, tmp_path, monkeypatch):
     else:                           # sent once the helper has summed a window
         calls, real_bptt = [], synthflow.bptt
 
-        def interrupting_bptt(*args, helper, **kwargs):
-            calls.append(helper.pid)
+        def interrupting_bptt(*args, backward, **kwargs):
+            calls.append(backward.pid)
             if len(calls) == 2:
-                interrupt(helper.pid)
-            return real_bptt(*args, helper=helper, **kwargs)
+                interrupt(backward.pid)
+            return real_bptt(*args, backward=backward, **kwargs)
 
         monkeypatch.setattr(synthflow, "bptt", interrupting_bptt)
         model, ids = tiny_epoch_case()
@@ -1678,6 +1719,20 @@ class TestPartialReport:
         assert data["complete"] is False
         steps = [r["step"] for r in data["rows"]]
         assert steps == ["baseline", "wg", "rcp"]  # died entering rcg
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # the diverging run overflows
+    def test_failure_before_the_baseline_writes_strict_json(self, tiny_corpus, tmp_path):
+        # no threshold yet: null, not the Infinity a strict parser refuses
+        cfg = tiny_config(tiny_corpus, optimizer=OptimizerConfig(lr=1e30))
+        with pytest.raises(NumericAbort):
+            run_flow(cfg, tmp_path, log=lambda *a, **k: None)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"),
+                          parse_constant=refuse)
+        assert (data["complete"], data["threshold"], data["rows"]) == (False, None, [])
 
 
 # --- the prune loop's revert paths, with scripted retrain scores ---------------
